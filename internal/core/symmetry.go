@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"vmpower/internal/hypervisor"
 	"vmpower/internal/obs"
@@ -40,6 +39,7 @@ type symScratch struct {
 	prevPlan  *vhc.Plan      // plan the previous table was evaluated under
 	prevValid bool           // table holds the previous tick's worths
 
+	eval  vhc.SymEval
 	sc    shapley.SymScratch
 	table []float64
 	phi   []float64
@@ -202,9 +202,11 @@ func (e *Estimator) symTick(plan *vhc.Plan, snap hypervisor.Snapshot, members []
 	}
 	s.phi = s.phi[:k]
 
-	var mu sync.Mutex
+	if err := s.eval.Reset(plan, s.classes); err != nil {
+		return false, err
+	}
+	// Tabulation is serial: the closure's error capture needs no lock.
 	var worthErr error
-	classes := s.classes
 	counts := s.counts
 	worth := func(t []int) float64 {
 		grand := true
@@ -217,19 +219,15 @@ func (e *Estimator) symTick(plan *vhc.Plan, snap hypervisor.Snapshot, members []
 		if grand {
 			return dyn
 		}
-		p, err := plan.EvalCounts(classes, t)
-		if err != nil {
-			mu.Lock()
-			if worthErr == nil {
-				worthErr = err
-			}
-			mu.Unlock()
-			return 0
+		p, err := s.eval.EvalCounts(t)
+		if err != nil && worthErr == nil {
+			worthErr = err
 		}
 		return p
 	}
 
 	evaluated, reused, dirtyClasses, full := v, 0, k, true
+	classes := s.classes
 	if s.prevValid && s.prevPlan == plan && symAligned(s.prev, classes) {
 		// Incremental tick: only vectors touching a class whose shared
 		// state changed need re-evaluation; the rest describe coalitions

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
@@ -332,5 +334,77 @@ func TestSymmetryGateKeepsDistinctGamesOnMaskPath(t *testing.T) {
 		if distinct && alloc.SymmetryClasses != 0 {
 			t.Fatalf("tick %d: distinct states but %d symmetry classes", tick, alloc.SymmetryClasses)
 		}
+	}
+}
+
+// TestSymmetrySharesPinned pins the collapsed tier's shares bit for bit:
+// a 68-VM dense host whose running VMs form five classes over two feature
+// slots — a small dirty class ahead of a 50-member steady one in the same
+// slot, so slot sums mix classes — runs through all-dirty, steady-reuse
+// and running-set-change ticks, and the FNV-64a digest of every share's
+// bits must equal the digest recorded from an evaluator that adds every
+// member's state one at a time. A change that moves any share by one ulp
+// fails here; a deliberate change to calibration, the simulator or the
+// solver must re-derive the digest and say why it moved.
+func TestSymmetrySharesPinned(t *testing.T) {
+	const want = uint64(0x16635340588ea0c3)
+	host, est := symTestRig(t, machine.DenseProfile(), []int{60, 8}, Config{Seed: 19})
+	if err := est.CollectOffline(); err != nil {
+		t.Fatal(err)
+	}
+	steadyA := workload.Constant("a", vm.State{vm.CPU: 0.35, vm.Memory: 0.15, vm.DiskIO: 0.05})
+	steadyB := workload.Constant("b", vm.State{vm.CPU: 0.6, vm.Memory: 0.3, vm.DiskIO: 0.2})
+	for i := 0; i < host.Set().Len(); i++ {
+		var g workload.Generator
+		switch {
+		case i < 3:
+			g = workload.Synthetic{Seed: 5}
+		case i < 53:
+			g = steadyA
+		case i < 60:
+			g = workload.Synthetic{Seed: 6}
+		case i < 62:
+			g = steadyB
+		default:
+			g = workload.Synthetic{Seed: 7}
+		}
+		if err := host.Attach(vm.ID(i), g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	tick := func() {
+		host.Advance(1)
+		alloc, err := est.EstimateTick()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alloc.Prov.Tier != TierSymExact {
+			t.Fatalf("tick %d: tier %v, want the collapsed tier", alloc.Tick, alloc.Prov.Tier)
+		}
+		for _, p := range alloc.PerVM {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p))
+			h.Write(buf[:])
+		}
+	}
+	startAll(t, host)
+	for i := 0; i < 6; i++ {
+		tick()
+	}
+	for _, id := range []vm.ID{0, 10, 61} {
+		if err := host.Stop(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		tick()
+	}
+	startAll(t, host)
+	for i := 0; i < 3; i++ {
+		tick()
+	}
+	if got := h.Sum64(); got != want {
+		t.Fatalf("share digest %#016x, want %#016x", got, want)
 	}
 }

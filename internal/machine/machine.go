@@ -101,9 +101,13 @@ func (m *Machine) slotOrder() []threadSlot {
 // state (the mean utilization across the VM's vCPUs).
 // It returns ErrOvercommit when Σ vCPUs exceeds the logical core count.
 func (m *Machine) ThreadUtilizations(loads []Load) ([][]float64, error) {
+	// One backing array for the whole grid: a per-core allocation cost the
+	// 128-core dense profile 129 allocations per ground-truth evaluation.
+	tpc := m.prof.ThreadsPerCore
+	cells := make([]float64, m.prof.PhysicalCores*tpc)
 	grid := make([][]float64, m.prof.PhysicalCores)
 	for i := range grid {
-		grid[i] = make([]float64, m.prof.ThreadsPerCore)
+		grid[i] = cells[i*tpc : (i+1)*tpc : (i+1)*tpc]
 	}
 	slots := m.slotOrder()
 	next := 0

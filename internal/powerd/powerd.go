@@ -100,7 +100,7 @@ type Server struct {
 	// and one encode per tick no matter how many scrapers ask.
 	intMu   sync.Mutex
 	intTick int
-	intBody []byte
+	intBody cachedBody
 }
 
 // InteractionsJSON is the wire form of the live interference matrix.
@@ -412,7 +412,7 @@ func (s *Server) handleInteractions(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	s.intMu.Lock()
-	if s.intTick == snap.Tick && s.intBody != nil {
+	if s.intTick == snap.Tick && s.intBody.data != nil {
 		body := s.intBody
 		s.intMu.Unlock()
 		s.writeCached(w, body)
@@ -429,8 +429,8 @@ func (s *Server) handleInteractions(w http.ResponseWriter, _ *http.Request) {
 		VMs:   append([]string(nil), s.names...),
 		Watts: idx,
 	}
-	body, err := encodeJSON(out)
-	if err != nil {
+	body := cacheJSON(out)
+	if body.data == nil {
 		s.intMu.Unlock()
 		s.writeJSON(w, http.StatusOK, out)
 		return
@@ -445,7 +445,7 @@ type errorJSON struct {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	if d := s.served.Load(); d != nil && d.status != nil {
+	if d := s.served.Load(); d != nil && d.status.data != nil {
 		s.writeCached(w, d.status)
 		return
 	}
@@ -462,7 +462,7 @@ func (s *Server) handleAllocation(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if d := s.served.Load(); d != nil && d.allocation != nil {
+	if d := s.served.Load(); d != nil && d.allocation.data != nil {
 		s.writeCached(w, d.allocation)
 		return
 	}
@@ -498,7 +498,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleEnergy(w http.ResponseWriter, _ *http.Request) {
-	if d := s.served.Load(); d != nil && d.energy != nil {
+	if d := s.served.Load(); d != nil && d.energy.data != nil {
 		s.writeCached(w, d.energy)
 		return
 	}

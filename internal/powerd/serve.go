@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"vmpower/internal/obs"
 )
@@ -19,14 +20,70 @@ import (
 // (pinned by TestCachedBytesIdentical).
 
 // servedSnapshot is one tick's pre-encoded HTTP surface. It is immutable
-// after publication; a nil body means that endpoint could not encode
+// after publication, apart from the delta bodies that sync.Once fills
+// in on first use; a zero body means that endpoint could not encode
 // this tick (NaN watts and the like) and the handler falls back to the
 // per-request path, which surfaces the error.
 type servedSnapshot struct {
 	tick       int
-	status     []byte
-	allocation []byte
-	energy     []byte
+	status     cachedBody
+	allocation cachedBody
+	energy     cachedBody
+
+	// The delta bodies for ?since=tick (a current client: scalars only)
+	// and ?since=tick-1 (this tick's changed VMs), the two a poller that
+	// keeps up asks for. Each is encoded once, by the first request that
+	// needs it, so the tick pays nothing for them.
+	wire    *AllocationJSON
+	changed []string
+	deltas  [2]onceBody // indexed by tick - since
+}
+
+// cachedBody is a pre-encoded response body with its Content-Length
+// header value, both built once, so serving it allocates nothing. A
+// declared length lets net/http send a body past its 2 KiB buffer as is;
+// chunk-encoded, it ends with a terminating chunk flushed in a write of
+// its own. The zero value means the body could not encode.
+type cachedBody struct {
+	data []byte
+	size []string
+}
+
+// cacheJSON encodes v as encodeJSON does; on an encode error it returns
+// the zero cachedBody.
+func cacheJSON(v any) cachedBody {
+	data, err := encodeJSON(v)
+	if err != nil {
+		return cachedBody{}
+	}
+	return cachedBody{data: data, size: []string{strconv.Itoa(len(data))}}
+}
+
+// onceBody is a response body encoded at most once.
+type onceBody struct {
+	once sync.Once
+	body cachedBody
+}
+
+// delta returns the cached body for ?since=since; its data is nil when
+// since is not one of the two cached baselines or the body could not
+// encode.
+func (d *servedSnapshot) delta(since int) cachedBody {
+	back := d.tick - since
+	if back < 0 || back >= len(d.deltas) {
+		return cachedBody{}
+	}
+	b := &d.deltas[back]
+	b.once.Do(func() {
+		out := deltaHeader(d.wire, since)
+		if back == 1 {
+			for _, name := range d.changed {
+				out.PerVM[name] = d.wire.PerVM[name]
+			}
+		}
+		b.body = cacheJSON(out)
+	})
+	return b.body
 }
 
 // deltaWindow bounds the per-tick change log behind
@@ -83,10 +140,12 @@ var jsonCType = []string{"application/json"}
 // writeCached serves a pre-encoded body. Zero allocations on the happy
 // path; a failed write (client gone mid-response) is counted like an
 // encode failure.
-func (s *Server) writeCached(w http.ResponseWriter, body []byte) {
-	w.Header()["Content-Type"] = jsonCType
+func (s *Server) writeCached(w http.ResponseWriter, body cachedBody) {
+	h := w.Header()
+	h["Content-Type"] = jsonCType
+	h["Content-Length"] = body.size
 	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(body); err != nil {
+	if _, err := w.Write(body.data); err != nil {
 		s.noteEncodeError(err)
 	}
 }
@@ -162,33 +221,20 @@ func (s *Server) publishLocked(wire *AllocationJSON) {
 		s.deltaLog = s.deltaLog[len(s.deltaLog)-deltaWindow:]
 	}
 
-	snap := &servedSnapshot{tick: wire.Tick}
+	snap := &servedSnapshot{tick: wire.Tick, wire: wire, changed: changed}
 	// A body that cannot encode (NaN watts would be one) leaves its slot
-	// nil: the handler falls back to the per-request path, which counts
+	// zero: the handler falls back to the per-request path, which counts
 	// the failure per request instead of silently serving stale bytes.
-	snap.allocation, _ = encodeJSON(wire)
-	snap.status, _ = encodeJSON(s.statusLocked())
-	snap.energy, _ = encodeJSON(s.energyLocked())
+	snap.allocation = cacheJSON(wire)
+	snap.status = cacheJSON(s.statusLocked())
+	snap.energy = cacheJSON(s.energyLocked())
 	s.served.Store(snap)
 }
 
-// handleAllocationDelta serves GET /api/v1/allocation?since=T. The
-// response is O(changed VMs since T), not O(roster): scalars always,
-// per-VM entries only for VMs whose wire value changed after T.
-func (s *Server) handleAllocationDelta(w http.ResponseWriter, raw string) {
-	since, err := strconv.Atoi(raw)
-	if err != nil || since < 0 {
-		s.writeJSON(w, http.StatusBadRequest, errorJSON{Error: "since must be a non-negative integer"})
-		return
-	}
-	s.mu.RLock()
-	latest := s.latest
-	if latest == nil {
-		s.mu.RUnlock()
-		s.writeJSON(w, http.StatusNotFound, errorJSON{Error: "no allocation yet"})
-		return
-	}
-	out := AllocationDeltaJSON{
+// deltaHeader is the delta from since to latest with no per-VM entries
+// yet: the scalars of latest and an empty PerVM map.
+func deltaHeader(latest *AllocationJSON, since int) AllocationDeltaJSON {
+	return AllocationDeltaJSON{
 		Since:            since,
 		Tick:             latest.Tick,
 		MeasuredWatts:    latest.MeasuredWatts,
@@ -200,6 +246,33 @@ func (s *Server) handleAllocationDelta(w http.ResponseWriter, raw string) {
 		RejectedSamples:  latest.RejectedSamples,
 		PerVM:            map[string]float64{},
 	}
+}
+
+// handleAllocationDelta serves GET /api/v1/allocation?since=T. The
+// response is O(changed VMs since T), not O(roster): scalars always,
+// per-VM entries only for VMs whose wire value changed after T. A client
+// that is current or one tick behind gets the published snapshot's
+// cached body; older baselines are composed from the delta log.
+func (s *Server) handleAllocationDelta(w http.ResponseWriter, raw string) {
+	since, err := strconv.Atoi(raw)
+	if err != nil || since < 0 {
+		s.writeJSON(w, http.StatusBadRequest, errorJSON{Error: "since must be a non-negative integer"})
+		return
+	}
+	if d := s.served.Load(); d != nil {
+		if body := d.delta(since); body.data != nil {
+			s.writeCached(w, body)
+			return
+		}
+	}
+	s.mu.RLock()
+	latest := s.latest
+	if latest == nil {
+		s.mu.RUnlock()
+		s.writeJSON(w, http.StatusNotFound, errorJSON{Error: "no allocation yet"})
+		return
+	}
+	out := deltaHeader(latest, since)
 	switch {
 	case since >= latest.Tick:
 		// Current — empty delta. A client ahead of the daemon (since from

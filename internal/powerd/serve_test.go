@@ -70,6 +70,68 @@ func TestCachedBytesIdentical(t *testing.T) {
 	}
 }
 
+// TestCachedDeltaBytesIdentical pins the cached delta bodies: for a
+// client that is current (since = tick) or one tick behind (since =
+// tick-1), the cached bytes equal the delta-log path's response, on the
+// first tick, on ticks where nothing changed and on ticks where VMs did.
+func TestCachedDeltaBytesIdentical(t *testing.T) {
+	srv, host := testServer(t)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for i := 0; i < 6; i++ {
+		if i == 3 {
+			host.SetCoalition(vm.GrandCoalition(2))
+			if err := host.Attach(0, workload.Synthetic{Seed: 7}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := srv.Step(); err != nil {
+			t.Fatal(err)
+		}
+		d := srv.served.Load()
+		for back, since := range []int{d.tick, d.tick - 1} {
+			path := "/api/v1/allocation?since=" + itoa(since)
+			srv.served.Store(nil)
+			want := getBody(t, ts, path)
+			srv.served.Store(d)
+			if got := getBody(t, ts, path); !bytes.Equal(got, want) {
+				t.Fatalf("tick %d since %d: cached delta differs from the delta-log path:\n got %s\nwant %s",
+					d.tick, since, got, want)
+			}
+			if d.deltas[back].body.data == nil {
+				t.Fatalf("tick %d since %d: served without caching the body", d.tick, since)
+			}
+		}
+	}
+}
+
+// TestCachedContentLength pins the declared length of every cached body,
+// which keeps net/http from chunk-encoding bodies past its 2 KiB buffer.
+func TestCachedContentLength(t *testing.T) {
+	srv, host := testServer(t)
+	host.SetCoalition(vm.GrandCoalition(2))
+	if err := host.Attach(0, workload.FloatPoint()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Step(); err != nil {
+		t.Fatal(err)
+	}
+	tick := itoa(srv.served.Load().tick)
+	h := srv.Handler()
+	for _, path := range []string{"/api/v1/allocation", "/api/v1/status", "/api/v1/energy",
+		"/api/v1/interactions", "/api/v1/allocation?since=" + tick} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", path, rec.Code)
+		}
+		if got, want := rec.Header().Get("Content-Length"), itoa(rec.Body.Len()); got != want {
+			t.Errorf("%s: Content-Length %q, body is %s bytes", path, got, want)
+		}
+	}
+}
+
 // TestAllocationDeltaComposes pins the delta contract three ways: an
 // unchanged roster yields an empty delta, a changed tick's delta carries
 // exactly the VMs whose wire watts differ between the two full scrapes,

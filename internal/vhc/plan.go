@@ -147,7 +147,14 @@ func (p *Plan) Eval(s vm.Coalition, states []vm.State) (float64, error) {
 			feat[base+c] += st[c]
 		}
 	}
-	flen := combo.Size() * k
+	return p.worth(combo, &feat)
+}
+
+// worth maps a non-empty combo's aggregated feature vector to v(S, C):
+// the exact-match table mean when the quantized features were measured
+// offline, otherwise the clamped linear approximation.
+func (p *Plan) worth(combo ComboMask, feat *[maxFeatureLen]float64) (float64, error) {
+	flen := combo.Size() * int(vm.NumComponents)
 	if p.resolution > 0 {
 		if t := p.table[combo]; t != nil {
 			var key tableKey

@@ -3,6 +3,7 @@ package vhc
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -63,6 +64,7 @@ func TestEvalCountsMatchesEval(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(17))
+		var ev SymEval
 		for trial := 0; trial < 500; trial++ {
 			states := make([]vm.State, set.Len())
 			for i := range states {
@@ -71,14 +73,16 @@ func TestEvalCountsMatchesEval(t *testing.T) {
 				}
 			}
 			states[1] = states[0] // collapse VMs 0 and 1 into one class
-			sym := symRigClasses(t, plan, states)
+			if err := ev.Reset(plan, symRigClasses(t, plan, states)); err != nil {
+				t.Fatal(err)
+			}
 
 			tv := make([]int, 3)
 			for t0 := 0; t0 <= 2; t0++ {
 				for t1 := 0; t1 <= 1; t1++ {
 					for t2 := 0; t2 <= 1; t2++ {
 						tv[0], tv[1], tv[2] = t0, t1, t2
-						got, gotErr := plan.EvalCounts(sym, tv)
+						got, gotErr := ev.EvalCounts(tv)
 						mask := maskForCounts(tv)
 						want, wantErr := plan.Eval(mask, states)
 						if (gotErr != nil) != (wantErr != nil) {
@@ -112,17 +116,20 @@ func TestEvalCountsErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	states := make([]vm.State, set.Len())
-	sym := symRigClasses(t, plan, states)
-	if _, err := plan.EvalCounts(sym, []int{1, 1}); err == nil {
+	var ev SymEval
+	if err := ev.Reset(plan, symRigClasses(t, plan, states)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ev.EvalCounts([]int{1, 1}); err == nil {
 		t.Fatal("count/class length mismatch must error")
 	}
-	if _, err := plan.EvalCounts(sym, []int{3, 0, 0}); err == nil {
+	if _, err := ev.EvalCounts([]int{3, 0, 0}); err == nil {
 		t.Fatal("count above class size must error")
 	}
-	if _, err := plan.EvalCounts(sym, []int{-1, 0, 0}); err == nil {
+	if _, err := ev.EvalCounts([]int{-1, 0, 0}); err == nil {
 		t.Fatal("negative count must error")
 	}
-	if v, err := plan.EvalCounts(sym, []int{0, 0, 0}); err != nil || v != 0 {
+	if v, err := ev.EvalCounts([]int{0, 0, 0}); err != nil || v != 0 {
 		t.Fatalf("empty vector = (%v, %v), want (0, nil)", v, err)
 	}
 	if _, err := plan.ClassBit(-1); err == nil {
@@ -130,6 +137,16 @@ func TestEvalCountsErrors(t *testing.T) {
 	}
 	if _, err := plan.ClassBit(set.Len()); err == nil {
 		t.Fatal("out-of-range VM must error")
+	}
+	for _, bad := range []SymClass{
+		{Bit: 0, Count: 1},
+		{Bit: 0b11, Count: 1},
+		{Bit: 1 << MaxTypes, Count: 1},
+		{Bit: 1, Count: -1},
+	} {
+		if err := ev.Reset(plan, []SymClass{bad}); err == nil {
+			t.Fatalf("Reset accepted class %+v", bad)
+		}
 	}
 }
 
@@ -164,17 +181,21 @@ func TestEvalCountsUntrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sym := symRigClasses(t, plan, states)
-	if _, err := plan.EvalCounts(sym, []int{2, 0, 0}); err != nil {
+	var ev SymEval
+	if err := ev.Reset(plan, symRigClasses(t, plan, states)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ev.EvalCounts([]int{2, 0, 0}); err != nil {
 		t.Fatalf("trained combo: %v", err)
 	}
-	if _, err := plan.EvalCounts(sym, []int{0, 1, 0}); !errors.Is(err, ErrUntrained) {
+	if _, err := ev.EvalCounts([]int{0, 1, 0}); !errors.Is(err, ErrUntrained) {
 		t.Fatalf("untrained combo err = %v, want ErrUntrained", err)
 	}
 }
 
 // TestEvalCountsZeroAlloc extends the plan's zero-allocation claim to the
-// collapsed evaluator.
+// collapsed evaluator, and to re-binding it to a tick whose states moved
+// without changing the class layout.
 func TestEvalCountsZeroAlloc(t *testing.T) {
 	set, classes, a := trainedRig(t, 0.01, 31)
 	plan, err := NewPlan(set, classes, a)
@@ -186,14 +207,147 @@ func TestEvalCountsZeroAlloc(t *testing.T) {
 		states[i] = vm.State{vm.CPU: 0.37, vm.Memory: 0.12, vm.DiskIO: 0.05}
 	}
 	sym := symRigClasses(t, plan, states)
+	var ev SymEval
+	if err := ev.Reset(plan, sym); err != nil {
+		t.Fatal(err)
+	}
 	tv := []int{2, 1, 1}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := plan.EvalCounts(sym, tv); err != nil {
+		if _, err := ev.EvalCounts(tv); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("plan.EvalCounts allocates %v per run, want 0", allocs)
+		t.Fatalf("SymEval.EvalCounts allocates %v per run, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(200, func() {
+		sym[0].State[vm.CPU] = 1 - sym[0].State[vm.CPU]
+		if err := ev.Reset(plan, sym); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("SymEval.Reset allocates %v per run on a same-layout tick, want 0", allocs)
+	}
+}
+
+// refFeatures is the reference collapsed feature builder: every class
+// adds its shared state t[j] times, member by member, in class order —
+// the float sequence the pre-tabulation evaluator produced and the one
+// SymEval must reproduce bit for bit.
+func refFeatures(classes []SymClass, t []int) (ComboMask, [maxFeatureLen]float64) {
+	const k = int(vm.NumComponents)
+	var combo ComboMask
+	for j := range classes {
+		if t[j] > 0 {
+			combo |= classes[j].Bit
+		}
+	}
+	var feat [maxFeatureLen]float64
+	for j := range classes {
+		base := bits.OnesCount16(uint16(combo&(classes[j].Bit-1))) * k
+		for x := 0; x < t[j]; x++ {
+			for c := 0; c < k; c++ {
+				feat[base+c] += classes[j].State[c]
+			}
+		}
+	}
+	return combo, feat
+}
+
+// TestSymEvalMatchesReference drives random class layouts — several
+// classes per feature slot in random order, big and small classes,
+// slots large enough to spill past symSlotBudget into tail classes —
+// through successive Resets (new layouts, moved states, repeats) and
+// insists every count vector's features equal the member-by-member
+// reference bit for bit, and its worth equal the plan's worth of them.
+func TestSymEvalMatchesReference(t *testing.T) {
+	set, classes, a := trainedRig(t, 0.01, 37)
+	plan, err := NewPlan(set, classes, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitsAvail := []ComboMask{plan.classBit[0], plan.classBit[2], plan.classBit[3]}
+	rng := rand.New(rand.NewSource(41))
+	randState := func() vm.State {
+		var s vm.State
+		for c := range s {
+			s[c] = rng.Float64()
+		}
+		return s
+	}
+	var ev SymEval
+	tails := 0
+	for layout := 0; layout < 60; layout++ {
+		k := 1 + rng.Intn(6)
+		sym := make([]SymClass, k)
+		for j := range sym {
+			sym[j] = SymClass{Bit: bitsAvail[rng.Intn(len(bitsAvail))], State: randState(), Count: 1 + rng.Intn(12), First: j}
+		}
+		if layout%10 == 9 {
+			// Two big classes in one slot: 301·301 entries exceed the
+			// slot budget, so the second is added member by member.
+			sym = append(sym, SymClass{Bit: sym[0].Bit, State: randState(), Count: 300, First: k},
+				SymClass{Bit: sym[0].Bit, State: randState(), Count: 300, First: k + 1})
+		}
+		trials := 300
+		if layout%10 == 4 {
+			// A leading class too big to tabulate at all: its slot has no
+			// table entries but the empty sum.
+			sym = append([]SymClass{{Bit: sym[0].Bit, State: randState(), Count: symSlotBudget}}, sym...)
+			trials = 10
+		}
+		for tick := 0; tick < 4; tick++ {
+			if tick > 0 {
+				// Move some classes' states, keep the layout.
+				for j := range sym {
+					if rng.Intn(3) == 0 {
+						sym[j].State = randState()
+					}
+				}
+			}
+			if err := ev.Reset(plan, sym); err != nil {
+				t.Fatal(err)
+			}
+			tails += len(ev.tail)
+			tv := make([]int, len(sym))
+			for trial := 0; trial < trials; trial++ {
+				for j := range tv {
+					tv[j] = rng.Intn(sym[j].Count + 1)
+				}
+				wantCombo, want := refFeatures(sym, tv)
+				var got [maxFeatureLen]float64
+				combo, err := ev.features(tv, &got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if combo != wantCombo {
+					t.Fatalf("layout %d tick %d t=%v: combo %s, want %s", layout, tick, tv, combo, wantCombo)
+				}
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("layout %d tick %d t=%v feature %d: %v, want %v (bits differ)",
+							layout, tick, tv, i, got[i], want[i])
+					}
+				}
+				v, err := ev.EvalCounts(tv)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantV := 0.0
+				if combo != 0 {
+					if wantV, err = plan.worth(combo, &want); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if math.Float64bits(v) != math.Float64bits(wantV) {
+					t.Fatalf("layout %d tick %d t=%v: worth %v, want %v", layout, tick, tv, v, wantV)
+				}
+			}
+		}
+	}
+	if tails == 0 {
+		t.Fatal("no layout exercised a tail class")
 	}
 }
 
