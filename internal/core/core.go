@@ -382,6 +382,7 @@ type tickScratch struct {
 	table      []float64
 	phi        []float64
 	partials   []float64
+	eval       vhc.SymEval // per-slot subset sums of the running VMs' states
 }
 
 // New builds an Estimator over a host and a meter.
@@ -1065,9 +1066,12 @@ func (e *Estimator) CalibratedForClass(t vm.TypeID) bool {
 // semantics (measured dynamic power for the running grand coalition, 0
 // for the empty set, stopped VMs masked out as dummies) with vhc.Plan.Eval
 // replacing the allocating ClassedFeaturesFor + Approximator.Estimate
-// pair. Same thread-safety contract as buildWorth; Plan.Eval is immutable
-// and lock-free, so concurrent shard evaluations never contend.
-func planWorth(plan *vhc.Plan, running vm.Coalition, states []vm.State, dyn float64) (shapley.WorthFunc, func() error) {
+// pair. When ev is non-nil (bound by ResetMask to this plan, running set
+// and states), worths read its slot tables instead of adding member
+// states per coalition; the bits are the same. Same thread-safety
+// contract as buildWorth; Plan.Eval and EvalMask only read, so
+// concurrent shard evaluations never contend.
+func planWorth(plan *vhc.Plan, ev *vhc.SymEval, running vm.Coalition, states []vm.State, dyn float64) (shapley.WorthFunc, func() error) {
 	var mu sync.Mutex
 	var worthErr error
 	capture := func(err error) {
@@ -1085,7 +1089,13 @@ func planWorth(plan *vhc.Plan, running vm.Coalition, states []vm.State, dyn floa
 		if s.IsEmpty() {
 			return 0
 		}
-		p, err := plan.Eval(s, states)
+		var p float64
+		var err error
+		if ev != nil {
+			p, err = ev.EvalMask(s)
+		} else {
+			p, err = plan.Eval(s, states)
+		}
 		if err != nil {
 			capture(err)
 			return 0
@@ -1171,7 +1181,18 @@ func (e *Estimator) estimateTick(snap hypervisor.Snapshot, measuredTotal float64
 		return nil, fmt.Errorf("core: %d running VMs exceed the %d-player mask limit and do not collapse into symmetry classes within the per-tick vector budget", len(members), vm.MaxPlayers)
 	}
 
-	worth, worthErr := planWorth(plan, running, snap.States, dyn)
+	// The mask path reads slot sums from the scratch evaluator. Monte
+	// Carlo samples a few thousand coalitions per tick, too few to pay
+	// for slot tables of up to 2^16 entries, so it keeps Plan.Eval.
+	var ev *vhc.SymEval
+	if n <= e.cfg.ExactMaxPlayers {
+		ev = &e.scratch.eval
+		if err := ev.ResetMask(plan, running, snap.States); err != nil {
+			e.scratch.valid = false
+			return nil, fmt.Errorf("core: worth evaluation: %w", err)
+		}
+	}
+	worth, worthErr := planWorth(plan, ev, running, snap.States, dyn)
 
 	var phi []float64
 	var err error

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"vmpower/internal/hypervisor"
+	"vmpower/internal/machine"
+	"vmpower/internal/meter"
 	"vmpower/internal/obs"
 	"vmpower/internal/vhc"
 	"vmpower/internal/vm"
@@ -18,7 +21,9 @@ import (
 // reproduce the legacy buildWorth bit for bit on every one of the 2^n
 // masks — including stopped-VM dummies (masks reaching outside the running
 // set) and the measured-power override for the running grand coalition.
-// Bit equality trivially satisfies the ≤1e-12 acceptance bound.
+// The mask path's slot-table form (a SymEval bound by ResetMask, reused
+// across trials as the tick loop reuses it) must match as well. Bit
+// equality trivially satisfies the ≤1e-12 acceptance bound.
 func TestPlanWorthMatchesBuildWorth(t *testing.T) {
 	merged := &vhc.ClassMap{ByType: []int{0, 0, 1, 1}, Classes: 2}
 	for _, tc := range []struct {
@@ -40,6 +45,7 @@ func TestPlanWorthMatchesBuildWorth(t *testing.T) {
 			n := est.host.Set().Len()
 			rng := rand.New(rand.NewSource(41))
 			quant := func() float64 { return float64(rng.Intn(101)) / 100 }
+			var ev vhc.SymEval
 			for trial := 0; trial < 400; trial++ {
 				running := vm.Coalition(rng.Intn(1 << uint(n)))
 				states := make([]vm.State, n)
@@ -51,12 +57,16 @@ func TestPlanWorthMatchesBuildWorth(t *testing.T) {
 				dyn := rng.Float64() * 200
 				snap := hypervisor.Snapshot{Tick: trial, Coalition: running, States: states}
 				legacy, legacyErr := est.buildWorth(snap, dyn)
-				planned, planErr := planWorth(plan, running, states, dyn)
+				planned, planErr := planWorth(plan, nil, running, states, dyn)
+				if err := ev.ResetMask(plan, running, states); err != nil {
+					t.Fatal(err)
+				}
+				tabled, tabledErr := planWorth(plan, &ev, running, states, dyn)
 				for s := vm.Coalition(0); s < 1<<uint(n); s++ {
-					lw, pw := legacy(s), planned(s)
-					if pw != lw {
-						t.Fatalf("trial %d running=%s: worth(%s) plan=%.17g legacy=%.17g",
-							trial, running, s, pw, lw)
+					lw, pw, tw := legacy(s), planned(s), tabled(s)
+					if pw != lw || tw != lw {
+						t.Fatalf("trial %d running=%s: worth(%s) plan=%.17g slot tables=%.17g legacy=%.17g",
+							trial, running, s, pw, tw, lw)
 					}
 				}
 				if !running.IsEmpty() && planned(running) != dyn {
@@ -67,6 +77,9 @@ func TestPlanWorthMatchesBuildWorth(t *testing.T) {
 				}
 				if err := planErr(); err != nil {
 					t.Fatalf("trial %d: plan worth error: %v", trial, err)
+				}
+				if err := tabledErr(); err != nil {
+					t.Fatalf("trial %d: slot-table worth error: %v", trial, err)
 				}
 			}
 		})
@@ -146,6 +159,79 @@ func TestPlanEstimateTickMatchesLegacy(t *testing.T) {
 				t.Fatalf("par %d tick %d: plan %+v != legacy %+v", par, tick, allocP, allocL)
 			}
 		})
+	}
+}
+
+// TestPlanTailSlotMatchesLegacy raises ExactMaxPlayers to 17 so the mask
+// path solves a host whose 17 VMs share one VHC class. That slot's
+// subset-sum table stops at vhc's per-slot budget of 2^16 entries, and
+// its last VM is added member by member as a tail class. Every tick must
+// equal the legacy path's allocation, across moving states and a
+// running-set change.
+func TestPlanTailSlotMatchesLegacy(t *testing.T) {
+	const n = 17
+	rig := func(cfg Config) (*hypervisor.Host, *Estimator) {
+		mach, err := machine.New(machine.XeonProfile(), machine.Pack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vms := make([]vm.VM, n)
+		for i := range vms {
+			vms[i] = vm.VM{Name: fmt.Sprintf("vm%02d", i), Type: 0}
+		}
+		set, err := vm.NewSet(vm.PaperCatalog(), vms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		host, err := hypervisor.NewHost(mach, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := meter.Perfect(host.PowerSource())
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := New(host, m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := est.CollectOffline(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := host.Attach(vm.ID(i), workload.Synthetic{Seed: int64(i + 1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return host, est
+	}
+	// DisableSymmetry keeps a tick whose states happen to collapse on
+	// the mask path too.
+	cfg := Config{Seed: 5, ExactMaxPlayers: n, DisableSymmetry: true, OfflineTicksPerCombo: 20, IdleMeasureTicks: 3}
+	legacyCfg := cfg
+	legacyCfg.DisableWorthPlan = true
+	hostP, estP := rig(cfg)
+	hostL, estL := rig(legacyCfg)
+	for tick, running := range []vm.Coalition{vm.GrandCoalition(n), vm.GrandCoalition(n), vm.GrandCoalition(n).Without(3)} {
+		for _, host := range []*hypervisor.Host{hostP, hostL} {
+			host.SetCoalition(running)
+			host.Advance(1)
+		}
+		allocP, err := estP.EstimateTick()
+		if err != nil {
+			t.Fatalf("tick %d: plan estimate: %v", tick, err)
+		}
+		allocL, err := estL.EstimateTick()
+		if err != nil {
+			t.Fatalf("tick %d: legacy estimate: %v", tick, err)
+		}
+		if allocP.Prov.Tier != TierMaskExact {
+			t.Fatalf("tick %d: tier %s, want the mask path", tick, allocP.Prov.Tier)
+		}
+		allocP.Prov, allocL.Prov = Provenance{}, Provenance{}
+		if !reflect.DeepEqual(allocP, allocL) {
+			t.Fatalf("tick %d: plan %+v != legacy %+v", tick, allocP, allocL)
+		}
 	}
 }
 

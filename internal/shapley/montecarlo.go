@@ -181,8 +181,12 @@ func MonteCarlo(n int, worth WorthFunc, opts MCOptions) (*MCResult, error) {
 		}
 	}
 
-	unit := func(k int, out []float64, order, reversed []int) {
-		rng := rand.New(rand.NewSource(unitSeed(opts.Seed, k)))
+	// unit samples unit k with rng, a worker's own generator. Seeding
+	// resets the source completely, so the unit draws exactly the stream
+	// a fresh rand.NewSource(unitSeed(Seed, k)) would, without a ~5 KB
+	// source allocation per unit.
+	unit := func(k int, rng *rand.Rand, out []float64, order, reversed []int) {
+		rng.Seed(unitSeed(opts.Seed, k))
 		for i := range order {
 			order[i] = i
 		}
@@ -206,10 +210,11 @@ func MonteCarlo(n int, worth WorthFunc, opts MCOptions) (*MCResult, error) {
 			workers = hi - lo
 		}
 		if workers <= 1 {
+			rng := rand.New(rand.NewSource(0))
 			order := make([]int, n)
 			reversed := make([]int, n)
 			for k := lo; k < hi; k++ {
-				unit(k, rows[(k-lo)*n:(k-lo+1)*n], order, reversed)
+				unit(k, rng, rows[(k-lo)*n:(k-lo+1)*n], order, reversed)
 			}
 			return
 		}
@@ -218,13 +223,14 @@ func MonteCarlo(n int, worth WorthFunc, opts MCOptions) (*MCResult, error) {
 		for w := 0; w < workers; w++ {
 			go func(w int) {
 				defer wg.Done()
+				rng := rand.New(rand.NewSource(0))
 				order := make([]int, n)
 				reversed := make([]int, n)
 				// Static strided assignment: unit k belongs to worker
 				// k mod workers. Which goroutine computes a unit does
 				// not matter — unit results depend only on (seed, k).
 				for k := lo + w; k < hi; k += workers {
-					unit(k, rows[(k-lo)*n:(k-lo+1)*n], order, reversed)
+					unit(k, rng, rows[(k-lo)*n:(k-lo+1)*n], order, reversed)
 				}
 			}(w)
 		}

@@ -240,3 +240,82 @@ func TestMonteCarloErrors(t *testing.T) {
 		t.Fatalf("nil worth: %v", err)
 	}
 }
+
+// monteCarloFreshSources is the sampling from before MonteCarlo's workers
+// reseeded one generator each, kept as the oracle: every unit draws its
+// permutation from a fresh rand.NewSource(unitSeed(Seed, k)) and the
+// unit rows are reduced in unit order. Fixed budget only (no early stop).
+func monteCarloFreshSources(n int, worth WorthFunc, opts MCOptions) (phi, se []float64) {
+	units := opts.Permutations
+	if opts.Antithetic {
+		units = (units + 1) / 2
+	}
+	sum, sumSq := make([]float64, n), make([]float64, n)
+	order, reversed, row := make([]int, n), make([]int, n), make([]float64, n)
+	walk := func(ord []int, scale float64) {
+		prefix := vm.EmptyCoalition
+		prev := worth(prefix)
+		for _, p := range ord {
+			prefix = prefix.With(vm.ID(p))
+			cur := worth(prefix)
+			row[p] += scale * (cur - prev)
+			prev = cur
+		}
+	}
+	for k := 0; k < units; k++ {
+		clear(row)
+		rng := rand.New(rand.NewSource(unitSeed(opts.Seed, k)))
+		for i := range order {
+			order[i] = i
+		}
+		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		if opts.Antithetic {
+			for i, p := range order {
+				reversed[n-1-i] = p
+			}
+			walk(order, 0.5)
+			walk(reversed, 0.5)
+		} else {
+			walk(order, 1)
+		}
+		for i, d := range row {
+			sum[i] += d
+			sumSq[i] += d * d
+		}
+	}
+	phi, se = make([]float64, n), make([]float64, n)
+	for i := range phi {
+		phi[i] = sum[i] / float64(units)
+		se[i] = stdErr(sum[i], sumSq[i], units)
+	}
+	return phi, se
+}
+
+// TestMonteCarloReseededMatchesFreshSources pins the per-worker reseeded
+// generators to the fresh-source oracle: φ and StdErr bit for bit at
+// parallelism 1 and 2, plain and antithetic.
+func TestMonteCarloReseededMatchesFreshSources(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for _, n := range []int{1, 5, 12} {
+		table := randomGameTable(rng, n)
+		worth := func(s vm.Coalition) float64 { return table[s] }
+		for _, anti := range []bool{false, true} {
+			opts := MCOptions{Permutations: 101, Seed: 9, Antithetic: anti}
+			wantPhi, wantSE := monteCarloFreshSources(n, worth, opts)
+			for _, p := range []int{1, 2} {
+				opts.Parallelism = p
+				res, err := MonteCarlo(n, worth, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < n; i++ {
+					if math.Float64bits(res.Phi[i]) != math.Float64bits(wantPhi[i]) ||
+						math.Float64bits(res.StdErr[i]) != math.Float64bits(wantSE[i]) {
+						t.Fatalf("n=%d antithetic=%v p=%d player %d: (%v ± %v), oracle (%v ± %v)",
+							n, anti, p, i, res.Phi[i], res.StdErr[i], wantPhi[i], wantSE[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package shapley
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -278,19 +279,21 @@ func ExactFromTableParallelInto(phi, scratch []float64, n int, table []float64, 
 
 // accumulateShard folds one contiguous mask shard's weighted marginal
 // contributions into its private partial vector, in ascending mask order.
+// Each mask visits only its complement players, lowest first, with
+// w[|s|] read once; every φ_i still receives the same terms in ascending
+// mask order, so the partials match a loop over all n players bit for
+// bit. The grand mask has no complement players (and w no entry n), so
+// the shard holding it stops one short.
 func accumulateShard(partials, w, table []float64, n, shard, per int) {
 	phi := partials[shard*n : (shard+1)*n]
-	lo := vm.Coalition(shard * per)
-	hi := lo + vm.Coalition(per)
+	full := uint32(1)<<uint(n) - 1
+	lo := uint32(shard * per)
+	hi := min(lo+uint32(per), full)
 	for s := lo; s < hi; s++ {
-		vs := table[s]
-		size := s.Size()
-		for i := 0; i < n; i++ {
-			id := vm.ID(i)
-			if s.Contains(id) {
-				continue
-			}
-			phi[i] += w[size] * (table[s.With(id)] - vs)
+		vs, ws := table[s], w[bits.OnesCount32(s)]
+		for c := ^s & full; c != 0; c &= c - 1 {
+			i := bits.TrailingZeros32(c)
+			phi[i] += ws * (table[s|1<<uint(i)] - vs)
 		}
 	}
 }

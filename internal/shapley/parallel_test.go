@@ -231,3 +231,65 @@ func TestParallelErrors(t *testing.T) {
 		t.Fatal("want player-range error")
 	}
 }
+
+// accumulateShardAllPlayers is the accumulation loop from before it
+// walked complement bits only, kept verbatim as the oracle: every mask
+// visits all n players and skips its members.
+func accumulateShardAllPlayers(partials, w, table []float64, n, shard, per int) {
+	phi := partials[shard*n : (shard+1)*n]
+	lo := vm.Coalition(shard * per)
+	hi := lo + vm.Coalition(per)
+	for s := lo; s < hi; s++ {
+		vs := table[s]
+		size := s.Size()
+		for i := 0; i < n; i++ {
+			id := vm.ID(i)
+			if s.Contains(id) {
+				continue
+			}
+			phi[i] += w[size] * (table[s.With(id)] - vs)
+		}
+	}
+}
+
+// TestAccumulateShardMatchesAllPlayersLoop pins the complement-bit
+// accumulation to the all-players oracle bit for bit: φ from
+// ExactFromTableParallelInto at parallelism 1 and 2 against the oracle's
+// shard partials merged in shard order, for n = 1..16 on random
+// mixed-sign games.
+func TestAccumulateShardMatchesAllPlayersLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for n := 1; n <= 16; n++ {
+		table := make([]float64, 1<<uint(n))
+		for s := range table {
+			table[s] = rng.NormFloat64() * 100
+		}
+		w, err := weightsShared(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards := exactShards(n)
+		per := len(table) / shards
+		partials := make([]float64, shards*n)
+		for shard := 0; shard < shards; shard++ {
+			accumulateShardAllPlayers(partials, w, table, n, shard, per)
+		}
+		want := make([]float64, n)
+		for shard := 0; shard < shards; shard++ {
+			for i := range want {
+				want[i] += partials[shard*n+i]
+			}
+		}
+		for _, p := range []int{1, 2} {
+			phi := make([]float64, n)
+			if err := ExactFromTableParallelInto(phi, make([]float64, ExactScratch(n)), n, table, p); err != nil {
+				t.Fatal(err)
+			}
+			for i := range phi {
+				if math.Float64bits(phi[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d p=%d: phi[%d] = %.17g, oracle %.17g", n, p, i, phi[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package vhc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"vmpower/internal/vm"
@@ -39,10 +40,20 @@ type Plan struct {
 	classBit []ComboMask
 
 	// weights[combo] is the fitted mapping vector (nil if untrained);
-	// table[combo] maps lattice keys to precomputed entry means (nil if
-	// the combo has no exact-match entries). Both indexed by ComboMask.
+	// table[combo] is the combo's exact-match table (nil if it has no
+	// entries). Both indexed by ComboMask.
 	weights [][]float64
-	table   []map[tableKey]float64
+	table   []*comboTable
+}
+
+// comboTable is one combo's exact-match v(S,C) table: lattice keys to
+// precomputed entry means, plus the bounding box of those keys. lo[i]
+// and hi[i] are the least and greatest lattice coordinate i of any
+// stored key, so a feature vector with a coordinate outside [lo[i],
+// hi[i]] has no entry and needs no hashing to find that out.
+type comboTable struct {
+	means  map[tableKey]float64
+	lo, hi tableKey
 }
 
 // NewPlan compiles a plan from the set's catalog layout, the class map
@@ -83,7 +94,7 @@ func NewPlan(set *vm.Set, classes *ClassMap, a *Approximator) (*Plan, error) {
 	p.epoch = a.epoch
 	combos := 1 << uint(a.numTypes)
 	p.weights = make([][]float64, combos)
-	p.table = make([]map[tableKey]float64, combos)
+	p.table = make([]*comboTable, combos)
 	for combo, w := range a.weights {
 		p.weights[combo] = append([]float64(nil), w...)
 	}
@@ -91,11 +102,19 @@ func NewPlan(set *vm.Set, classes *ClassMap, a *Approximator) (*Plan, error) {
 		if len(entries) == 0 {
 			continue
 		}
-		means := make(map[tableKey]float64, len(entries))
-		for k, e := range entries {
-			means[k] = e.mean()
+		flen := a.featureLen(combo)
+		t := &comboTable{means: make(map[tableKey]float64, len(entries))}
+		for i := 0; i < flen; i++ {
+			t.lo[i], t.hi[i] = math.MaxInt64, math.MinInt64
 		}
-		p.table[combo] = means
+		for k, e := range entries {
+			t.means[k] = e.mean()
+			for i := 0; i < flen; i++ {
+				t.lo[i] = min(t.lo[i], k[i])
+				t.hi[i] = max(t.hi[i], k[i])
+			}
+		}
+		p.table[combo] = t
 	}
 	return p, nil
 }
@@ -120,6 +139,18 @@ func (p *Plan) Epoch() uint64 { return p.epoch }
 // non-members are ignored. The caller is responsible for masking out
 // stopped VMs (dummies) before calling, exactly as with the legacy path.
 func (p *Plan) Eval(s vm.Coalition, states []vm.State) (float64, error) {
+	var feat [maxFeatureLen]float64
+	combo, err := p.features(s, states, &feat)
+	if err != nil || combo == 0 {
+		return 0, err
+	}
+	return p.worth(combo, &feat)
+}
+
+// features fills feat with s's aggregated feature vector, adding member
+// states in ascending VM-ID order, and returns its combo (0 for the
+// empty coalition).
+func (p *Plan) features(s vm.Coalition, states []vm.State, feat *[maxFeatureLen]float64) (ComboMask, error) {
 	const k = int(vm.NumComponents)
 	if len(states) < p.n {
 		return 0, fmt.Errorf("vhc: %d states for %d planned VMs", len(states), p.n)
@@ -133,10 +164,6 @@ func (p *Plan) Eval(s vm.Coalition, states []vm.State) (float64, error) {
 		}
 		combo |= p.classBit[b]
 	}
-	if combo == 0 {
-		return 0, nil
-	}
-	var feat [maxFeatureLen]float64
 	for m := uint32(s); m != 0; {
 		b := bits.TrailingZeros32(m)
 		m &^= 1 << uint(b)
@@ -147,23 +174,16 @@ func (p *Plan) Eval(s vm.Coalition, states []vm.State) (float64, error) {
 			feat[base+c] += st[c]
 		}
 	}
-	return p.worth(combo, &feat)
+	return combo, nil
 }
 
 // worth maps a non-empty combo's aggregated feature vector to v(S, C):
 // the exact-match table mean when the quantized features were measured
 // offline, otherwise the clamped linear approximation.
 func (p *Plan) worth(combo ComboMask, feat *[maxFeatureLen]float64) (float64, error) {
-	flen := combo.Size() * int(vm.NumComponents)
-	if p.resolution > 0 {
-		if t := p.table[combo]; t != nil {
-			var key tableKey
-			for i := 0; i < flen; i++ {
-				key[i] = latticeCoord(feat[i], p.resolution)
-			}
-			if v, ok := t[key]; ok {
-				return v, nil
-			}
+	if t := p.table[combo]; t != nil && p.resolution > 0 {
+		if v, ok := t.lookup(feat, combo.Size()*int(vm.NumComponents), p.resolution); ok {
+			return v, nil
 		}
 	}
 	w := p.weights[combo]
@@ -178,4 +198,28 @@ func (p *Plan) worth(combo ComboMask, feat *[maxFeatureLen]float64) (float64, er
 		dot = 0
 	}
 	return dot, nil
+}
+
+// lookup returns the table mean stored under feat's lattice key, if any.
+// It quantizes one coordinate at a time and gives up at the first one
+// outside the box, before hashing: every stored key lies inside the box,
+// so such a vector has no entry. Online states almost never hit the
+// table, and most lookups leave the box at the first coordinate, which is
+// therefore tested before the key is zeroed.
+func (t *comboTable) lookup(feat *[maxFeatureLen]float64, flen int, res float64) (float64, bool) {
+	c := latticeCoord(feat[0], res)
+	if c < t.lo[0] || c > t.hi[0] {
+		return 0, false
+	}
+	var key tableKey
+	key[0] = c
+	for i := 1; i < flen; i++ {
+		c = latticeCoord(feat[i], res)
+		if c < t.lo[i] || c > t.hi[i] {
+			return 0, false
+		}
+		key[i] = c
+	}
+	v, ok := t.means[key]
+	return v, ok
 }

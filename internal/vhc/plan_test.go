@@ -140,6 +140,50 @@ func TestPlanTableHit(t *testing.T) {
 	if math.Abs(want-123.956) > 1e-9 {
 		t.Fatalf("table mean = %v, want 123.956", want)
 	}
+
+	// Over random models: the feature vector at the lattice centre of
+	// every stored key must still hit the plan's table — the bounds check
+	// may never reject a stored key — and match Approximator.Estimate bit
+	// for bit. Online ticks never hit the table, so this is the hit
+	// path's coverage.
+	hits := 0
+	for _, res := range []float64{0.01, 0.05, 0.1, 0.25} {
+		for seed := int64(1); seed <= 4; seed++ {
+			set, classes, a := trainedRig(t, res, 100*seed)
+			plan, err := NewPlan(set, classes, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for combo, entries := range a.table {
+				flen := a.featureLen(combo)
+				for key, e := range entries {
+					var feat [maxFeatureLen]float64
+					for i := 0; i < flen; i++ {
+						feat[i] = float64(key[i]) * res
+					}
+					if a.key(feat[:flen]) != key {
+						t.Fatalf("res=%g combo %s: lattice centre does not quantize back to its key", res, combo)
+					}
+					got, err := plan.worth(combo, &feat)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := a.Estimate(combo, feat[:flen])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(got) != math.Float64bits(want) || got != e.mean() {
+						t.Fatalf("res=%g combo %s key %v: plan %v, estimate %v, table mean %v",
+							res, combo, key[:flen], got, want, e.mean())
+					}
+					hits++
+				}
+			}
+		}
+	}
+	if hits == 0 {
+		t.Fatal("the random models stored no keys")
+	}
 }
 
 // TestPlanUntrainedCombo pins the error parity with the legacy path when

@@ -62,6 +62,12 @@ const symSlotBudget = 1 << 16
 // leading classes only; the rest ("tail" classes) are still added member
 // by member after the table read, in the same order, so the budget
 // bounds memory without changing any sum.
+//
+// The 2^n mask path uses the same tables through ResetMask and EvalMask,
+// with every running VM as a class of one: a slot's table then holds the
+// subset sums of its members' states, and an index built per running
+// set turns a coalition mask into one table position per slot, a byte
+// of the mask at a time.
 type SymEval struct {
 	plan    *Plan
 	classes []SymClass // the classes the tables describe
@@ -71,27 +77,66 @@ type SymEval struct {
 	tables  [MaxTypes][]vm.State
 	lead    []int // build scratch: the slot's tabulated classes
 	digits  []int // build scratch: odometer digits over lead
+
+	// Mask mode, set by ResetMask: class j is the j-th running VM.
+	masked  bool
+	running vm.Coalition // the running VMs, one class each
+	tailVMs vm.Coalition // running VMs in tail classes
+	slots   []int        // the feature slots present, ascending
+	index   []uint16     // see buildIndex
+	singles []SymClass   // ResetMask scratch: this tick's classes of one
 }
 
 // Reset binds the evaluator to plan and this tick's classes. A slot's
 // table is rebuilt only when one of its tabulated classes changed since
 // the previous Reset, so a tick whose states repeat costs O(k).
 func (e *SymEval) Reset(p *Plan, classes []SymClass) error {
+	return e.reset(p, classes, false)
+}
+
+// ResetMask binds the evaluator to plan for mask evaluation (EvalMask):
+// every VM in running becomes a class of one, in ascending VM-ID order,
+// with its entry of states. The mask index is rebuilt only when the
+// running VMs or their class bits change, and a slot's table only when
+// one of its members' states changed since the previous ResetMask.
+func (e *SymEval) ResetMask(p *Plan, running vm.Coalition, states []vm.State) error {
+	e.singles = e.singles[:0]
+	for m := uint32(running); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		if i >= p.n || i >= len(states) {
+			e.classes, e.masked = e.classes[:0], false
+			return fmt.Errorf("vhc: plan compiled for %d VMs with %d states, running set has member %d", p.n, len(states), i)
+		}
+		e.singles = append(e.singles, SymClass{Bit: p.classBit[i], State: states[i], Count: 1, First: i})
+	}
+	return e.reset(p, e.singles, true)
+}
+
+// reset is Reset and ResetMask. In mask mode the layout also compares
+// the classes' VM IDs: the index maps VM bits to table positions, so a
+// running-set change that keeps every position's class bit still
+// invalidates it.
+func (e *SymEval) reset(p *Plan, classes []SymClass, masked bool) error {
 	for j, c := range classes {
 		if c.Bit == 0 || c.Bit&(c.Bit-1) != 0 || bits.TrailingZeros16(uint16(c.Bit)) >= MaxTypes || c.Count < 0 {
-			e.classes = e.classes[:0]
+			e.classes, e.masked = e.classes[:0], false
 			return fmt.Errorf("vhc: class %d has bit %#x and %d members", j, uint16(c.Bit), c.Count)
 		}
 	}
 	e.plan = p
-	same := len(e.classes) == len(classes)
+	same := e.masked == masked && len(e.classes) == len(classes)
 	for j := 0; same && j < len(classes); j++ {
-		same = e.classes[j].Bit == classes[j].Bit && e.classes[j].Count == classes[j].Count
+		same = e.classes[j].Bit == classes[j].Bit && e.classes[j].Count == classes[j].Count &&
+			(!masked || e.classes[j].First == classes[j].First)
 	}
 	if !same {
+		e.masked = masked
 		e.layout(classes)
 		for s := range e.tables {
 			e.build(s)
+		}
+		if masked {
+			e.buildIndex()
 		}
 		return nil
 	}
@@ -222,6 +267,103 @@ func (e *SymEval) features(t []int, feat *[maxFeatureLen]float64) (ComboMask, er
 			for c := 0; c < k; c++ {
 				feat[base+c] += st[c]
 			}
+		}
+	}
+	return combo, nil
+}
+
+// buildIndex maps every byte of a running-set mask to its table
+// positions. The row of byte position q and byte value b holds, for each
+// present slot in ascending order, the sum of the strides of the running
+// VMs 8q+i with bit i set in b and that slot, followed by the OR of those
+// VMs' class bits. Strides of classes of one are distinct powers of two
+// below symSlotBudget, so a slot's positions add up without overflowing
+// a uint16; tail VMs contribute their class bit only.
+func (e *SymEval) buildIndex() {
+	e.running, e.tailVMs = 0, 0
+	var present [MaxTypes]bool
+	for j, c := range e.classes {
+		e.running |= 1 << uint(c.First)
+		if e.stride[j] == 0 {
+			e.tailVMs |= 1 << uint(c.First)
+		}
+		present[e.slot[j]] = true
+	}
+	var pos [MaxTypes]int
+	e.slots = e.slots[:0]
+	for s, ok := range present {
+		if ok {
+			pos[s] = len(e.slots)
+			e.slots = append(e.slots, s)
+		}
+	}
+	w := len(e.slots) + 1
+	size := (bits.Len32(uint32(e.running)) + 7) / 8 * 256 * w
+	if cap(e.index) < size {
+		e.index = make([]uint16, size)
+	}
+	e.index = e.index[:size]
+	clear(e.index)
+	for j, c := range e.classes {
+		q, bit := c.First/8, 1<<uint(c.First%8)
+		for b := bit; b < 256; b++ {
+			if b&bit == 0 {
+				continue
+			}
+			row := e.index[(q*256+b)*w:][:w]
+			row[pos[e.slot[j]]] += uint16(e.stride[j])
+			row[w-1] |= uint16(c.Bit)
+		}
+	}
+}
+
+// EvalMask returns v(S, C) for the coalition s ∩ running under the plan
+// and states of the last ResetMask; VMs outside the running set are
+// dummies. It equals Plan.Eval(s & running, states) bit for bit, and
+// like EvalCounts it only reads the evaluator, so any number of
+// goroutines may call it between Resets.
+func (e *SymEval) EvalMask(s vm.Coalition) (float64, error) {
+	var feat [maxFeatureLen]float64
+	combo, err := e.maskFeatures(s, &feat)
+	if err != nil || combo == 0 {
+		return 0, err
+	}
+	return e.plan.worth(combo, &feat)
+}
+
+// maskFeatures fills feat with the aggregated feature vector of s ∩
+// running and returns its combo (0 for the empty coalition). A slot's
+// entry is the sum of its tabulated members' states added in ascending
+// VM-ID order; its tail members follow, also in ascending order, which
+// is Plan.Eval's addition order.
+func (e *SymEval) maskFeatures(s vm.Coalition, feat *[maxFeatureLen]float64) (ComboMask, error) {
+	const k = int(vm.NumComponents)
+	if !e.masked {
+		return 0, fmt.Errorf("vhc: EvalMask needs ResetMask")
+	}
+	w := len(e.slots) + 1
+	var sub [MaxTypes]uint16
+	var combo ComboMask
+	for q, m := 0, uint32(s&e.running); m != 0; q, m = q+1, m>>8 {
+		row := e.index[(q*256+int(m&0xff))*w:][:w]
+		for x, d := range row[:w-1] {
+			sub[x] += d
+		}
+		combo |= ComboMask(row[w-1])
+	}
+	base := 0
+	for x, sl := range e.slots {
+		if combo&(1<<uint(sl)) != 0 {
+			*(*vm.State)(feat[base : base+k]) = e.tables[sl][sub[x]]
+			base += k
+		}
+	}
+	for m := uint32(s & e.tailVMs); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		c := &e.classes[bits.OnesCount32(uint32(e.running)&(1<<uint(i)-1))]
+		b := bits.OnesCount16(uint16(combo&(c.Bit-1))) * k
+		for x := 0; x < k; x++ {
+			feat[b+x] += c.State[x]
 		}
 	}
 	return combo, nil

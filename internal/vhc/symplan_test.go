@@ -400,3 +400,232 @@ func TestClassedFeaturesRunningMatchesMask(t *testing.T) {
 		t.Fatal("wrong states length must error")
 	}
 }
+
+// maskRig is a hand-compiled plan over n VMs whose class bits are drawn
+// from nt VHC classes at random, so the classes interleave across VM
+// IDs, with fitted weights for every combo and no exact-match table.
+// (The table is read by Plan.worth, which EvalMask shares with
+// Plan.Eval; TestPlanTableHit covers it.)
+func maskRig(rng *rand.Rand, n, nt int) *Plan {
+	p := &Plan{
+		n:        n,
+		classBit: make([]ComboMask, n),
+		weights:  make([][]float64, 1<<uint(nt)),
+		table:    make([]*comboTable, 1<<uint(nt)),
+	}
+	for i := range p.classBit {
+		p.classBit[i] = 1 << uint(rng.Intn(nt))
+	}
+	for combo := 1; combo < len(p.weights); combo++ {
+		w := make([]float64, ComboMask(combo).Size()*int(vm.NumComponents))
+		for i := range w {
+			w[i] = rng.Float64() - 0.2
+		}
+		p.weights[combo] = w
+	}
+	return p
+}
+
+// randMaskState draws a state whose sums do not round trivially.
+func randMaskState(rng *rand.Rand) vm.State {
+	var s vm.State
+	for c := range s {
+		s[c] = rng.Float64()
+	}
+	return s
+}
+
+// checkEvalMask insists that the evaluator's read of mask s equals
+// Plan.Eval of s ∩ running bit for bit: the combo, every feature and the
+// worth.
+func checkEvalMask(t testing.TB, p *Plan, ev *SymEval, running, s vm.Coalition, states []vm.State) {
+	t.Helper()
+	var want, got [maxFeatureLen]float64
+	wantCombo, err := p.features(s&running, states, &want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	combo, err := ev.maskFeatures(s, &got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if combo != wantCombo {
+		t.Fatalf("running=%s mask=%s: combo %s, want %s", running, s, combo, wantCombo)
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("running=%s mask=%s feature %d: %v, want %v (bits differ)", running, s, i, got[i], want[i])
+		}
+	}
+	v, err := ev.EvalMask(s)
+	wantV, wantErr := p.Eval(s&running, states)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("running=%s mask=%s: EvalMask err %v, Eval err %v", running, s, err, wantErr)
+	}
+	if math.Float64bits(v) != math.Float64bits(wantV) {
+		t.Fatalf("running=%s mask=%s: EvalMask %v, Eval %v", running, s, v, wantV)
+	}
+}
+
+// TestEvalMaskMatchesEval drives the mask-mode slot-table read over
+// random layouts — 1 to MaxTypes slots with interleaved class bits,
+// stopped VMs whose states must not leak in, and hosts of up to
+// vm.MaxPlayers VMs whose single slot passes symSlotBudget and keeps tail
+// members — through successive ResetMasks: moved states, and a
+// running-set change that keeps the class bit at every position (VM i
+// stops, VM i+1 of the same class starts), which must still rebuild the
+// index. Every checked mask must equal Plan.Eval bit for bit.
+func TestEvalMaskMatchesEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	var ev SymEval
+	tails, traps := 0, 0
+	for layout := 0; layout < 48; layout++ {
+		nt, n := 1+rng.Intn(MaxTypes), 1+rng.Intn(vm.MaxPlayers)
+		full := vm.GrandCoalition(n)
+		running := vm.Coalition(rng.Uint32()) & full
+		if layout%6 == 5 {
+			nt, n = 1, vm.MaxPlayers
+			full = vm.GrandCoalition(n)
+			running = full
+		}
+		plan := maskRig(rng, n, nt)
+		states := make([]vm.State, n)
+		for i := range states {
+			states[i] = randMaskState(rng)
+		}
+		trap := -1
+		if n >= 2 {
+			trap = rng.Intn(n - 1)
+			plan.classBit[trap+1] = plan.classBit[trap]
+			running = running.With(vm.ID(trap)).Without(vm.ID(trap + 1))
+		}
+		for tick := 0; tick < 4; tick++ {
+			switch tick {
+			case 1, 3:
+				for i := range states {
+					if rng.Intn(3) == 0 {
+						states[i] = randMaskState(rng)
+					}
+				}
+			case 2:
+				if trap >= 0 {
+					running = running.Without(vm.ID(trap)).With(vm.ID(trap + 1))
+					traps++
+				}
+			}
+			if err := ev.ResetMask(plan, running, states); err != nil {
+				t.Fatal(err)
+			}
+			if ev.tailVMs != 0 {
+				tails++
+			}
+			if n <= 10 {
+				for s := vm.Coalition(0); s <= full; s++ {
+					checkEvalMask(t, plan, &ev, running, s, states)
+				}
+				continue
+			}
+			for trial := 0; trial < 400; trial++ {
+				checkEvalMask(t, plan, &ev, running, vm.Coalition(rng.Uint32())&full, states)
+			}
+			for _, s := range []vm.Coalition{0, running, full} {
+				checkEvalMask(t, plan, &ev, running, s, states)
+			}
+		}
+	}
+	if tails == 0 || traps == 0 {
+		t.Fatalf("%d layouts with tail members, %d running-set traps; want both", tails, traps)
+	}
+}
+
+// TestEvalMaskErrors covers reads without a mask binding and running sets
+// the plan cannot evaluate.
+func TestEvalMaskErrors(t *testing.T) {
+	plan := maskRig(rand.New(rand.NewSource(3)), 4, 2)
+	states := make([]vm.State, 4)
+	var ev SymEval
+	if _, err := ev.EvalMask(1); err == nil {
+		t.Fatal("EvalMask before ResetMask must error")
+	}
+	if err := ev.ResetMask(plan, vm.CoalitionOf(0, 4), make([]vm.State, 5)); err == nil {
+		t.Fatal("running VM outside the plan must error")
+	}
+	if err := ev.ResetMask(plan, vm.CoalitionOf(0, 3), states); err != nil {
+		t.Fatal(err)
+	}
+	if err := ev.ResetMask(plan, vm.CoalitionOf(0, 3), states[:3]); err == nil {
+		t.Fatal("running VM without a state must error")
+	}
+	if _, err := ev.EvalMask(1); err == nil {
+		t.Fatal("EvalMask after a failed ResetMask must error")
+	}
+	if err := ev.ResetMask(plan, vm.CoalitionOf(0, 3), states); err != nil {
+		t.Fatal(err)
+	}
+	if err := ev.Reset(plan, []SymClass{{Bit: plan.classBit[0], Count: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ev.EvalMask(1); err == nil {
+		t.Fatal("EvalMask after a collapsed Reset must error")
+	}
+}
+
+// TestEvalMaskZeroAlloc pins that a steady tick — ResetMask over the same
+// running set with a moved state, then a read — allocates nothing.
+func TestEvalMaskZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	plan := maskRig(rng, 16, 3)
+	states := make([]vm.State, 16)
+	for i := range states {
+		states[i] = randMaskState(rng)
+	}
+	running := vm.GrandCoalition(16).Without(5)
+	var ev SymEval
+	if err := ev.ResetMask(plan, running, states); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		states[3][vm.CPU] = 1 - states[3][vm.CPU]
+		if err := ev.ResetMask(plan, running, states); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ev.EvalMask(running.Without(7)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady ResetMask + EvalMask allocates %v per run, want 0", allocs)
+	}
+}
+
+// FuzzEvalMask draws a layout, states, a running set and a mask from the
+// fuzzer's inputs, reads the mask, moves the states of the VMs in moved,
+// reads it again, and checks both reads against Plan.Eval bit for bit.
+func FuzzEvalMask(f *testing.F) {
+	f.Add(int64(1), uint8(16), uint8(2), uint32(0xffff), uint32(0x5a5a), uint32(0x0f))
+	f.Add(int64(2), uint8(24), uint8(1), uint32(0xffffff), uint32(0xf0f0f0), uint32(0x800001))
+	f.Add(int64(3), uint8(5), uint8(12), uint32(0b10110), uint32(0b11111), uint32(0))
+	f.Fuzz(func(t *testing.T, seed int64, n, nt uint8, running, mask, moved uint32) {
+		size, types := 1+int(n)%vm.MaxPlayers, 1+int(nt)%MaxTypes
+		rng := rand.New(rand.NewSource(seed))
+		plan := maskRig(rng, size, types)
+		states := make([]vm.State, size)
+		for i := range states {
+			states[i] = randMaskState(rng)
+		}
+		full := vm.GrandCoalition(size)
+		r, s := vm.Coalition(running)&full, vm.Coalition(mask)&full
+		var ev SymEval
+		for pass := 0; pass < 2; pass++ {
+			if err := ev.ResetMask(plan, r, states); err != nil {
+				t.Fatal(err)
+			}
+			checkEvalMask(t, plan, &ev, r, s, states)
+			for i := range states {
+				if moved&(1<<uint(i)) != 0 {
+					states[i] = randMaskState(rng)
+				}
+			}
+		}
+	})
+}
