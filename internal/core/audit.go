@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"vmpower/internal/hypervisor"
+	"vmpower/internal/shapley"
 	"vmpower/internal/vm"
 )
 
@@ -24,15 +25,15 @@ type AuditConfig struct {
 	// dynamic draw is an engine bug, not physics. Default 0.5.
 	ShareMargin float64
 	// DeepEvery is the sampled deep-check cadence: every DeepEvery-th
-	// audited tick that was solved exactly is re-solved through the
-	// alternate exact path (the legacy mask enumeration — which checks
-	// sym-vs-mask when the collapsed solver served the tick, and
-	// plan-vs-legacy otherwise) and compared per-VM. 0 disables deep
-	// checks. Each deep check costs one full 2^n solve.
+	// audited tick that was solved exactly is re-solved by an independent
+	// reference (uncompiled model worths, full 2^n tabulation, textbook
+	// Shapley sum) and compared per-VM. 0 disables deep checks. Each deep
+	// check costs one full 2^n solve.
 	DeepEvery int
 	// DeepTol is the per-VM deep-check tolerance, relative like
 	// EfficiencyTol. Default 1e-9 (the documented sym≡mask equivalence
-	// bound; the plan path is bit-identical to legacy).
+	// bound; the solvers differ from the reference only in summation
+	// order).
 	DeepTol float64
 }
 
@@ -91,8 +92,8 @@ func (a *Auditor) violate(alloc *Allocation, kind, detail string) {
 
 // audit runs the per-tick checks. The in-line pass is allocation-free
 // and O(n): the Efficiency residual and per-VM plausibility bounds. The
-// deep pass re-solves the tick through the alternate exact path every
-// DeepEvery audited ticks.
+// deep pass re-solves the tick with the reference every DeepEvery audited
+// ticks.
 func (a *Auditor) audit(e *Estimator, snap hypervisor.Snapshot, alloc *Allocation) {
 	a.ticks++
 	dyn := alloc.DynamicPower
@@ -141,29 +142,32 @@ func (a *Auditor) audit(e *Estimator, snap hypervisor.Snapshot, alloc *Allocatio
 	a.deepCheck(e, snap, alloc, scale)
 }
 
-// deepCheck re-solves an exactly-solved tick through the pure legacy
-// mask path (Estimate: ClassedFeaturesFor worths + full 2^n tabulation)
-// and compares per-VM shares. When the symmetry-collapsed solver served
-// the tick this is the sym-vs-mask equivalence; otherwise it is
-// plan-vs-legacy. Monte-Carlo and fallback ticks have no exact alternate
-// and are skipped, as are sets past the mask limit (no alternate exists
-// there at all).
+// deepCheck re-solves an exactly-solved tick with a reference built from
+// the meter reading: the idle deduction, buildWorth's worths over the
+// uncompiled model, a full 2^n tabulation and the textbook Shapley sum.
+// It shares the tabulation's sharding (shapley.TabulateParallelInto) and
+// the Shapley weight table with the mask tier, and nothing else past the
+// trained model. Comparing per-VM shares checks how the tick derived its
+// dynamic power, the compiled plan, the slot tables and whichever exact
+// solver (mask or collapsed) served the tick. Monte-Carlo and fallback
+// ticks have no exact reference and are skipped, as are sets past the
+// mask budget.
 func (a *Auditor) deepCheck(e *Estimator, snap hypervisor.Snapshot, alloc *Allocation, scale float64) {
 	n := len(alloc.PerVM)
 	if alloc.Method != "exact" || n > e.cfg.ExactMaxPlayers || n > vm.MaxPlayers {
 		return
 	}
-	alt, err := e.Estimate(snap, alloc.MeasuredPower)
+	ref, err := e.referenceShares(snap, alloc.MeasuredPower)
 	metrics().noteAuditDeep()
 	if err != nil {
-		a.violate(alloc, "deep-mismatch", fmt.Sprintf("alternate exact solve failed: %v", err))
+		a.violate(alloc, "deep-mismatch", fmt.Sprintf("reference exact solve failed: %v", err))
 		metrics().noteAuditDeepMismatch()
 		return
 	}
 	var maxDelta float64
 	worst := -1
 	for i := range alloc.PerVM {
-		d := math.Abs(alloc.PerVM[i] - alt.PerVM[i])
+		d := math.Abs(alloc.PerVM[i] - ref[i])
 		if d > maxDelta {
 			maxDelta, worst = d, i
 		}
@@ -172,8 +176,28 @@ func (a *Auditor) deepCheck(e *Estimator, snap hypervisor.Snapshot, alloc *Alloc
 	alloc.Prov.DeepMaxDeltaWatts = maxDelta
 	if maxDelta > a.cfg.DeepTol*scale {
 		a.violate(alloc, "deep-mismatch",
-			fmt.Sprintf("tier %s diverges from the mask path by %g W at VM %d (tol %g)",
+			fmt.Sprintf("tier %s diverges from the reference solve by %g W at VM %d (tol %g)",
 				alloc.Prov.Tier, maxDelta, worst, a.cfg.DeepTol*scale))
 		metrics().noteAuditDeepMismatch()
 	}
+}
+
+// referenceShares is the deep check's exact solve of the snapshot's game
+// at the measured total power. A snapshot with no running VM is all idle,
+// so every share is 0.
+func (e *Estimator) referenceShares(snap hypervisor.Snapshot, measuredTotal float64) ([]float64, error) {
+	n := e.host.Set().Len()
+	if snap.Coalition.IsEmpty() {
+		return make([]float64, n), nil
+	}
+	dyn := math.Max(0, measuredTotal-e.idlePower)
+	worth, worthErr := e.buildWorth(snap, dyn)
+	table := make([]float64, 1<<uint(n))
+	if err := shapley.TabulateParallelInto(table, n, worth, e.cfg.Parallelism); err != nil {
+		return nil, err
+	}
+	if err := worthErr(); err != nil {
+		return nil, fmt.Errorf("core: worth evaluation: %w", err)
+	}
+	return shapley.ExactFromTable(n, table)
 }

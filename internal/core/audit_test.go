@@ -143,8 +143,8 @@ func containsKind(kinds []string, want string) bool {
 	return false
 }
 
-// TestAuditDeepCheckCatchesDivergence re-solves a genuine tick through
-// the alternate path (clean → no mismatch), then perturbs two shares in
+// TestAuditDeepCheckCatchesDivergence re-solves a genuine tick with the
+// reference (clean → no mismatch), then perturbs two shares in
 // an efficiency-preserving way so only the deep check can notice.
 func TestAuditDeepCheckCatchesDivergence(t *testing.T) {
 	Instrument(nil)
@@ -183,7 +183,21 @@ func TestAuditDeepCheckCatchesDivergence(t *testing.T) {
 		t.Fatalf("deep delta = %g, want ~1e-3", alloc.Prov.DeepMaxDeltaWatts)
 	}
 
-	// Non-exact ticks have no alternate path and must be skipped.
+	// A tick whose shares solve the game at the wrong dynamic power agree
+	// with its DynamicPower, so the Efficiency check stays silent; only a
+	// reference that derives dyn from the meter reading can tell.
+	off, err := est.Estimate(snap, 151.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off.MeasuredPower = 150
+	got = nil
+	a.audit(est, snap, off)
+	if !containsViolation(got, "deep-mismatch") || containsViolation(got, "efficiency") {
+		t.Fatalf("violations = %+v, want deep-mismatch only", got)
+	}
+
+	// Non-exact ticks have no exact reference and must be skipped.
 	mc := &Allocation{DynamicPower: 12, PerVM: []float64{6, 3, 3}, Method: "montecarlo"}
 	got = nil
 	a.audit(est, snap, mc)

@@ -167,22 +167,6 @@ type Config struct {
 	// Fallback selects the degraded-mode allocation policy on
 	// solver/worth failure. Default FallbackNone.
 	Fallback FallbackPolicy
-	// DisableWorthPlan turns off the compiled worth plan and the
-	// incremental cross-tick tabulation, forcing EstimateTick through the
-	// legacy per-coalition evaluation path (ClassedFeaturesFor +
-	// Approximator.Estimate, full tabulation every tick). The two paths
-	// produce bit-for-bit identical allocations; the flag exists for
-	// benchmarking the win and as an escape hatch. It also disables the
-	// symmetry-collapsed solver (which runs over the compiled plan), so
-	// sets past vm.MaxPlayers cannot be estimated with it set.
-	DisableWorthPlan bool
-	// DisableSymmetry turns off the symmetry-collapsed exact solver,
-	// forcing every plan-served exact tick through 2^n mask enumeration
-	// (or Monte-Carlo past ExactMaxPlayers). The escape hatch exists for
-	// benchmarking and for pinning the equivalence in tests; sets past
-	// vm.MaxPlayers cannot be estimated with it set, since no mask
-	// fallback exists there.
-	DisableSymmetry bool
 }
 
 func (c Config) withDefaults() Config {
@@ -231,10 +215,8 @@ const (
 const (
 	reasonNoRunning   = "no running VMs"
 	reasonMaskBudget  = "within exact mask budget; no profitable symmetry collapse"
-	reasonSymDisabled = "symmetry collapse disabled; within exact mask budget"
 	reasonSymCollapse = "running VMs collapse into symmetry classes within the vector budget"
 	reasonMCPlayers   = "player count beyond the exact budget"
-	reasonLegacyPlan  = "worth plan unavailable; legacy per-coalition path"
 	reasonFallback    = "solver/worth failure; fallback policy split"
 )
 
@@ -261,8 +243,8 @@ type Provenance struct {
 	FullTabulation bool
 	// EfficiencyResidualWatts is |Σφ − dynamic| as measured by the
 	// invariant auditor; AuditViolations counts this tick's violations;
-	// DeepChecked marks a tick re-solved through the alternate exact
-	// path, with DeepMaxDeltaWatts the largest per-VM divergence. All
+	// DeepChecked marks a tick re-solved by the deep audit's reference,
+	// with DeepMaxDeltaWatts the largest per-VM divergence. All
 	// zero when no auditor is installed.
 	EfficiencyResidualWatts float64
 	AuditViolations         int
@@ -346,35 +328,52 @@ type Estimator struct {
 	lastRaw      float64
 	lastShares   []float64
 
-	// Compiled-plan state, touched only by the estimation goroutine. The
-	// plan is recompiled lazily whenever the approximator's epoch moves
-	// (retraining, model reload); planTried gates retrying a compile that
-	// failed until the model actually changes again.
-	plan      *vhc.Plan
-	planEpoch uint64
-	planTried bool
-	scratch   tickScratch
-	sym       symScratch
-
+	// The compiled worth plan, recompiled lazily whenever the
+	// approximator's epoch moves (retraining, model reload). planMu
+	// guards it and the fields below it, because Estimate reads the plan
+	// from any goroutine. A compile that failed is not retried until the
+	// model changes again: planErr is served for every tick of
+	// planErrEpoch.
+	planMu       sync.Mutex
+	plan         *vhc.Plan
+	planErr      error
+	planErrEpoch uint64
 	// planCompiles / planCompileErrors count ensurePlan outcomes for this
 	// estimator, so a daemon can diff them per tick and journal
 	// recompiles without touching the package-level metrics.
 	planCompiles      uint64
 	planCompileErrors uint64
 
+	// scratch is the estimation goroutine's cross-tick solver state.
+	scratch scratch
+	// spare holds *scratch values for Estimate, one per concurrent call,
+	// so a replay of many records reuses one set of buffers.
+	spare sync.Pool
+
 	// auditor, when installed, runs the per-tick invariant checks at the
 	// end of EstimateTickSpan. Owned by the estimation goroutine.
 	auditor *Auditor
 }
 
-// tickScratch is the buffer set the plan-based exact path reuses across
-// ticks: the worth table (for the incremental dirty-coalition recurrence),
-// the φ vector and the solver's shard partials, plus the previous tick's
-// states for dirty detection. Owned exclusively by the estimation
-// goroutine (EstimateTickSpan's single-goroutine contract); the shapley
-// *Into calls may read the table from worker goroutines during a solve
-// but ownership returns to the caller before the solve returns.
-type tickScratch struct {
+// scratch is one caller's solver buffers: the mask path's and the
+// collapsed path's. EstimateTick reuses the estimator's own across ticks,
+// which is what makes its ticks incremental; each Estimate call takes one
+// from the estimator's pool and owns it until it returns, so concurrent
+// calls share only the read-only plan and model. An incremental
+// tabulation is bit-identical to a full one, so a scratch's history never
+// changes the shares.
+type scratch struct {
+	mask maskScratch
+	sym  symScratch
+}
+
+// maskScratch is the buffer set the 2^n mask path reuses across ticks:
+// the worth table (for the incremental dirty-coalition recurrence), the φ
+// vector and the solver's shard partials, plus the previous tick's states
+// for dirty detection. The shapley *Into calls may read the table from
+// worker goroutines during a solve but ownership returns to the caller
+// before the solve returns.
+type maskScratch struct {
 	valid      bool         // table holds the previous tick's worths
 	plan       *vhc.Plan    // the plan the table was evaluated under
 	running    vm.Coalition // previous tick's running set
@@ -741,8 +740,9 @@ func (e *Estimator) EstimateTick() (*Allocation, error) {
 // dropouts, and a tick whose reads all fail serves the last good sample
 // (flagged Degraded) until the holdover bound lapses, at which point
 // ErrMeterLost is returned. It mutates the estimator's fault-handling
-// state and must be driven from a single goroutine — the same contract
-// Run and powerd.Step already follow; Estimate stays pure.
+// state and solver scratch and must be driven from a single goroutine —
+// the same contract Run and powerd.Step already follow; Estimate stays
+// pure.
 func (e *Estimator) EstimateTickSpan(sp *obs.Span) (*Allocation, error) {
 	snap := e.host.Collect()
 	sp.Mark("snapshot")
@@ -751,7 +751,7 @@ func (e *Estimator) EstimateTickSpan(sp *obs.Span) (*Allocation, error) {
 		return nil, err
 	}
 	sp.Mark("meter")
-	alloc, err := e.estimateTick(snap, rd.sample.Power, sp)
+	alloc, err := e.estimateTick(&e.scratch, snap, rd.sample.Power, sp)
 	if err != nil {
 		alloc, err = e.fallbackAllocation(snap, rd.sample.Power, err)
 		if err != nil {
@@ -760,6 +760,7 @@ func (e *Estimator) EstimateTickSpan(sp *obs.Span) (*Allocation, error) {
 	} else {
 		// Remember the proportions for FallbackHold.
 		e.lastShares = alloc.PerVM
+		metrics().noteTick(alloc)
 	}
 	if rd.degraded {
 		alloc.Degraded = true
@@ -783,6 +784,8 @@ func (e *Estimator) SetAuditor(a *Auditor) { e.auditor = a }
 // compile counts (successes, failures), so a daemon can diff them across
 // ticks and journal recompiles.
 func (e *Estimator) PlanCompileStats() (compiles, compileErrors uint64) {
+	e.planMu.Lock()
+	defer e.planMu.Unlock()
 	return e.planCompiles, e.planCompileErrors
 }
 
@@ -812,7 +815,7 @@ func (e *Estimator) fallbackAllocation(snap hypervisor.Snapshot, measuredTotal f
 	}
 	alloc.Prov.Tier = TierFallback
 	alloc.Prov.TierReason = reasonFallback
-	members := e.runningMembers(snap)
+	members := runningMembers(&e.scratch, snap)
 	if len(members) == 0 {
 		alloc.DynamicPower = 0
 		return e.attributeIdle(alloc, members), nil
@@ -854,95 +857,19 @@ func (e *Estimator) fallbackAllocation(snap hypervisor.Snapshot, measuredTotal f
 // coalition's worth is the measured (idle-deducted) power, so the
 // allocation is always efficient against the meter; proper subsets use the
 // VHC approximation.
-func (e *Estimator) Estimate(snap hypervisor.Snapshot, measuredTotal float64) (*Allocation, error) {
-	return e.estimateSpan(snap, measuredTotal, nil)
-}
-
-// estimateSpan is Estimate with stage marks. On the exact path the worth
-// tabulation and the Shapley accumulation are separate shapley calls,
-// letting the span split "worth" from "solve"; Monte-Carlo interleaves
-// worth evaluation with sampling, so its whole run lands in "solve".
 //
-// The exact path always runs the sharded engine, even at Parallelism 1
-// (where it executes on the calling goroutine): the shard decomposition
-// depends only on n, so the allocation is bit-for-bit identical at every
-// parallelism setting — and identical to the compiled-plan tick path,
-// which uses the same decomposition (see estimateTick).
-func (e *Estimator) estimateSpan(snap hypervisor.Snapshot, measuredTotal float64, sp *obs.Span) (*Allocation, error) {
-	if !e.trained {
-		return nil, ErrUntrained
+// Estimate runs EstimateTick's tier gate and solvers on a private scratch,
+// so replaying a recorded tick reproduces its served shares and tier bit
+// for bit. It shares only the trained model and the compiled plan with
+// other callers: it is safe from many goroutines and concurrently with
+// EstimateTick. Its ticks are not counted in the tick metrics.
+func (e *Estimator) Estimate(snap hypervisor.Snapshot, measuredTotal float64) (*Allocation, error) {
+	sc, _ := e.spare.Get().(*scratch)
+	if sc == nil {
+		sc = new(scratch)
 	}
-	set := e.host.Set()
-	n := set.Len()
-	if n > vm.MaxPlayers {
-		return nil, fmt.Errorf("core: %d VMs exceed the %d-player coalition mask limit; use EstimateTick's symmetry-collapsed path", n, vm.MaxPlayers)
-	}
-	dyn := measuredTotal - e.idlePower
-	if dyn < 0 {
-		dyn = 0
-	}
-	running := snap.Coalition
-
-	alloc := &Allocation{
-		Tick:          snap.Tick,
-		Coalition:     running,
-		MeasuredPower: measuredTotal,
-		DynamicPower:  dyn,
-		PerVM:         make([]float64, n),
-	}
-	if running.IsEmpty() {
-		// With no VM running every watt is idle by definition (Remark 1);
-		// a noisy meter reading above the calibrated idle average must
-		// not surface as unattributable dynamic power — Σφ is exactly 0
-		// here and Efficiency would be violated by any dyn > 0.
-		alloc.DynamicPower = 0
-		alloc.Method = "exact"
-		alloc.Prov.Tier = TierMaskExact
-		alloc.Prov.TierReason = reasonNoRunning
-		return e.attributeIdle(alloc, nil), nil
-	}
-
-	worth, worthErr := e.buildWorth(snap, dyn)
-
-	var phi []float64
-	var err error
-	if n <= e.cfg.ExactMaxPlayers {
-		alloc.Method = "exact"
-		alloc.Prov.Tier = TierMaskExact
-		alloc.Prov.TierReason = reasonLegacyPlan
-		alloc.Prov.Evaluated = 1 << uint(n)
-		alloc.Prov.FullTabulation = true
-		var table []float64
-		table, err = shapley.TabulateParallel(n, worth, e.cfg.Parallelism)
-		if err == nil {
-			sp.Mark("worth")
-			phi, err = shapley.ExactFromTableParallel(n, table, e.cfg.Parallelism)
-		}
-	} else {
-		alloc.Method = "montecarlo"
-		alloc.Prov.Tier = TierMonteCarlo
-		alloc.Prov.TierReason = reasonMCPlayers
-		var res *shapley.MCResult
-		res, err = shapley.MonteCarlo(n, worth, shapley.MCOptions{
-			Permutations: e.cfg.MCPermutations,
-			Seed:         e.cfg.Seed ^ int64(snap.Tick),
-			Parallelism:  e.cfg.Parallelism,
-		})
-		if res != nil {
-			phi = res.Phi
-		}
-	}
-	sp.Mark("solve")
-	if err != nil {
-		return nil, err
-	}
-	if werr := worthErr(); werr != nil {
-		return nil, fmt.Errorf("core: worth evaluation: %w", werr)
-	}
-	alloc.PerVM = phi
-	alloc = e.attributeIdle(alloc, nil)
-	sp.Mark("normalize")
-	return alloc, nil
+	defer e.spare.Put(sc)
+	return e.estimateTick(sc, snap, measuredTotal, nil)
 }
 
 // buildWorth constructs the online coalition worth function for a
@@ -1002,32 +929,31 @@ func (e *Estimator) buildWorth(snap hypervisor.Snapshot, dyn float64) (shapley.W
 // ensurePlan returns the compiled worth plan for the current model epoch,
 // compiling one lazily when the model has changed since the last compile
 // (CollectOffline, LoadModel, or any direct approximator mutation — all
-// advance vhc.Approximator.Epoch). It returns nil when the plan is
-// disabled, the estimator is untrained, or compilation failed for this
-// epoch — the caller then serves the legacy path; a failed compile is not
-// retried until the model changes again.
-func (e *Estimator) ensurePlan() *vhc.Plan {
-	if e.cfg.DisableWorthPlan || !e.trained {
-		return nil
-	}
+// advance vhc.Approximator.Epoch). A failed compile returns its error, so
+// the tick falls to the configured Fallback policy; it is not retried
+// until the model changes again. Safe from any goroutine.
+func (e *Estimator) ensurePlan() (*vhc.Plan, error) {
 	epoch := e.approx.Epoch()
-	if e.planTried && e.planEpoch == epoch {
-		return e.plan // may be nil: compile failed for this epoch
+	e.planMu.Lock()
+	defer e.planMu.Unlock()
+	if e.plan != nil && e.plan.Epoch() == epoch {
+		return e.plan, nil
+	}
+	if e.planErr != nil && e.planErrEpoch == epoch {
+		return nil, e.planErr
 	}
 	p, err := vhc.NewPlan(e.host.Set(), e.classes, e.approx)
-	e.planTried = true
 	if err != nil {
-		e.plan = nil
-		e.planEpoch = epoch
+		e.planErr = fmt.Errorf("core: compile worth plan: %w", err)
+		e.planErrEpoch = epoch
 		e.planCompileErrors++
 		metrics().notePlanCompileError()
-		return nil
+		return nil, e.planErr
 	}
 	e.plan = p
-	e.planEpoch = p.Epoch()
 	e.planCompiles++
 	metrics().notePlanCompile()
-	return p
+	return p, nil
 }
 
 // InvalidatePlan discards the compiled worth plan and every cross-tick
@@ -1038,12 +964,14 @@ func (e *Estimator) ensurePlan() *vhc.Plan {
 // tick would evaluate a plan compiled for the old n. Same
 // single-goroutine contract as EstimateTickSpan.
 func (e *Estimator) InvalidatePlan() {
+	e.planMu.Lock()
 	e.plan = nil
-	e.planTried = false
-	e.scratch.valid = false
-	e.scratch.plan = nil
-	e.sym.prevValid = false
-	e.sym.prevPlan = nil
+	e.planErr = nil
+	e.planMu.Unlock()
+	e.scratch.mask.valid = false
+	e.scratch.mask.plan = nil
+	e.scratch.sym.prevValid = false
+	e.scratch.sym.prevPlan = nil
 	e.lastShares = nil
 }
 
@@ -1109,39 +1037,39 @@ func planWorth(plan *vhc.Plan, ev *vhc.SymEval, running vm.Coalition, states []v
 	}
 }
 
-// estimateTick is the EstimateTick engine: estimateSpan plus the
-// compiled-plan fast path. When a plan is available the 2^n worth
-// evaluations run allocation-free through Plan.Eval, the worth table, φ
-// and shard partials live in the estimator's reusable scratch, and ticks
-// whose running set and plan match the previous tick re-evaluate only the
-// coalitions intersecting the set of VMs whose (quantized) states changed
-// — everything else is reused verbatim. The result is bit-for-bit
-// identical to the legacy estimateSpan at any parallelism: Plan.Eval
-// reproduces the legacy worth bits, a reused table entry is exactly what
-// re-evaluation would produce (worths are pure functions of unchanged
-// member states), and both paths run the same sharded accumulation.
+// estimateTick is the engine behind EstimateTick and Estimate: the tier
+// gate and the solvers, run over the compiled plan into sc. The 2^n worth
+// evaluations run allocation-free through the plan, the worth table, φ
+// and shard partials live in sc, and when sc holds the previous tick of
+// the same plan and running set only the coalitions intersecting the VMs
+// whose (quantized) states changed are re-evaluated — everything else is
+// reused verbatim. A reused table entry is exactly what re-evaluation
+// would produce (worths are pure functions of unchanged member states),
+// so the shares are bit-for-bit those of a full tabulation, at any
+// parallelism.
 //
-// Like EstimateTickSpan, this mutates estimator state and must be driven
-// from a single goroutine; Estimate stays on the pure legacy path.
-func (e *Estimator) estimateTick(snap hypervisor.Snapshot, measuredTotal float64, sp *obs.Span) (*Allocation, error) {
+// sc is owned by the caller for the duration of the call.
+func (e *Estimator) estimateTick(sc *scratch, snap hypervisor.Snapshot, measuredTotal float64, sp *obs.Span) (*Allocation, error) {
 	if !e.trained {
 		return nil, ErrUntrained
 	}
+	plan, err := e.ensurePlan()
+	if err != nil {
+		return nil, err
+	}
 	n := e.host.Set().Len()
-	wide := n > vm.MaxPlayers
-	plan := e.ensurePlan()
-	if plan == nil {
-		if wide {
-			return nil, fmt.Errorf("core: %d VMs exceed the %d-player mask limit; exact estimation needs the compiled worth plan and the symmetry-collapsed solver", n, vm.MaxPlayers)
-		}
-		return e.estimateSpan(snap, measuredTotal, sp)
+	if n > vm.MaxPlayers && snap.Running == nil {
+		// Past the mask limit the Coalition mask is empty, so without
+		// Running flags (replay records carry none) the running set is
+		// unknown, and an all-stopped reading would bill nobody.
+		return nil, fmt.Errorf("core: %d VMs exceed the %d-player coalition mask limit and the snapshot carries no Running flags", n, vm.MaxPlayers)
 	}
 	dyn := measuredTotal - e.idlePower
 	if dyn < 0 {
 		dyn = 0
 	}
 	running := snap.Coalition
-	members := e.runningMembers(snap)
+	members := runningMembers(sc, snap)
 
 	alloc := &Allocation{
 		Tick:          snap.Tick,
@@ -1150,8 +1078,10 @@ func (e *Estimator) estimateTick(snap hypervisor.Snapshot, measuredTotal float64
 		DynamicPower:  dyn,
 	}
 	if len(members) == 0 {
-		// See estimateSpan's empty-coalition branch: all idle, no
-		// dynamic power to disaggregate regardless of meter noise.
+		// With no VM running every watt is idle by definition (Remark 1);
+		// a noisy meter reading above the calibrated idle average must
+		// not surface as unattributable dynamic power — Σφ is exactly 0
+		// here and Efficiency would be violated by any dyn > 0.
 		alloc.DynamicPower = 0
 		alloc.Method = "exact"
 		alloc.PerVM = make([]float64, n)
@@ -1165,19 +1095,17 @@ func (e *Estimator) estimateTick(snap hypervisor.Snapshot, measuredTotal float64
 	// the collapsed game over ∏(c_j+1) count vectors instead of 2^n
 	// masks — the only exact route on wide hosts, and past the gate in
 	// symWorthwhile a strict win inside the mask range too.
-	if !e.cfg.DisableSymmetry {
-		handled, err := e.symTick(plan, snap, members, dyn, sp, alloc)
-		if err != nil {
-			return nil, err
-		}
-		if handled {
-			sp.Mark("solve")
-			alloc = e.attributeIdle(alloc, members)
-			sp.Mark("normalize")
-			return alloc, nil
-		}
+	handled, err := e.symTick(sc, plan, snap, members, dyn, sp, alloc)
+	if err != nil {
+		return nil, err
 	}
-	if wide {
+	if handled {
+		sp.Mark("solve")
+		alloc = e.attributeIdle(alloc, members)
+		sp.Mark("normalize")
+		return alloc, nil
+	}
+	if n > vm.MaxPlayers {
 		return nil, fmt.Errorf("core: %d running VMs exceed the %d-player mask limit and do not collapse into symmetry classes within the per-tick vector budget", len(members), vm.MaxPlayers)
 	}
 
@@ -1186,27 +1114,22 @@ func (e *Estimator) estimateTick(snap hypervisor.Snapshot, measuredTotal float64
 	// for slot tables of up to 2^16 entries, so it keeps Plan.Eval.
 	var ev *vhc.SymEval
 	if n <= e.cfg.ExactMaxPlayers {
-		ev = &e.scratch.eval
+		ev = &sc.mask.eval
 		if err := ev.ResetMask(plan, running, snap.States); err != nil {
-			e.scratch.valid = false
+			sc.mask.valid = false
 			return nil, fmt.Errorf("core: worth evaluation: %w", err)
 		}
 	}
 	worth, worthErr := planWorth(plan, ev, running, snap.States, dyn)
 
 	var phi []float64
-	var err error
 	if n <= e.cfg.ExactMaxPlayers {
 		alloc.Method = "exact"
 		alloc.Prov.Tier = TierMaskExact
-		if e.cfg.DisableSymmetry {
-			alloc.Prov.TierReason = reasonSymDisabled
-		} else {
-			alloc.Prov.TierReason = reasonMaskBudget
-		}
-		err = e.exactIncremental(plan, snap, worth, dyn, n, sp, alloc)
+		alloc.Prov.TierReason = reasonMaskBudget
+		err = e.exactIncremental(&sc.mask, plan, snap, worth, dyn, n, sp, alloc)
 		if err == nil {
-			phi = append(make([]float64, 0, n), e.scratch.phi...)
+			phi = append(make([]float64, 0, n), sc.mask.phi...)
 		}
 	} else {
 		alloc.Method = "montecarlo"
@@ -1231,7 +1154,7 @@ func (e *Estimator) estimateTick(snap hypervisor.Snapshot, measuredTotal float64
 	if err != nil {
 		// A failed worth evaluation may have written zeros into the
 		// table; never reuse it.
-		e.scratch.valid = false
+		sc.mask.valid = false
 		return nil, err
 	}
 	alloc.PerVM = phi
@@ -1240,8 +1163,8 @@ func (e *Estimator) estimateTick(snap hypervisor.Snapshot, measuredTotal float64
 	return alloc, nil
 }
 
-// exactIncremental runs the exact path into the estimator's scratch
-// buffers, incrementally when possible. The cross-tick recurrence: if the
+// exactIncremental runs the exact path into the mask scratch,
+// incrementally when possible. The cross-tick recurrence: if the
 // previous tick tabulated the same plan over the same running set, a
 // coalition's worth can only have changed if it contains a VM whose state
 // changed (the dirty set) — those masks are re-evaluated in place — or if
@@ -1249,12 +1172,10 @@ func (e *Estimator) estimateTick(snap hypervisor.Snapshot, measuredTotal float64
 // dynamic power of *this* tick; those entries are rewritten explicitly.
 // Everything else (2^n − 2^(n−d) of the table for d dirty VMs) is reused
 // verbatim, which is exact because worths are pure functions of their
-// members' states. φ lands in e.scratch.phi.
-func (e *Estimator) exactIncremental(plan *vhc.Plan, snap hypervisor.Snapshot, worth shapley.WorthFunc, dyn float64, n int, sp *obs.Span, alloc *Allocation) error {
-	ts := &e.scratch
+// members' states. φ lands in ts.phi.
+func (e *Estimator) exactIncremental(ts *maskScratch, plan *vhc.Plan, snap hypervisor.Snapshot, worth shapley.WorthFunc, dyn float64, n int, sp *obs.Span, alloc *Allocation) error {
 	size := 1 << uint(n)
 	running := snap.Coalition
-	m := metrics()
 	if ts.valid && ts.plan == plan && ts.running == running && len(ts.table) == size {
 		// Incremental tick: re-evaluate only dirty-intersecting masks.
 		// Snapshots are pre-quantized by the hypervisor, so exact float
@@ -1283,7 +1204,6 @@ func (e *Estimator) exactIncremental(plan *vhc.Plan, snap hypervisor.Snapshot, w
 		alloc.Prov.DirtyVMs = dirty.Size()
 		alloc.Prov.Evaluated = size - (size >> uint(dirty.Size()))
 		alloc.Prov.Reused = size >> uint(dirty.Size())
-		m.notePlanTick(alloc.Prov.DirtyVMs, alloc.Prov.Evaluated, alloc.Prov.Reused, false)
 	} else {
 		// Full tabulation: first tick, running-set change, or new plan.
 		if len(ts.table) != size {
@@ -1302,7 +1222,6 @@ func (e *Estimator) exactIncremental(plan *vhc.Plan, snap hypervisor.Snapshot, w
 		alloc.Prov.DirtyVMs = running.Size()
 		alloc.Prov.Evaluated = size
 		alloc.Prov.FullTabulation = true
-		m.notePlanTick(running.Size(), size, 0, true)
 	}
 	sp.Mark("worth")
 	if err := shapley.ExactFromTableParallelInto(ts.phi, ts.partials, n, ts.table, e.cfg.Parallelism); err != nil {
@@ -1364,16 +1283,8 @@ func (e *Estimator) Audit(snap hypervisor.Snapshot, measuredTotal, tol float64) 
 }
 
 // attributeIdle fills IdlePerVM per the configured rule. members is the
-// running VM set as indices; pass nil to derive it from the allocation's
-// coalition mask (valid only below the mask limit).
+// running VM set as indices.
 func (e *Estimator) attributeIdle(alloc *Allocation, members []int) *Allocation {
-	if members == nil {
-		ids := alloc.Coalition.Members()
-		members = make([]int, len(ids))
-		for i, id := range ids {
-			members[i] = int(id)
-		}
-	}
 	switch e.cfg.IdleAttribution {
 	case IdleEqual:
 		alloc.IdlePerVM = make([]float64, len(alloc.PerVM))

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -598,20 +599,104 @@ func TestConcurrentEstimate(t *testing.T) {
 	wg.Wait()
 }
 
+// TestEstimateConcurrentWithEstimateTick replays each tick on worker
+// goroutines while the tick goroutine serves it, from before the first
+// plan compile: the plan must compile once, and every replay must equal
+// its live tick — same tier, same shares bit for bit — on the collapsed
+// and the mask tier alike.
+func TestEstimateConcurrentWithEstimateTick(t *testing.T) {
+	host, est := symTestRig(t, machine.XeonProfile(), []int{3, 1}, Config{Seed: 9})
+	if err := est.CollectOffline(); err != nil {
+		t.Fatal(err)
+	}
+	attachClassWorkloads(t, host, []workload.Generator{
+		workload.Synthetic{Seed: 5},
+		workload.Constant("steady", vm.State{vm.CPU: 0.4, vm.Memory: 0.2, vm.DiskIO: 0.1}),
+	})
+	startAll(t, host)
+
+	const ticks = 12
+	type job struct {
+		tick  int
+		snap  hypervisor.Snapshot
+		power float64
+	}
+	jobs := make(chan job, ticks) // one slot per tick: the sender never blocks
+	replays := make([]*Allocation, ticks)
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				alloc, err := est.Estimate(j.snap, j.power)
+				if err != nil {
+					t.Errorf("tick %d: Estimate: %v", j.tick, err)
+					continue
+				}
+				replays[j.tick] = alloc
+			}
+		}()
+	}
+	live := make([]*Allocation, ticks)
+	for i := 0; i < ticks; i++ {
+		if i == ticks/2 {
+			// A class of two next to the type-1 VM does not halve the
+			// mask table, so the rest of the run is served by the mask
+			// tier.
+			if err := host.Stop(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		host.Advance(1)
+		power, err := host.TruePower()
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs <- job{tick: i, snap: host.Collect(), power: power}
+		if live[i], err = est.EstimateTick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(jobs)
+	wg.Wait()
+
+	tiers := map[string]bool{}
+	for i, got := range replays {
+		if got == nil {
+			t.Fatalf("tick %d: no replay", i)
+		}
+		want := live[i]
+		tiers[want.Prov.Tier] = true
+		if got.Prov.Tier != want.Prov.Tier || !reflect.DeepEqual(got.PerVM, want.PerVM) {
+			t.Fatalf("tick %d: replay (%s) %v != live (%s) %v",
+				i, got.Prov.Tier, got.PerVM, want.Prov.Tier, want.PerVM)
+		}
+	}
+	if !tiers[TierSymExact] || !tiers[TierMaskExact] {
+		t.Fatalf("tiers served: %v, want both exact tiers", tiers)
+	}
+	if compiles, errs := est.PlanCompileStats(); compiles != 1 || errs != 0 {
+		t.Fatalf("plan compiles = %d (errors %d), want exactly 1", compiles, errs)
+	}
+}
+
 func TestParallelismDeterministicAllocations(t *testing.T) {
 	// The Parallelism knob may change wall-clock time only: for a fixed
 	// seed and snapshot the allocation must be bit-for-bit identical at
 	// any worker count (the engine's decomposition is fixed; see
 	// internal/shapley/parallel.go). Exercise both the exact path and,
-	// via a lowered ExactMaxPlayers, the Monte-Carlo path.
+	// via a lowered ExactMaxPlayers, the Monte-Carlo path, each also
+	// through the legacyEstimate oracle.
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name   string
+		cfg    Config
+		legacy bool
 	}{
-		{"exact", Config{Seed: 12}},
-		{"exact-legacy", Config{Seed: 12, DisableWorthPlan: true}},
-		{"montecarlo", Config{Seed: 12, ExactMaxPlayers: 2, MCPermutations: 96}},
-		{"montecarlo-legacy", Config{Seed: 12, ExactMaxPlayers: 2, MCPermutations: 96, DisableWorthPlan: true}},
+		{"exact", Config{Seed: 12}, false},
+		{"exact-legacy", Config{Seed: 12}, true},
+		{"montecarlo", Config{Seed: 12, ExactMaxPlayers: 2, MCPermutations: 96}, false},
+		{"montecarlo-legacy", Config{Seed: 12, ExactMaxPlayers: 2, MCPermutations: 96}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			estimate := func(parallelism int) []float64 {
@@ -631,6 +716,9 @@ func TestParallelismDeterministicAllocations(t *testing.T) {
 				alloc, err := est.EstimateTick()
 				if err != nil {
 					t.Fatal(err)
+				}
+				if tc.legacy {
+					alloc = legacyEstimate(t, est, host.Collect(), alloc.MeasuredPower)
 				}
 				return alloc.PerVM
 			}

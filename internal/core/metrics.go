@@ -13,11 +13,14 @@ import (
 type Metrics struct {
 	// PlanCompiles counts worth-plan compilations
 	// (vmpower_plan_compiles_total); PlanCompileErrors counts failed
-	// compiles, each of which pins the estimator to the legacy path until
+	// compiles, each of which sends ticks to the fallback policy until
 	// the model changes (vmpower_plan_compile_errors_total).
 	PlanCompiles      *obs.Counter
 	PlanCompileErrors *obs.Counter
-	// PlanTicks counts exact ticks served through the compiled plan;
+	// The tick counters below count EstimateTick's ticks only; Estimate
+	// calls (replays, Audit) are not counted.
+	//
+	// PlanTicks counts mask-exact ticks served through the compiled plan;
 	// PlanFullTabulations counts the subset that could not reuse the
 	// previous tick's table (first tick, running-set change, new plan)
 	// (vmpower_plan_ticks_total, vmpower_plan_full_tabulations_total).
@@ -45,7 +48,7 @@ type Metrics struct {
 	// bill cannot be trusted (vmpower_audit_{checks,violations}_total).
 	AuditChecks     *obs.Counter
 	AuditViolations *obs.Counter
-	// AuditDeepChecks / AuditDeepMismatches count sampled alternate-path
+	// AuditDeepChecks / AuditDeepMismatches count sampled reference
 	// re-solves and the ones that diverged beyond tolerance
 	// (vmpower_audit_deep_{checks,mismatches}_total).
 	AuditDeepChecks     *obs.Counter
@@ -71,7 +74,7 @@ func Instrument(reg *obs.Registry) {
 		PlanCompiles: reg.Counter("vmpower_plan_compiles_total",
 			"compiled worth-plan builds (one per model epoch)"),
 		PlanCompileErrors: reg.Counter("vmpower_plan_compile_errors_total",
-			"worth-plan compiles that failed (estimator serves the legacy path)"),
+			"worth-plan compiles that failed (ticks fall to the fallback policy until the model changes)"),
 		PlanTicks: reg.Counter("vmpower_plan_ticks_total",
 			"exact estimation ticks served through the compiled plan"),
 		PlanFullTabulations: reg.Counter("vmpower_plan_full_tabulations_total",
@@ -95,7 +98,7 @@ func Instrument(reg *obs.Registry) {
 		AuditViolations: reg.Counter("vmpower_audit_violations_total",
 			"invariant violations (efficiency, share bounds, deep mismatches)"),
 		AuditDeepChecks: reg.Counter("vmpower_audit_deep_checks_total",
-			"sampled deep re-solves through the alternate exact path"),
+			"sampled deep re-solves through the reference exact solve"),
 		AuditDeepMismatches: reg.Counter("vmpower_audit_deep_mismatches_total",
 			"deep re-solves that diverged beyond tolerance"),
 		AuditEfficiencyResidual: reg.Gauge("vmpower_audit_efficiency_residual",
@@ -120,16 +123,30 @@ func (m *Metrics) notePlanCompileError() {
 	m.PlanCompileErrors.Inc()
 }
 
-// noteSymTick publishes one symmetry-collapsed exact tick's shape and
-// cache behaviour.
-func (m *Metrics) noteSymTick(classes, evaluated, reused int) {
+// noteTick publishes a served tick's solver shape and cache behaviour
+// from its provenance: a mask-exact tick's dirty VMs and evaluated and
+// reused coalitions, or a collapsed tick's classes and vectors. Only
+// EstimateTickSpan calls it, so replays and Audit calls are not counted.
+func (m *Metrics) noteTick(a *Allocation) {
 	if m == nil {
 		return
 	}
-	m.SymTicks.Inc()
-	m.SymClasses.Set(float64(classes))
-	m.SymVectorsEvaluated.Add(uint64(evaluated))
-	m.SymVectorsReused.Add(uint64(reused))
+	p := &a.Prov
+	switch {
+	case p.Tier == TierSymExact:
+		m.SymTicks.Inc()
+		m.SymClasses.Set(float64(a.SymmetryClasses))
+		m.SymVectorsEvaluated.Add(uint64(p.Evaluated))
+		m.SymVectorsReused.Add(uint64(p.Reused))
+	case p.Tier == TierMaskExact && p.TierReason == reasonMaskBudget:
+		m.PlanTicks.Inc()
+		if p.FullTabulation {
+			m.PlanFullTabulations.Inc()
+		}
+		m.PlanDirtyVMs.Set(float64(p.DirtyVMs))
+		m.PlanCoalitionsEvaluated.Add(uint64(p.Evaluated))
+		m.PlanCoalitionsReused.Add(uint64(p.Reused))
+	}
 }
 
 // noteAudit publishes one audited tick and its Efficiency residual.
@@ -160,18 +177,4 @@ func (m *Metrics) noteAuditDeepMismatch() {
 		return
 	}
 	m.AuditDeepMismatches.Inc()
-}
-
-// notePlanTick publishes one plan-served exact tick's cache behaviour.
-func (m *Metrics) notePlanTick(dirty, evaluated, reused int, full bool) {
-	if m == nil {
-		return
-	}
-	m.PlanTicks.Inc()
-	if full {
-		m.PlanFullTabulations.Inc()
-	}
-	m.PlanDirtyVMs.Set(float64(dirty))
-	m.PlanCoalitionsEvaluated.Add(uint64(evaluated))
-	m.PlanCoalitionsReused.Add(uint64(reused))
 }

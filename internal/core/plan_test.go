@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -38,9 +38,9 @@ func TestPlanWorthMatchesBuildWorth(t *testing.T) {
 			if err := est.CollectOffline(); err != nil {
 				t.Fatal(err)
 			}
-			plan := est.ensurePlan()
-			if plan == nil {
-				t.Fatal("plan must compile for a trained estimator")
+			plan, err := est.ensurePlan()
+			if err != nil {
+				t.Fatalf("plan must compile for a trained estimator: %v", err)
 			}
 			n := est.host.Set().Len()
 			rng := rand.New(rand.NewSource(41))
@@ -86,33 +86,27 @@ func TestPlanWorthMatchesBuildWorth(t *testing.T) {
 	}
 }
 
-// planScenario drives one or more hosts in lock-step through the phases
-// that exercise every arm of the incremental recurrence: steady constant
-// states (dirty = 0, full verbatim reuse), per-tick random states (partial
-// dirty sets), a running-set change (forced full retabulation) and a
-// recovery phase. step is called once per tick after every host advanced.
-func planScenario(t *testing.T, hosts []*hypervisor.Host, step func(tick int)) {
+// planScenario drives a host through the phases that exercise every arm
+// of the incremental recurrence: steady constant states (dirty = 0, full
+// verbatim reuse), per-tick random states (partial dirty sets), a
+// running-set change (forced full retabulation) and a recovery phase.
+// step is called once per tick after the host advanced.
+func planScenario(t *testing.T, host *hypervisor.Host, step func(tick int)) {
 	t.Helper()
-	for _, host := range hosts {
-		if err := host.Attach(0, workload.Constant("steady", vm.State{vm.CPU: 0.5, vm.Memory: 0.25, vm.DiskIO: 0.1})); err != nil {
-			t.Fatal(err)
-		}
-		if err := host.Attach(1, workload.Synthetic{Seed: 5}); err != nil {
-			t.Fatal(err)
-		}
-		if err := host.Attach(2, workload.Synthetic{Seed: 9, IdleProb: 0.2}); err != nil {
-			t.Fatal(err)
-		}
+	if err := host.Attach(0, workload.Constant("steady", vm.State{vm.CPU: 0.5, vm.Memory: 0.25, vm.DiskIO: 0.1})); err != nil {
+		t.Fatal(err)
+	}
+	if err := host.Attach(1, workload.Synthetic{Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := host.Attach(2, workload.Synthetic{Seed: 9, IdleProb: 0.2}); err != nil {
+		t.Fatal(err)
 	}
 	tick := 0
 	phase := func(coalition vm.Coalition, ticks int) {
-		for _, host := range hosts {
-			host.SetCoalition(coalition)
-		}
+		host.SetCoalition(coalition)
 		for i := 0; i < ticks; i++ {
-			for _, host := range hosts {
-				host.Advance(1)
-			}
+			host.Advance(1)
 			tick++
 			step(tick)
 		}
@@ -123,40 +117,37 @@ func planScenario(t *testing.T, hosts []*hypervisor.Host, step func(tick int)) {
 	phase(vm.CoalitionOf(0, 1, 2), 8)  // recovery
 }
 
-// TestPlanEstimateTickMatchesLegacy runs the full scenario on two
-// identically seeded rigs — one on the compiled-plan path, one forced onto
-// the legacy path via DisableWorthPlan — and demands bit-identical
-// allocations every tick. This pins the incremental cross-tick reuse
-// against a from-scratch tabulation under steady states, dirty subsets and
-// coalition changes.
+// TestPlanEstimateTickMatchesLegacy runs the full scenario and demands
+// that every EstimateTick allocation equal the legacy route's (the
+// legacyEstimate oracle) bit for bit. This pins the incremental
+// cross-tick reuse against a from-scratch tabulation under steady states,
+// dirty subsets and coalition changes. The meter is noisy, so the
+// measured power moves on steady ticks too and the grand-coalition
+// entries must be rewritten although no VM is dirty.
 func TestPlanEstimateTickMatchesLegacy(t *testing.T) {
 	for _, par := range []int{1, 4} {
-		cfg := Config{Seed: 3, Parallelism: par}
-		legacyCfg := cfg
-		legacyCfg.DisableWorthPlan = true
-		hostP, estP := testRig(t, cfg)
-		hostL, estL := testRig(t, legacyCfg)
-		if err := estP.CollectOffline(); err != nil {
+		host, est := testRig(t, Config{Seed: 3, Parallelism: par})
+		if err := est.CollectOffline(); err != nil {
 			t.Fatal(err)
 		}
-		if err := estL.CollectOffline(); err != nil {
+		noisy, err := meter.NewSim(host.PowerSource(), meter.SimOptions{NoiseStdDev: 0.25, Resolution: 0.1, Seed: 7})
+		if err != nil {
 			t.Fatal(err)
 		}
-		planScenario(t, []*hypervisor.Host{hostP, hostL}, func(tick int) {
-			allocP, err := estP.EstimateTick()
+		if err := est.SetMeter(noisy); err != nil {
+			t.Fatal(err)
+		}
+		planScenario(t, host, func(tick int) {
+			alloc, err := est.EstimateTick()
 			if err != nil {
 				t.Fatalf("par %d tick %d: plan estimate: %v", par, tick, err)
 			}
-			allocL, err := estL.EstimateTick()
-			if err != nil {
-				t.Fatalf("par %d tick %d: legacy estimate: %v", par, tick, err)
-			}
-			// Provenance names the path that served the tick, so it differs
-			// between the rigs by construction; the equivalence claim is
+			want := legacyEstimate(t, est, host.Collect(), alloc.MeasuredPower)
+			// The oracle records no provenance; the equivalence claim is
 			// about the allocation itself.
-			allocP.Prov, allocL.Prov = Provenance{}, Provenance{}
-			if !reflect.DeepEqual(allocP, allocL) {
-				t.Fatalf("par %d tick %d: plan %+v != legacy %+v", par, tick, allocP, allocL)
+			alloc.Prov = Provenance{}
+			if !reflect.DeepEqual(alloc, want) {
+				t.Fatalf("par %d tick %d: plan %+v != legacy %+v", par, tick, alloc, want)
 			}
 		})
 	}
@@ -166,71 +157,35 @@ func TestPlanEstimateTickMatchesLegacy(t *testing.T) {
 // path solves a host whose 17 VMs share one VHC class. That slot's
 // subset-sum table stops at vhc's per-slot budget of 2^16 entries, and
 // its last VM is added member by member as a tail class. Every tick must
-// equal the legacy path's allocation, across moving states and a
+// equal the legacy route's allocation, across moving states and a
 // running-set change.
 func TestPlanTailSlotMatchesLegacy(t *testing.T) {
 	const n = 17
-	rig := func(cfg Config) (*hypervisor.Host, *Estimator) {
-		mach, err := machine.New(machine.XeonProfile(), machine.Pack)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vms := make([]vm.VM, n)
-		for i := range vms {
-			vms[i] = vm.VM{Name: fmt.Sprintf("vm%02d", i), Type: 0}
-		}
-		set, err := vm.NewSet(vm.PaperCatalog(), vms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		host, err := hypervisor.NewHost(mach, set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := meter.Perfect(host.PowerSource())
-		if err != nil {
-			t.Fatal(err)
-		}
-		est, err := New(host, m, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := est.CollectOffline(); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if err := host.Attach(vm.ID(i), workload.Synthetic{Seed: int64(i + 1)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return host, est
+	host, est := symTestRig(t, machine.XeonProfile(), []int{n}, Config{Seed: 5, ExactMaxPlayers: n, OfflineTicksPerCombo: 20})
+	if err := est.CollectOffline(); err != nil {
+		t.Fatal(err)
 	}
-	// DisableSymmetry keeps a tick whose states happen to collapse on
-	// the mask path too.
-	cfg := Config{Seed: 5, ExactMaxPlayers: n, DisableSymmetry: true, OfflineTicksPerCombo: 20, IdleMeasureTicks: 3}
-	legacyCfg := cfg
-	legacyCfg.DisableWorthPlan = true
-	hostP, estP := rig(cfg)
-	hostL, estL := rig(legacyCfg)
-	for tick, running := range []vm.Coalition{vm.GrandCoalition(n), vm.GrandCoalition(n), vm.GrandCoalition(n).Without(3)} {
-		for _, host := range []*hypervisor.Host{hostP, hostL} {
-			host.SetCoalition(running)
-			host.Advance(1)
+	for i := 0; i < n; i++ {
+		if err := host.Attach(vm.ID(i), workload.Synthetic{Seed: int64(i + 1)}); err != nil {
+			t.Fatal(err)
 		}
-		allocP, err := estP.EstimateTick()
+	}
+	for tick, running := range []vm.Coalition{vm.GrandCoalition(n), vm.GrandCoalition(n), vm.GrandCoalition(n).Without(3)} {
+		host.SetCoalition(running)
+		host.Advance(1)
+		alloc, err := est.EstimateTick()
 		if err != nil {
 			t.Fatalf("tick %d: plan estimate: %v", tick, err)
 		}
-		allocL, err := estL.EstimateTick()
-		if err != nil {
-			t.Fatalf("tick %d: legacy estimate: %v", tick, err)
+		// The VMs' workloads are distinct, so the gate keeps every tick
+		// on the mask path.
+		if alloc.Prov.Tier != TierMaskExact {
+			t.Fatalf("tick %d: tier %s, want the mask path", tick, alloc.Prov.Tier)
 		}
-		if allocP.Prov.Tier != TierMaskExact {
-			t.Fatalf("tick %d: tier %s, want the mask path", tick, allocP.Prov.Tier)
-		}
-		allocP.Prov, allocL.Prov = Provenance{}, Provenance{}
-		if !reflect.DeepEqual(allocP, allocL) {
-			t.Fatalf("tick %d: plan %+v != legacy %+v", tick, allocP, allocL)
+		want := legacyEstimate(t, est, host.Collect(), alloc.MeasuredPower)
+		alloc.Prov = Provenance{}
+		if !reflect.DeepEqual(alloc, want) {
+			t.Fatalf("tick %d: plan %+v != legacy %+v", tick, alloc, want)
 		}
 	}
 }
@@ -246,7 +201,7 @@ func TestPlanParallelismDeepEqual(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out []*Allocation
-		planScenario(t, []*hypervisor.Host{host}, func(tick int) {
+		planScenario(t, host, func(tick int) {
 			alloc, err := est.EstimateTick()
 			if err != nil {
 				t.Fatalf("par %d tick %d: %v", par, tick, err)
@@ -266,50 +221,80 @@ func TestPlanParallelismDeepEqual(t *testing.T) {
 
 // TestPlanMonteCarloMatchesLegacy forces the Monte-Carlo arm (lowered
 // ExactMaxPlayers) so the plan-backed worth feeds the permutation sampler;
-// with a fixed seed the result must match the legacy worth bit for bit.
+// with a fixed seed the result must match the legacy route bit for bit.
 func TestPlanMonteCarloMatchesLegacy(t *testing.T) {
-	cfg := Config{Seed: 11, ExactMaxPlayers: 2, MCPermutations: 64}
-	legacyCfg := cfg
-	legacyCfg.DisableWorthPlan = true
-	hostP, estP := testRig(t, cfg)
-	hostL, estL := testRig(t, legacyCfg)
-	if err := estP.CollectOffline(); err != nil {
+	host, est := testRig(t, Config{Seed: 11, ExactMaxPlayers: 2, MCPermutations: 64})
+	if err := est.CollectOffline(); err != nil {
 		t.Fatal(err)
 	}
-	if err := estL.CollectOffline(); err != nil {
+	if err := host.Attach(1, workload.Synthetic{Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
-	for _, host := range []*hypervisor.Host{hostP, hostL} {
-		if err := host.Attach(1, workload.Synthetic{Seed: 2}); err != nil {
-			t.Fatal(err)
-		}
-		host.SetCoalition(vm.CoalitionOf(0, 1, 2))
-	}
+	host.SetCoalition(vm.CoalitionOf(0, 1, 2))
 	for tick := 0; tick < 6; tick++ {
-		hostP.Advance(1)
-		hostL.Advance(1)
-		allocP, err := estP.EstimateTick()
+		host.Advance(1)
+		alloc, err := est.EstimateTick()
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocL, err := estL.EstimateTick()
+		if alloc.Method != "montecarlo" {
+			t.Fatalf("tick %d: method %q, want montecarlo", tick, alloc.Method)
+		}
+		want := legacyEstimate(t, est, host.Collect(), alloc.MeasuredPower)
+		alloc.Prov = Provenance{}
+		if !reflect.DeepEqual(alloc, want) {
+			t.Fatalf("tick %d: plan MC %+v != legacy MC %+v", tick, alloc, want)
+		}
+	}
+}
+
+// TestPlanCompileErrorFallsToPolicy pins what a failed plan compile
+// does now that no route bypasses the plan: the tick returns the compile
+// error, which the Fallback policy serves as a degraded split, and each
+// model epoch gets one compile attempt.
+func TestPlanCompileErrorFallsToPolicy(t *testing.T) {
+	host, est := testRig(t, Config{Seed: 3, Fallback: FallbackProportional})
+	if err := est.CollectOffline(); err != nil {
+		t.Fatal(err)
+	}
+	// A class map whose class count disagrees with the approximator's is
+	// an input NewPlan rejects; core.New never builds one.
+	est.classes = &vhc.ClassMap{ByType: make([]int, len(est.classes.ByType)), Classes: 1}
+	host.SetCoalition(vm.CoalitionOf(0, 1))
+	tick := func() {
+		t.Helper()
+		host.Advance(1)
+		alloc, err := est.EstimateTick()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if allocP.Method != "montecarlo" {
-			t.Fatalf("tick %d: method %q, want montecarlo", tick, allocP.Method)
+		if alloc.Prov.Tier != TierFallback || !alloc.Degraded {
+			t.Fatalf("tier %s degraded %v, want the fallback split", alloc.Prov.Tier, alloc.Degraded)
 		}
-		allocP.Prov, allocL.Prov = Provenance{}, Provenance{}
-		if !reflect.DeepEqual(allocP, allocL) {
-			t.Fatalf("tick %d: plan MC %+v != legacy MC %+v", tick, allocP, allocL)
-		}
+	}
+	for i := 0; i < 3; i++ {
+		tick()
+	}
+	if _, err := est.Estimate(host.Collect(), 150); !errors.Is(err, vhc.ErrPlan) {
+		t.Fatalf("Estimate error %v, want vhc.ErrPlan", err)
+	}
+	if compiles, errs := est.PlanCompileStats(); compiles != 0 || errs != 1 {
+		t.Fatalf("compiles %d, errors %d: want one failed attempt for the epoch", compiles, errs)
+	}
+	if err := est.approx.Train(); err != nil {
+		t.Fatal(err)
+	}
+	tick()
+	if compiles, errs := est.PlanCompileStats(); compiles != 0 || errs != 2 {
+		t.Fatalf("after retraining: compiles %d, errors %d, want a second attempt", compiles, errs)
 	}
 }
 
 // TestPlanMetricsCounters wires the package metrics and checks the
 // scenario's cache behaviour is observable: every exact tick is a plan
 // tick, steady ticks reuse coalitions verbatim, and the running-set
-// changes force full retabulations.
+// changes force full retabulations. Estimate calls (replays, Audit) are
+// not ticks and leave the counters alone.
 func TestPlanMetricsCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	Instrument(reg)
@@ -321,11 +306,18 @@ func TestPlanMetricsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	ticks := 0
-	planScenario(t, []*hypervisor.Host{host}, func(int) {
-		if _, err := est.EstimateTick(); err != nil {
+	planScenario(t, host, func(int) {
+		alloc, err := est.EstimateTick()
+		if err != nil {
 			t.Fatal(err)
 		}
 		ticks++
+		if _, err := est.Estimate(host.Collect(), alloc.MeasuredPower); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := est.Audit(host.Collect(), alloc.MeasuredPower, 1e-6); err != nil {
+			t.Fatal(err)
+		}
 	})
 	if got := m.PlanTicks.Value(); got != uint64(ticks) {
 		t.Fatalf("PlanTicks = %d, want %d", got, ticks)

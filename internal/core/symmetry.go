@@ -25,8 +25,8 @@ import (
 // a 1 Hz tick — while far under shapley.SymMaxVectors' API bound.
 const symVectorBudget = 1 << 22
 
-// symScratch is the cross-tick state of the collapsed path, owned by the
-// estimation goroutine exactly like tickScratch.
+// symScratch is the cross-tick state of the collapsed path, part of a
+// caller's scratch like maskScratch.
 type symScratch struct {
 	members []int          // running VM ids, ascending
 	group   map[symKey]int // class key -> class index, this tick
@@ -52,12 +52,13 @@ type symKey struct {
 	state vm.State
 }
 
-// runningMembers fills sym.members with the running VM ids in ascending
-// order, from the wide-safe Running flags when the snapshot carries them
-// (hypervisor.Collect always does) and from the Coalition mask otherwise
-// (snapshots built by hand in tests and experiments).
-func (e *Estimator) runningMembers(snap hypervisor.Snapshot) []int {
-	s := &e.sym
+// runningMembers fills sc.sym.members with the running VM ids in
+// ascending order, from the wide-safe Running flags when the snapshot
+// carries them (hypervisor.Collect always does) and from the Coalition
+// mask otherwise (replayed records, and snapshots built by hand in tests
+// and experiments).
+func runningMembers(sc *scratch, snap hypervisor.Snapshot) []int {
+	s := &sc.sym
 	s.members = s.members[:0]
 	if snap.Running != nil {
 		for i, r := range snap.Running {
@@ -74,11 +75,11 @@ func (e *Estimator) runningMembers(snap hypervisor.Snapshot) []int {
 }
 
 // buildSymClasses groups the running members into symmetry classes in
-// first-seen (ascending VM id) order and returns false if any member's
+// first-seen (ascending VM id) order and returns an error if any member's
 // class bit cannot be resolved. counts/classOf/classes are (re)built in
-// the scratch.
-func (e *Estimator) buildSymClasses(plan *vhc.Plan, snap hypervisor.Snapshot, members []int) error {
-	s := &e.sym
+// sc.sym.
+func (e *Estimator) buildSymClasses(sc *scratch, plan *vhc.Plan, snap hypervisor.Snapshot, members []int) error {
+	s := &sc.sym
 	if s.group == nil {
 		s.group = make(map[symKey]int)
 	}
@@ -177,9 +178,9 @@ func symAligned(prev, cur []vhc.SymClass) bool {
 // returns handled=false (and no error) when the tick does not collapse
 // profitably — the caller then serves the mask path. On success the
 // allocation's PerVM, Method and SymmetryClasses are filled in.
-func (e *Estimator) symTick(plan *vhc.Plan, snap hypervisor.Snapshot, members []int, dyn float64, sp *obs.Span, alloc *Allocation) (bool, error) {
-	s := &e.sym
-	if err := e.buildSymClasses(plan, snap, members); err != nil {
+func (e *Estimator) symTick(sc *scratch, plan *vhc.Plan, snap hypervisor.Snapshot, members []int, dyn float64, sp *obs.Span, alloc *Allocation) (bool, error) {
+	s := &sc.sym
+	if err := e.buildSymClasses(sc, plan, snap, members); err != nil {
 		return false, err
 	}
 	k := len(s.classes)
@@ -289,6 +290,5 @@ func (e *Estimator) symTick(plan *vhc.Plan, snap hypervisor.Snapshot, members []
 	s.prev = append(s.prev[:0], classes...)
 	s.prevPlan = plan
 	s.prevValid = true
-	metrics().noteSymTick(k, evaluated, reused)
 	return true, nil
 }

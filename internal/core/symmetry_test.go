@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -83,31 +84,23 @@ func startAll(t *testing.T, host *hypervisor.Host) {
 	}
 }
 
-// TestSymmetryMatchesLegacyExact is the tentpole's equivalence property:
-// a 14-VM host (12x type0 + 2x type1, class workloads) run twice from the
-// same seed — once on the symmetry-collapsed path, once forced onto 2^n
-// mask enumeration via DisableSymmetry — must agree on every share of
-// every tick to 1e-12 of the measured power scale, across constant-state
-// reuse ticks, all-dirty synthetic ticks and running-set changes.
+// TestSymmetryMatchesLegacyExact is the collapsed tier's equivalence
+// property: a 14-VM host (12x type0 + 2x type1, class workloads) must
+// agree with the legacy 2^n route (the legacyEstimate oracle) on every
+// share of every tick to 1e-12 of the measured power scale, across
+// constant-state reuse ticks, all-dirty synthetic ticks and running-set
+// changes.
 func TestSymmetryMatchesLegacyExact(t *testing.T) {
 	typeCounts := []int{12, 2}
 	cfg := Config{Seed: 3, OfflineTicksPerCombo: 40, IdleMeasureTicks: 3}
-	legacyCfg := cfg
-	legacyCfg.DisableSymmetry = true
 	hostS, estS := symTestRig(t, machine.XeonProfile(), typeCounts, cfg)
-	hostL, estL := symTestRig(t, machine.XeonProfile(), typeCounts, legacyCfg)
-	for _, est := range []*Estimator{estS, estL} {
-		if err := est.CollectOffline(); err != nil {
-			t.Fatal(err)
-		}
+	if err := estS.CollectOffline(); err != nil {
+		t.Fatal(err)
 	}
-	hosts := []*hypervisor.Host{hostS, hostL}
-	for _, host := range hosts {
-		attachClassWorkloads(t, host, []workload.Generator{
-			workload.Synthetic{Seed: 11}, // type 0: all 12 members dirty every tick
-			workload.Constant("steady", vm.State{vm.CPU: 0.4, vm.Memory: 0.2, vm.DiskIO: 0.1}),
-		})
-	}
+	attachClassWorkloads(t, hostS, []workload.Generator{
+		workload.Synthetic{Seed: 11}, // type 0: all 12 members dirty every tick
+		workload.Constant("steady", vm.State{vm.CPU: 0.4, vm.Memory: 0.2, vm.DiskIO: 0.1}),
+	})
 
 	symTicks := 0
 	step := func(tick int) {
@@ -115,18 +108,9 @@ func TestSymmetryMatchesLegacyExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tick %d: sym estimate: %v", tick, err)
 		}
-		allocL, err := estL.EstimateTick()
-		if err != nil {
-			t.Fatalf("tick %d: legacy estimate: %v", tick, err)
-		}
-		if allocL.SymmetryClasses != 0 {
-			t.Fatalf("tick %d: DisableSymmetry rig reports %d classes", tick, allocL.SymmetryClasses)
-		}
+		allocL := legacyEstimate(t, estS, hostS.Collect(), allocS.MeasuredPower)
 		if allocS.Method != "exact" || allocL.Method != "exact" {
 			t.Fatalf("tick %d: methods %q / %q", tick, allocS.Method, allocL.Method)
-		}
-		if allocS.MeasuredPower != allocL.MeasuredPower {
-			t.Fatalf("tick %d: measured %v != %v", tick, allocS.MeasuredPower, allocL.MeasuredPower)
 		}
 		if allocS.SymmetryClasses > 0 {
 			symTicks++
@@ -166,18 +150,14 @@ func TestSymmetryMatchesLegacyExact(t *testing.T) {
 
 	tick := 0
 	phase := func(stopped []int, ticks int) {
-		for _, host := range hosts {
-			startAll(t, host)
-			for _, id := range stopped {
-				if err := host.Stop(vm.ID(id)); err != nil {
-					t.Fatal(err)
-				}
+		startAll(t, hostS)
+		for _, id := range stopped {
+			if err := hostS.Stop(vm.ID(id)); err != nil {
+				t.Fatal(err)
 			}
 		}
 		for i := 0; i < ticks; i++ {
-			for _, host := range hosts {
-				host.Advance(1)
-			}
+			hostS.Advance(1)
 			tick++
 			step(tick)
 		}
@@ -274,37 +254,60 @@ func TestSymmetryWideHost(t *testing.T) {
 	}
 }
 
-// TestSymmetryWideHostRequiresCollapse pins the wide-host error paths:
-// with the collapsed solver disabled (or the worth plan off entirely) a
-// set past the mask limit cannot be estimated, and the error says why.
+// TestSymmetryWideHostRequiresCollapse pins the wide-host tier gate: a
+// set past the mask limit whose running VMs do not collapse into
+// symmetry classes cannot be estimated, and the error says why. Once the
+// same host collapses, Estimate serves every tick exactly as EstimateTick
+// did: same tier, same shares bit for bit.
 func TestSymmetryWideHostRequiresCollapse(t *testing.T) {
-	for _, cfg := range []Config{
-		{Seed: 7, DisableSymmetry: true},
-		{Seed: 7, DisableWorthPlan: true},
-	} {
-		host, est := symTestRig(t, machine.DenseProfile(), []int{10, 10, 10}, cfg)
-		if err := est.CollectOffline(); err != nil {
-			t.Fatal(err)
-		}
-		startAll(t, host)
-		host.Advance(1)
-		_, err := est.EstimateTick()
-		if err == nil {
-			t.Fatalf("cfg %+v: wide host without collapse must error", cfg)
-		}
-		if !strings.Contains(err.Error(), "mask limit") {
-			t.Fatalf("cfg %+v: error %q does not mention the mask limit", cfg, err)
-		}
-	}
-	// Estimate (the pure mask-path API) refuses wide sets outright.
 	host, est := symTestRig(t, machine.DenseProfile(), []int{10, 10, 10}, Config{Seed: 7})
 	if err := est.CollectOffline(); err != nil {
 		t.Fatal(err)
 	}
+	// Distinct per-VM workloads: every running VM is a class of one.
+	for i := 0; i < host.Set().Len(); i++ {
+		if err := host.Attach(vm.ID(i), workload.Synthetic{Seed: int64(100 + i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	startAll(t, host)
 	host.Advance(1)
-	if _, err := est.Estimate(host.Collect(), 500); err == nil {
-		t.Fatal("Estimate on a wide set must error")
+	if _, err := est.EstimateTick(); err == nil || !strings.Contains(err.Error(), "mask limit") {
+		t.Fatalf("EstimateTick on a wide host without collapse: error %v, want one naming the mask limit", err)
+	}
+	if _, err := est.Estimate(host.Collect(), 500); err == nil || !strings.Contains(err.Error(), "mask limit") {
+		t.Fatalf("Estimate on a wide host without collapse: error %v, want one naming the mask limit", err)
+	}
+
+	attachClassWorkloads(t, host, []workload.Generator{
+		workload.Synthetic{Seed: 21},
+		workload.Constant("steady", vm.State{vm.CPU: 0.5, vm.Memory: 0.25, vm.DiskIO: 0.1}),
+		workload.Synthetic{Seed: 23, IdleProb: 0.1},
+	})
+	for tick := 0; tick < 4; tick++ {
+		host.Advance(1)
+		live, err := est.EstimateTick()
+		if err != nil {
+			t.Fatalf("tick %d: %v", tick, err)
+		}
+		if live.Prov.Tier != TierSymExact {
+			t.Fatalf("tick %d: tier %s, want %s", tick, live.Prov.Tier, TierSymExact)
+		}
+		got, err := est.Estimate(host.Collect(), live.MeasuredPower)
+		if err != nil {
+			t.Fatalf("tick %d: Estimate: %v", tick, err)
+		}
+		if got.Prov.Tier != live.Prov.Tier || !reflect.DeepEqual(got.PerVM, live.PerVM) {
+			t.Fatalf("tick %d: Estimate (%s) %v != EstimateTick (%s) %v",
+				tick, got.Prov.Tier, got.PerVM, live.Prov.Tier, live.PerVM)
+		}
+	}
+	// Without Running flags a wide snapshot's running set is unknown (its
+	// mask is empty), so Estimate refuses it instead of billing nobody.
+	snap := host.Collect()
+	snap.Running = nil
+	if _, err := est.Estimate(snap, 500); err == nil || !strings.Contains(err.Error(), "Running flags") {
+		t.Fatalf("Estimate on a wide snapshot without Running flags: error %v", err)
 	}
 }
 

@@ -249,7 +249,7 @@ func (o *serverObs) noteProvenance(s *Server, now time.Time, alloc *core.Allocat
 	}
 	if compileErrs != o.prevCompileErrs {
 		o.journal.Append(alloc.Tick, "plan_compile_error", "",
-			fmt.Sprintf("worth-plan compile failure #%d (legacy path until the model changes)", compileErrs))
+			fmt.Sprintf("worth-plan compile failure #%d (ticks fall to the fallback policy until the model changes)", compileErrs))
 		o.prevCompileErrs = compileErrs
 	}
 

@@ -76,7 +76,7 @@ func TestInstrumentExactPhases(t *testing.T) {
 	if _, err := Exact(8, testWorth); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExactParallel(8, testWorth, 2); err != nil {
+	if _, err := exactParallel(8, testWorth, 2); err != nil {
 		t.Fatal(err)
 	}
 	m := metrics()

@@ -11,8 +11,8 @@ import (
 )
 
 // Parallelism semantics, shared by every parallel entry point in this
-// package (ExactParallel, TabulateParallel, ExactFromTableParallel and
-// MCOptions.Parallelism):
+// package (TabulateParallelInto, RetabulateParallelInto,
+// ExactFromTableParallelInto and MCOptions.Parallelism):
 //
 //	p <= 0 — use runtime.GOMAXPROCS(0) workers ("all cores")
 //	p == 1 — evaluate on the calling goroutine, no workers spawned
@@ -92,24 +92,12 @@ func runSharded(shards, parallelism int, fn func(shard int)) {
 	wg.Wait()
 }
 
-// TabulateParallel evaluates worth over all 2^n coalitions into a dense
-// table using up to parallelism workers. Each table entry is written by
-// exactly one shard, so the result is identical to Tabulate for a pure
-// worth function. worth must be safe for concurrent calls when
-// parallelism != 1 (see the package's thread-safety contract above).
-func TabulateParallel(n int, worth WorthFunc, parallelism int) ([]float64, error) {
-	if n < 1 || n > ExactMaxPlayers {
-		return nil, fmt.Errorf("%w: n=%d", ErrPlayers, n)
-	}
-	table := make([]float64, 1<<uint(n))
-	if err := TabulateParallelInto(table, n, worth, parallelism); err != nil {
-		return nil, err
-	}
-	return table, nil
-}
-
-// TabulateParallelInto is TabulateParallel into a caller-owned table of
-// length exactly 2^n.
+// TabulateParallelInto evaluates worth over all 2^n coalitions into a
+// caller-owned table of length exactly 2^n using up to parallelism
+// workers. Each table entry is written by exactly one shard, so the
+// result is identical to Tabulate for a pure worth function. worth must
+// be safe for concurrent calls when parallelism != 1 (see the package's
+// thread-safety contract above).
 func TabulateParallelInto(table []float64, n int, worth WorthFunc, parallelism int) error {
 	if n < 1 || n > ExactMaxPlayers {
 		return fmt.Errorf("%w: n=%d", ErrPlayers, n)
@@ -194,26 +182,6 @@ func RetabulateParallelInto(table []float64, n int, worth WorthFunc, dirty vm.Co
 	return nil
 }
 
-// ExactFromTableParallel computes the exact Shapley value from a
-// pre-tabulated worth table with up to parallelism workers. The mask
-// space is split into exactShards(n) contiguous shards; each shard
-// accumulates a private phi partial in ascending mask order and the
-// partials are merged in shard order, so the output is bit-for-bit
-// identical at every parallelism (it can differ from the serial
-// ExactFromTable in the last ulps, since the summation is associated
-// differently).
-func ExactFromTableParallel(n int, table []float64, parallelism int) ([]float64, error) {
-	if n < 1 || n > ExactMaxPlayers {
-		return nil, fmt.Errorf("%w: n=%d", ErrPlayers, n)
-	}
-	phi := make([]float64, n)
-	scratch := make([]float64, ExactScratch(n))
-	if err := ExactFromTableParallelInto(phi, scratch, n, table, parallelism); err != nil {
-		return nil, err
-	}
-	return phi, nil
-}
-
 // ExactScratch returns the scratch length (shard partials) that
 // ExactFromTableParallelInto needs for an n-player game.
 func ExactScratch(n int) int {
@@ -223,11 +191,16 @@ func ExactScratch(n int) int {
 	return exactShards(n) * n
 }
 
-// ExactFromTableParallelInto is ExactFromTableParallel into caller-owned
-// buffers: phi of length exactly n and scratch of at least ExactScratch(n)
-// (both zeroed here, so they can be reused across solves as-is). The
-// shard layout and merge order are those of ExactFromTableParallel, so
-// the output is bit-for-bit identical to it at every parallelism.
+// ExactFromTableParallelInto computes the exact Shapley value from a
+// pre-tabulated worth table with up to parallelism workers, into
+// caller-owned buffers: phi of length exactly n and scratch of at least
+// ExactScratch(n) (both zeroed here, so they can be reused across solves
+// as-is). The mask space is split into exactShards(n) contiguous shards;
+// each shard accumulates a private phi partial in ascending mask order
+// and the partials are merged in shard order, so the output is
+// bit-for-bit identical at every parallelism (it can differ from the
+// serial ExactFromTable in the last ulps, since the summation is
+// associated differently).
 func ExactFromTableParallelInto(phi, scratch []float64, n int, table []float64, parallelism int) error {
 	if n < 1 || n > ExactMaxPlayers {
 		return fmt.Errorf("%w: n=%d", ErrPlayers, n)
@@ -296,17 +269,4 @@ func accumulateShard(partials, w, table []float64, n, shard, per int) {
 			phi[i] += ws * (table[s|1<<uint(i)] - vs)
 		}
 	}
-}
-
-// ExactParallel computes the exact Shapley value (Eq. 4) with up to
-// parallelism workers: a parallel tabulation of the 2^n worths followed
-// by a parallel sharded accumulation. worth must be safe for concurrent
-// calls when parallelism != 1. For a fixed game the result is identical
-// at every parallelism value.
-func ExactParallel(n int, worth WorthFunc, parallelism int) ([]float64, error) {
-	table, err := TabulateParallel(n, worth, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	return ExactFromTableParallel(n, table, parallelism)
 }

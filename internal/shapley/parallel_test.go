@@ -14,6 +14,26 @@ import (
 // default.
 var parallelisms = []int{1, 2, 3, 7, 16, 0}
 
+// exactFromTableParallel runs the sharded accumulation into fresh
+// buffers.
+func exactFromTableParallel(n int, table []float64, parallelism int) ([]float64, error) {
+	phi := make([]float64, n)
+	if err := ExactFromTableParallelInto(phi, make([]float64, ExactScratch(n)), n, table, parallelism); err != nil {
+		return nil, err
+	}
+	return phi, nil
+}
+
+// exactParallel is the sharded tabulate-then-accumulate pair that core's
+// mask tier runs, into fresh buffers.
+func exactParallel(n int, worth WorthFunc, parallelism int) ([]float64, error) {
+	table := make([]float64, 1<<uint(n))
+	if err := TabulateParallelInto(table, n, worth, parallelism); err != nil {
+		return nil, err
+	}
+	return exactFromTableParallel(n, table, parallelism)
+}
+
 func TestTabulateParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, n := range []int{1, 3, 7, 10} {
@@ -24,8 +44,8 @@ func TestTabulateParallelMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range parallelisms {
-			got, err := TabulateParallel(n, worth, p)
-			if err != nil {
+			got := make([]float64, len(want))
+			if err := TabulateParallelInto(got, n, worth, p); err != nil {
 				t.Fatal(err)
 			}
 			for s := range want {
@@ -46,7 +66,7 @@ func TestExactParallelMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range parallelisms {
-			par, err := ExactFromTableParallel(n, table, p)
+			par, err := exactFromTableParallel(n, table, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,12 +85,12 @@ func TestExactParallelDeterministicAcrossParallelism(t *testing.T) {
 	for _, n := range []int{4, 9, 13} {
 		table := randomGameTable(rng, n)
 		worth := func(s vm.Coalition) float64 { return table[s] }
-		ref, err := ExactParallel(n, worth, 1)
+		ref, err := exactParallel(n, worth, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range parallelisms[1:] {
-			got, err := ExactParallel(n, worth, p)
+			got, err := exactParallel(n, worth, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,16 +238,16 @@ func TestMonteCarloGOMAXPROCSInvariance(t *testing.T) {
 }
 
 func TestParallelErrors(t *testing.T) {
-	if _, err := TabulateParallel(0, nil, 2); err == nil {
+	if err := TabulateParallelInto(nil, 0, nil, 2); err == nil {
 		t.Fatal("want player-range error")
 	}
-	if _, err := TabulateParallel(3, nil, 2); err != ErrNilWorth {
+	if err := TabulateParallelInto(make([]float64, 8), 3, nil, 2); err != ErrNilWorth {
 		t.Fatalf("nil worth: %v", err)
 	}
-	if _, err := ExactFromTableParallel(2, []float64{1, 2}, 2); err == nil {
+	if _, err := exactFromTableParallel(2, []float64{1, 2}, 2); err == nil {
 		t.Fatal("want table-length error")
 	}
-	if _, err := ExactParallel(40, func(vm.Coalition) float64 { return 0 }, 2); err == nil {
+	if err := ExactFromTableParallelInto(make([]float64, 40), nil, 40, nil, 2); err == nil {
 		t.Fatal("want player-range error")
 	}
 }

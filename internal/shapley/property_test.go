@@ -40,7 +40,7 @@ func maxAbsDiff(a, b []float64) float64 {
 	return m
 }
 
-// TestAxiomsOnRandomGames cross-checks Exact, ExactParallel and the
+// TestAxiomsOnRandomGames cross-checks Exact, the sharded engine and the
 // Möbius route on seeded random games and asserts Efficiency, Symmetry
 // and Dummy via CheckAxioms.
 func TestAxiomsOnRandomGames(t *testing.T) {
@@ -59,7 +59,7 @@ func TestAxiomsOnRandomGames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d (n=%d): %v", trial, n, err)
 		}
-		par, err := ExactParallel(n, worth, 4)
+		par, err := exactParallel(n, worth, 4)
 		if err != nil {
 			t.Fatalf("trial %d (n=%d): parallel: %v", trial, n, err)
 		}

@@ -2,9 +2,12 @@ package vmpower
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"vmpower/internal/core"
 )
 
 func TestRecordAndReplayFacade(t *testing.T) {
@@ -21,7 +24,94 @@ func TestRecordAndReplayFacade(t *testing.T) {
 	if err := sys.RunWorkload("db", "omnetpp", 2); err != nil {
 		t.Fatal(err)
 	}
+	recordAndReplay(t, sys)
 
+	// Three same-type VMs on one constant trace form a symmetry class, so
+	// the live ticks are served by the collapsed tier, and so must their
+	// replays be. Every VM runs a constant trace and the meter is noisy:
+	// after the first tick the live solver reuses its whole table and
+	// only the grand coalition's worth moves, while replay tabulates in
+	// full.
+	cfg := testConfig()
+	cfg.MeterNoise = 0.25
+	cfg.VMs = []VMSpec{
+		{Name: "s1", Type: Small},
+		{Name: "s2", Type: Small},
+		{Name: "s3", Type: Small},
+		{Name: "db", Type: Medium},
+	}
+	sym, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sym.Calibrate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"s1", "s2", "s3"} {
+		if err := sym.RunWorkloadTrace(name, "steady", strings.NewReader("0.5,0.2,0.1\n"), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sym.RunWorkloadTrace("db", "steady-db", strings.NewReader("0.8,0.4,0.2\n"), true); err != nil {
+		t.Fatal(err)
+	}
+	for tick, tier := range recordAndReplay(t, sym) {
+		if tier != core.TierSymExact {
+			t.Fatalf("tick %d: live tier %s, want %s", tick, tier, core.TierSymExact)
+		}
+	}
+}
+
+// TestReplayWideHostRefused pins that a trace from a host past the
+// coalition mask limit is refused on replay rather than billed to
+// nobody: its records carry an empty mask and no running flags.
+func TestReplayWideHostRefused(t *testing.T) {
+	cfg := testConfig()
+	cfg.VMs = nil
+	for i := 0; i < 25; i++ {
+		cfg.VMs = append(cfg.VMs, VMSpec{Name: fmt.Sprintf("s%02d", i), Type: Small})
+	}
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Calibrate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range sys.VMNames() {
+		if err := sys.RunWorkloadTrace(name, "steady", strings.NewReader("0.5,0.2,0.1\n"), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var trace bytes.Buffer
+	if err := sys.StartRecording(&trace); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Run(2, func(a *Allocation) bool {
+		if a.inner.Prov.Tier != core.TierSymExact || a.inner.DynamicPower <= 0 {
+			t.Fatalf("live tick %d: tier %s, %g W dynamic", a.Tick(), a.inner.Prov.Tier, a.inner.DynamicPower)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.StopRecording(); err != nil {
+		t.Fatal(err)
+	}
+	err = sys.Replay(bytes.NewReader(trace.Bytes()), func(a *Allocation) bool {
+		t.Fatalf("replayed tick %d of a wide trace", a.Tick())
+		return true
+	})
+	if err == nil || !strings.Contains(err.Error(), "mask limit") {
+		t.Fatalf("replay error %v, want one naming the mask limit", err)
+	}
+}
+
+// recordAndReplay records six live ticks of sys, replays the trace and
+// requires every replayed tick to reproduce the live one: the same solver
+// tier and the same shares bit for bit. It returns the live tiers.
+func recordAndReplay(t *testing.T, sys *System) []string {
+	t.Helper()
 	var trace bytes.Buffer
 	if err := sys.StartRecording(&trace); err != nil {
 		t.Fatal(err)
@@ -30,9 +120,11 @@ func TestRecordAndReplayFacade(t *testing.T) {
 		t.Fatal("want already-recording error")
 	}
 	var livePower []map[string]float64
+	var liveTiers []string
 	const ticks = 6
 	if err := sys.Run(ticks, func(a *Allocation) bool {
 		livePower = append(livePower, a.Shares())
+		liveTiers = append(liveTiers, a.inner.Prov.Tier)
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -50,12 +142,14 @@ func TestRecordAndReplayFacade(t *testing.T) {
 		t.Fatalf("trace has %d lines, want %d", lines, ticks)
 	}
 
-	// Replaying the trace reproduces the live allocations exactly.
 	idx := 0
 	if err := sys.Replay(bytes.NewReader(trace.Bytes()), func(a *Allocation) bool {
+		if got := a.inner.Prov.Tier; got != liveTiers[idx] {
+			t.Fatalf("tick %d: replay tier %s vs live %s", idx, got, liveTiers[idx])
+		}
 		for name, want := range livePower[idx] {
-			if got := a.Watts(name); math.Abs(got-want) > 1e-9 {
-				t.Fatalf("tick %d %s: replay %g vs live %g", idx, name, got, want)
+			if got := a.Watts(name); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("tick %d %s: replay %.17g vs live %.17g", idx, name, got, want)
 			}
 		}
 		idx++
@@ -66,6 +160,7 @@ func TestRecordAndReplayFacade(t *testing.T) {
 	if idx != ticks {
 		t.Fatalf("replayed %d ticks", idx)
 	}
+	return liveTiers
 }
 
 func TestSaveLoadCalibrationFacade(t *testing.T) {
