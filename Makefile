@@ -88,13 +88,15 @@ cover:
 
 # A short pass over every fuzz target — enough to catch regressions in the
 # frame decoder, stream resync, model loader, mask-path slot-table read,
-# workload CSV parser and the history query endpoint without tying up CI.
+# Monte-Carlo sampling stream, workload CSV parser and the history query
+# endpoint without tying up CI.
 FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/meter/serial/
 	$(GO) test -run '^$$' -fuzz '^FuzzReaderResync$$' -fuzztime $(FUZZTIME) ./internal/meter/serial/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzEvalMask$$' -fuzztime $(FUZZTIME) ./internal/vhc/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnitSource$$' -fuzztime $(FUZZTIME) ./internal/shapley/
 	$(GO) test -run '^$$' -fuzz '^FuzzHistoryQuery$$' -fuzztime $(FUZZTIME) ./internal/powerd/
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceFromCSV$$' -fuzztime $(FUZZTIME) ./internal/workload/
 	$(GO) test -run '^$$' -fuzz '^FuzzGeneratorTicks$$' -fuzztime $(FUZZTIME) ./internal/workload/

@@ -244,8 +244,7 @@ func BenchmarkExactParallel(b *testing.B) {
 }
 
 // BenchmarkMonteCarloParallel contrasts serial and parallel permutation
-// sampling at n = 24 with the worth cache on (the production
-// configuration) — the estimate is identical at every worker count.
+// sampling at n = 24 — the estimate is identical at every worker count.
 func BenchmarkMonteCarloParallel(b *testing.B) {
 	const n = 24
 	worth := func(s vm.Coalition) float64 {
@@ -402,6 +401,7 @@ func BenchmarkOnlineEstimationTick(b *testing.B) {
 // the whole 2^n table is re-evaluated). allocs/op is the headline metric
 // for the compiled plan; the arms keep their "plan=true" suffix because
 // cmd/benchgate's headline set and the committed trajectory key on it.
+// The mc arm measures a Monte-Carlo tick past the exact budget.
 func BenchmarkEstimateTick(b *testing.B) {
 	run := func(b *testing.B, n int, steady, audited bool) {
 		mach, err := machine.New(machine.XeonProfile(), machine.Pack)
@@ -482,6 +482,9 @@ func BenchmarkEstimateTick(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		if n > 16 && alloc.Prov.Tier != core.TierMonteCarlo { // past the default ExactMaxPlayers
+			b.Fatalf("n=%d tick served by %s, want %s", n, alloc.Prov.Tier, core.TierMonteCarlo)
+		}
 		record(alloc)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -505,6 +508,13 @@ func BenchmarkEstimateTick(b *testing.B) {
 			run(b, n, true, true)
 		})
 	}
+
+	// The Monte-Carlo arm: 24 VMs on distinct synthetic streams are past
+	// the exact budget and too distinct to collapse, so every tick samples
+	// the default permutation budget.
+	b.Run("mc/n=24/alldirty", func(b *testing.B) {
+		run(b, 24, false, false)
+	})
 
 	// Symmetry-collapsed arms: n VMs in r symmetry classes on the dense
 	// 256-thread profile — sizes where 2^n coalition masks cannot exist.

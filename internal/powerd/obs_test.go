@@ -135,7 +135,6 @@ func TestMetricsEndpointE2E(t *testing.T) {
 		"vmpower_ticks_total":                 "counter",
 		"vmpower_mc_permutations_total":       "counter",
 		"vmpower_mc_stderr_watts":             "gauge",
-		"vmpower_worth_cache_hits_total":      "counter",
 		"vmpower_serial_bad_frames_total":     "counter",
 		"vmpower_http_requests_total":         "counter",
 		"vmpower_vm_watts":                    "gauge",

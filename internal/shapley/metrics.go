@@ -30,10 +30,6 @@ type Metrics struct {
 	// MCEarlyStops counts solves that hit TargetStdErr before the
 	// permutation budget (vmpower_mc_early_stops_total).
 	MCEarlyStops *obs.Counter
-	// WorthCacheHits/WorthCacheMisses count memoized worth lookups in
-	// the cacheable coalition-size band (vmpower_worth_cache_*_total).
-	WorthCacheHits   *obs.Counter
-	WorthCacheMisses *obs.Counter
 }
 
 // pkgMetrics is swapped atomically so Instrument may run while solvers
@@ -61,10 +57,6 @@ func Instrument(reg *obs.Registry) {
 			"max per-player standard error of the last Monte-Carlo solve"),
 		MCEarlyStops: reg.Counter("vmpower_mc_early_stops_total",
 			"Monte-Carlo solves stopped early by TargetStdErr"),
-		WorthCacheHits: reg.Counter("vmpower_worth_cache_hits_total",
-			"memoized worth-cache hits"),
-		WorthCacheMisses: reg.Counter("vmpower_worth_cache_misses_total",
-			"memoized worth-cache misses"),
 	})
 }
 
@@ -105,7 +97,7 @@ func (m *Metrics) startTimer() time.Time {
 }
 
 // noteMC publishes one Monte-Carlo solve's convergence telemetry.
-func (m *Metrics) noteMC(res *MCResult, earlyStop bool, cache *worthCache) {
+func (m *Metrics) noteMC(res *MCResult, earlyStop bool) {
 	if m == nil {
 		return
 	}
@@ -119,9 +111,5 @@ func (m *Metrics) noteMC(res *MCResult, earlyStop bool, cache *worthCache) {
 	m.MCStdErr.Set(maxSE)
 	if earlyStop {
 		m.MCEarlyStops.Inc()
-	}
-	if cache != nil {
-		m.WorthCacheHits.Add(cache.hits.Load())
-		m.WorthCacheMisses.Add(cache.misses.Load())
 	}
 }

@@ -30,13 +30,6 @@ func TestInstrumentMonteCarloTelemetry(t *testing.T) {
 	if se := m.MCStdErr.Value(); se <= 0 {
 		t.Fatalf("stderr gauge = %g, want > 0", se)
 	}
-	// The cache band (|S| <= 3 or >= n-3) is hit constantly by
-	// permutation prefixes: 64 permutations × 12 players share only
-	// C(12, k) small coalitions.
-	if m.WorthCacheHits.Value() == 0 || m.WorthCacheMisses.Value() == 0 {
-		t.Fatalf("cache hits = %d, misses = %d, want both > 0",
-			m.WorthCacheHits.Value(), m.WorthCacheMisses.Value())
-	}
 	if m.SolveMC.Count() != 1 {
 		t.Fatalf("mc solve histogram count = %d", m.SolveMC.Count())
 	}

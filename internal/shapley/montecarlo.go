@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 
 	"vmpower/internal/vm"
 )
@@ -50,15 +49,6 @@ type MCOptions struct {
 	// thread-safety contract in parallel.go for what the WorthFunc must
 	// guarantee when Parallelism != 1.
 	Parallelism int
-
-	// NoWorthCache disables the memoizing worth cache. By default the
-	// estimator caches worths of very small and near-grand coalitions,
-	// which repeat across permutation prefixes (there are only C(n, k)
-	// coalitions of size k, so prefixes of size 0–3 and n−3–n recur
-	// constantly while mid-size prefixes almost never do). Caching
-	// assumes the WorthFunc is pure; set NoWorthCache for worth
-	// functions with observable side effects.
-	NoWorthCache bool
 }
 
 // DefaultPermutations is the sample count used when MCOptions.Permutations
@@ -74,52 +64,6 @@ type MCResult struct {
 	StdErr []float64
 	// Permutations is the number of orderings actually sampled.
 	Permutations int
-}
-
-// cacheSizeMargin is the coalition-size band the worth cache covers:
-// coalitions with |S| <= margin or |S| >= n − margin are cached. The
-// band keeps the cache bounded by Σ_{k<=margin} 2·C(n, k) entries.
-const cacheSizeMargin = 3
-
-// worthCache memoizes a pure WorthFunc over the coalition-size band
-// where permutation prefixes actually collide. It is safe for
-// concurrent use; two workers racing to fill the same entry both
-// compute the same value (purity), so last-write-wins is benign.
-type worthCache struct {
-	worth WorthFunc
-	n     int
-	mu    sync.RWMutex
-	m     map[vm.Coalition]float64
-
-	// hits/misses count lookups in the cacheable size band; MonteCarlo
-	// folds them into the package metrics after the solve so the hot
-	// path touches only these local atomics.
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-func newWorthCache(n int, worth WorthFunc) *worthCache {
-	return &worthCache{worth: worth, n: n, m: make(map[vm.Coalition]float64)}
-}
-
-func (c *worthCache) eval(s vm.Coalition) float64 {
-	size := s.Size()
-	if size > cacheSizeMargin && size < c.n-cacheSizeMargin {
-		return c.worth(s)
-	}
-	c.mu.RLock()
-	v, ok := c.m[s]
-	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-		return v
-	}
-	c.misses.Add(1)
-	v = c.worth(s)
-	c.mu.Lock()
-	c.m[s] = v
-	c.mu.Unlock()
-	return v
 }
 
 // unitSeed derives the PRNG seed of sampling unit k from the user seed
@@ -138,10 +82,10 @@ func unitSeed(seed int64, k int) int64 {
 // v(N) − v(∅), so the estimate satisfies Efficiency exactly (not just in
 // expectation); Symmetry and Dummy hold in expectation.
 //
-// The worth function is called n+1 times per permutation (fewer with the
-// memoizing cache, see MCOptions.NoWorthCache). Sampling units are
-// evaluated by up to MCOptions.Parallelism workers and reduced in unit
-// order, so the estimate is a pure function of (game, MCOptions.Seed).
+// The worth function is called n+1 times per permutation. Sampling units
+// are evaluated by up to MCOptions.Parallelism workers and reduced in
+// unit order, so the estimate is a pure function of (game,
+// MCOptions.Seed).
 func MonteCarlo(n int, worth WorthFunc, opts MCOptions) (*MCResult, error) {
 	if n < 1 || n > vm.MaxPlayers {
 		return nil, fmt.Errorf("%w: n=%d", ErrPlayers, n)
@@ -163,28 +107,23 @@ func MonteCarlo(n int, worth WorthFunc, opts MCOptions) (*MCResult, error) {
 
 	met := metrics()
 	start := met.startTimer()
-	eval := worth
-	var cache *worthCache
-	if !opts.NoWorthCache && n > 1 {
-		cache = newWorthCache(n, worth)
-		eval = cache.eval
-	}
 
 	walk := func(ord []int, out []float64, scale float64) {
 		prefix := vm.EmptyCoalition
-		prev := eval(prefix)
+		prev := worth(prefix)
 		for _, p := range ord {
 			prefix = prefix.With(vm.ID(p))
-			cur := eval(prefix)
+			cur := worth(prefix)
 			out[p] += scale * (cur - prev)
 			prev = cur
 		}
 	}
 
-	// unit samples unit k with rng, a worker's own generator. Seeding
-	// resets the source completely, so the unit draws exactly the stream
-	// a fresh rand.NewSource(unitSeed(Seed, k)) would, without a ~5 KB
-	// source allocation per unit.
+	// unit samples unit k with rng, a worker's own generator over a
+	// unitSource. Seeding resets the source completely, so the unit
+	// draws exactly the stream a fresh rand.NewSource(unitSeed(Seed, k))
+	// would, without a ~5 KB source allocation or a 1,841-step register
+	// fill per unit.
 	unit := func(k int, rng *rand.Rand, out []float64, order, reversed []int) {
 		rng.Seed(unitSeed(opts.Seed, k))
 		for i := range order {
@@ -210,7 +149,7 @@ func MonteCarlo(n int, worth WorthFunc, opts MCOptions) (*MCResult, error) {
 			workers = hi - lo
 		}
 		if workers <= 1 {
-			rng := rand.New(rand.NewSource(0))
+			rng := rand.New(newUnitSource(0))
 			order := make([]int, n)
 			reversed := make([]int, n)
 			for k := lo; k < hi; k++ {
@@ -223,7 +162,7 @@ func MonteCarlo(n int, worth WorthFunc, opts MCOptions) (*MCResult, error) {
 		for w := 0; w < workers; w++ {
 			go func(w int) {
 				defer wg.Done()
-				rng := rand.New(rand.NewSource(0))
+				rng := rand.New(newUnitSource(0))
 				order := make([]int, n)
 				reversed := make([]int, n)
 				// Static strided assignment: unit k belongs to worker
@@ -286,7 +225,7 @@ func MonteCarlo(n int, worth WorthFunc, opts MCOptions) (*MCResult, error) {
 		res.StdErr[i] = stdErr(sum[i], sumSq[i], done)
 	}
 	met.observeMC(start)
-	met.noteMC(res, done < totalUnits, cache)
+	met.noteMC(res, done < totalUnits)
 	return res, nil
 }
 

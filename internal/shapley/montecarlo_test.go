@@ -293,12 +293,25 @@ func monteCarloFreshSources(n int, worth WorthFunc, opts MCOptions) (phi, se []f
 
 // TestMonteCarloReseededMatchesFreshSources pins the per-worker reseeded
 // generators to the fresh-source oracle: φ and StdErr bit for bit at
-// parallelism 1 and 2, plain and antithetic.
+// parallelism 1 and 2, plain and antithetic. n = 24 is the production
+// Monte-Carlo tier's shape; its 2^24 table would take 128 MB, so that
+// game hashes the coalition instead.
 func TestMonteCarloReseededMatchesFreshSources(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
-	for _, n := range []int{1, 5, 12} {
-		table := randomGameTable(rng, n)
-		worth := func(s vm.Coalition) float64 { return table[s] }
+	for _, n := range []int{1, 5, 12, 24} {
+		var worth WorthFunc
+		if n <= 12 {
+			table := randomGameTable(rng, n)
+			worth = func(s vm.Coalition) float64 { return table[s] }
+		} else {
+			salt := rng.Int63()
+			worth = func(s vm.Coalition) float64 {
+				if s == vm.EmptyCoalition {
+					return 0
+				}
+				return float64(uint64(unitSeed(salt, int(s)))>>11) / (1 << 53) * 100
+			}
+		}
 		for _, anti := range []bool{false, true} {
 			opts := MCOptions{Permutations: 101, Seed: 9, Antithetic: anti}
 			wantPhi, wantSE := monteCarloFreshSources(n, worth, opts)

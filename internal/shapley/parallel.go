@@ -28,12 +28,12 @@ import (
 // Thread-safety contract: the parallel entry points call the WorthFunc
 // concurrently from multiple goroutines. A WorthFunc passed to them must
 // be safe for concurrent calls and pure (same coalition → same value for
-// the duration of the call); the worth functions built by core over a
-// trained vhc.Approximator satisfy both (the approximator serialises
-// access with an RWMutex and is read-only during estimation). The serial
-// entry points (Exact, Tabulate, ExactFromTable, MonteCarlo with
-// Parallelism == 1) never call the WorthFunc from more than one
-// goroutine.
+// the duration of the call). core's production worth satisfies both by
+// only reading an immutable compiled vhc.Plan; its audit reference goes
+// through a trained vhc.Approximator, which serialises access with an
+// RWMutex and is read-only during estimation. The serial entry points
+// (Exact, Tabulate, ExactFromTable, MonteCarlo with Parallelism == 1)
+// never call the WorthFunc from more than one goroutine.
 
 // resolveParallelism maps the user-facing knob to a worker count.
 func resolveParallelism(p int) int {

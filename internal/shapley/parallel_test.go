@@ -3,7 +3,6 @@ package shapley
 import (
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"vmpower/internal/vm"
@@ -110,30 +109,25 @@ func TestMonteCarloDeterministicAcrossParallelism(t *testing.T) {
 	table := randomGameTable(rng, n)
 	worth := func(s vm.Coalition) float64 { return table[s] }
 	for _, anti := range []bool{false, true} {
-		for _, cacheOff := range []bool{false, true} {
-			ref, err := MonteCarlo(n, worth, MCOptions{
-				Permutations: 150, Antithetic: anti, Seed: 5,
-				Parallelism: 1, NoWorthCache: cacheOff,
+		ref, err := MonteCarlo(n, worth, MCOptions{
+			Permutations: 150, Antithetic: anti, Seed: 5, Parallelism: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range parallelisms[1:] {
+			got, err := MonteCarlo(n, worth, MCOptions{
+				Permutations: 150, Antithetic: anti, Seed: 5, Parallelism: p,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range parallelisms[1:] {
-				got, err := MonteCarlo(n, worth, MCOptions{
-					Permutations: 150, Antithetic: anti, Seed: 5,
-					Parallelism: p, NoWorthCache: cacheOff,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Permutations != ref.Permutations {
-					t.Fatalf("anti=%v p=%d: %d permutations, want %d", anti, p, got.Permutations, ref.Permutations)
-				}
-				for i := range ref.Phi {
-					if got.Phi[i] != ref.Phi[i] || got.StdErr[i] != ref.StdErr[i] {
-						t.Fatalf("anti=%v cacheOff=%v p=%d: estimate diverges bit-for-bit at player %d",
-							anti, cacheOff, p, i)
-					}
+			if got.Permutations != ref.Permutations {
+				t.Fatalf("anti=%v p=%d: %d permutations, want %d", anti, p, got.Permutations, ref.Permutations)
+			}
+			for i := range ref.Phi {
+				if got.Phi[i] != ref.Phi[i] || got.StdErr[i] != ref.StdErr[i] {
+					t.Fatalf("anti=%v p=%d: estimate diverges bit-for-bit at player %d", anti, p, i)
 				}
 			}
 		}
@@ -171,46 +165,6 @@ func TestMonteCarloEarlyStopDeterministicAcrossParallelism(t *testing.T) {
 				t.Fatalf("p=%d: Phi[%d] diverges", p, i)
 			}
 		}
-	}
-}
-
-func TestMonteCarloWorthCache(t *testing.T) {
-	// The memoizing cache must cut worth evaluations on the cached size
-	// band without changing a single bit of the estimate.
-	n := 10
-	var calls atomic.Int64
-	worth := func(s vm.Coalition) float64 {
-		calls.Add(1)
-		size := float64(s.Size())
-		return 11*size - 0.3*size*size
-	}
-	opts := MCOptions{Permutations: 200, Seed: 9, Parallelism: 4}
-
-	opts.NoWorthCache = true
-	uncached, err := MonteCarlo(n, worth, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uncachedCalls := calls.Swap(0)
-
-	opts.NoWorthCache = false
-	cached, err := MonteCarlo(n, worth, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cachedCalls := calls.Load()
-
-	for i := range uncached.Phi {
-		if cached.Phi[i] != uncached.Phi[i] {
-			t.Fatalf("cache changed Phi[%d]: %.17g vs %.17g", i, cached.Phi[i], uncached.Phi[i])
-		}
-	}
-	// 200 permutations over 10 players touch prefixes of sizes 0..10;
-	// sizes 0–3 and 7–10 are cacheable (8 of 11 prefix sizes), so the
-	// cache should save a large fraction of the 2200 evaluations. Racing
-	// workers may recompute a handful of entries; require 25% savings.
-	if cachedCalls > uncachedCalls*3/4 {
-		t.Fatalf("cache saved too little: %d calls cached vs %d uncached", cachedCalls, uncachedCalls)
 	}
 }
 

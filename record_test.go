@@ -60,6 +60,35 @@ func TestRecordAndReplayFacade(t *testing.T) {
 			t.Fatalf("tick %d: live tier %s, want %s", tick, tier, core.TierSymExact)
 		}
 	}
+
+	// 20 Small VMs on distinct SPEC traces are past the exact budget and
+	// too distinct to collapse, so every tick is sampled by Monte Carlo.
+	// The estimate is a pure function of the recorded inputs and the
+	// per-tick seed, so replay re-derives the bills bit for bit.
+	cfg = testConfig()
+	cfg.MeterNoise = 0.25
+	cfg.VMs = nil
+	for i := 0; i < 20; i++ {
+		cfg.VMs = append(cfg.VMs, VMSpec{Name: fmt.Sprintf("s%02d", i), Type: Small})
+	}
+	mc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mc.Calibrate(); err != nil {
+		t.Fatal(err)
+	}
+	spec := []string{"gcc", "gobmk", "sjeng", "omnetpp", "namd", "wrf", "tonto"}
+	for i, name := range mc.VMNames() {
+		if err := mc.RunWorkload(name, spec[i%len(spec)], int64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for tick, tier := range recordAndReplay(t, mc) {
+		if tier != core.TierMonteCarlo {
+			t.Fatalf("tick %d: live tier %s, want %s", tick, tier, core.TierMonteCarlo)
+		}
+	}
 }
 
 // TestReplayWideHostRefused pins that a trace from a host past the
