@@ -23,7 +23,7 @@ GATE_BENCHTIME ?= 3x
 # Benches the gate re-measures (the headline set in cmd/benchgate).
 GATE_BENCH_RE ?= EstimateTick|ExactParallel|ServeCached
 
-.PHONY: all build test race bench bench-json bench-gate powerbench-smoke verify experiments csv cover fmt vet clean fuzz-short golden fleetd-smoke lifecycle-smoke
+.PHONY: all build test race bench bench-json bench-gate powerbench-smoke verify experiments csv cover fmt fmt-check vet clean fuzz-short golden fleetd-smoke lifecycle-smoke
 
 all: build test
 
@@ -125,6 +125,10 @@ golden:
 
 fmt:
 	gofmt -w .
+
+# Fail when any Go file is not gofmt-clean; CI's verify job runs it.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

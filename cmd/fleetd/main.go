@@ -19,6 +19,7 @@
 //
 //	GET /api/v1/status
 //	GET /api/v1/allocation
+//	GET /api/v1/allocation?since=TICK  (only what changed after TICK)
 //	GET /api/v1/energy
 //	GET /api/v1/scenario          (lifecycle scenario progress, with -scenario)
 //	GET /api/v1/events?since=SEQ  (tick event journal)
@@ -31,19 +32,18 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
+	"vmpower/cmd/internal/daemon"
 	"vmpower/internal/cliutil"
 	"vmpower/internal/core"
 	"vmpower/internal/faults"
@@ -197,55 +197,22 @@ func run() error {
 	signal.Notify(quitCh, syscall.SIGQUIT)
 	defer signal.Stop(quitCh)
 
-	var handler http.Handler = srv.Handler()
-	if *pprofOn {
-		outer := http.NewServeMux()
-		outer.Handle("/", handler)
-		outer.HandleFunc("/debug/pprof/", pprof.Index)
-		outer.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		outer.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		outer.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		outer.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		handler = outer
-	}
-
-	httpSrv := &http.Server{Addr: *listen, Handler: handler, ReadHeaderTimeout: 5 * time.Second}
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Info("serving", "addr", *listen, "pprof", *pprofOn)
-		if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errCh <- err
-		}
-	}()
-
-	ticker := time.NewTicker(*interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			shutdownCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			defer cancel()
-			return httpSrv.Shutdown(shutdownCtx)
-		case err := <-errCh:
-			return err
-		case <-quitCh:
-			logger.Warn("SIGQUIT: dumping flight recorder to stderr")
-			if err := srv.DumpFlight(os.Stderr, "SIGQUIT"); err != nil {
-				logger.Error("flight dump failed", "err", err)
-			}
-		case <-ticker.C:
+	return daemon.Run(ctx, daemon.Loop{
+		Addr:     *listen,
+		Handler:  srv.Handler(),
+		Pprof:    *pprofOn,
+		Interval: *interval,
+		Step: func() error {
 			_, err := srv.Step()
 			if injector != nil {
 				injector.NextTick()
 			}
-			if err != nil {
-				shutdownCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-				_ = httpSrv.Shutdown(shutdownCtx)
-				cancel()
-				return err
-			}
-		}
-	}
+			return err
+		},
+		Quit: quitCh,
+		Dump: srv.DumpFlight,
+		Log:  logger,
+	})
 }
 
 // runSmoke is the CI self-test: serve on an ephemeral loopback port, run

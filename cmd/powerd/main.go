@@ -12,8 +12,10 @@
 //
 //	GET /api/v1/status
 //	GET /api/v1/allocation
+//	GET /api/v1/allocation?since=TICK  (only the VMs changed after TICK)
 //	GET /api/v1/history?n=K
 //	GET /api/v1/energy
+//	GET /api/v1/interactions      (live pairwise interference matrix)
 //	GET /api/v1/events?since=SEQ  (tick event journal)
 //	GET /healthz
 //	GET /metrics          (Prometheus text format)
@@ -24,17 +26,15 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
 	"syscall"
 	"time"
 
+	"vmpower/cmd/internal/daemon"
 	"vmpower/internal/cliutil"
 	"vmpower/internal/core"
 	"vmpower/internal/faults"
@@ -205,18 +205,6 @@ func run() error {
 			"nan", faultCfg.NaN, "stuck", faultCfg.Stuck)
 	}
 
-	var handler http.Handler = srv.Handler()
-	if *pprofOn {
-		outer := http.NewServeMux()
-		outer.Handle("/", handler)
-		outer.HandleFunc("/debug/pprof/", pprof.Index)
-		outer.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		outer.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		outer.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		outer.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		handler = outer
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -226,41 +214,20 @@ func run() error {
 	signal.Notify(quitCh, syscall.SIGQUIT)
 	defer signal.Stop(quitCh)
 
-	httpSrv := &http.Server{Addr: *listen, Handler: handler, ReadHeaderTimeout: 5 * time.Second}
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Info("serving", "addr", *listen, "pprof", *pprofOn)
-		if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errCh <- err
-		}
-	}()
-
-	ticker := time.NewTicker(*interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			shutdownCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			defer cancel()
-			return httpSrv.Shutdown(shutdownCtx)
-		case err := <-errCh:
-			return err
-		case <-quitCh:
-			logger.Warn("SIGQUIT: dumping flight recorder to stderr")
-			if err := srv.DumpFlight(os.Stderr, "SIGQUIT"); err != nil {
-				logger.Error("flight dump failed", "err", err)
-			}
-		case <-ticker.C:
+	return daemon.Run(ctx, daemon.Loop{
+		Addr:     *listen,
+		Handler:  srv.Handler(),
+		Pprof:    *pprofOn,
+		Interval: *interval,
+		Step: func() error {
 			_, err := srv.Step()
 			if injector != nil {
 				injector.NextTick()
 			}
-			if err != nil {
-				shutdownCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-				_ = httpSrv.Shutdown(shutdownCtx)
-				cancel()
-				return err
-			}
-		}
-	}
+			return err
+		},
+		Quit: quitCh,
+		Dump: srv.DumpFlight,
+		Log:  logger,
+	})
 }

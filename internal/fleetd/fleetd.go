@@ -24,8 +24,8 @@ import (
 
 	"vmpower/internal/core"
 	"vmpower/internal/fleet"
-	"vmpower/internal/obs"
 	"vmpower/internal/scenario"
+	"vmpower/internal/serve"
 )
 
 // HostJSON is the wire form of one host's status.
@@ -163,9 +163,10 @@ type Server struct {
 	// goroutine (its Apply mutates the fleet roster between ticks).
 	engine *scenario.Engine
 
-	// telemetry is nil until Instrument; Step and the HTTP middleware
-	// pay one atomic load to find out.
+	// telemetry is nil until Instrument; Step pays one atomic load to
+	// find out. core holds its shared part for the HTTP surface.
 	telemetry atomic.Pointer[serverObs]
+	core      serve.Core
 	now       func() time.Time
 	createdAt time.Time
 
@@ -191,13 +192,13 @@ type Server struct {
 	hosts      int
 	emptyHosts int
 	scenario   *ScenarioJSON
-	// deltaLog backs /api/v1/allocation?since=: the bounded per-tick
-	// change log (see serve.go).
-	deltaLog []tickDelta
 
-	// prevWire is the previous tick's wire form, diffed in publishLocked
-	// (under s.mu) to produce each tick's delta-log entry.
-	prevWire *TickJSON
+	// vmLog, tenantLog and hostLog back /api/v1/allocation?since=: the
+	// bounded per-tick logs of the VMs, tenants and host rows that
+	// changed.
+	vmLog     *serve.Table[string, float64]
+	tenantLog *serve.Table[string, float64]
+	hostLog   *serve.Table[int, *HostJSON]
 }
 
 // New builds a Server over a (to-be-)calibrated fleet.
@@ -209,6 +210,9 @@ func New(f *fleet.Fleet) (*Server, error) {
 		f: f, now: time.Now, createdAt: time.Now(),
 		vms: f.VMNames(), tenants: f.Tenants(),
 		hosts: f.Hosts(), emptyHosts: f.EmptyHosts(),
+		vmLog:     serve.NewTable[string](serve.Equal[float64]),
+		tenantLog: serve.NewTable[string](serve.Equal[float64]),
+		hostLog:   serve.NewTable[int](hostEqual),
 	}, nil
 }
 
@@ -313,11 +317,11 @@ func (s *Server) EnableAudit(cfg core.AuditConfig) {
 			return
 		}
 		// May fire from fleet worker goroutines (Parallelism > 1):
-		// Journal.Append and armDump are both safe for concurrent use.
+		// Journal.Append and ArmDump are both safe for concurrent use.
 		subject := "host:" + strconv.Itoa(host)
-		o.journal.Append(v.Tick, "audit_violation", subject, v.Kind+": "+v.Detail)
-		o.log.Warn("audit violation", "tick", v.Tick, "host", host, "kind", v.Kind, "detail", v.Detail)
-		o.armDump("audit: " + v.Kind + " on " + subject)
+		o.Journal.Append(v.Tick, "audit_violation", subject, v.Kind+": "+v.Detail)
+		o.Log.Warn("audit violation", "tick", v.Tick, "host", host, "kind", v.Kind, "detail", v.Detail)
+		o.ArmDump("audit: " + v.Kind + " on " + subject)
 	})
 }
 
@@ -325,12 +329,7 @@ func (s *Server) EnableAudit(cfg core.AuditConfig) {
 // SIGQUIT handler's path. It fails only when the server was never
 // instrumented (no flight recorder exists then).
 func (s *Server) DumpFlight(w io.Writer, reason string) error {
-	o := s.telemetry.Load()
-	if o == nil {
-		return errors.New("fleetd: not instrumented; no flight recorder")
-	}
-	o.flight.WriteJSON(w, reason)
-	return nil
+	return s.core.DumpFlight(w, reason)
 }
 
 // wireTick converts a fleet tick to its wire form.
@@ -426,42 +425,13 @@ func energyJSON(f *fleet.Fleet) EnergyJSON {
 // most recent quarantine/violation-triggered dump instead of the live
 // ring).
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /api/v1/status", s.instrumented("/api/v1/status", s.handleStatus))
-	mux.HandleFunc("GET /api/v1/allocation", s.instrumented("/api/v1/allocation", s.handleAllocation))
-	mux.HandleFunc("GET /api/v1/energy", s.instrumented("/api/v1/energy", s.handleEnergy))
-	mux.HandleFunc("GET /api/v1/scenario", s.instrumented("/api/v1/scenario", s.handleScenario))
-	mux.HandleFunc("GET /healthz", s.instrumented("/healthz", s.handleHealthz))
-	if o := s.telemetry.Load(); o != nil {
-		mux.HandleFunc("GET /metrics", s.instrumented("/metrics", o.reg.Handler().ServeHTTP))
-		mux.HandleFunc("GET /metrics.json", s.instrumented("/metrics.json", o.reg.HandlerJSON().ServeHTTP))
-		mux.HandleFunc("GET /api/v1/events", s.instrumented("/api/v1/events", o.journal.Handler().ServeHTTP))
-		mux.HandleFunc("GET /debug/flight", s.instrumented("/debug/flight", s.handleFlight))
-	}
+	mux := s.core.Mux()
+	s.core.Handle(mux, "/api/v1/status", s.handleStatus)
+	s.core.Handle(mux, "/api/v1/allocation", s.handleAllocation)
+	s.core.Handle(mux, "/api/v1/energy", s.handleEnergy)
+	s.core.Handle(mux, "/api/v1/scenario", s.handleScenario)
+	s.core.Handle(mux, "/healthz", s.handleHealthz)
 	return mux
-}
-
-// handleFlight serves a flight-recorder dump: the live ring by default,
-// or — with ?trigger=last — the dump captured at the most recent
-// quarantine or audit violation (404 when none has fired).
-func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	o := s.telemetry.Load()
-	if o == nil {
-		s.writeJSON(w, http.StatusNotFound, errorJSON{Error: "not instrumented"})
-		return
-	}
-	if r.URL.Query().Get("trigger") == "last" {
-		d := o.lastDump.Load()
-		if d == nil {
-			s.writeJSON(w, http.StatusNotFound, errorJSON{Error: "no triggered dump yet"})
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		obs.WriteJSONIndent(w, d)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	o.flight.WriteJSON(w, "http")
 }
 
 // handleHealthz reports fleet liveness. The ladder, most to least
@@ -471,11 +441,6 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 // "degraded" (200, some hosts degraded or quarantined with per-host
 // reasons; the rest of the pool still accounts), "ok" (200).
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	interval := time.Second
-	if o := s.telemetry.Load(); o != nil {
-		interval = o.interval
-	}
-	stallAfter := 3 * interval
 	now := s.now()
 	s.mu.RLock()
 	ticks := s.ticks
@@ -488,26 +453,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	hosts := s.hosts
 	s.mu.RUnlock()
 
-	h := HealthJSON{Hosts: hosts, Ticks: ticks}
-	status := http.StatusOK
-	switch {
-	case lastErr != "":
-		h.Status = "error"
-		h.Error = lastErr
-		status = http.StatusServiceUnavailable
-	case ticks == 0:
-		h.Status = "starting"
-		if now.Sub(s.createdAt) > stallAfter {
-			h.Status = "stalled"
-			status = http.StatusServiceUnavailable
-		}
-	default:
-		h.LastTickAgeSeconds = now.Sub(lastTickAt).Seconds()
-		if now.Sub(lastTickAt) > stallAfter {
-			h.Status = "stalled"
-			status = http.StatusServiceUnavailable
-			break
-		}
+	live := s.core.Health(now, s.createdAt, ticks, lastTickAt, lastErr)
+	h := HealthJSON{
+		Status:             live.Status,
+		Hosts:              hosts,
+		Ticks:              ticks,
+		LastTickAgeSeconds: live.AgeSeconds,
+		Error:              live.Error,
+	}
+	status := live.Code
+	if h.Status == "" {
 		h.DegradedHosts = latest.DegradedHosts
 		h.QuarantinedHosts = latest.QuarantinedHosts
 		h.DrainingHosts = latest.DrainingHosts
@@ -534,71 +489,72 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			h.Status = "ok"
 		}
 	}
-	s.writeJSON(w, status, h)
+	s.core.WriteJSON(w, status, h)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	if snap := s.served.Load(); snap != nil && snap.status != nil {
-		s.writeCached(w, snap.status)
+	if snap := s.served.Load(); snap != nil && snap.status.OK() {
+		s.core.WriteCached(w, snap.status)
 		return
 	}
 	s.mu.RLock()
 	st := s.statusLocked()
 	s.mu.RUnlock()
-	s.writeJSON(w, http.StatusOK, st)
+	s.core.WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleAllocation(w http.ResponseWriter, r *http.Request) {
+	snap := s.served.Load()
 	// RawQuery check first: r.URL.Query() allocates, and the common
 	// full-scrape GET must stay allocation-free.
 	if r.URL.RawQuery != "" {
 		if raw := r.URL.Query().Get("since"); raw != "" {
-			s.handleAllocationDelta(w, raw)
+			var deltas *serve.Deltas
+			if snap != nil {
+				deltas = snap.deltas
+			}
+			s.core.ServeDelta(w, raw, deltas, "no tick yet")
 			return
 		}
 	}
-	if snap := s.served.Load(); snap != nil && snap.allocation != nil {
-		s.writeCached(w, snap.allocation)
+	if snap != nil && snap.allocation.OK() {
+		s.core.WriteCached(w, snap.allocation)
 		return
 	}
 	s.mu.RLock()
 	latest := s.latest
 	s.mu.RUnlock()
 	if latest == nil {
-		s.writeJSON(w, http.StatusNotFound, errorJSON{Error: "no tick yet"})
+		s.core.WriteError(w, http.StatusNotFound, "no tick yet")
 		return
 	}
-	s.writeJSON(w, http.StatusOK, latest)
+	s.core.WriteJSON(w, http.StatusOK, latest)
 }
 
 // handleScenario reports lifecycle scenario progress: 404 when the
 // daemon runs without a scenario.
 func (s *Server) handleScenario(w http.ResponseWriter, _ *http.Request) {
-	if snap := s.served.Load(); snap != nil && snap.scenario != nil {
-		s.writeCached(w, snap.scenario)
+	if snap := s.served.Load(); snap != nil && snap.scenario.OK() {
+		s.core.WriteCached(w, snap.scenario)
 		return
 	}
 	s.mu.RLock()
 	scen := s.scenario
 	s.mu.RUnlock()
 	if scen == nil {
-		s.writeJSON(w, http.StatusNotFound, errorJSON{Error: "no scenario configured"})
+		s.core.WriteError(w, http.StatusNotFound, "no scenario configured")
 		return
 	}
-	s.writeJSON(w, http.StatusOK, scen)
+	s.core.WriteJSON(w, http.StatusOK, scen)
 }
 
 func (s *Server) handleEnergy(w http.ResponseWriter, _ *http.Request) {
-	if snap := s.served.Load(); snap != nil && snap.energy != nil {
-		s.writeCached(w, snap.energy)
+	if snap := s.served.Load(); snap != nil && snap.energy.OK() {
+		s.core.WriteCached(w, snap.energy)
 		return
 	}
 	s.mu.RLock()
 	energy := s.energyLocked()
 	s.mu.RUnlock()
-	s.writeJSON(w, http.StatusOK, energy)
-}
-
-type errorJSON struct {
-	Error string `json:"error"`
+	s.core.WriteJSON(w, http.StatusOK, energy)
 }

@@ -1,33 +1,17 @@
 package fleetd
 
 import (
-	"net/http"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"vmpower/internal/cliutil"
 	"vmpower/internal/core"
 	"vmpower/internal/fleet"
 	"vmpower/internal/obs"
+	"vmpower/internal/serve"
 	"vmpower/internal/shapley"
 )
-
-// endpoints is the daemon's HTTP surface, enumerated so the per-endpoint
-// request metrics have a fixed, bounded label set.
-var endpoints = []string{
-	"/api/v1/status",
-	"/api/v1/allocation",
-	"/api/v1/energy",
-	"/api/v1/events",
-	"/api/v1/scenario",
-	"/debug/flight",
-	"/healthz",
-	"/metrics",
-	"/metrics.json",
-}
 
 // hostStates enumerates the fleet host states so the
 // vmpower_fleet_hosts{state=...} gauge family is fixed at startup.
@@ -45,17 +29,16 @@ var lifecycleTypes = []string{
 	fleet.EventDrainStart, fleet.EventDrainFinish, fleet.EventUndrain,
 }
 
-// serverObs bundles the fleet daemon's observability surface. All
-// methods are nil-safe: an uninstrumented Server carries a nil
-// *serverObs and pays one atomic load per tick/request.
+// serverObs bundles the fleet daemon's observability surface: the shared
+// part (journal, flight recorder, encode errors, tick skew, dump
+// trigger) and fleetd's own families. All methods are nil-safe: an
+// uninstrumented Server carries a nil *serverObs and pays one atomic
+// load per tick.
 type serverObs struct {
-	reg      *obs.Registry
-	log      *obs.Logger
-	interval time.Duration
+	*serve.Telemetry
 
 	ticks       *obs.Counter
 	tickErrors  *obs.Counter
-	encodeErrs  *obs.Counter
 	degraded    *obs.Counter
 	quarantines *obs.Counter
 	readmits    *obs.Counter
@@ -63,7 +46,6 @@ type serverObs struct {
 	lastTick    *obs.Gauge
 	measured    *obs.Gauge
 	dynamic     *obs.Gauge
-	tickSkew    *obs.Gauge
 	tickLat     *obs.Histogram
 	hostsBy     map[fleet.HostState]*obs.Gauge
 	tenantWatts map[string]*obs.Gauge
@@ -81,78 +63,34 @@ type serverObs struct {
 	migCompleted *obs.Counter
 	migAborted   *obs.Counter
 
-	http map[string]httpMetrics
-
-	// Provenance surface: the event journal, the flight recorder and the
-	// most recent triggered dump.
-	journal  *obs.Journal
-	flight   *obs.FlightRecorder
-	lastDump atomic.Pointer[obs.FlightDump]
-
-	// dumpMu guards pendingDump: per-host audit callbacks may fire from
-	// the fleet's worker goroutines when Parallelism > 1.
-	dumpMu      sync.Mutex
-	pendingDump string
-
 	// Step-goroutine state (same single-driver contract as Server.Step):
 	// per-host edge detection and the reusable flight-record scratch.
-	order        []string // VM names, admission order (grows on hot-plug)
-	prevStates   []fleet.HostState
-	prevTiers    []string
-	prevTickWall time.Time
-	scratch      obs.FlightRecord
-}
-
-// armDump requests a flight dump after the current tick's record lands;
-// the first trigger of a tick names the dump. Safe for concurrent use.
-func (o *serverObs) armDump(reason string) {
-	o.dumpMu.Lock()
-	if o.pendingDump == "" {
-		o.pendingDump = reason
-	}
-	o.dumpMu.Unlock()
-}
-
-func (o *serverObs) takeDump() string {
-	o.dumpMu.Lock()
-	r := o.pendingDump
-	o.pendingDump = ""
-	o.dumpMu.Unlock()
-	return r
-}
-
-type httpMetrics struct {
-	reqs *obs.Counter
-	lat  *obs.Histogram
+	order      []string // VM names, admission order (grows on hot-plug)
+	prevStates []fleet.HostState
+	prevTiers  []string
+	scratch    obs.FlightRecord
 }
 
 // Instrument activates metrics and structured logging for the fleet
 // daemon, and instruments the shapley and core packages on the same
 // registry so one scrape covers every host's solver and worth-plan
-// cache. Call it before Handler so
-// /metrics and /metrics.json are mounted. interval is the expected Step
+// cache. Call it before Handler: only an instrumented handler mounts
+// /metrics and counts requests per route. interval is the expected Step
 // cadence (the /healthz stall threshold is 3x it); <= 0 defaults to
 // 1 s. Instrument(nil, ...) deactivates everything.
 func (s *Server) Instrument(reg *obs.Registry, log *obs.Logger, interval time.Duration) {
 	if reg == nil {
 		s.telemetry.Store(nil)
+		s.core.Instrument(nil)
 		shapley.Instrument(nil)
 		core.Instrument(nil)
 		return
 	}
-	if interval <= 0 {
-		interval = time.Second
-	}
 	tenants := s.f.Tenants()
 	o := &serverObs{
-		reg:      reg,
-		log:      log,
-		interval: interval,
-		ticks:    reg.Counter("vmpower_fleet_ticks_total", "fleet estimation ticks completed"),
+		ticks: reg.Counter("vmpower_fleet_ticks_total", "fleet estimation ticks completed"),
 		tickErrors: reg.Counter("vmpower_fleet_tick_errors_total",
 			"fleet estimation ticks that failed entirely"),
-		encodeErrs: reg.Counter("vmpower_http_encode_errors_total",
-			"HTTP response bodies that failed to encode or write"),
 		degraded: reg.Counter("vmpower_fleet_degraded_ticks_total",
 			"fleet ticks with at least one degraded or quarantined host"),
 		quarantines: reg.Counter("vmpower_fleet_quarantines_total",
@@ -167,8 +105,6 @@ func (s *Server) Instrument(reg *obs.Registry, log *obs.Logger, interval time.Du
 			"summed meter readings across accounting hosts at the last tick"),
 		dynamic: reg.Gauge("vmpower_fleet_dynamic_watts",
 			"summed dynamic (above-idle) power across accounting hosts at the last tick"),
-		tickSkew: reg.Gauge("vmpower_tick_skew_seconds",
-			"last tick-to-tick wall spacing minus the configured interval"),
 		tickLat: reg.Histogram("vmpower_fleet_tick_duration_seconds",
 			"fleet tick latency (all hosts advanced and estimated)", obs.DefDurationBuckets),
 		hostsBy:     make(map[fleet.HostState]*obs.Gauge, len(hostStates)),
@@ -185,9 +121,6 @@ func (s *Server) Instrument(reg *obs.Registry, log *obs.Logger, interval time.Du
 			"live migrations closed", obs.L("result", "completed")),
 		migAborted: reg.Counter("vmpower_fleet_migrations_total",
 			"live migrations closed", obs.L("result", "aborted")),
-		http:       make(map[string]httpMetrics, len(endpoints)),
-		journal:    obs.NewJournal(0),
-		flight:     obs.NewFlightRecorder(0, len(s.f.VMNames()), 0),
 		order:      s.f.VMNames(),
 		prevStates: make([]fleet.HostState, s.f.Hosts()),
 		prevTiers:  make([]string, s.f.Hosts()),
@@ -214,16 +147,10 @@ func (s *Server) Instrument(reg *obs.Registry, log *obs.Logger, interval time.Du
 			"per-host meter reading at the last tick (0 while quarantined)",
 			obs.L("host", strconv.Itoa(hs.Host)))
 	}
-	for _, p := range endpoints {
-		o.http[p] = httpMetrics{
-			reqs: reg.Counter("vmpower_http_requests_total",
-				"HTTP requests served", obs.L("path", p)),
-			lat: reg.Histogram("vmpower_http_request_duration_seconds",
-				"HTTP request latency", obs.DefDurationBuckets, obs.L("path", p)),
-		}
-	}
+	o.Telemetry = serve.NewTelemetry(reg, log, interval, obs.NewFlightRecorder(0, nVMs, 0))
 	shapley.Instrument(reg)
 	core.Instrument(reg)
+	s.core.Instrument(o.Telemetry)
 	s.telemetry.Store(o)
 }
 
@@ -255,8 +182,8 @@ func (o *serverObs) noteTick(now time.Time, dur time.Duration, tick *fleet.Tick,
 		// Draining/drained are planned maintenance states, not faults:
 		// their lifecycle events already log the transition once.
 		planned := hs.State == fleet.HostDraining || hs.State == fleet.HostDrained
-		if hs.State != fleet.HostHealthy && !planned && o.log.Enabled(obs.LevelWarn) {
-			o.log.Warn("host not healthy",
+		if hs.State != fleet.HostHealthy && !planned && o.Log.Enabled(obs.LevelWarn) {
+			o.Log.Warn("host not healthy",
 				"tick", tick.Tick,
 				"host", hs.Host,
 				"state", hs.State.String(),
@@ -272,7 +199,7 @@ func (o *serverObs) noteTick(now time.Time, dur time.Duration, tick *fleet.Tick,
 			// A hot-plugged VM can introduce a tenant the fleet had never
 			// billed when Instrument ran; register its gauge on first sight
 			// (noteTick runs on the Step goroutine only).
-			g = o.reg.Gauge("vmpower_fleet_tenant_watts",
+			g = o.Reg.Gauge("vmpower_fleet_tenant_watts",
 				"per-tenant attributed power at the last tick", obs.L("tenant", tenant))
 			o.tenantWatts[tenant] = g
 		}
@@ -285,8 +212,8 @@ func (o *serverObs) noteTick(now time.Time, dur time.Duration, tick *fleet.Tick,
 			g.Set(0)
 		}
 	}
-	if o.log.Enabled(obs.LevelDebug) {
-		o.log.Debug("fleet tick",
+	if o.Log.Enabled(obs.LevelDebug) {
+		o.Log.Debug("fleet tick",
 			"tick", tick.Tick,
 			"measured_watts", tick.MeasuredTotal,
 			"dynamic_watts", tick.DynamicTotal,
@@ -306,17 +233,14 @@ func (o *serverObs) noteProvenance(s *Server, now time.Time, tick *fleet.Tick) {
 	if o == nil {
 		return
 	}
-	if !o.prevTickWall.IsZero() {
-		o.tickSkew.Set(now.Sub(o.prevTickWall).Seconds() - o.interval.Seconds())
-	}
-	o.prevTickWall = now
+	o.NoteSkew(now)
 
 	// Lifecycle events first: each fleet event is drained into exactly
 	// one Tick, so appending the batch here gives the journal the
 	// exactly-once guarantee for free. Hot-plugs also grow the flight
 	// recorder's name order.
 	for _, ev := range tick.Events {
-		o.journal.Append(tick.Tick, ev.Type, ev.Subject, ev.Detail)
+		o.Journal.Append(tick.Tick, ev.Type, ev.Subject, ev.Detail)
 		if c, ok := o.lifecycle[ev.Type]; ok {
 			c.Inc()
 		}
@@ -339,25 +263,25 @@ func (o *serverObs) noteProvenance(s *Server, now time.Time, tick *fleet.Tick) {
 		if prev := o.prevStates[i]; hs.State != prev {
 			switch {
 			case hs.State == fleet.HostQuarantined:
-				o.journal.Append(tick.Tick, "quarantine", subject, hs.Reason)
-				o.armDump("quarantine: " + subject)
+				o.Journal.Append(tick.Tick, "quarantine", subject, hs.Reason)
+				o.ArmDump("quarantine: " + subject)
 			case prev == fleet.HostQuarantined:
-				o.journal.Append(tick.Tick, "readmit", subject, "readmitted "+hs.State.String())
+				o.Journal.Append(tick.Tick, "readmit", subject, "readmitted "+hs.State.String())
 			case hs.State == fleet.HostDraining, hs.State == fleet.HostDrained,
 				prev == fleet.HostDraining, prev == fleet.HostDrained:
 				// Drain transitions already journal as drain_start /
 				// drain_finish / undrain lifecycle events; a state edge on
 				// top would double-report them.
 			case hs.State == fleet.HostDegraded:
-				o.journal.Append(tick.Tick, "degraded", subject, hs.Reason)
+				o.Journal.Append(tick.Tick, "degraded", subject, hs.Reason)
 			default:
-				o.journal.Append(tick.Tick, "recovered", subject, "")
+				o.Journal.Append(tick.Tick, "recovered", subject, "")
 			}
 			o.prevStates[i] = hs.State
 		}
 		if hs.Tier != "" && hs.Tier != o.prevTiers[i] {
 			if o.prevTiers[i] != "" {
-				o.journal.Append(tick.Tick, "tier_switch", subject, o.prevTiers[i]+" -> "+hs.Tier)
+				o.Journal.Append(tick.Tick, "tier_switch", subject, o.prevTiers[i]+" -> "+hs.Tier)
 			}
 			o.prevTiers[i] = hs.Tier
 		}
@@ -369,9 +293,9 @@ func (o *serverObs) noteProvenance(s *Server, now time.Time, tick *fleet.Tick) {
 	o.fleetAuditChecks.Inc()
 	for _, p := range s.f.AuditConservation(tick, 0) {
 		o.fleetAuditViolations.Inc()
-		o.journal.Append(tick.Tick, "audit_violation", "", p)
-		o.log.Warn("fleet conservation violation", "tick", tick.Tick, "detail", p)
-		o.armDump("fleet-audit")
+		o.Journal.Append(tick.Tick, "audit_violation", "", p)
+		o.Log.Warn("fleet conservation violation", "tick", tick.Tick, "detail", p)
+		o.ArmDump("fleet-audit")
 	}
 
 	// The fleet flight record lists only accounted VMs (Names aligned
@@ -404,7 +328,7 @@ func (o *serverObs) noteProvenance(s *Server, now time.Time, tick *fleet.Tick) {
 	rec.Names = rec.Names[:0]
 	rec.PerVMWatts = rec.PerVMWatts[:0]
 	rec.PerVMEnergyWs = rec.PerVMEnergyWs[:0]
-	dt := o.interval.Seconds()
+	dt := o.Interval.Seconds()
 	for _, name := range o.order {
 		w, ok := tick.PerVM[name]
 		if !ok {
@@ -436,13 +360,8 @@ func (o *serverObs) noteProvenance(s *Server, now time.Time, tick *fleet.Tick) {
 	rec.RejectedSamples = rejected
 	rec.EfficiencyResidualWatts = residual
 	rec.States = rec.States[:0]
-	o.flight.Record(rec)
-
-	if dumpReason := o.takeDump(); dumpReason != "" {
-		o.lastDump.Store(o.flight.Dump(dumpReason))
-		o.journal.Append(tick.Tick, "flight_dump", "", dumpReason)
-		o.log.Warn("flight dump triggered", "tick", tick.Tick, "reason", dumpReason)
-	}
+	o.Flight.Record(rec)
+	o.FireDump(tick.Tick)
 }
 
 func (o *serverObs) noteTickError(err error) {
@@ -450,24 +369,5 @@ func (o *serverObs) noteTickError(err error) {
 		return
 	}
 	o.tickErrors.Inc()
-	o.log.Error("fleet tick failed", "err", err)
-}
-
-// instrumented wraps an endpoint handler with the per-path request
-// counter and latency histogram. Uninstrumented servers dispatch
-// straight through (one atomic load, no time.Now).
-func (s *Server) instrumented(path string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		o := s.telemetry.Load()
-		if o == nil {
-			h(w, r)
-			return
-		}
-		start := time.Now()
-		h(w, r)
-		if hm, ok := o.http[path]; ok {
-			hm.reqs.Inc()
-			hm.lat.Observe(time.Since(start).Seconds())
-		}
-	}
+	o.Log.Error("fleet tick failed", "err", err)
 }

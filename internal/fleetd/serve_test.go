@@ -2,6 +2,7 @@ package fleetd
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,7 +18,21 @@ import (
 	"vmpower/internal/fleet"
 	"vmpower/internal/obs"
 	"vmpower/internal/scenario"
+	"vmpower/internal/serve"
 )
+
+// encodeJSON is a fresh encode of v by the encoder the wire uses: the
+// reference the cached bodies must match byte for byte.
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(v)
+	return buf.Bytes(), err
+}
+
+// errorJSON decodes an error body.
+type errorJSON struct {
+	Error string `json:"error"`
+}
 
 // getBody fetches path and returns the raw bytes, for bit-identity
 // comparisons against the cached snapshot.
@@ -51,6 +67,12 @@ func scenarioServer(t *testing.T, script string) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return fleetServer(t, f, script)
+}
+
+// fleetServer calibrates f and serves it instrumented, driving script.
+func fleetServer(t *testing.T, f *fleet.Fleet, script string) *Server {
+	t.Helper()
 	if err := f.Calibrate(); err != nil {
 		t.Fatal(err)
 	}
@@ -414,21 +436,104 @@ func TestFleetEncodeErrorsCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Instrument(obs.NewRegistry(), obs.NewLogger(io.Discard, obs.LevelError, obs.FormatKV), time.Minute)
+	reg := obs.NewRegistry()
+	srv.Instrument(reg, obs.NewLogger(io.Discard, obs.LevelError, obs.FormatKV), time.Minute)
 	if _, err := srv.Step(); err != nil {
 		t.Fatal(err)
 	}
-	o := srv.telemetry.Load()
-	if o.encodeErrs.Value() != 0 {
-		t.Fatalf("counter starts at %d, want 0", o.encodeErrs.Value())
+	encodeErrs := reg.Counter("vmpower_http_encode_errors_total", "")
+	if encodeErrs.Value() != 0 {
+		t.Fatalf("counter starts at %d, want 0", encodeErrs.Value())
 	}
 	w := &failingResponseWriter{h: make(http.Header)}
 	srv.handleAllocation(w, httptest.NewRequest(http.MethodGet, "/api/v1/allocation", nil))
-	if got := o.encodeErrs.Value(); got != 1 {
+	if got := encodeErrs.Value(); got != 1 {
 		t.Fatalf("after failing cached write: counter %d, want 1", got)
 	}
 	srv.handleAllocation(w, httptest.NewRequest(http.MethodGet, "/api/v1/allocation?since=0", nil))
-	if got := o.encodeErrs.Value(); got != 2 {
+	if got := encodeErrs.Value(); got != 2 {
 		t.Fatalf("after failing delta write: counter %d, want 2", got)
+	}
+}
+
+// TestFleetCachedContentLength pins the declared length of every cached
+// fleet body, which keeps net/http from chunk-encoding bodies past its
+// 2 KiB buffer.
+func TestFleetCachedContentLength(t *testing.T) {
+	srv := scenarioServer(t, "s1@2:poweroff")
+	if _, err := srv.Step(); err != nil {
+		t.Fatal(err)
+	}
+	tick := strconv.Itoa(srv.latest.Tick)
+	h := srv.Handler()
+	for _, path := range []string{"/api/v1/allocation", "/api/v1/status", "/api/v1/energy",
+		"/api/v1/scenario", "/api/v1/allocation?since=" + tick} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", path, rec.Code)
+		}
+		if got, want := rec.Header().Get("Content-Length"), strconv.Itoa(rec.Body.Len()); got != want {
+			t.Errorf("%s: Content-Length %q, body is %s bytes", path, got, want)
+		}
+	}
+}
+
+// TestFleetCachedDeltaBytesIdentical pins the fleet's cached delta
+// bodies: for a client that is current (since = tick) or one tick behind
+// (since = tick-1), the served bytes equal the delta logs' composition,
+// on the first tick, on quiet ticks (every VM powered off) and through a
+// hot-plug and its removal, and they come from the snapshot's cache: two
+// requests, one composition.
+func TestFleetCachedDeltaBytesIdentical(t *testing.T) {
+	srv := fleetServer(t, smallFleet(t), "a1@2:poweroff,a2@2:poweroff,a3@2:poweroff,a4@2:poweroff,"+
+		"b1@2:poweroff,n1@5:hotplug:1:small:dave:gcc:77,n1@7:remove")
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	quiet := 0
+	for i := 0; i < 8; i++ {
+		if _, err := srv.Step(); err != nil {
+			t.Fatal(err)
+		}
+		d := srv.served.Load()
+		srv.mu.RLock()
+		wire := srv.latest
+		srv.mu.RUnlock()
+		for _, since := range []int{wire.Tick, wire.Tick - 1} {
+			path := "/api/v1/allocation?since=" + strconv.Itoa(since)
+			delta := srv.delta(wire, since)
+			want, err := encodeJSON(delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if since < wire.Tick && len(delta.PerVM)+len(delta.Hosts)+len(delta.PerTenant) == 0 {
+				quiet++
+			}
+			if got := getBody(t, ts, path); !bytes.Equal(got, want) {
+				t.Fatalf("tick %d since %d: cached delta differs from the delta logs' composition:\n got %s\nwant %s",
+					wire.Tick, since, got, want)
+			}
+			var composes atomic.Int32
+			counted := *d
+			counted.deltas = serve.NewDeltas(wire.Tick, func(since int) any {
+				composes.Add(1)
+				return srv.delta(wire, since)
+			})
+			srv.served.Store(&counted)
+			for k := 0; k < 2; k++ {
+				if got := getBody(t, ts, path); !bytes.Equal(got, want) {
+					t.Fatalf("tick %d since %d: request %d differs:\n got %s\nwant %s", wire.Tick, since, k, got, want)
+				}
+			}
+			srv.served.Store(d)
+			if n := composes.Load(); n != 1 {
+				t.Fatalf("tick %d since %d: %d compositions for two requests, want 1 (served without caching the body)",
+					wire.Tick, since, n)
+			}
+		}
+	}
+	if quiet == 0 {
+		t.Fatal("no quiet tick: the test never served an empty delta")
 	}
 }

@@ -2,8 +2,6 @@ package powerd
 
 import (
 	"fmt"
-	"net/http"
-	"sync/atomic"
 	"time"
 
 	"vmpower/internal/cliutil"
@@ -11,6 +9,7 @@ import (
 	"vmpower/internal/hypervisor"
 	"vmpower/internal/meter/serial"
 	"vmpower/internal/obs"
+	"vmpower/internal/serve"
 	"vmpower/internal/shapley"
 	"vmpower/internal/vm"
 )
@@ -20,33 +19,16 @@ import (
 // daemon's own record/publish step.
 var tickStages = []string{"snapshot", "meter", "worth", "solve", "normalize", "publish"}
 
-// endpoints is the daemon's HTTP surface, enumerated so the per-endpoint
-// request metrics have a fixed, bounded label set.
-var endpoints = []string{
-	"/api/v1/status",
-	"/api/v1/allocation",
-	"/api/v1/history",
-	"/api/v1/energy",
-	"/api/v1/interactions",
-	"/api/v1/events",
-	"/debug/flight",
-	"/healthz",
-	"/metrics",
-	"/metrics.json",
-}
-
-// serverObs bundles the daemon's observability surface. All methods are
-// nil-safe: an uninstrumented Server carries a nil *serverObs and pays
-// one atomic load per tick/request.
+// serverObs bundles the daemon's observability surface: the shared part
+// (journal, flight recorder, encode errors, tick skew, dump trigger) and
+// powerd's own families. All methods are nil-safe: an uninstrumented
+// Server carries a nil *serverObs and pays one atomic load per tick.
 type serverObs struct {
-	reg      *obs.Registry
-	log      *obs.Logger
-	tracer   *obs.Tracer
-	interval time.Duration
+	*serve.Telemetry
+	tracer *obs.Tracer
 
 	ticks       *obs.Counter
 	tickErrors  *obs.Counter
-	encodeErrs  *obs.Counter
 	degraded    *obs.Counter
 	rejected    *obs.Counter
 	degradedNow *obs.Gauge
@@ -55,67 +37,43 @@ type serverObs struct {
 	calibrated  *obs.Gauge
 	idleWatts   *obs.Gauge
 	measured    *obs.Gauge
-	tickSkew    *obs.Gauge
 	vmWatts     map[string]*obs.Gauge
 
-	http map[string]httpMetrics
-
-	// Provenance surface: the event journal and the flight recorder
-	// (both nil-safe ring buffers), plus the most recent triggered dump.
-	journal  *obs.Journal
-	flight   *obs.FlightRecorder
-	lastDump atomic.Pointer[obs.FlightDump]
-
 	// Step-goroutine state (same single-driver contract as Server.Step;
-	// never touched by HTTP handlers): edge detection for journal events,
-	// the reusable flight-record scratch, and the deferred-dump trigger
-	// set by the audit callback mid-tick and consumed after the tick's
-	// flight record lands (so the dump includes the violating tick).
+	// never touched by HTTP handlers): edge detection for journal events
+	// and the reusable flight-record scratch.
 	prevTier        string
 	prevDegraded    bool
 	prevCompiles    uint64
 	prevCompileErrs uint64
-	prevTickWall    time.Time
-	pendingDump     string
 	scratch         obs.FlightRecord
 	scratchRows     [][]float64
-}
-
-type httpMetrics struct {
-	reqs *obs.Counter
-	lat  *obs.Histogram
 }
 
 // Instrument activates metrics, tracing and structured logging for the
 // daemon, and instruments the shapley, serial and core packages on the
 // same registry so one scrape covers the whole pipeline (including the
-// compiled worth plan's cache behaviour). Call it before
-// Handler so /metrics and /metrics.json are mounted. interval is the
-// expected Step cadence (the /healthz stall threshold is 3x it); <= 0
-// defaults to 1 s. Instrument(nil, ...) deactivates everything.
+// compiled worth plan's cache behaviour). Call it before Handler: only
+// an instrumented handler mounts /metrics and counts requests per route.
+// interval is the expected Step cadence (the /healthz stall threshold is
+// 3x it); <= 0 defaults to 1 s. Instrument(nil, ...) deactivates
+// everything.
 func (s *Server) Instrument(reg *obs.Registry, log *obs.Logger, interval time.Duration) {
 	if reg == nil {
 		s.telemetry.Store(nil)
+		s.core.Instrument(nil)
 		shapley.Instrument(nil)
 		serial.Instrument(nil)
 		core.Instrument(nil)
 		return
 	}
-	if interval <= 0 {
-		interval = time.Second
-	}
 	o := &serverObs{
-		reg:      reg,
-		log:      log,
-		interval: interval,
 		tracer: obs.NewTracer(reg,
 			"vmpower_tick_duration_seconds",
 			"vmpower_tick_stage_duration_seconds",
 			"estimation tick latency", tickStages...),
 		ticks:      reg.Counter("vmpower_ticks_total", "estimation ticks completed"),
 		tickErrors: reg.Counter("vmpower_tick_errors_total", "estimation ticks that failed"),
-		encodeErrs: reg.Counter("vmpower_http_encode_errors_total",
-			"HTTP response bodies that failed to encode or write"),
 		degraded: reg.Counter("vmpower_degraded_ticks_total",
 			"ticks served from holdover or fallback instead of a fresh plausible reading"),
 		rejected: reg.Counter("vmpower_rejected_samples_total",
@@ -128,12 +86,7 @@ func (s *Server) Instrument(reg *obs.Registry, log *obs.Logger, interval time.Du
 		calibrated: reg.Gauge("vmpower_calibrated", "1 when the estimator is trained"),
 		idleWatts:  reg.Gauge("vmpower_idle_watts", "idle power established by calibration"),
 		measured:   reg.Gauge("vmpower_measured_watts", "machine power measured at the last tick"),
-		tickSkew: reg.Gauge("vmpower_tick_skew_seconds",
-			"last tick-to-tick wall spacing minus the configured interval"),
-		vmWatts: make(map[string]*obs.Gauge, len(s.names)),
-		http:    make(map[string]httpMetrics, len(endpoints)),
-		journal: obs.NewJournal(0),
-		flight:  obs.NewFlightRecorder(0, len(s.names), int(vm.NumComponents)),
+		vmWatts:    make(map[string]*obs.Gauge, len(s.names)),
 	}
 	o.scratchRows = make([][]float64, len(s.names))
 	for i := range o.scratchRows {
@@ -145,17 +98,12 @@ func (s *Server) Instrument(reg *obs.Registry, log *obs.Logger, interval time.Du
 		o.vmWatts[name] = reg.Gauge("vmpower_vm_watts",
 			"per-VM attributed power at the last tick", obs.L("vm", name))
 	}
-	for _, p := range endpoints {
-		o.http[p] = httpMetrics{
-			reqs: reg.Counter("vmpower_http_requests_total",
-				"HTTP requests served", obs.L("path", p)),
-			lat: reg.Histogram("vmpower_http_request_duration_seconds",
-				"HTTP request latency", obs.DefDurationBuckets, obs.L("path", p)),
-		}
-	}
+	o.Telemetry = serve.NewTelemetry(reg, log, interval,
+		obs.NewFlightRecorder(0, len(s.names), int(vm.NumComponents)))
 	shapley.Instrument(reg)
 	serial.Instrument(reg)
 	core.Instrument(reg)
+	s.core.Instrument(o.Telemetry)
 	s.telemetry.Store(o)
 }
 
@@ -195,14 +143,14 @@ func (o *serverObs) noteTick(now time.Time, trained bool, idle float64, alloc *c
 	for name, w := range wire.PerVM {
 		o.vmWatts[name].Set(w)
 	}
-	if alloc.Degraded && o.log.Enabled(obs.LevelWarn) {
-		o.log.Warn("degraded tick",
+	if alloc.Degraded && o.Log.Enabled(obs.LevelWarn) {
+		o.Log.Warn("degraded tick",
 			"tick", alloc.Tick,
 			"reason", alloc.DegradedReason,
 			"holdover_age_ticks", alloc.HoldoverAgeTicks)
 	}
-	if o.log.Enabled(obs.LevelDebug) {
-		o.log.Debug("tick",
+	if o.Log.Enabled(obs.LevelDebug) {
+		o.Log.Debug("tick",
 			"tick", alloc.Tick,
 			"measured_watts", alloc.MeasuredPower,
 			"dynamic_watts", alloc.DynamicPower,
@@ -213,42 +161,39 @@ func (o *serverObs) noteTick(now time.Time, trained bool, idle float64, alloc *c
 // noteProvenance runs the tick's provenance bookkeeping from the Step
 // goroutine: the skew gauge, edge-triggered journal events (tier switch,
 // degraded/recovered, plan recompiles), the flight record, and — last,
-// so the dump includes the tick that tripped it — any deferred flight
-// dump the audit callback requested mid-tick. The steady-state path
-// (no transitions) is allocation-free: the scratch record refills
-// preallocated slices and Record copies into preallocated slots.
+// so the dump includes the tick that tripped it — any flight dump the
+// audit callback armed mid-tick. The steady-state path (no transitions)
+// is allocation-free: the scratch record refills preallocated slices and
+// Record copies into preallocated slots.
 func (o *serverObs) noteProvenance(s *Server, now time.Time, alloc *core.Allocation, snap *hypervisor.Snapshot, dt float64) {
 	if o == nil {
 		return
 	}
-	if !o.prevTickWall.IsZero() {
-		o.tickSkew.Set(now.Sub(o.prevTickWall).Seconds() - o.interval.Seconds())
-	}
-	o.prevTickWall = now
+	o.NoteSkew(now)
 
 	if alloc.Prov.Tier != o.prevTier {
 		if o.prevTier != "" {
-			o.journal.Append(alloc.Tick, "tier_switch", alloc.Prov.Tier,
+			o.Journal.Append(alloc.Tick, "tier_switch", alloc.Prov.Tier,
 				fmt.Sprintf("%s -> %s: %s", o.prevTier, alloc.Prov.Tier, alloc.Prov.TierReason))
 		}
 		o.prevTier = alloc.Prov.Tier
 	}
 	if alloc.Degraded != o.prevDegraded {
 		if alloc.Degraded {
-			o.journal.Append(alloc.Tick, "degraded", "", alloc.DegradedReason)
+			o.Journal.Append(alloc.Tick, "degraded", "", alloc.DegradedReason)
 		} else {
-			o.journal.Append(alloc.Tick, "recovered", "", "")
+			o.Journal.Append(alloc.Tick, "recovered", "", "")
 		}
 		o.prevDegraded = alloc.Degraded
 	}
 	compiles, compileErrs := s.est.PlanCompileStats()
 	if compiles != o.prevCompiles {
-		o.journal.Append(alloc.Tick, "plan_recompile", "",
+		o.Journal.Append(alloc.Tick, "plan_recompile", "",
 			fmt.Sprintf("worth-plan compile #%d", compiles))
 		o.prevCompiles = compiles
 	}
 	if compileErrs != o.prevCompileErrs {
-		o.journal.Append(alloc.Tick, "plan_compile_error", "",
+		o.Journal.Append(alloc.Tick, "plan_compile_error", "",
 			fmt.Sprintf("worth-plan compile failure #%d (ticks fall to the fallback policy until the model changes)", compileErrs))
 		o.prevCompileErrs = compileErrs
 	}
@@ -285,14 +230,8 @@ func (o *serverObs) noteProvenance(s *Server, now time.Time, alloc *core.Allocat
 		o.scratchRows[i] = append(o.scratchRows[i][:0], snap.States[i][:]...)
 		rec.States = append(rec.States, o.scratchRows[i])
 	}
-	o.flight.Record(rec)
-
-	if o.pendingDump != "" {
-		o.lastDump.Store(o.flight.Dump(o.pendingDump))
-		o.journal.Append(alloc.Tick, "flight_dump", "", o.pendingDump)
-		o.log.Warn("flight dump triggered", "tick", alloc.Tick, "reason", o.pendingDump)
-		o.pendingDump = ""
-	}
+	o.Flight.Record(rec)
+	o.FireDump(alloc.Tick)
 }
 
 func (o *serverObs) noteTickError(err error) {
@@ -300,24 +239,5 @@ func (o *serverObs) noteTickError(err error) {
 		return
 	}
 	o.tickErrors.Inc()
-	o.log.Error("tick failed", "err", err)
-}
-
-// instrumented wraps an endpoint handler with the per-path request
-// counter and latency histogram. Uninstrumented servers dispatch
-// straight through (one atomic load, no time.Now).
-func (s *Server) instrumented(path string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		o := s.telemetry.Load()
-		if o == nil {
-			h(w, r)
-			return
-		}
-		start := time.Now()
-		h(w, r)
-		if hm, ok := o.http[path]; ok {
-			hm.reqs.Inc()
-			hm.lat.Observe(time.Since(start).Seconds())
-		}
-	}
+	o.Log.Error("tick failed", "err", err)
 }

@@ -17,7 +17,7 @@ import (
 
 	"vmpower/internal/core"
 	"vmpower/internal/hypervisor"
-	"vmpower/internal/obs"
+	"vmpower/internal/serve"
 )
 
 // AllocationJSON is the wire form of one tick's allocation.
@@ -64,9 +64,10 @@ type Server struct {
 	est   *core.Estimator
 	names []string
 
-	// telemetry is nil until Instrument; Step and the HTTP middleware
-	// pay one atomic load to find out.
+	// telemetry is nil until Instrument; Step pays one atomic load to
+	// find out. core holds its shared part for the HTTP surface.
 	telemetry atomic.Pointer[serverObs]
+	core      serve.Core
 	now       func() time.Time
 	createdAt time.Time
 
@@ -90,17 +91,15 @@ type Server struct {
 	lastDegraded  string
 	lastTickAt    time.Time
 	lastErr       string
-	// prevPerVM and deltaLog back /api/v1/allocation?since=: the wire
-	// value each VM last published, and the bounded per-tick changed-VM
-	// log (see serve.go).
-	prevPerVM map[string]float64
-	deltaLog  []vmDelta
+	// vmLog backs /api/v1/allocation?since=: the bounded per-tick log of
+	// the VMs whose wire watts changed.
+	vmLog *serve.Table[string, float64]
 
 	// intMu single-flights the O(2^n) interaction matrix: one compute
 	// and one encode per tick no matter how many scrapers ask.
 	intMu   sync.Mutex
 	intTick int
-	intBody cachedBody
+	intBody serve.Body
 }
 
 // InteractionsJSON is the wire form of the live interference matrix.
@@ -129,7 +128,7 @@ func New(est *core.Estimator, names []string, historySize int) (*Server, error) 
 		names:     append([]string(nil), names...),
 		histCap:   historySize,
 		energyWs:  make(map[string]float64, len(names)),
-		prevPerVM: make(map[string]float64, len(names)),
+		vmLog:     serve.NewTable[string](serve.Equal[float64]),
 		interval:  time.Second,
 		now:       time.Now,
 		createdAt: time.Now(),
@@ -199,13 +198,9 @@ func (s *Server) EnableAudit(cfg core.AuditConfig) {
 		if o == nil {
 			return
 		}
-		// The callback fires inside EstimateTickSpan, on the Step
-		// goroutine — the same goroutine that owns pendingDump.
-		o.journal.Append(v.Tick, "audit_violation", v.Kind, v.Detail)
-		o.log.Warn("audit violation", "tick", v.Tick, "kind", v.Kind, "detail", v.Detail)
-		if o.pendingDump == "" {
-			o.pendingDump = "audit: " + v.Kind
-		}
+		o.Journal.Append(v.Tick, "audit_violation", v.Kind, v.Detail)
+		o.Log.Warn("audit violation", "tick", v.Tick, "kind", v.Kind, "detail", v.Detail)
+		o.ArmDump("audit: " + v.Kind)
 	}))
 }
 
@@ -213,12 +208,7 @@ func (s *Server) EnableAudit(cfg core.AuditConfig) {
 // SIGQUIT handler's path. It fails only when the server was never
 // instrumented (no recorder exists then).
 func (s *Server) DumpFlight(w io.Writer, reason string) error {
-	o := s.telemetry.Load()
-	if o == nil {
-		return errors.New("powerd: not instrumented; no flight recorder")
-	}
-	o.flight.WriteJSON(w, reason)
-	return nil
+	return s.core.DumpFlight(w, reason)
 }
 
 // record atomically publishes one tick's allocation together with the
@@ -286,43 +276,14 @@ func (s *Server) record(alloc *core.Allocation, snap *hypervisor.Snapshot) *Allo
 // ?trigger=last for the most recent violation-triggered dump instead of
 // the live ring).
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /api/v1/status", s.instrumented("/api/v1/status", s.handleStatus))
-	mux.HandleFunc("GET /api/v1/allocation", s.instrumented("/api/v1/allocation", s.handleAllocation))
-	mux.HandleFunc("GET /api/v1/history", s.instrumented("/api/v1/history", s.handleHistory))
-	mux.HandleFunc("GET /api/v1/energy", s.instrumented("/api/v1/energy", s.handleEnergy))
-	mux.HandleFunc("GET /api/v1/interactions", s.instrumented("/api/v1/interactions", s.handleInteractions))
-	mux.HandleFunc("GET /healthz", s.instrumented("/healthz", s.handleHealthz))
-	if o := s.telemetry.Load(); o != nil {
-		mux.HandleFunc("GET /metrics", s.instrumented("/metrics", o.reg.Handler().ServeHTTP))
-		mux.HandleFunc("GET /metrics.json", s.instrumented("/metrics.json", o.reg.HandlerJSON().ServeHTTP))
-		mux.HandleFunc("GET /api/v1/events", s.instrumented("/api/v1/events", o.journal.Handler().ServeHTTP))
-		mux.HandleFunc("GET /debug/flight", s.instrumented("/debug/flight", s.handleFlight))
-	}
+	mux := s.core.Mux()
+	s.core.Handle(mux, "/api/v1/status", s.handleStatus)
+	s.core.Handle(mux, "/api/v1/allocation", s.handleAllocation)
+	s.core.Handle(mux, "/api/v1/history", s.handleHistory)
+	s.core.Handle(mux, "/api/v1/energy", s.handleEnergy)
+	s.core.Handle(mux, "/api/v1/interactions", s.handleInteractions)
+	s.core.Handle(mux, "/healthz", s.handleHealthz)
 	return mux
-}
-
-// handleFlight serves a flight-recorder dump: the live ring by default,
-// or — with ?trigger=last — the dump captured at the most recent audit
-// violation (404 when none has fired).
-func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	o := s.telemetry.Load()
-	if o == nil {
-		s.writeJSON(w, http.StatusNotFound, errorJSON{Error: "not instrumented"})
-		return
-	}
-	if r.URL.Query().Get("trigger") == "last" {
-		d := o.lastDump.Load()
-		if d == nil {
-			s.writeJSON(w, http.StatusNotFound, errorJSON{Error: "no triggered dump yet"})
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		obs.WriteJSONIndent(w, d)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	o.flight.WriteJSON(w, "http")
 }
 
 // HealthJSON is the wire form of /healthz.
@@ -353,11 +314,6 @@ type HealthJSON struct {
 // staleness answers, which is exactly what the degradation machinery is
 // for.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	interval := time.Second
-	if o := s.telemetry.Load(); o != nil {
-		interval = o.interval
-	}
-	stallAfter := 3 * interval
 	now := s.now()
 	s.mu.RLock()
 	ticks := s.ticks
@@ -365,32 +321,23 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	lastErr := s.lastErr
 	latest := s.latest
 	s.mu.RUnlock()
-	h := HealthJSON{Calibrated: s.est.Trained(), Ticks: ticks}
-	status := http.StatusOK
-	switch {
-	case lastErr != "":
-		h.Status = "error"
-		h.Error = lastErr
-		status = http.StatusServiceUnavailable
-	case ticks == 0:
-		h.Status = "starting"
-		if now.Sub(s.createdAt) > stallAfter {
-			h.Status = "stalled"
-			status = http.StatusServiceUnavailable
-		}
-	default:
+	live := s.core.Health(now, s.createdAt, ticks, lastTickAt, lastErr)
+	h := HealthJSON{
+		Status:             live.Status,
+		Calibrated:         s.est.Trained(),
+		Ticks:              ticks,
+		LastTickAgeSeconds: live.AgeSeconds,
+		Error:              live.Error,
+	}
+	if h.Status == "" {
 		h.Status = "ok"
-		h.LastTickAgeSeconds = now.Sub(lastTickAt).Seconds()
-		if now.Sub(lastTickAt) > stallAfter {
-			h.Status = "stalled"
-			status = http.StatusServiceUnavailable
-		} else if latest != nil && latest.Degraded {
+		if latest != nil && latest.Degraded {
 			h.Status = "degraded"
 			h.DegradedReason = latest.DegradedReason
 			h.HoldoverAgeTicks = latest.HoldoverAgeTicks
 		}
 	}
-	s.writeJSON(w, status, h)
+	s.core.WriteJSON(w, live.Code, h)
 }
 
 // handleInteractions serves the live pairwise interference matrix of the
@@ -408,20 +355,20 @@ func (s *Server) handleInteractions(w http.ResponseWriter, _ *http.Request) {
 	power := s.lastPow
 	s.mu.RUnlock()
 	if snap == nil {
-		s.writeJSON(w, http.StatusNotFound, errorJSON{Error: "no tick yet"})
+		s.core.WriteError(w, http.StatusNotFound, "no tick yet")
 		return
 	}
 	s.intMu.Lock()
-	if s.intTick == snap.Tick && s.intBody.data != nil {
+	if s.intTick == snap.Tick && s.intBody.OK() {
 		body := s.intBody
 		s.intMu.Unlock()
-		s.writeCached(w, body)
+		s.core.WriteCached(w, body)
 		return
 	}
 	idx, err := s.est.Interactions(*snap, power)
 	if err != nil {
 		s.intMu.Unlock()
-		s.writeJSON(w, http.StatusInternalServerError, errorJSON{Error: err.Error()})
+		s.core.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	out := InteractionsJSON{
@@ -429,51 +376,52 @@ func (s *Server) handleInteractions(w http.ResponseWriter, _ *http.Request) {
 		VMs:   append([]string(nil), s.names...),
 		Watts: idx,
 	}
-	body := cacheJSON(out)
-	if body.data == nil {
+	body := serve.Encode(out)
+	if !body.OK() {
 		s.intMu.Unlock()
-		s.writeJSON(w, http.StatusOK, out)
+		s.core.WriteJSON(w, http.StatusOK, out)
 		return
 	}
 	s.intTick, s.intBody = snap.Tick, body
 	s.intMu.Unlock()
-	s.writeCached(w, body)
-}
-
-type errorJSON struct {
-	Error string `json:"error"`
+	s.core.WriteCached(w, body)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	if d := s.served.Load(); d != nil && d.status.data != nil {
-		s.writeCached(w, d.status)
+	if d := s.served.Load(); d != nil && d.status.OK() {
+		s.core.WriteCached(w, d.status)
 		return
 	}
 	s.mu.RLock()
 	st := s.statusLocked()
 	s.mu.RUnlock()
-	s.writeJSON(w, http.StatusOK, st)
+	s.core.WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleAllocation(w http.ResponseWriter, r *http.Request) {
+	d := s.served.Load()
 	if r.URL.RawQuery != "" {
 		if raw := r.URL.Query().Get("since"); raw != "" {
-			s.handleAllocationDelta(w, raw)
+			var deltas *serve.Deltas
+			if d != nil {
+				deltas = d.deltas
+			}
+			s.core.ServeDelta(w, raw, deltas, "no allocation yet")
 			return
 		}
 	}
-	if d := s.served.Load(); d != nil && d.allocation.data != nil {
-		s.writeCached(w, d.allocation)
+	if d != nil && d.allocation.OK() {
+		s.core.WriteCached(w, d.allocation)
 		return
 	}
 	s.mu.RLock()
 	latest := s.latest
 	s.mu.RUnlock()
 	if latest == nil {
-		s.writeJSON(w, http.StatusNotFound, errorJSON{Error: "no allocation yet"})
+		s.core.WriteError(w, http.StatusNotFound, "no allocation yet")
 		return
 	}
-	s.writeJSON(w, http.StatusOK, latest)
+	s.core.WriteJSON(w, http.StatusOK, latest)
 }
 
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
@@ -481,7 +429,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	if raw := r.URL.Query().Get("n"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v < 1 {
-			s.writeJSON(w, http.StatusBadRequest, errorJSON{Error: "n must be a positive integer"})
+			s.core.WriteError(w, http.StatusBadRequest, "n must be a positive integer")
 			return
 		}
 		n = v
@@ -494,16 +442,16 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	out := make([]*AllocationJSON, len(hist))
 	copy(out, hist)
 	s.mu.RUnlock()
-	s.writeJSON(w, http.StatusOK, out)
+	s.core.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleEnergy(w http.ResponseWriter, _ *http.Request) {
-	if d := s.served.Load(); d != nil && d.energy.data != nil {
-		s.writeCached(w, d.energy)
+	if d := s.served.Load(); d != nil && d.energy.OK() {
+		s.core.WriteCached(w, d.energy)
 		return
 	}
 	s.mu.RLock()
 	out := s.energyLocked()
 	s.mu.RUnlock()
-	s.writeJSON(w, http.StatusOK, out)
+	s.core.WriteJSON(w, http.StatusOK, out)
 }

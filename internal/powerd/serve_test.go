@@ -2,18 +2,29 @@ package powerd
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"vmpower/internal/obs"
+	"vmpower/internal/serve"
 	"vmpower/internal/vm"
 	"vmpower/internal/workload"
 )
+
+// encodeJSON is a fresh encode of v by the encoder the wire uses: the
+// reference the cached bodies must match byte for byte.
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(v)
+	return buf.Bytes(), err
+}
 
 // getBody fetches path and returns the raw bytes, for bit-identity
 // comparisons against the cached snapshot.
@@ -72,8 +83,9 @@ func TestCachedBytesIdentical(t *testing.T) {
 
 // TestCachedDeltaBytesIdentical pins the cached delta bodies: for a
 // client that is current (since = tick) or one tick behind (since =
-// tick-1), the cached bytes equal the delta-log path's response, on the
-// first tick, on ticks where nothing changed and on ticks where VMs did.
+// tick-1), the served bytes equal the delta log's composition, on the
+// first tick, on ticks where nothing changed and on ticks where VMs did,
+// and they come from the snapshot's cache: two requests, one composition.
 func TestCachedDeltaBytesIdentical(t *testing.T) {
 	srv, host := testServer(t)
 	ts := httptest.NewServer(srv.Handler())
@@ -90,17 +102,35 @@ func TestCachedDeltaBytesIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := srv.served.Load()
-		for back, since := range []int{d.tick, d.tick - 1} {
+		srv.mu.RLock()
+		wire := srv.latest
+		srv.mu.RUnlock()
+		for _, since := range []int{wire.Tick, wire.Tick - 1} {
 			path := "/api/v1/allocation?since=" + itoa(since)
-			srv.served.Store(nil)
-			want := getBody(t, ts, path)
-			srv.served.Store(d)
-			if got := getBody(t, ts, path); !bytes.Equal(got, want) {
-				t.Fatalf("tick %d since %d: cached delta differs from the delta-log path:\n got %s\nwant %s",
-					d.tick, since, got, want)
+			want, err := encodeJSON(srv.delta(wire, since))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if d.deltas[back].body.data == nil {
-				t.Fatalf("tick %d since %d: served without caching the body", d.tick, since)
+			if got := getBody(t, ts, path); !bytes.Equal(got, want) {
+				t.Fatalf("tick %d since %d: cached delta differs from the delta log's composition:\n got %s\nwant %s",
+					wire.Tick, since, got, want)
+			}
+			var composes atomic.Int32
+			counted := *d
+			counted.deltas = serve.NewDeltas(wire.Tick, func(since int) any {
+				composes.Add(1)
+				return srv.delta(wire, since)
+			})
+			srv.served.Store(&counted)
+			for k := 0; k < 2; k++ {
+				if got := getBody(t, ts, path); !bytes.Equal(got, want) {
+					t.Fatalf("tick %d since %d: request %d differs:\n got %s\nwant %s", wire.Tick, since, k, got, want)
+				}
+			}
+			srv.served.Store(d)
+			if n := composes.Load(); n != 1 {
+				t.Fatalf("tick %d since %d: %d compositions for two requests, want 1 (served without caching the body)",
+					wire.Tick, since, n)
 			}
 		}
 	}
@@ -117,7 +147,7 @@ func TestCachedContentLength(t *testing.T) {
 	if _, err := srv.Step(); err != nil {
 		t.Fatal(err)
 	}
-	tick := itoa(srv.served.Load().tick)
+	tick := itoa(srv.latest.Tick)
 	h := srv.Handler()
 	for _, path := range []string{"/api/v1/allocation", "/api/v1/status", "/api/v1/energy",
 		"/api/v1/interactions", "/api/v1/allocation?since=" + tick} {
@@ -384,19 +414,19 @@ func TestEncodeErrorsCounted(t *testing.T) {
 	if _, err := srv.Step(); err != nil {
 		t.Fatal(err)
 	}
-	o := srv.telemetry.Load()
-	if o.encodeErrs.Value() != 0 {
-		t.Fatalf("counter starts at %d, want 0", o.encodeErrs.Value())
+	encodeErrs := reg.Counter("vmpower_http_encode_errors_total", "")
+	if encodeErrs.Value() != 0 {
+		t.Fatalf("counter starts at %d, want 0", encodeErrs.Value())
 	}
 	w := &failingResponseWriter{h: make(http.Header)}
 	// Cached path: the pre-encoded body fails to write.
 	srv.handleAllocation(w, httptest.NewRequest(http.MethodGet, "/api/v1/allocation", nil))
-	if got := o.encodeErrs.Value(); got != 1 {
+	if got := encodeErrs.Value(); got != 1 {
 		t.Fatalf("after failing cached write: counter %d, want 1", got)
 	}
 	// Per-request path: the delta response fails to encode onto the wire.
 	srv.handleAllocation(w, httptest.NewRequest(http.MethodGet, "/api/v1/allocation?since=0", nil))
-	if got := o.encodeErrs.Value(); got != 2 {
+	if got := encodeErrs.Value(); got != 2 {
 		t.Fatalf("after failing delta write: counter %d, want 2", got)
 	}
 }

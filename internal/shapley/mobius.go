@@ -38,28 +38,6 @@ func MobiusTransform(n int, table []float64) ([]float64, error) {
 	return m, nil
 }
 
-// InverseMobius reconstructs the worth table from Harsanyi dividends
-// (the zeta transform), inverting MobiusTransform.
-func InverseMobius(n int, dividends []float64) ([]float64, error) {
-	if n < 1 || n > ExactMaxPlayers {
-		return nil, fmt.Errorf("%w: n=%d", ErrPlayers, n)
-	}
-	if len(dividends) != 1<<uint(n) {
-		return nil, fmt.Errorf("shapley: dividends have %d entries, want 2^%d", len(dividends), n)
-	}
-	v := make([]float64, len(dividends))
-	copy(v, dividends)
-	for i := 0; i < n; i++ {
-		bit := 1 << uint(i)
-		for s := range v {
-			if s&bit != 0 {
-				v[s] += v[s&^bit]
-			}
-		}
-	}
-	return v, nil
-}
-
 // ShapleyFromDividends computes the Shapley value through the Harsanyi
 // identity Φ_i = Σ_{S ∋ i} m(S)/|S| — each coalition's dividend is split
 // equally among its members. Used as an independent cross-check of

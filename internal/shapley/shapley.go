@@ -21,11 +21,6 @@ import (
 // WorthFunc gives the worth v(S) of a coalition (aggregated power, W).
 type WorthFunc func(vm.Coalition) float64
 
-// StateWorthFunc gives the non-deterministic worth v(S, C) of a coalition
-// under the member states in states (indexed by vm.ID; entries for
-// non-members are ignored). This is the v(S, C) of Eq. 6.
-type StateWorthFunc func(s vm.Coalition, states []vm.State) float64
-
 // Errors returned by the estimators.
 var (
 	ErrPlayers  = errors.New("shapley: player count out of range")
@@ -201,22 +196,6 @@ func ExactFromTableInto(phi []float64, n int, table []float64) error {
 	}
 	m.observeAccumulate(start)
 	return nil
-}
-
-// NonDeterministic computes the non-deterministic Shapley value (Eq. 7):
-// the exact Shapley value of the game whose worth of coalition S is
-// v(S, C|S), the state-dependent worth under the members' current states.
-// states must have one entry per player (indexed by vm.ID).
-func NonDeterministic(n int, states []vm.State, worth StateWorthFunc) ([]float64, error) {
-	if worth == nil {
-		return nil, ErrNilWorth
-	}
-	if len(states) != n {
-		return nil, fmt.Errorf("shapley: %d states for %d players", len(states), n)
-	}
-	return Exact(n, func(s vm.Coalition) float64 {
-		return worth(s, states)
-	})
 }
 
 // Banzhaf computes the (raw) Banzhaf value from a tabulated game: each

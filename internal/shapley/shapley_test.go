@@ -2,6 +2,7 @@ package shapley
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -419,4 +420,25 @@ func randomGameTable(rng *rand.Rand, n int) []float64 {
 		table[i] = rng.Float64() * 100
 	}
 	return table
+}
+
+// StateWorthFunc gives the non-deterministic worth v(S, C) of a coalition
+// under the member states in states (indexed by vm.ID; entries for
+// non-members are ignored). This is the v(S, C) of Eq. 6.
+type StateWorthFunc func(s vm.Coalition, states []vm.State) float64
+
+// NonDeterministic computes the non-deterministic Shapley value (Eq. 7):
+// the exact Shapley value of the game whose worth of coalition S is
+// v(S, C|S), the state-dependent worth under the members' current states.
+// states must have one entry per player (indexed by vm.ID).
+func NonDeterministic(n int, states []vm.State, worth StateWorthFunc) ([]float64, error) {
+	if worth == nil {
+		return nil, ErrNilWorth
+	}
+	if len(states) != n {
+		return nil, fmt.Errorf("shapley: %d states for %d players", len(states), n)
+	}
+	return Exact(n, func(s vm.Coalition) float64 {
+		return worth(s, states)
+	})
 }

@@ -563,3 +563,29 @@ func FuzzSymVectorRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// SymmetricExact computes the exact per-player Shapley value of a game
+// whose players fall into symmetry classes of the given sizes, from a
+// worth defined over type-count vectors. It is the allocating convenience
+// form of the *Into pipeline; phi[j] is the share of one player of class
+// j. O(V) worth evaluations and O(V·k) accumulation flops, against the
+// 2^n of Exact.
+func SymmetricExact(counts []int, worth SymWorthFunc) ([]float64, error) {
+	if worth == nil {
+		return nil, ErrNilWorth
+	}
+	var sc SymScratch
+	v, err := sc.Prepare(counts)
+	if err != nil {
+		return nil, err
+	}
+	table := make([]float64, v)
+	if err := SymTabulateInto(table, &sc, worth); err != nil {
+		return nil, err
+	}
+	phi := make([]float64, len(counts))
+	if err := SymExactFromTableInto(phi, &sc, table); err != nil {
+		return nil, err
+	}
+	return phi, nil
+}

@@ -83,21 +83,6 @@ func (c Coalition) String() string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
-// EnumerateSubsets calls fn for every subset of the grand coalition of n
-// players, including the empty and grand coalitions (2^n calls).
-// Enumeration stops early if fn returns false.
-func EnumerateSubsets(n int, fn func(Coalition) bool) {
-	if n < 0 || n > MaxPlayers {
-		return
-	}
-	total := Coalition(1) << uint(n)
-	for s := Coalition(0); s < total; s++ {
-		if !fn(s) {
-			return
-		}
-	}
-}
-
 // EnumerateSubcoalitions calls fn for every subset of base (including the
 // empty set and base itself), using the standard submask-walk trick.
 func EnumerateSubcoalitions(base Coalition, fn func(Coalition) bool) {

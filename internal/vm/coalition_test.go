@@ -152,3 +152,18 @@ func TestCoalitionWithWithoutProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// EnumerateSubsets calls fn for every subset of the grand coalition of n
+// players, including the empty and grand coalitions (2^n calls).
+// Enumeration stops early if fn returns false.
+func EnumerateSubsets(n int, fn func(Coalition) bool) {
+	if n < 0 || n > MaxPlayers {
+		return
+	}
+	total := Coalition(1) << uint(n)
+	for s := Coalition(0); s < total; s++ {
+		if !fn(s) {
+			return
+		}
+	}
+}
