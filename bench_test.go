@@ -401,9 +401,12 @@ func BenchmarkOnlineEstimationTick(b *testing.B) {
 // the whole 2^n table is re-evaluated). allocs/op is the headline metric
 // for the compiled plan; the arms keep their "plan=true" suffix because
 // cmd/benchgate's headline set and the committed trajectory key on it.
-// The mc arm measures a Monte-Carlo tick past the exact budget.
+// Those arms run one VM type; the mixed arm alternates small and medium
+// VMs like the mask16 benchmark workload, so its two-slot combo reads
+// SymEval's worth rows. The mc arm measures a Monte-Carlo tick past the
+// exact budget.
 func BenchmarkEstimateTick(b *testing.B) {
-	run := func(b *testing.B, n int, steady, audited bool) {
+	run := func(b *testing.B, n int, steady, audited, mixed bool) {
 		mach, err := machine.New(machine.XeonProfile(), machine.Pack)
 		if err != nil {
 			b.Fatal(err)
@@ -411,6 +414,9 @@ func BenchmarkEstimateTick(b *testing.B) {
 		vms := make([]vm.VM, n)
 		for i := range vms {
 			vms[i] = vm.VM{Name: fmt.Sprintf("vm%02d", i), Type: 0}
+			if mixed {
+				vms[i].Type = vm.TypeID(i % 2)
+			}
 		}
 		set, err := vm.NewSet(vm.PaperCatalog(), vms)
 		if err != nil {
@@ -500,20 +506,24 @@ func BenchmarkEstimateTick(b *testing.B) {
 	for _, n := range []int{8, 16} {
 		for _, regime := range []string{"steady", "alldirty"} {
 			b.Run(fmt.Sprintf("n=%d/%s/plan=true", n, regime), func(b *testing.B) {
-				run(b, n, regime == "steady", false)
+				run(b, n, regime == "steady", false, false)
 			})
 		}
 		// The provenance arm: auditor + flight recorder on the plan path.
 		b.Run(fmt.Sprintf("n=%d/steady/plan=true/audited", n), func(b *testing.B) {
-			run(b, n, true, true)
+			run(b, n, true, true, false)
 		})
 	}
+	// The mixed arm: 8 small and 8 medium VMs, every state moving.
+	b.Run("n=16/mixed/alldirty/plan=true", func(b *testing.B) {
+		run(b, 16, false, false, true)
+	})
 
 	// The Monte-Carlo arm: 24 VMs on distinct synthetic streams are past
 	// the exact budget and too distinct to collapse, so every tick samples
 	// the default permutation budget.
 	b.Run("mc/n=24/alldirty", func(b *testing.B) {
-		run(b, 24, false, false)
+		run(b, 24, false, false, false)
 	})
 
 	// Symmetry-collapsed arms: n VMs in r symmetry classes on the dense

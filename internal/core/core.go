@@ -996,9 +996,11 @@ func (e *Estimator) CalibratedForClass(t vm.TypeID) bool {
 // replacing the allocating ClassedFeaturesFor + Approximator.Estimate
 // pair. When ev is non-nil (bound by ResetMask to this plan, running set
 // and states), worths read its slot tables instead of adding member
-// states per coalition; the bits are the same. Same thread-safety
-// contract as buildWorth; Plan.Eval and EvalMask only read, so
-// concurrent shard evaluations never contend.
+// states per coalition, and a coalition of several classes whose combo
+// has worth rows adds one row of precomputed weight-by-sum products per
+// class instead of multiplying out its feature vector; the bits are the
+// same. Same thread-safety contract as buildWorth; Plan.Eval and
+// EvalMask only read, so concurrent shard evaluations never contend.
 func planWorth(plan *vhc.Plan, ev *vhc.SymEval, running vm.Coalition, states []vm.State, dyn float64) (shapley.WorthFunc, func() error) {
 	var mu sync.Mutex
 	var worthErr error

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -400,13 +401,25 @@ func energyJSON(f *fleet.Fleet) EnergyJSON {
 	if len(deg) > 0 {
 		out.DegradedPerTenantWh = deg
 	}
-	for _, wh := range out.PerTenantWh {
-		out.TotalWh += wh
-	}
-	for _, wh := range deg {
-		out.DegradedWh += wh
-	}
+	out.TotalWh = sumByTenant(out.PerTenantWh)
+	out.DegradedWh = sumByTenant(deg)
 	return out
+}
+
+// sumByTenant adds the values of m in ascending tenant order: float
+// addition is not associative, so summing in map order would let the
+// total's last digit vary from run to run.
+func sumByTenant(m map[string]float64) float64 {
+	tenants := make([]string, 0, len(m))
+	for t := range m {
+		tenants = append(tenants, t)
+	}
+	sort.Strings(tenants)
+	var sum float64
+	for _, t := range tenants {
+		sum += m[t]
+	}
+	return sum
 }
 
 // Handler returns the HTTP API:

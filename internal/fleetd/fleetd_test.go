@@ -1,6 +1,7 @@
 package fleetd
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math"
@@ -205,5 +206,61 @@ func TestHealthzLostLadder(t *testing.T) {
 	}
 	if len(h.HostReasons) != 2 {
 		t.Fatalf("total loss: want reasons for both hosts: %+v", h)
+	}
+}
+
+// TestEnergyTotalsDeterministic pins that the energy body's totals do
+// not depend on map iteration order: built many times from one fleet
+// state with several tenants, some with degraded energy, the encoded
+// body must be the same bytes every time.
+func TestEnergyTotalsDeterministic(t *testing.T) {
+	var reqs []fleet.VMRequest
+	for i, wl := range []string{"gcc", "gobmk", "sjeng", "omnetpp", "namd", "wrf", "tonto", "gcc"} {
+		reqs = append(reqs, fleet.VMRequest{
+			Name: "vm" + string(rune('a'+i)), Tenant: "tenant-" + string(rune('a'+i)),
+			Type: 3, Workload: wl, WorkloadSeed: int64(20 + i),
+		})
+	}
+	f, err := fleet.New(fleet.Config{
+		Hosts:            2,
+		Seed:             5,
+		MeterNoise:       0.05,
+		CalibrationTicks: 20,
+		MeterRetries:     1,
+		HoldoverTicks:    3,
+	}, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fm, err := f.InjectFaults(1, faults.Options{Seed: 3, DropoutProb: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Calibrate(); err != nil {
+		t.Fatal(err)
+	}
+	fm.SetArmed(true)
+	for i := 0; i < 40; i++ {
+		if _, err := f.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := energyJSON(f)
+	if len(first.PerTenantWh) != len(reqs) || len(first.DegradedPerTenantWh) < 2 {
+		t.Fatalf("%d tenants with energy, %d with degraded energy; want %d and at least 2",
+			len(first.PerTenantWh), len(first.DegradedPerTenantWh), len(reqs))
+	}
+	want, err := encodeJSON(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		got, err := encodeJSON(energyJSON(f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("build %d:\n%s\nwant\n%s", i, got, want)
+		}
 	}
 }

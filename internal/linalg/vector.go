@@ -37,7 +37,7 @@ func (v Vector) Dot(u Vector) (float64, error) {
 	}
 	var s float64
 	for i, x := range v {
-		s += x * u[i]
+		s += float64(x * u[i]) // round the product: no fused multiply-add
 	}
 	return s, nil
 }

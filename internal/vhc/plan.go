@@ -56,6 +56,22 @@ type comboTable struct {
 	lo, hi tableKey
 }
 
+// newComboTable returns the table of means over flen-feature keys with
+// the keys' box.
+func newComboTable(means map[tableKey]float64, flen int) *comboTable {
+	t := &comboTable{means: means}
+	for i := 0; i < flen; i++ {
+		t.lo[i], t.hi[i] = math.MaxInt64, math.MinInt64
+	}
+	for k := range means {
+		for i := 0; i < flen; i++ {
+			t.lo[i] = min(t.lo[i], k[i])
+			t.hi[i] = max(t.hi[i], k[i])
+		}
+	}
+	return t
+}
+
 // NewPlan compiles a plan from the set's catalog layout, the class map
 // and the approximator's current trained state. The snapshot is taken
 // under the approximator's read lock; later mutations (AddSample, Train,
@@ -102,19 +118,11 @@ func NewPlan(set *vm.Set, classes *ClassMap, a *Approximator) (*Plan, error) {
 		if len(entries) == 0 {
 			continue
 		}
-		flen := a.featureLen(combo)
-		t := &comboTable{means: make(map[tableKey]float64, len(entries))}
-		for i := 0; i < flen; i++ {
-			t.lo[i], t.hi[i] = math.MaxInt64, math.MinInt64
-		}
+		means := make(map[tableKey]float64, len(entries))
 		for k, e := range entries {
-			t.means[k] = e.mean()
-			for i := 0; i < flen; i++ {
-				t.lo[i] = min(t.lo[i], k[i])
-				t.hi[i] = max(t.hi[i], k[i])
-			}
+			means[k] = e.mean()
 		}
-		p.table[combo] = t
+		p.table[combo] = newComboTable(means, a.featureLen(combo))
 	}
 	return p, nil
 }
@@ -190,9 +198,12 @@ func (p *Plan) worth(combo ComboMask, feat *[maxFeatureLen]float64) (float64, er
 	if w == nil {
 		return 0, fmt.Errorf("%w: %s", ErrUntrained, combo)
 	}
+	// Each product is rounded before it is added (the conversion forbids
+	// fusing it into the addition), as in linalg.Vector.Dot and in the
+	// worth rows SymEval sums.
 	var dot float64
 	for i, x := range w {
-		dot += x * feat[i]
+		dot += float64(x * feat[i])
 	}
 	if dot < 0 {
 		dot = 0

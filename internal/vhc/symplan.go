@@ -68,6 +68,15 @@ const symSlotBudget = 1 << 16
 // subset sums of its members' states, and an index built per running
 // set turns a coalition mask into one table position per slot, a byte
 // of the mask at a time.
+//
+// A combo's worth is a sum of one term block per slot (Eq. 10), so in
+// mask mode a combo whose coalitions outnumber its slots' table entries
+// also gets worth rows (see planRows): per slot and table entry, the
+// products of the combo's weights with the entry's sums, and whether the
+// entry lies inside the combo's table key box. A read of such a combo
+// adds the rows' products, in feature order, instead of assembling the
+// feature vector and multiplying it out; only a vector whose every slot
+// is inside the box still goes through the table lookup.
 type SymEval struct {
 	plan    *Plan
 	classes []SymClass // the classes the tables describe
@@ -85,6 +94,38 @@ type SymEval struct {
 	slots   []int        // the feature slots present, ascending
 	index   []uint16     // see buildIndex
 	singles []SymClass   // ResetMask scratch: this tick's classes of one
+
+	// Worth rows, built by ResetMask for rowPlan and read in mask mode
+	// only: rowOf[combo] is 1 + the index of combo's columns in rowCols,
+	// or 0 when the combo has none, and rows holds every column's rows
+	// back to back.
+	rowPlan *Plan
+	rowOf   []int32
+	rowCols []comboCols
+	rows    []slotRow
+}
+
+// comboCols lists one combo's columns of worth rows, one per slot of the
+// combo in feature order: column j belongs to slot e.slots[x[j]], and
+// its rows, one per entry of that slot's table, start at rows[at[j]].
+type comboCols struct {
+	combo ComboMask
+	n     int
+	x     [MaxTypes]int
+	at    [MaxTypes]int
+}
+
+// slotRow is one slot-table entry as one combo's worth sees it. term[c]
+// is the product of the combo's weight for the slot's feature c with the
+// entry's sum c, rounded as Plan.worth rounds it, and lead is the sum of
+// the three from zero in that order: the dot product so far when the
+// slot comes first in the combo. inBox is false when the entry lies
+// outside the combo's table key box, so that no vector containing it
+// can hit the table.
+type slotRow struct {
+	term  [vm.NumComponents]float64
+	lead  float64
+	inBox bool
 }
 
 // Reset binds the evaluator to plan and this tick's classes. A slot's
@@ -137,6 +178,7 @@ func (e *SymEval) reset(p *Plan, classes []SymClass, masked bool) error {
 		}
 		if masked {
 			e.buildIndex()
+			e.planRows()
 		}
 		return nil
 	}
@@ -151,7 +193,13 @@ func (e *SymEval) reset(p *Plan, classes []SymClass, masked bool) error {
 	for s, rebuild := range stale {
 		if rebuild {
 			e.build(s)
+			if masked && e.rowPlan == p {
+				e.fillRows(s)
+			}
 		}
+	}
+	if masked && e.rowPlan != p {
+		e.planRows()
 	}
 	return nil
 }
@@ -317,18 +365,157 @@ func (e *SymEval) buildIndex() {
 	}
 }
 
+// planRows picks the combos that get worth rows under the current plan
+// and layout, sizes their rows and fills them. A combo gets rows when it
+// is trained, none of its slots has tail classes (whose members are
+// added after the table read), and its coalitions outnumber its slots'
+// table entries, so that filling the rows costs fewer products than the
+// reads they replace. A slot of u entries has u − 1 non-empty
+// sub-vectors, so a combo of one slot never qualifies, and neither does
+// one whose slots each hold a single VM (one coalition, two entries per
+// slot).
+func (e *SymEval) planRows() {
+	p := e.plan
+	e.rowPlan = p
+	if cap(e.rowOf) < len(p.weights) {
+		e.rowOf = make([]int32, len(p.weights))
+	}
+	e.rowOf = e.rowOf[:len(p.weights)]
+	clear(e.rowOf)
+	e.rowCols = e.rowCols[:0]
+	var present, tailed ComboMask
+	for j := range e.classes {
+		present |= e.classes[j].Bit
+		if e.stride[j] == 0 {
+			tailed |= e.classes[j].Bit
+		}
+	}
+	size := 0
+	for combo := present; combo != 0; combo = (combo - 1) & present {
+		if combo&(combo-1) == 0 || combo&tailed != 0 || int(combo) >= len(p.weights) || p.weights[combo] == nil {
+			continue
+		}
+		// Coalitions saturate past the most entries a combo can have.
+		const most = MaxTypes * symSlotBudget
+		coalitions, entries := 1, 0
+		for m := uint16(combo); m != 0; m &= m - 1 {
+			u := len(e.tables[bits.TrailingZeros16(m)])
+			coalitions = min(coalitions*(u-1), most+1)
+			entries += u
+		}
+		if coalitions <= entries {
+			continue
+		}
+		c := comboCols{combo: combo}
+		for x, s := range e.slots {
+			if combo&(1<<uint(s)) != 0 {
+				c.x[c.n], c.at[c.n] = x, size
+				c.n++
+				size += len(e.tables[s])
+			}
+		}
+		e.rowCols = append(e.rowCols, c)
+		e.rowOf[combo] = int32(len(e.rowCols))
+	}
+	if cap(e.rows) < size {
+		e.rows = make([]slotRow, size)
+	}
+	e.rows = e.rows[:size]
+	for s := range e.tables {
+		e.fillRows(s)
+	}
+}
+
+// fillRows refills every combo's column of worth rows for slot s from
+// its table.
+func (e *SymEval) fillRows(s int) {
+	const k = int(vm.NumComponents)
+	p := e.plan
+	for i := range e.rowCols {
+		c := &e.rowCols[i]
+		if c.combo&(1<<uint(s)) == 0 {
+			continue
+		}
+		t := p.table[c.combo]
+		if p.resolution <= 0 {
+			t = nil
+		}
+		j := bits.OnesCount16(uint16(c.combo) & (1<<uint(s) - 1))
+		w := (*[k]float64)(p.weights[c.combo][j*k : j*k+k])
+		for u, st := range e.tables[s] {
+			row := &e.rows[c.at[j]+u]
+			row.inBox = t != nil
+			row.lead = 0
+			for f := 0; f < k; f++ {
+				row.term[f] = float64(w[f] * st[f])
+				row.lead += row.term[f]
+				if row.inBox {
+					q := latticeCoord(st[f], p.resolution)
+					row.inBox = q >= t.lo[j*k+f] && q <= t.hi[j*k+f]
+				}
+			}
+		}
+	}
+}
+
 // EvalMask returns v(S, C) for the coalition s ∩ running under the plan
 // and states of the last ResetMask; VMs outside the running set are
 // dummies. It equals Plan.Eval(s & running, states) bit for bit, and
 // like EvalCounts it only reads the evaluator, so any number of
 // goroutines may call it between Resets.
 func (e *SymEval) EvalMask(s vm.Coalition) (float64, error) {
+	if len(e.rowCols) > 0 {
+		if v, ok := e.maskRows(s); ok {
+			return v, nil
+		}
+	}
 	var feat [maxFeatureLen]float64
 	combo, err := e.maskFeatures(s, &feat)
 	if err != nil || combo == 0 {
 		return 0, err
 	}
 	return e.plan.worth(combo, &feat)
+}
+
+// maskRows returns the worth of s ∩ running from its combo's rows, or
+// false when the combo has none or every row it reads lies inside the
+// key box, where only the table lookup can tell whether the vector hits.
+// The sum is the first column's lead, then the other columns' products
+// in feature order: the sum Plan.worth forms before its clamp at zero.
+//
+// EvalMask reads the rows and assembles the feature vector in separate
+// calls, so that no frame on the way to the table lookup holds the
+// positions, the 288-byte vector and a row read at once. The goroutines
+// that tabulate a tick's worths start on small stacks, which that path
+// nearly fills: with 48 more bytes in EvalMask's frame each of them
+// grows and copies its stack every tick (Go 1.24 on amd64). A fallback
+// computes the positions a second time.
+func (e *SymEval) maskRows(s vm.Coalition) (float64, bool) {
+	if !e.masked {
+		return 0, false
+	}
+	var sub [MaxTypes]uint16
+	combo := e.maskPositions(s, &sub)
+	if int(combo) >= len(e.rowOf) || e.rowOf[combo] == 0 {
+		return 0, false
+	}
+	c := &e.rowCols[e.rowOf[combo]-1]
+	row := &e.rows[c.at[0]+int(sub[c.x[0]])]
+	dot, in := row.lead, row.inBox
+	for j := 1; j < c.n; j++ {
+		row = &e.rows[c.at[j]+int(sub[c.x[j]])]
+		in = in && row.inBox
+		for _, v := range row.term {
+			dot += v
+		}
+	}
+	if in {
+		return 0, false
+	}
+	if dot < 0 {
+		dot = 0
+	}
+	return dot, true
 }
 
 // maskFeatures fills feat with the aggregated feature vector of s ∩
@@ -341,16 +528,8 @@ func (e *SymEval) maskFeatures(s vm.Coalition, feat *[maxFeatureLen]float64) (Co
 	if !e.masked {
 		return 0, fmt.Errorf("vhc: EvalMask needs ResetMask")
 	}
-	w := len(e.slots) + 1
 	var sub [MaxTypes]uint16
-	var combo ComboMask
-	for q, m := 0, uint32(s&e.running); m != 0; q, m = q+1, m>>8 {
-		row := e.index[(q*256+int(m&0xff))*w:][:w]
-		for x, d := range row[:w-1] {
-			sub[x] += d
-		}
-		combo |= ComboMask(row[w-1])
-	}
+	combo := e.maskPositions(s, &sub)
 	base := 0
 	for x, sl := range e.slots {
 		if combo&(1<<uint(sl)) != 0 {
@@ -367,6 +546,22 @@ func (e *SymEval) maskFeatures(s vm.Coalition, feat *[maxFeatureLen]float64) (Co
 		}
 	}
 	return combo, nil
+}
+
+// maskPositions returns the combo of s ∩ running and adds to sub[x] the
+// position of s's members in the table of slot e.slots[x]. Positions are
+// added in place, not returned: copying an array just written a uint16
+// at a time stalls store forwarding.
+func (e *SymEval) maskPositions(s vm.Coalition, sub *[MaxTypes]uint16) (combo ComboMask) {
+	w := len(e.slots)
+	for q, m := 0, uint32(s&e.running); m != 0; q, m = q+1, m>>8 {
+		row := e.index[(q<<8|int(m&0xff))*(w+1):]
+		for x, d := range row[:w] {
+			sub[x] += d
+		}
+		combo |= ComboMask(row[w])
+	}
+	return combo
 }
 
 // resize returns s with length n, reallocating only when it must.

@@ -2,9 +2,11 @@ package vhc
 
 import (
 	"errors"
+	"maps"
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vmpower/internal/vm"
@@ -55,16 +57,19 @@ func maskForCounts(tv []int) vm.Coalition {
 // TestEvalCountsMatchesEval pins the collapsed evaluator to the mask
 // evaluator bit for bit, on every count vector and every mask realising
 // it, across table-hit and regression regimes. VMs 0 and 1 share a state
-// so they form a genuine 2-member symmetry class.
+// so they form a genuine 2-member symmetry class. With a table, every
+// other trial's plan also stores the keys of two of the trial's
+// coalitions (see withKeys), so reads hit.
 func TestEvalCountsMatchesEval(t *testing.T) {
 	for _, res := range []float64{0, 0.01, 0.1} {
 		set, classes, a := trainedRig(t, res, 23)
-		plan, err := NewPlan(set, classes, a)
+		base, err := NewPlan(set, classes, a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(17))
 		var ev SymEval
+		var cov readCoverage
 		for trial := 0; trial < 500; trial++ {
 			states := make([]vm.State, set.Len())
 			for i := range states {
@@ -73,6 +78,16 @@ func TestEvalCountsMatchesEval(t *testing.T) {
 				}
 			}
 			states[1] = states[0] // collapse VMs 0 and 1 into one class
+			plan := base
+			if res > 0 && trial%2 == 1 {
+				samples := make([]keySample, 2)
+				for i := range samples {
+					if samples[i].combo, err = base.features(vm.Coalition(1+rng.Intn(15)), states, &samples[i].feat); err != nil {
+						t.Fatal(err)
+					}
+				}
+				plan = withKeys(rng, base, res, samples)
+			}
 			if err := ev.Reset(plan, symRigClasses(t, plan, states)); err != nil {
 				t.Fatal(err)
 			}
@@ -92,6 +107,12 @@ func TestEvalCountsMatchesEval(t *testing.T) {
 							t.Fatalf("res=%g t=%v mask=%s: counts %v != mask %v (diff %g)",
 								res, tv, mask, got, want, got-want)
 						}
+						var feat [maxFeatureLen]float64
+						combo, err := plan.features(mask, states, &feat)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cov.note(&ev, combo, &feat)
 						// The symmetric-pair vector must also match the OTHER
 						// mask realising it.
 						if t0 == 1 {
@@ -105,6 +126,9 @@ func TestEvalCountsMatchesEval(t *testing.T) {
 					}
 				}
 			}
+		}
+		if res > 0 && cov.hits == 0 {
+			t.Fatalf("res=%g: no read hit the table", res)
 		}
 	}
 }
@@ -231,6 +255,127 @@ func TestEvalCountsZeroAlloc(t *testing.T) {
 	}
 }
 
+// keySample is a coalition's feature vector for a test table to store.
+type keySample struct {
+	combo ComboMask
+	feat  [maxFeatureLen]float64
+}
+
+// withKeys returns a copy of p at resolution res whose exact-match tables
+// hold p's own entries plus the lattice key of every sample, each with a
+// random mean, so that reads of the sampled coalitions hit. A combo's key
+// box is spanned by its stored keys, so the sampled hits sit on its
+// edges; a combo sampled once has a box of one point.
+func withKeys(rng *rand.Rand, p *Plan, res float64, samples []keySample) *Plan {
+	const k = int(vm.NumComponents)
+	means := make(map[ComboMask]map[tableKey]float64)
+	for combo, t := range p.table {
+		if t != nil {
+			means[ComboMask(combo)] = maps.Clone(t.means)
+		}
+	}
+	for _, smp := range samples {
+		var key tableKey
+		for i := 0; i < smp.combo.Size()*k; i++ {
+			key[i] = latticeCoord(smp.feat[i], res)
+		}
+		if means[smp.combo] == nil {
+			means[smp.combo] = make(map[tableKey]float64)
+		}
+		means[smp.combo][key] = 10 * rng.Float64()
+	}
+	q := *p
+	q.resolution = res
+	q.table = make([]*comboTable, len(p.table))
+	for combo, m := range means {
+		q.table[combo] = newComboTable(m, combo.Size()*k)
+	}
+	return &q
+}
+
+// skewWeights returns a copy of p in which about a third of the combos
+// have their weights negated, so that their worths clamp at zero, and
+// about a sixth of the combos of two classes or more are untrained.
+func skewWeights(rng *rand.Rand, p *Plan) *Plan {
+	q := *p
+	q.weights = slices.Clone(p.weights)
+	for combo, w := range q.weights {
+		switch rng.Intn(6) {
+		case 0, 1:
+			if w == nil {
+				continue
+			}
+			neg := make([]float64, len(w))
+			for i, x := range w {
+				neg[i] = -x
+			}
+			q.weights[combo] = neg
+		case 2:
+			if ComboMask(combo).Size() > 1 {
+				q.weights[combo] = nil
+			}
+		}
+	}
+	return &q
+}
+
+// readCoverage counts the ways the checked reads were served, so a test
+// can insist that each was exercised.
+type readCoverage struct {
+	hits      int // table hits, any combo
+	clamps    int // trained misses whose clamp at zero fired
+	untrained int // untrained combos that missed the table
+	rows      int // decided by worth rows
+	rowClamps int // ... with the clamp at zero firing
+	rowLookup int // a combo with rows whose every slot lies inside the key box
+	rowHits   int // table hits of combos with rows
+}
+
+// note classifies the read of a coalition of combo with features feat
+// under ev's plan and rows.
+func (c *readCoverage) note(ev *SymEval, combo ComboMask, feat *[maxFeatureLen]float64) {
+	if combo == 0 {
+		return
+	}
+	p := ev.plan
+	flen := combo.Size() * int(vm.NumComponents)
+	t := p.table[combo]
+	inBox := t != nil && p.resolution > 0
+	for i := 0; inBox && i < flen; i++ {
+		c := latticeCoord(feat[i], p.resolution)
+		inBox = t.lo[i] <= c && c <= t.hi[i]
+	}
+	rows := ev.masked && int(combo) < len(ev.rowOf) && ev.rowOf[combo] != 0
+	hit := false
+	if inBox {
+		_, hit = t.lookup(feat, flen, p.resolution)
+	}
+	var dot float64
+	for i, x := range p.weights[combo] {
+		dot += float64(x * feat[i])
+	}
+	switch {
+	case hit:
+		c.hits++
+		if rows {
+			c.rowHits++
+		}
+	case p.weights[combo] == nil:
+		c.untrained++
+	case dot < 0:
+		c.clamps++
+	}
+	switch {
+	case rows && !inBox:
+		c.rows++
+		if dot < 0 {
+			c.rowClamps++
+		}
+	case rows:
+		c.rowLookup++
+	}
+}
+
 // refFeatures is the reference collapsed feature builder: every class
 // adds its shared state t[j] times, member by member, in class order —
 // the float sequence the pre-tabulation evaluator produced and the one
@@ -261,6 +406,10 @@ func refFeatures(classes []SymClass, t []int) (ComboMask, [maxFeatureLen]float64
 // through successive Resets (new layouts, moved states, repeats) and
 // insists every count vector's features equal the member-by-member
 // reference bit for bit, and its worth equal the plan's worth of them.
+// The first two ticks of a layout read the trained rig; the last two
+// read a copy whose tables also store the keys of sampled count vectors,
+// with skewed weights (see withKeys and skewWeights), so reads hit the
+// table, clamp and meet untrained combos.
 func TestSymEvalMatchesReference(t *testing.T) {
 	set, classes, a := trainedRig(t, 0.01, 37)
 	plan, err := NewPlan(set, classes, a)
@@ -277,6 +426,7 @@ func TestSymEvalMatchesReference(t *testing.T) {
 		return s
 	}
 	var ev SymEval
+	var cov readCoverage
 	tails := 0
 	for layout := 0; layout < 60; layout++ {
 		k := 1 + rng.Intn(6)
@@ -297,6 +447,8 @@ func TestSymEvalMatchesReference(t *testing.T) {
 			sym = append([]SymClass{{Bit: sym[0].Bit, State: randState(), Count: symSlotBudget}}, sym...)
 			trials = 10
 		}
+		tp := plan
+		tv := make([]int, len(sym))
 		for tick := 0; tick < 4; tick++ {
 			if tick > 0 {
 				// Move some classes' states, keep the layout.
@@ -306,11 +458,22 @@ func TestSymEvalMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			if err := ev.Reset(plan, sym); err != nil {
+			if tick == 2 {
+				var samples []keySample
+				for i := 1 << rng.Intn(6); i > 0; i-- {
+					for j := range tv {
+						tv[j] = rng.Intn(sym[j].Count + 1)
+					}
+					if combo, feat := refFeatures(sym, tv); combo != 0 {
+						samples = append(samples, keySample{combo, feat})
+					}
+				}
+				tp = skewWeights(rng, withKeys(rng, plan, plan.resolution, samples))
+			}
+			if err := ev.Reset(tp, sym); err != nil {
 				t.Fatal(err)
 			}
 			tails += len(ev.tail)
-			tv := make([]int, len(sym))
 			for trial := 0; trial < trials; trial++ {
 				for j := range tv {
 					tv[j] = rng.Intn(sym[j].Count + 1)
@@ -331,23 +494,26 @@ func TestSymEvalMatchesReference(t *testing.T) {
 					}
 				}
 				v, err := ev.EvalCounts(tv)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantV := 0.0
+				wantV, wantErr := 0.0, error(nil)
 				if combo != 0 {
-					if wantV, err = plan.worth(combo, &want); err != nil {
-						t.Fatal(err)
-					}
+					wantV, wantErr = tp.worth(combo, &want)
+				}
+				if (err != nil) != (wantErr != nil) {
+					t.Fatalf("layout %d tick %d t=%v: EvalCounts err %v, worth err %v", layout, tick, tv, err, wantErr)
 				}
 				if math.Float64bits(v) != math.Float64bits(wantV) {
 					t.Fatalf("layout %d tick %d t=%v: worth %v, want %v", layout, tick, tv, v, wantV)
 				}
+				cov.note(&ev, combo, &want)
 			}
 		}
 	}
 	if tails == 0 {
 		t.Fatal("no layout exercised a tail class")
+	}
+	t.Logf("reads: %+v", cov)
+	if cov.hits == 0 || cov.clamps == 0 || cov.untrained == 0 {
+		t.Fatalf("reads not all exercised: %+v", cov)
 	}
 }
 
@@ -403,9 +569,8 @@ func TestClassedFeaturesRunningMatchesMask(t *testing.T) {
 
 // maskRig is a hand-compiled plan over n VMs whose class bits are drawn
 // from nt VHC classes at random, so the classes interleave across VM
-// IDs, with fitted weights for every combo and no exact-match table.
-// (The table is read by Plan.worth, which EvalMask shares with
-// Plan.Eval; TestPlanTableHit covers it.)
+// IDs, with fitted weights for every combo and no exact-match table;
+// tableRig adds the table.
 func maskRig(rng *rand.Rand, n, nt int) *Plan {
 	p := &Plan{
 		n:        n,
@@ -424,6 +589,27 @@ func maskRig(rng *rand.Rand, n, nt int) *Plan {
 		p.weights[combo] = w
 	}
 	return p
+}
+
+// tableRig returns a copy of the mask rig p with exact-match tables at a
+// resolution drawn from awkward ones, keyed on 1 to 32 coalitions of
+// running sampled under states, and with skewed weights (see withKeys
+// and skewWeights).
+func tableRig(rng *rand.Rand, p *Plan, running vm.Coalition, states []vm.State) *Plan {
+	var samples []keySample
+	for i := 1 << rng.Intn(6); i > 0; i-- {
+		var smp keySample
+		combo, err := p.features(vm.Coalition(rng.Uint32())&running, states, &smp.feat)
+		if err != nil {
+			panic(err)
+		}
+		if combo != 0 {
+			smp.combo = combo
+			samples = append(samples, smp)
+		}
+	}
+	res := []float64{0.01, 0.1, 1.0 / 3, 7e-3, 2.5}[rng.Intn(5)]
+	return skewWeights(rng, withKeys(rng, p, res, samples))
 }
 
 // randMaskState draws a state whose sums do not round trivially.
@@ -467,28 +653,65 @@ func checkEvalMask(t testing.TB, p *Plan, ev *SymEval, running, s vm.Coalition, 
 	}
 }
 
+// checkEvalMaskCovered is checkEvalMask that also notes how the read was
+// served.
+func checkEvalMaskCovered(t testing.TB, cov *readCoverage, p *Plan, ev *SymEval, running, s vm.Coalition, states []vm.State) {
+	t.Helper()
+	checkEvalMask(t, p, ev, running, s, states)
+	var feat [maxFeatureLen]float64
+	combo, err := p.features(s&running, states, &feat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cov.note(ev, combo, &feat)
+}
+
 // TestEvalMaskMatchesEval drives the mask-mode slot-table read over
 // random layouts — 1 to MaxTypes slots with interleaved class bits,
-// stopped VMs whose states must not leak in, and hosts of up to
-// vm.MaxPlayers VMs whose single slot passes symSlotBudget and keeps tail
-// members — through successive ResetMasks: moved states, and a
-// running-set change that keeps the class bit at every position (VM i
-// stops, VM i+1 of the same class starts), which must still rebuild the
-// index. Every checked mask must equal Plan.Eval bit for bit.
+// stopped VMs whose states must not leak in, hosts whose every class
+// holds one VM, and hosts of vm.MaxPlayers VMs whose slot passes
+// symSlotBudget and keeps tail members, alone or beside a second slot —
+// through successive ResetMasks: moved states, and a running-set change
+// that keeps the class bit at every position (VM i stops, VM i+1 of the
+// same class starts), which must still rebuild the index. The first tick
+// reads the fully trained rig; from the second on, the plan is a copy
+// with a table keyed on sampled coalitions and skewed weights (see
+// tableRig), so reads hit, clamp and meet untrained combos, through the
+// worth rows and around them. Every checked mask must equal Plan.Eval
+// bit for bit.
 func TestEvalMaskMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	var ev SymEval
-	tails, traps := 0, 0
-	for layout := 0; layout < 48; layout++ {
+	var cov readCoverage
+	tails, traps, singles := 0, 0, 0
+	for layout := 0; layout < 64; layout++ {
 		nt, n := 1+rng.Intn(MaxTypes), 1+rng.Intn(vm.MaxPlayers)
 		full := vm.GrandCoalition(n)
 		running := vm.Coalition(rng.Uint32()) & full
-		if layout%6 == 5 {
-			nt, n = 1, vm.MaxPlayers
+		switch layout % 8 {
+		case 5:
+			n = nt
+			full = vm.GrandCoalition(n)
+			running &= full
+		case 6, 7:
+			nt, n = 8-layout%8, vm.MaxPlayers // two slots, then one
 			full = vm.GrandCoalition(n)
 			running = full
 		}
 		plan := maskRig(rng, n, nt)
+		switch layout % 8 {
+		case 5:
+			// One VM per class.
+			for i := range plan.classBit {
+				plan.classBit[i] = 1 << uint(i)
+			}
+			singles++
+		case 6:
+			// 20 VMs in one slot, 4 in the other.
+			for i := range plan.classBit {
+				plan.classBit[i] = 1 << uint(i/20)
+			}
+		}
 		states := make([]vm.State, n)
 		for i := range states {
 			states[i] = randMaskState(rng)
@@ -499,6 +722,7 @@ func TestEvalMaskMatchesEval(t *testing.T) {
 			plan.classBit[trap+1] = plan.classBit[trap]
 			running = running.With(vm.ID(trap)).Without(vm.ID(trap + 1))
 		}
+		tp := plan
 		for tick := 0; tick < 4; tick++ {
 			switch tick {
 			case 1, 3:
@@ -513,7 +737,10 @@ func TestEvalMaskMatchesEval(t *testing.T) {
 					traps++
 				}
 			}
-			if err := ev.ResetMask(plan, running, states); err != nil {
+			if tick == 1 {
+				tp = tableRig(rng, plan, running, states)
+			}
+			if err := ev.ResetMask(tp, running, states); err != nil {
 				t.Fatal(err)
 			}
 			if ev.tailVMs != 0 {
@@ -521,20 +748,24 @@ func TestEvalMaskMatchesEval(t *testing.T) {
 			}
 			if n <= 10 {
 				for s := vm.Coalition(0); s <= full; s++ {
-					checkEvalMask(t, plan, &ev, running, s, states)
+					checkEvalMaskCovered(t, &cov, tp, &ev, running, s, states)
 				}
 				continue
 			}
 			for trial := 0; trial < 400; trial++ {
-				checkEvalMask(t, plan, &ev, running, vm.Coalition(rng.Uint32())&full, states)
+				checkEvalMaskCovered(t, &cov, tp, &ev, running, vm.Coalition(rng.Uint32())&full, states)
 			}
 			for _, s := range []vm.Coalition{0, running, full} {
-				checkEvalMask(t, plan, &ev, running, s, states)
+				checkEvalMaskCovered(t, &cov, tp, &ev, running, s, states)
 			}
 		}
 	}
-	if tails == 0 || traps == 0 {
-		t.Fatalf("%d layouts with tail members, %d running-set traps; want both", tails, traps)
+	if tails == 0 || traps == 0 || singles == 0 {
+		t.Fatalf("%d layouts with tail members, %d running-set traps, %d with one VM per class; want all", tails, traps, singles)
+	}
+	t.Logf("reads: %+v", cov)
+	if cov.rows == 0 || cov.rowClamps == 0 || cov.rowLookup == 0 || cov.rowHits == 0 || cov.untrained == 0 {
+		t.Fatalf("reads not all exercised: %+v", cov)
 	}
 }
 
@@ -599,8 +830,10 @@ func TestEvalMaskZeroAlloc(t *testing.T) {
 }
 
 // FuzzEvalMask draws a layout, states, a running set and a mask from the
-// fuzzer's inputs, reads the mask, moves the states of the VMs in moved,
-// reads it again, and checks both reads against Plan.Eval bit for bit.
+// fuzzer's inputs, gives the plan a table keyed on sampled coalitions and
+// skewed weights (see tableRig), reads the mask, moves the states of the
+// VMs in moved, reads it again, and checks both reads against Plan.Eval
+// bit for bit.
 func FuzzEvalMask(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(2), uint32(0xffff), uint32(0x5a5a), uint32(0x0f))
 	f.Add(int64(2), uint8(24), uint8(1), uint32(0xffffff), uint32(0xf0f0f0), uint32(0x800001))
@@ -615,6 +848,7 @@ func FuzzEvalMask(f *testing.F) {
 		}
 		full := vm.GrandCoalition(size)
 		r, s := vm.Coalition(running)&full, vm.Coalition(mask)&full
+		plan = tableRig(rng, plan, r, states)
 		var ev SymEval
 		for pass := 0; pass < 2; pass++ {
 			if err := ev.ResetMask(plan, r, states); err != nil {
