@@ -21,7 +21,7 @@ GATE_TOLERANCE ?= 0.15
 # the gate compares numbers, so they need to be stable.
 GATE_BENCHTIME ?= 3x
 # Benches the gate re-measures (the headline set in cmd/benchgate).
-GATE_BENCH_RE ?= EstimateTick|ExactParallel|ServeCached
+GATE_BENCH_RE ?= EstimateTick|ServeCached
 
 .PHONY: all build test race bench bench-json bench-gate powerbench-smoke verify experiments csv cover fmt fmt-check vet clean fuzz-short golden fleetd-smoke lifecycle-smoke
 
@@ -87,7 +87,7 @@ cover:
 	$(GO) test -cover ./...
 
 # A short pass over every fuzz target — enough to catch regressions in the
-# frame decoder, stream resync, model loader, mask-path slot-table read,
+# frame decoder, stream resync, model loader, the exact tier's closed form,
 # Monte-Carlo sampling stream, workload CSV parser and the history query
 # endpoint without tying up CI.
 FUZZTIME ?= 10s
@@ -95,7 +95,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/meter/serial/
 	$(GO) test -run '^$$' -fuzz '^FuzzReaderResync$$' -fuzztime $(FUZZTIME) ./internal/meter/serial/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME) ./internal/core/
-	$(GO) test -run '^$$' -fuzz '^FuzzEvalMask$$' -fuzztime $(FUZZTIME) ./internal/vhc/
+	$(GO) test -run '^$$' -fuzz '^FuzzClosedForm$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnitSource$$' -fuzztime $(FUZZTIME) ./internal/shapley/
 	$(GO) test -run '^$$' -fuzz '^FuzzHistoryQuery$$' -fuzztime $(FUZZTIME) ./internal/powerd/
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceFromCSV$$' -fuzztime $(FUZZTIME) ./internal/workload/

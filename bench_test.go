@@ -182,67 +182,6 @@ func BenchmarkExactShapley(b *testing.B) {
 	}
 }
 
-// benchPhi keeps BenchmarkExactParallel's results reachable, so φ is
-// heap-allocated per op.
-var benchPhi []float64
-
-// BenchmarkExactParallel contrasts the serial 2^n engine with the
-// sharded parallel engine at the paper's practical bound n = 16. The
-// parallel result is bit-for-bit identical at any worker count; on a
-// multi-core runner the parallelism=0 ("all cores") variant is the
-// headline speedup. Each op allocates fresh result buffers and keeps φ
-// in benchPhi, so allocs/op stays comparable with the committed
-// trajectory.
-func BenchmarkExactParallel(b *testing.B) {
-	const n = 16
-	worth := func(s vm.Coalition) float64 {
-		size := float64(s.Size())
-		return 13*size - 0.4*size*size
-	}
-	table, err := shapley.Tabulate(n, worth)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := shapley.ExactFromTable(n, table); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, p := range []int{1, 2, 4, 0} {
-		name := fmt.Sprintf("parallel=%d", p)
-		if p == 0 {
-			name = "parallel=all"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				phi, partials := make([]float64, n), make([]float64, shapley.ExactScratch(n))
-				if err := shapley.ExactFromTableParallelInto(phi, partials, n, table, p); err != nil {
-					b.Fatal(err)
-				}
-				benchPhi = phi
-			}
-		})
-	}
-	// End-to-end including the 2^n tabulation (the dominant cost when
-	// the worth function is the VHC approximation rather than a table
-	// lookup).
-	b.Run("tabulate+accumulate/all", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tab := make([]float64, 1<<n)
-			if err := shapley.TabulateParallelInto(tab, n, worth, 0); err != nil {
-				b.Fatal(err)
-			}
-			phi, partials := make([]float64, n), make([]float64, shapley.ExactScratch(n))
-			if err := shapley.ExactFromTableParallelInto(phi, partials, n, tab, 0); err != nil {
-				b.Fatal(err)
-			}
-			benchPhi = phi
-		}
-	})
-}
-
 // BenchmarkMonteCarloParallel contrasts serial and parallel permutation
 // sampling at n = 24 — the estimate is identical at every worker count.
 func BenchmarkMonteCarloParallel(b *testing.B) {
@@ -393,20 +332,21 @@ func BenchmarkOnlineEstimationTick(b *testing.B) {
 	}
 }
 
-// BenchmarkEstimateTick measures one exact estimation tick on a
-// calibrated host at the practical sizes n = 8 and n = 16, in the two
-// regimes that bracket the compiled plan's incremental tabulation:
-// steady (constant workloads — after the first tick every coalition is
-// reused verbatim) and all-dirty (every VM's state changes every tick —
-// the whole 2^n table is re-evaluated). allocs/op is the headline metric
-// for the compiled plan; the arms keep their "plan=true" suffix because
-// cmd/benchgate's headline set and the committed trajectory key on it.
-// Those arms run one VM type; the mixed arm alternates small and medium
-// VMs like the mask16 benchmark workload, so its two-slot combo reads
-// SymEval's worth rows. The mc arm measures a Monte-Carlo tick past the
-// exact budget.
+// BenchmarkEstimateTick measures one estimation tick on a calibrated
+// host at the practical sizes n = 8 and n = 16, with steady (constant)
+// or all-dirty (every VM's state moves every tick) workloads; the names
+// of both regimes predate the exact tier, which keeps nothing across
+// ticks. allocs/op is the headline metric; the arms keep their
+// "plan=true" suffix because cmd/benchgate's headline set and the
+// committed trajectory key on it. Those arms run one VM type; the mixed
+// arm alternates small and medium VMs like the mask16 benchmark
+// workload. The mc arm measures a Monte-Carlo tick past the exact
+// budget. The search arm is the correction search's worst case: a
+// calibration whose VMs idle 30% of the time stores exact-match keys
+// that cover the online synthetic states of 20 distinct VMs, so the
+// search visits up to 2^20 count vectors per tick.
 func BenchmarkEstimateTick(b *testing.B) {
-	run := func(b *testing.B, n int, steady, audited, mixed bool) {
+	run := func(b *testing.B, n int, steady, audited, mixed bool, collectIdle float64) {
 		mach, err := machine.New(machine.XeonProfile(), machine.Pack)
 		if err != nil {
 			b.Fatal(err)
@@ -434,6 +374,7 @@ func BenchmarkEstimateTick(b *testing.B) {
 			Seed:                 1,
 			OfflineTicksPerCombo: 40,
 			IdleMeasureTicks:     3,
+			CollectIdleProb:      collectIdle,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -484,12 +425,16 @@ func BenchmarkEstimateTick(b *testing.B) {
 			flight.Record(&scratch)
 		}
 		host.Advance(1)
-		alloc, err := est.EstimateTick() // warm-up: first tick tabulates in full
+		alloc, err := est.EstimateTick() // warm-up: sizes the scratch buffers
 		if err != nil {
 			b.Fatal(err)
 		}
-		if n > 16 && alloc.Prov.Tier != core.TierMonteCarlo { // past the default ExactMaxPlayers
-			b.Fatalf("n=%d tick served by %s, want %s", n, alloc.Prov.Tier, core.TierMonteCarlo)
+		want := core.TierExact
+		if n == vm.MaxPlayers {
+			want = core.TierMonteCarlo
+		}
+		if alloc.Prov.Tier != want {
+			b.Fatalf("n=%d tick served by %s, want %s", n, alloc.Prov.Tier, want)
 		}
 		record(alloc)
 		b.ReportAllocs()
@@ -506,32 +451,35 @@ func BenchmarkEstimateTick(b *testing.B) {
 	for _, n := range []int{8, 16} {
 		for _, regime := range []string{"steady", "alldirty"} {
 			b.Run(fmt.Sprintf("n=%d/%s/plan=true", n, regime), func(b *testing.B) {
-				run(b, n, regime == "steady", false, false)
+				run(b, n, regime == "steady", false, false, 0)
 			})
 		}
 		// The provenance arm: auditor + flight recorder on the plan path.
 		b.Run(fmt.Sprintf("n=%d/steady/plan=true/audited", n), func(b *testing.B) {
-			run(b, n, true, true, false)
+			run(b, n, true, true, false, 0)
 		})
 	}
 	// The mixed arm: 8 small and 8 medium VMs, every state moving.
 	b.Run("n=16/mixed/alldirty/plan=true", func(b *testing.B) {
-		run(b, 16, false, false, true)
+		run(b, 16, false, false, true, 0)
+	})
+	// The search arm: 20 distinct VMs whose online states the
+	// exact-match keys cover.
+	b.Run("search/n=20/collectidle=0.3", func(b *testing.B) {
+		run(b, 20, false, false, false, 0.3)
 	})
 
-	// The Monte-Carlo arm: 24 VMs on distinct synthetic streams are past
-	// the exact budget and too distinct to collapse, so every tick samples
-	// the default permutation budget.
+	// The Monte-Carlo arm: 24 VMs on distinct synthetic streams span 2^24
+	// count vectors, past the exact budget, so every tick samples the
+	// default permutation budget.
 	b.Run("mc/n=24/alldirty", func(b *testing.B) {
-		run(b, 24, false, false, false)
+		run(b, 24, false, false, false, 0)
 	})
 
-	// Symmetry-collapsed arms: n VMs in r symmetry classes on the dense
-	// 256-thread profile — sizes where 2^n coalition masks cannot exist.
-	// Members of a class share one workload generator, so their quantized
-	// states stay bit-equal and the tick solves over ∏(c_j+1) type-count
-	// vectors. steady reuses the previous tick's collapsed table; alldirty
-	// re-evaluates it in full every tick.
+	// Grouped arms: n VMs in r groups on the dense 256-thread profile —
+	// sizes where 2^n coalition masks cannot exist. Members of a group
+	// share one workload generator, so their quantized states stay
+	// bit-equal and the exact tier searches ∏(c_g+1) count vectors.
 	symCounts := func(n, r int) []int {
 		// Skewed class sizes: one dominant class plus small satellites,
 		// the shape real fleets collapse into (many identical smalls, a
@@ -609,12 +557,12 @@ func BenchmarkEstimateTick(b *testing.B) {
 			b.Fatal(err)
 		}
 		host.Advance(1)
-		alloc, err := est.EstimateTick() // warm-up: first tick tabulates in full
+		alloc, err := est.EstimateTick() // warm-up: sizes the scratch buffers
 		if err != nil {
 			b.Fatal(err)
 		}
-		if alloc.SymmetryClasses == 0 {
-			b.Fatal("tick did not take the symmetry-collapsed path")
+		if alloc.SymmetryClasses != r {
+			b.Fatalf("tick solved over %d groups, want %d", alloc.SymmetryClasses, r)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()

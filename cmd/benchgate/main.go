@@ -11,8 +11,7 @@
 //
 // The headline set defaults to the benches the ROADMAP names as the
 // performance contract: EstimateTick n=16 steady/all-dirty on the
-// compiled plan, ExactParallel serial + all-core, every
-// symmetry-collapsed arm, and the serving-path benches
+// compiled plan, every grouped (sym/) arm, and the serving-path benches
 // (BenchmarkServeCached allocs pins and the powerbench
 // BenchmarkServeLive p99 arms). A headline bench missing from the fresh
 // snapshot is a failure — a deleted benchmark silently un-gates its
@@ -56,7 +55,6 @@ type Result struct {
 // defaultHeadlines is the enforced performance contract.
 var defaultHeadlines = []string{
 	`^BenchmarkEstimateTick/n=16/(steady|alldirty)/plan=true$`,
-	`^BenchmarkExactParallel/(serial|parallel=all)$`,
 	`^BenchmarkEstimateTick/sym/`,
 	`^BenchmarkServeCached/`,
 	`^BenchmarkServeLive/`,

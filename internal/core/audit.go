@@ -6,7 +6,6 @@ import (
 
 	"vmpower/internal/hypervisor"
 	"vmpower/internal/shapley"
-	"vmpower/internal/vm"
 )
 
 // AuditConfig tunes the invariant auditor. The zero value gives the
@@ -31,9 +30,10 @@ type AuditConfig struct {
 	// check costs one full 2^n solve.
 	DeepEvery int
 	// DeepTol is the per-VM deep-check tolerance, relative like
-	// EfficiencyTol. Default 1e-9 (the documented sym≡mask equivalence
-	// bound; the solvers differ from the reference only in summation
-	// order).
+	// EfficiencyTol. Default 1e-9: the exact tier's closed form and the
+	// reference's textbook sum are two evaluations of the same value and
+	// differ by rounding only, within 1e-12 of the worth scale in the
+	// oracle tests.
 	DeepTol float64
 }
 
@@ -142,19 +142,23 @@ func (a *Auditor) audit(e *Estimator, snap hypervisor.Snapshot, alloc *Allocatio
 	a.deepCheck(e, snap, alloc, scale)
 }
 
+// deepMaxPlayers bounds the VM sets the deep check re-solves: its
+// reference enumerates 2^n coalitions, 2^16 at the paper's practical
+// bound.
+const deepMaxPlayers = 16
+
 // deepCheck re-solves an exactly-solved tick with a reference built from
 // the meter reading: the idle deduction, buildWorth's worths over the
 // uncompiled model, a full 2^n tabulation and the textbook Shapley sum.
-// It shares the tabulation's sharding (shapley.TabulateParallelInto) and
-// the Shapley weight table with the mask tier, and nothing else past the
-// trained model. Comparing per-VM shares checks how the tick derived its
-// dynamic power, the compiled plan, the slot tables and whichever exact
-// solver (mask or collapsed) served the tick. Monte-Carlo and fallback
-// ticks have no exact reference and are skipped, as are sets past the
-// mask budget.
+// Past the trained model it shares only the Shapley weights with the
+// exact tier, whose closed form is a different computation.
+// Comparing per-VM shares checks how the tick derived its dynamic power,
+// the compiled plan and the closed form with its corrections.
+// Monte-Carlo and fallback ticks have no exact reference and are
+// skipped, as are sets past deepMaxPlayers VMs.
 func (a *Auditor) deepCheck(e *Estimator, snap hypervisor.Snapshot, alloc *Allocation, scale float64) {
 	n := len(alloc.PerVM)
-	if alloc.Method != "exact" || n > e.cfg.ExactMaxPlayers || n > vm.MaxPlayers {
+	if alloc.Method != "exact" || n > deepMaxPlayers {
 		return
 	}
 	ref, err := e.referenceShares(snap, alloc.MeasuredPower)

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"runtime"
 	"sync"
 
@@ -107,15 +106,9 @@ type Config struct {
 	// Seed drives the synthetic collection workloads and the Monte-Carlo
 	// sampler.
 	Seed int64
-	// ExactMaxPlayers is the largest VM count estimated with exact 2^n
-	// mask enumeration; larger sets use Monte-Carlo sampling — unless
-	// their players collapse into symmetry classes, in which case the
-	// collapsed solver keeps the tick exact at any size (DESIGN.md §12).
-	// Default 16 (the paper's practical bound). It also sizes the
-	// collapsed path's vector budget on mid-size hosts; see symWorthwhile.
-	ExactMaxPlayers int
-	// MCPermutations is the Monte-Carlo sample count beyond
-	// ExactMaxPlayers. Default shapley.DefaultPermutations.
+	// MCPermutations is the Monte-Carlo sample count of ticks past the
+	// exact tier's budget (see exactBudget). Default
+	// shapley.DefaultPermutations.
 	MCPermutations int
 	// IdleAttribution selects the idle-power rule. Default IdleNone.
 	IdleAttribution IdleAttribution
@@ -131,13 +124,13 @@ type Config struct {
 	Classes *vhc.ClassMap
 	// RidgeLambda is passed to the VHC approximator. Default 1e-6.
 	RidgeLambda float64
-	// Parallelism is the worker count of the Shapley engine (exact
-	// tabulation/accumulation and Monte-Carlo sampling). 0 defaults to 1
-	// (serial, the paper's single-threaded pipeline); negative uses all
-	// cores (GOMAXPROCS); values >= 2 use that many workers. The
-	// allocation is a deterministic function of the snapshot and Seed at
-	// any setting: the engine's decomposition never depends on the
-	// worker count (see internal/shapley/parallel.go).
+	// Parallelism is the worker count of Monte-Carlo sampling and of the
+	// deep audit's reference tabulation; the exact tier is serial. 0
+	// defaults to 1 (serial, the paper's single-threaded pipeline);
+	// negative uses all cores (GOMAXPROCS); values >= 2 use that many
+	// workers. The allocation is a deterministic function of the snapshot
+	// and Seed at any setting: the sampler's decomposition never depends
+	// on the worker count (see internal/shapley/parallel.go).
 	Parallelism int
 	// MeterRetries bounds the in-tick meter reads spent riding out
 	// dropouts and rejected (implausible) readings before the tick
@@ -176,9 +169,6 @@ func (c Config) withDefaults() Config {
 	if c.IdleMeasureTicks <= 0 {
 		c.IdleMeasureTicks = 30
 	}
-	if c.ExactMaxPlayers <= 0 {
-		c.ExactMaxPlayers = 16
-	}
 	if c.MCPermutations <= 0 {
 		c.MCPermutations = shapley.DefaultPermutations
 	}
@@ -200,12 +190,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Solver tiers, as recorded in Provenance.Tier: the 2^n mask-exact
-// path, the symmetry-collapsed exact path, Monte-Carlo sampling, and the
-// degraded-mode fallback split.
+// Solver tiers, as recorded in Provenance.Tier: the closed-form exact
+// tier, Monte-Carlo sampling past its budget, and the degraded-mode
+// fallback split.
 const (
-	TierMaskExact  = "exact-mask"
-	TierSymExact   = "exact-sym"
+	TierExact      = "exact"
 	TierMonteCarlo = "montecarlo"
 	TierFallback   = "fallback"
 )
@@ -213,11 +202,10 @@ const (
 // Tier-gate reasons. Constant strings only: the hot path writes them
 // into Provenance without allocating.
 const (
-	reasonNoRunning   = "no running VMs"
-	reasonMaskBudget  = "within exact mask budget; no profitable symmetry collapse"
-	reasonSymCollapse = "running VMs collapse into symmetry classes within the vector budget"
-	reasonMCPlayers   = "player count beyond the exact budget"
-	reasonFallback    = "solver/worth failure; fallback policy split"
+	reasonNoRunning = "no running VMs"
+	reasonExact     = "group space within the exact budget"
+	reasonMCBudget  = "group space beyond the exact budget"
+	reasonFallback  = "solver/worth failure; fallback policy split"
 )
 
 // Provenance records how a tick's allocation was produced: the solver
@@ -231,16 +219,23 @@ type Provenance struct {
 	// TierReason says why the gate picked it.
 	Tier       string
 	TierReason string
-	// DirtyVMs counts the solve units (VMs on the mask path, symmetry
-	// classes on the collapsed path) whose state changed since the
-	// previous tick; Evaluated and Reused count worth-table entries
-	// re-evaluated vs reused verbatim; FullTabulation marks a tick that
-	// rebuilt the whole table (first tick, running-set change, new plan).
-	// All zero on Monte-Carlo and fallback ticks.
-	DirtyVMs       int
-	Evaluated      int
-	Reused         int
-	FullTabulation bool
+	// Evaluated counts the count vectors whose worth the exact tier's
+	// correction search evaluated (zero on Monte-Carlo and fallback
+	// ticks). DirtyVMs and Reused are always zero: the exact tier keeps
+	// no state across ticks. Both stay for readers of the earlier
+	// incremental tiers' provenance.
+	DirtyVMs  int
+	Evaluated int
+	Reused    int
+	// ModelResidualWatts is δ = dyn − v̂(N): the measured dynamic power
+	// minus the model's own worth of the running set (the table mean on
+	// an exact-match hit, else the clamped linear worth). The meter
+	// overrides v̂(N), and on the exact tier that adds exactly δ/n to
+	// every running VM's share. ModelResidualRel is δ/dyn (0 when dyn is
+	// 0). Both are 0 on fallback ticks, with no VM running, and when the
+	// running set's combination is untrained.
+	ModelResidualWatts float64
+	ModelResidualRel   float64
 	// EfficiencyResidualWatts is |Σφ − dynamic| as measured by the
 	// invariant auditor; AuditViolations counts this tick's violations;
 	// DeepChecked marks a tick re-solved by the deep audit's reference,
@@ -274,9 +269,9 @@ type Allocation struct {
 	// Method records how the Shapley value was computed ("exact",
 	// "montecarlo" or "fallback" for a degraded-mode split).
 	Method string
-	// SymmetryClasses is the number of symmetry classes the tick's exact
-	// solve collapsed the running VMs into, 0 when the collapsed solver
-	// was not used (mask path, Monte-Carlo, fallback).
+	// SymmetryClasses is the number of groups the exact tier solved over:
+	// running VMs of one VHC class with bit-equal state form one group.
+	// It is 0 on Monte-Carlo and fallback ticks.
 	SymmetryClasses int
 	// Degraded marks an allocation produced under fault handling: the
 	// measured power is a held-over stale sample, or the shares came from
@@ -355,33 +350,16 @@ type Estimator struct {
 	auditor *Auditor
 }
 
-// scratch is one caller's solver buffers: the mask path's and the
-// collapsed path's. EstimateTick reuses the estimator's own across ticks,
-// which is what makes its ticks incremental; each Estimate call takes one
-// from the estimator's pool and owns it until it returns, so concurrent
-// calls share only the read-only plan and model. An incremental
-// tabulation is bit-identical to a full one, so a scratch's history never
-// changes the shares.
+// scratch is one caller's solver buffers: the running set's groups and
+// the exact tier's work space. EstimateTick reuses the estimator's own
+// across ticks to avoid allocating; each Estimate call takes one from the
+// estimator's pool and owns it until it returns, so concurrent calls
+// share only the read-only plan and model. Nothing in a scratch carries
+// over from one tick to the next, so its history never changes the
+// shares.
 type scratch struct {
-	mask maskScratch
-	sym  symScratch
-}
-
-// maskScratch is the buffer set the 2^n mask path reuses across ticks:
-// the worth table (for the incremental dirty-coalition recurrence), the φ
-// vector and the solver's shard partials, plus the previous tick's states
-// for dirty detection. The shapley *Into calls may read the table from
-// worker goroutines during a solve but ownership returns to the caller
-// before the solve returns.
-type maskScratch struct {
-	valid      bool         // table holds the previous tick's worths
-	plan       *vhc.Plan    // the plan the table was evaluated under
-	running    vm.Coalition // previous tick's running set
-	prevStates []vm.State
-	table      []float64
-	phi        []float64
-	partials   []float64
-	eval       vhc.SymEval // per-slot subset sums of the running VMs' states
+	groups groupScratch
+	exact  exactScratch
 }
 
 // New builds an Estimator over a host and a meter.
@@ -815,7 +793,7 @@ func (e *Estimator) fallbackAllocation(snap hypervisor.Snapshot, measuredTotal f
 	}
 	alloc.Prov.Tier = TierFallback
 	alloc.Prov.TierReason = reasonFallback
-	members := runningMembers(&e.scratch, snap)
+	members := e.scratch.groups.runningMembers(snap)
 	if len(members) == 0 {
 		alloc.DynamicPower = 0
 		return e.attributeIdle(alloc, members), nil
@@ -956,9 +934,8 @@ func (e *Estimator) ensurePlan() (*vhc.Plan, error) {
 	return p, nil
 }
 
-// InvalidatePlan discards the compiled worth plan and every cross-tick
-// structure keyed on the VM set's shape: the incremental worth table,
-// the symmetry scratch and the fallback-hold proportions. Call it after
+// InvalidatePlan discards the compiled worth plan and the fallback-hold
+// proportions, the structures keyed on the VM set's shape. Call it after
 // mutating the host's roster (hypervisor.Host.AddVM) — the approximator
 // epoch only tracks the model, not the set, so without this the next
 // tick would evaluate a plan compiled for the old n. Same
@@ -968,10 +945,6 @@ func (e *Estimator) InvalidatePlan() {
 	e.plan = nil
 	e.planErr = nil
 	e.planMu.Unlock()
-	e.scratch.mask.valid = false
-	e.scratch.mask.plan = nil
-	e.scratch.sym.prevValid = false
-	e.scratch.sym.prevPlan = nil
 	e.lastShares = nil
 }
 
@@ -994,14 +967,10 @@ func (e *Estimator) CalibratedForClass(t vm.TypeID) bool {
 // semantics (measured dynamic power for the running grand coalition, 0
 // for the empty set, stopped VMs masked out as dummies) with vhc.Plan.Eval
 // replacing the allocating ClassedFeaturesFor + Approximator.Estimate
-// pair. When ev is non-nil (bound by ResetMask to this plan, running set
-// and states), worths read its slot tables instead of adding member
-// states per coalition, and a coalition of several classes whose combo
-// has worth rows adds one row of precomputed weight-by-sum products per
-// class instead of multiplying out its feature vector; the bits are the
-// same. Same thread-safety contract as buildWorth; Plan.Eval and
-// EvalMask only read, so concurrent shard evaluations never contend.
-func planWorth(plan *vhc.Plan, ev *vhc.SymEval, running vm.Coalition, states []vm.State, dyn float64) (shapley.WorthFunc, func() error) {
+// pair, bit for bit. It feeds the Monte-Carlo sampler. Same thread-safety
+// contract as buildWorth; Plan.Eval only reads, so concurrent samplers
+// never contend.
+func planWorth(plan *vhc.Plan, running vm.Coalition, states []vm.State, dyn float64) (shapley.WorthFunc, func() error) {
 	var mu sync.Mutex
 	var worthErr error
 	capture := func(err error) {
@@ -1019,13 +988,7 @@ func planWorth(plan *vhc.Plan, ev *vhc.SymEval, running vm.Coalition, states []v
 		if s.IsEmpty() {
 			return 0
 		}
-		var p float64
-		var err error
-		if ev != nil {
-			p, err = ev.EvalMask(s)
-		} else {
-			p, err = plan.Eval(s, states)
-		}
+		p, err := plan.Eval(s, states)
 		if err != nil {
 			capture(err)
 			return 0
@@ -1040,15 +1003,12 @@ func planWorth(plan *vhc.Plan, ev *vhc.SymEval, running vm.Coalition, states []v
 }
 
 // estimateTick is the engine behind EstimateTick and Estimate: the tier
-// gate and the solvers, run over the compiled plan into sc. The 2^n worth
-// evaluations run allocation-free through the plan, the worth table, φ
-// and shard partials live in sc, and when sc holds the previous tick of
-// the same plan and running set only the coalitions intersecting the VMs
-// whose (quantized) states changed are re-evaluated — everything else is
-// reused verbatim. A reused table entry is exactly what re-evaluation
-// would produce (worths are pure functions of unchanged member states),
-// so the shares are bit-for-bit those of a full tabulation, at any
-// parallelism.
+// gate and the solvers, run over the compiled plan into sc. The running
+// VMs are grouped (same VHC class, bit-equal state); when their group
+// space V = ∏(c_g+1) fits exactBudget the exact tier serves the tick in
+// closed form, otherwise Monte Carlo samples it if the host fits a
+// coalition mask, and the tick fails if not. The result is a function of
+// the snapshot, the measured power, the plan and Config alone.
 //
 // sc is owned by the caller for the duration of the call.
 func (e *Estimator) estimateTick(sc *scratch, snap hypervisor.Snapshot, measuredTotal float64, sp *obs.Span) (*Allocation, error) {
@@ -1062,20 +1022,21 @@ func (e *Estimator) estimateTick(sc *scratch, snap hypervisor.Snapshot, measured
 	n := e.host.Set().Len()
 	if n > vm.MaxPlayers && snap.Running == nil {
 		// Past the mask limit the Coalition mask is empty, so without
-		// Running flags (replay records carry none) the running set is
-		// unknown, and an all-stopped reading would bill nobody.
+		// Running flags (records written before they carried member IDs)
+		// the running set is unknown, and an all-stopped reading would
+		// bill nobody.
 		return nil, fmt.Errorf("core: %d VMs exceed the %d-player coalition mask limit and the snapshot carries no Running flags", n, vm.MaxPlayers)
 	}
 	dyn := measuredTotal - e.idlePower
 	if dyn < 0 {
 		dyn = 0
 	}
-	running := snap.Coalition
-	members := runningMembers(sc, snap)
+	g := &sc.groups
+	members := g.runningMembers(snap)
 
 	alloc := &Allocation{
 		Tick:          snap.Tick,
-		Coalition:     running,
+		Coalition:     snap.Coalition,
 		MeasuredPower: measuredTotal,
 		DynamicPower:  dyn,
 	}
@@ -1087,153 +1048,62 @@ func (e *Estimator) estimateTick(sc *scratch, snap hypervisor.Snapshot, measured
 		alloc.DynamicPower = 0
 		alloc.Method = "exact"
 		alloc.PerVM = make([]float64, n)
-		alloc.Prov.Tier = TierMaskExact
+		alloc.Prov.Tier = TierExact
 		alloc.Prov.TierReason = reasonNoRunning
 		return e.attributeIdle(alloc, members), nil
 	}
-
-	// Symmetry-collapsed exact path: when the running VMs group into
-	// k < n_running classes (same VHC class bit, bit-equal state), solve
-	// the collapsed game over ∏(c_j+1) count vectors instead of 2^n
-	// masks — the only exact route on wide hosts, and past the gate in
-	// symWorthwhile a strict win inside the mask range too.
-	handled, err := e.symTick(sc, plan, snap, members, dyn, sp, alloc)
-	if err != nil {
-		return nil, err
+	if err := g.build(plan, snap, members); err != nil {
+		return nil, fmt.Errorf("core: worth evaluation: %w", err)
 	}
-	if handled {
-		sp.Mark("solve")
-		alloc = e.attributeIdle(alloc, members)
-		sp.Mark("normalize")
-		return alloc, nil
-	}
-	if n > vm.MaxPlayers {
-		return nil, fmt.Errorf("core: %d running VMs exceed the %d-player mask limit and do not collapse into symmetry classes within the per-tick vector budget", len(members), vm.MaxPlayers)
+	if resid, ok := g.residual(plan, dyn); ok {
+		alloc.Prov.ModelResidualWatts = resid
+		if dyn > 0 {
+			alloc.Prov.ModelResidualRel = resid / dyn
+		}
 	}
 
-	// The mask path reads slot sums from the scratch evaluator. Monte
-	// Carlo samples a few thousand coalitions per tick, too few to pay
-	// for slot tables of up to 2^16 entries, so it keeps Plan.Eval.
-	var ev *vhc.SymEval
-	if n <= e.cfg.ExactMaxPlayers {
-		ev = &sc.mask.eval
-		if err := ev.ResetMask(plan, running, snap.States); err != nil {
-			sc.mask.valid = false
+	if g.vectors() <= exactBudget {
+		alloc.Method = "exact"
+		alloc.SymmetryClasses = len(g.groups)
+		alloc.Prov.Tier = TierExact
+		alloc.Prov.TierReason = reasonExact
+		phi, err := sc.exact.solve(plan, g, dyn, sp)
+		if err != nil {
 			return nil, fmt.Errorf("core: worth evaluation: %w", err)
 		}
-	}
-	worth, worthErr := planWorth(plan, ev, running, snap.States, dyn)
-
-	var phi []float64
-	if n <= e.cfg.ExactMaxPlayers {
-		alloc.Method = "exact"
-		alloc.Prov.Tier = TierMaskExact
-		alloc.Prov.TierReason = reasonMaskBudget
-		err = e.exactIncremental(&sc.mask, plan, snap, worth, dyn, n, sp, alloc)
-		if err == nil {
-			phi = append(make([]float64, 0, n), sc.mask.phi...)
+		alloc.Prov.Evaluated = sc.exact.visited
+		alloc.PerVM = make([]float64, n)
+		for _, i := range members {
+			alloc.PerVM[i] = phi[g.groupOf[i]]
 		}
+		sp.Mark("solve")
 	} else {
+		if n > vm.MaxPlayers {
+			return nil, fmt.Errorf("core: %d running VMs exceed the %d-player mask limit and their %d groups span more than %d count vectors", len(members), vm.MaxPlayers, len(g.groups), exactBudget)
+		}
 		alloc.Method = "montecarlo"
 		alloc.Prov.Tier = TierMonteCarlo
-		alloc.Prov.TierReason = reasonMCPlayers
-		var res *shapley.MCResult
-		res, err = shapley.MonteCarlo(n, worth, shapley.MCOptions{
+		alloc.Prov.TierReason = reasonMCBudget
+		worth, worthErr := planWorth(plan, snap.Coalition, snap.States, dyn)
+		res, err := shapley.MonteCarlo(n, worth, shapley.MCOptions{
 			Permutations: e.cfg.MCPermutations,
 			Seed:         e.cfg.Seed ^ int64(snap.Tick),
 			Parallelism:  e.cfg.Parallelism,
 		})
-		if res != nil {
-			phi = res.Phi
+		sp.Mark("solve")
+		if err == nil {
+			if werr := worthErr(); werr != nil {
+				err = fmt.Errorf("core: worth evaluation: %w", werr)
+			}
 		}
-	}
-	sp.Mark("solve")
-	if err == nil {
-		if werr := worthErr(); werr != nil {
-			err = fmt.Errorf("core: worth evaluation: %w", werr)
+		if err != nil {
+			return nil, err
 		}
+		alloc.PerVM = res.Phi
 	}
-	if err != nil {
-		// A failed worth evaluation may have written zeros into the
-		// table; never reuse it.
-		sc.mask.valid = false
-		return nil, err
-	}
-	alloc.PerVM = phi
 	alloc = e.attributeIdle(alloc, members)
 	sp.Mark("normalize")
 	return alloc, nil
-}
-
-// exactIncremental runs the exact path into the mask scratch,
-// incrementally when possible. The cross-tick recurrence: if the
-// previous tick tabulated the same plan over the same running set, a
-// coalition's worth can only have changed if it contains a VM whose state
-// changed (the dirty set) — those masks are re-evaluated in place — or if
-// it maps to the running grand coalition, whose worth is the measured
-// dynamic power of *this* tick; those entries are rewritten explicitly.
-// Everything else (2^n − 2^(n−d) of the table for d dirty VMs) is reused
-// verbatim, which is exact because worths are pure functions of their
-// members' states. φ lands in ts.phi.
-func (e *Estimator) exactIncremental(ts *maskScratch, plan *vhc.Plan, snap hypervisor.Snapshot, worth shapley.WorthFunc, dyn float64, n int, sp *obs.Span, alloc *Allocation) error {
-	size := 1 << uint(n)
-	running := snap.Coalition
-	if ts.valid && ts.plan == plan && ts.running == running && len(ts.table) == size {
-		// Incremental tick: re-evaluate only dirty-intersecting masks.
-		// Snapshots are pre-quantized by the hypervisor, so exact float
-		// comparison is the right dirty test (and NaN, impossible here,
-		// would fail toward re-evaluation anyway).
-		var dirty vm.Coalition
-		for mm := uint32(running); mm != 0; {
-			b := bits.TrailingZeros32(mm)
-			mm &^= 1 << uint(b)
-			if snap.States[b] != ts.prevStates[b] {
-				dirty |= 1 << uint(b)
-			}
-		}
-		if err := shapley.RetabulateParallelInto(ts.table, n, worth, dirty, e.cfg.Parallelism); err != nil {
-			return err
-		}
-		// The grand-equivalent entries (supersets of running) carry this
-		// tick's measured dynamic power regardless of dirtiness.
-		comp := vm.GrandCoalition(n) &^ running
-		for sub := comp; ; sub = (sub - 1) & comp {
-			ts.table[running|sub] = dyn
-			if sub == 0 {
-				break
-			}
-		}
-		alloc.Prov.DirtyVMs = dirty.Size()
-		alloc.Prov.Evaluated = size - (size >> uint(dirty.Size()))
-		alloc.Prov.Reused = size >> uint(dirty.Size())
-	} else {
-		// Full tabulation: first tick, running-set change, or new plan.
-		if len(ts.table) != size {
-			ts.table = make([]float64, size)
-		}
-		if len(ts.phi) != n {
-			ts.phi = make([]float64, n)
-		}
-		if len(ts.partials) < shapley.ExactScratch(n) {
-			ts.partials = make([]float64, shapley.ExactScratch(n))
-		}
-		ts.valid = false
-		if err := shapley.TabulateParallelInto(ts.table, n, worth, e.cfg.Parallelism); err != nil {
-			return err
-		}
-		alloc.Prov.DirtyVMs = running.Size()
-		alloc.Prov.Evaluated = size
-		alloc.Prov.FullTabulation = true
-	}
-	sp.Mark("worth")
-	if err := shapley.ExactFromTableParallelInto(ts.phi, ts.partials, n, ts.table, e.cfg.Parallelism); err != nil {
-		return err
-	}
-	ts.prevStates = append(ts.prevStates[:0], snap.States...)
-	ts.running = running
-	ts.plan = plan
-	ts.valid = true
-	return nil
 }
 
 // Interactions computes the pairwise Shapley interaction index of the

@@ -301,18 +301,27 @@ func TestMeterDropoutRetries(t *testing.T) {
 	}
 }
 
-func TestMonteCarloPathForLargeSets(t *testing.T) {
-	// Force the MC path by setting ExactMaxPlayers below the set size.
-	host, est := testRig(t, Config{Seed: 8, ExactMaxPlayers: 2, MCPermutations: 128})
+// mcRig builds and calibrates a 24-VM host of two types whose VMs hold
+// distinct constant states: 24 groups of one span 2^24 count vectors,
+// past the exact budget, so every tick is sampled by Monte Carlo.
+func mcRig(t *testing.T, cfg Config) (*hypervisor.Host, *Estimator) {
+	t.Helper()
+	host, est := symTestRig(t, machine.DenseProfile(), []int{12, 12}, cfg)
 	if err := est.CollectOffline(); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []vm.ID{0, 1, 2} {
-		if err := host.Attach(id, workload.FloatPoint()); err != nil {
+	for i := 0; i < host.Set().Len(); i++ {
+		st := vm.State{vm.CPU: 0.3 + 0.02*float64(i), vm.Memory: 0.1 + 0.01*float64(i%7), vm.DiskIO: 0.05}
+		if err := host.Attach(vm.ID(i), workload.Constant("mc", st)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	host.SetCoalition(vm.CoalitionOf(0, 1, 2))
+	startAll(t, host)
+	return host, est
+}
+
+func TestMonteCarloPathForLargeSets(t *testing.T) {
+	host, est := mcRig(t, Config{Seed: 8, MCPermutations: 128, OfflineTicksPerCombo: 20})
 	host.Advance(1)
 	alloc, err := est.EstimateTick()
 	if err != nil {
@@ -602,8 +611,8 @@ func TestConcurrentEstimate(t *testing.T) {
 // TestEstimateConcurrentWithEstimateTick replays each tick on worker
 // goroutines while the tick goroutine serves it, from before the first
 // plan compile: the plan must compile once, and every replay must equal
-// its live tick — same tier, same shares bit for bit — on the collapsed
-// and the mask tier alike.
+// its live tick — same tier, same shares bit for bit — before and after
+// the running set changes.
 func TestEstimateConcurrentWithEstimateTick(t *testing.T) {
 	host, est := symTestRig(t, machine.XeonProfile(), []int{3, 1}, Config{Seed: 9})
 	if err := est.CollectOffline(); err != nil {
@@ -641,9 +650,6 @@ func TestEstimateConcurrentWithEstimateTick(t *testing.T) {
 	live := make([]*Allocation, ticks)
 	for i := 0; i < ticks; i++ {
 		if i == ticks/2 {
-			// A class of two next to the type-1 VM does not halve the
-			// mask table, so the rest of the run is served by the mask
-			// tier.
 			if err := host.Stop(0); err != nil {
 				t.Fatal(err)
 			}
@@ -673,8 +679,8 @@ func TestEstimateConcurrentWithEstimateTick(t *testing.T) {
 				i, got.Prov.Tier, got.PerVM, want.Prov.Tier, want.PerVM)
 		}
 	}
-	if !tiers[TierSymExact] || !tiers[TierMaskExact] {
-		t.Fatalf("tiers served: %v, want both exact tiers", tiers)
+	if len(tiers) != 1 || !tiers[TierExact] {
+		t.Fatalf("tiers served: %v, want the exact tier", tiers)
 	}
 	if compiles, errs := est.PlanCompileStats(); compiles != 1 || errs != 0 {
 		t.Fatalf("plan compiles = %d (errors %d), want exactly 1", compiles, errs)
@@ -684,34 +690,41 @@ func TestEstimateConcurrentWithEstimateTick(t *testing.T) {
 func TestParallelismDeterministicAllocations(t *testing.T) {
 	// The Parallelism knob may change wall-clock time only: for a fixed
 	// seed and snapshot the allocation must be bit-for-bit identical at
-	// any worker count (the engine's decomposition is fixed; see
-	// internal/shapley/parallel.go). Exercise both the exact path and,
-	// via a lowered ExactMaxPlayers, the Monte-Carlo path, each also
+	// any worker count (the sampler's decomposition is fixed; see
+	// internal/shapley/parallel.go). Exercise both the exact tier and, on
+	// a host past the exact budget, the Monte-Carlo tier, each also
 	// through the legacyEstimate oracle.
 	for _, tc := range []struct {
 		name   string
 		cfg    Config
+		mc     bool
 		legacy bool
 	}{
-		{"exact", Config{Seed: 12}, false},
-		{"exact-legacy", Config{Seed: 12}, true},
-		{"montecarlo", Config{Seed: 12, ExactMaxPlayers: 2, MCPermutations: 96}, false},
-		{"montecarlo-legacy", Config{Seed: 12, ExactMaxPlayers: 2, MCPermutations: 96}, true},
+		{"exact", Config{Seed: 12}, false, false},
+		{"exact-legacy", Config{Seed: 12}, false, true},
+		{"montecarlo", Config{Seed: 12, MCPermutations: 96, OfflineTicksPerCombo: 20}, true, false},
+		{"montecarlo-legacy", Config{Seed: 12, MCPermutations: 96, OfflineTicksPerCombo: 20}, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			estimate := func(parallelism int) []float64 {
 				cfg := tc.cfg
 				cfg.Parallelism = parallelism
-				host, est := testRig(t, cfg)
-				if err := est.CollectOffline(); err != nil {
-					t.Fatal(err)
-				}
-				for _, id := range []vm.ID{0, 1, 2} {
-					if err := host.Attach(id, workload.FloatPoint()); err != nil {
+				var host *hypervisor.Host
+				var est *Estimator
+				if tc.mc {
+					host, est = mcRig(t, cfg)
+				} else {
+					host, est = testRig(t, cfg)
+					if err := est.CollectOffline(); err != nil {
 						t.Fatal(err)
 					}
+					for _, id := range []vm.ID{0, 1, 2} {
+						if err := host.Attach(id, workload.FloatPoint()); err != nil {
+							t.Fatal(err)
+						}
+					}
+					host.SetCoalition(vm.CoalitionOf(0, 1, 2))
 				}
-				host.SetCoalition(vm.CoalitionOf(0, 1, 2))
 				host.Advance(1)
 				alloc, err := est.EstimateTick()
 				if err != nil {
@@ -731,8 +744,8 @@ func TestParallelismDeterministicAllocations(t *testing.T) {
 					}
 				}
 			}
-			// Parallelism 1 runs the same shard decomposition on the
-			// calling goroutine, so even the serial default is bit-exact.
+			// Parallelism 1 runs the same decomposition on the calling
+			// goroutine, so even the serial default is bit-exact.
 			serial := estimate(1)
 			for i := range ref {
 				if serial[i] != ref[i] {

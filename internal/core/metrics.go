@@ -7,7 +7,7 @@ import (
 )
 
 // Metrics is the package's self-reporting surface: the compiled-plan
-// lifecycle and the incremental tabulation's cache behaviour. All handles
+// lifecycle, the model residual and the invariant auditor. All handles
 // are nil-safe obs metrics, so an uninstrumented estimator pays one
 // atomic pointer load per tick and nothing else.
 type Metrics struct {
@@ -17,32 +17,12 @@ type Metrics struct {
 	// the model changes (vmpower_plan_compile_errors_total).
 	PlanCompiles      *obs.Counter
 	PlanCompileErrors *obs.Counter
-	// The tick counters below count EstimateTick's ticks only; Estimate
-	// calls (replays, Audit) are not counted.
-	//
-	// PlanTicks counts mask-exact ticks served through the compiled plan;
-	// PlanFullTabulations counts the subset that could not reuse the
-	// previous tick's table (first tick, running-set change, new plan)
-	// (vmpower_plan_ticks_total, vmpower_plan_full_tabulations_total).
-	PlanTicks           *obs.Counter
-	PlanFullTabulations *obs.Counter
-	// PlanDirtyVMs is the dirty-set size of the last plan tick
-	// (vmpower_plan_dirty_vms).
-	PlanDirtyVMs *obs.Gauge
-	// PlanCoalitionsEvaluated / PlanCoalitionsReused count worth-table
-	// entries re-evaluated vs reused verbatim by the incremental
-	// recurrence (vmpower_plan_coalitions_{evaluated,reused}_total).
-	PlanCoalitionsEvaluated *obs.Counter
-	PlanCoalitionsReused    *obs.Counter
-	// SymTicks counts exact ticks served through the symmetry-collapsed
-	// solver (vmpower_sym_ticks_total); SymClasses is the class count of
-	// the last such tick (vmpower_sym_classes). SymVectorsEvaluated /
-	// SymVectorsReused count collapsed-table entries re-evaluated vs
-	// reused across ticks (vmpower_sym_vectors_{evaluated,reused}_total).
-	SymTicks            *obs.Counter
-	SymClasses          *obs.Gauge
-	SymVectorsEvaluated *obs.Counter
-	SymVectorsReused    *obs.Counter
+	// ModelResidual is δ/dyn of each EstimateTick tick served by the
+	// exact or Monte-Carlo tier whose running set the model can price
+	// (vmpower_model_residual_ratio): how far the VHC model's worth of
+	// the running set was from the meter. Estimate calls (replays,
+	// Audit) are not counted.
+	ModelResidual *obs.Histogram
 	// AuditChecks counts audited ticks; AuditViolations counts invariant
 	// failures (Efficiency, plausibility, deep mismatch) — nonzero means a
 	// bill cannot be trusted (vmpower_audit_{checks,violations}_total).
@@ -57,6 +37,10 @@ type Metrics struct {
 	// watts (vmpower_audit_efficiency_residual).
 	AuditEfficiencyResidual *obs.Gauge
 }
+
+// residualBuckets bound δ/dyn: the measured residuals sit within a few
+// percent of the dynamic power either way.
+var residualBuckets = []float64{-0.2, -0.1, -0.05, -0.02, -0.01, -0.005, 0, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2}
 
 // pkgMetrics is swapped atomically so Instrument may run while ticks are
 // in flight (a daemon wires it once at startup; tests re-wire it).
@@ -75,24 +59,8 @@ func Instrument(reg *obs.Registry) {
 			"compiled worth-plan builds (one per model epoch)"),
 		PlanCompileErrors: reg.Counter("vmpower_plan_compile_errors_total",
 			"worth-plan compiles that failed (ticks fall to the fallback policy until the model changes)"),
-		PlanTicks: reg.Counter("vmpower_plan_ticks_total",
-			"exact estimation ticks served through the compiled plan"),
-		PlanFullTabulations: reg.Counter("vmpower_plan_full_tabulations_total",
-			"plan ticks that re-tabulated the whole 2^n worth table"),
-		PlanDirtyVMs: reg.Gauge("vmpower_plan_dirty_vms",
-			"VMs whose state changed since the previous tick (last plan tick)"),
-		PlanCoalitionsEvaluated: reg.Counter("vmpower_plan_coalitions_evaluated_total",
-			"worth-table entries (re-)evaluated by plan ticks"),
-		PlanCoalitionsReused: reg.Counter("vmpower_plan_coalitions_reused_total",
-			"worth-table entries reused verbatim across ticks"),
-		SymTicks: reg.Counter("vmpower_sym_ticks_total",
-			"exact estimation ticks served through the symmetry-collapsed solver"),
-		SymClasses: reg.Gauge("vmpower_sym_classes",
-			"symmetry classes of the last collapsed tick"),
-		SymVectorsEvaluated: reg.Counter("vmpower_sym_vectors_evaluated_total",
-			"collapsed worth-table entries (re-)evaluated by symmetry ticks"),
-		SymVectorsReused: reg.Counter("vmpower_sym_vectors_reused_total",
-			"collapsed worth-table entries reused verbatim across ticks"),
+		ModelResidual: reg.Histogram("vmpower_model_residual_ratio",
+			"(dynamic - model worth of the running set) / dynamic, per served tick", residualBuckets),
 		AuditChecks: reg.Counter("vmpower_audit_checks_total",
 			"ticks checked by the invariant auditor"),
 		AuditViolations: reg.Counter("vmpower_audit_violations_total",
@@ -123,30 +91,13 @@ func (m *Metrics) notePlanCompileError() {
 	m.PlanCompileErrors.Inc()
 }
 
-// noteTick publishes a served tick's solver shape and cache behaviour
-// from its provenance: a mask-exact tick's dirty VMs and evaluated and
-// reused coalitions, or a collapsed tick's classes and vectors. Only
+// noteTick publishes a served tick's model residual. Only
 // EstimateTickSpan calls it, so replays and Audit calls are not counted.
 func (m *Metrics) noteTick(a *Allocation) {
-	if m == nil {
+	if m == nil || a.Prov.ModelResidualWatts == 0 {
 		return
 	}
-	p := &a.Prov
-	switch {
-	case p.Tier == TierSymExact:
-		m.SymTicks.Inc()
-		m.SymClasses.Set(float64(a.SymmetryClasses))
-		m.SymVectorsEvaluated.Add(uint64(p.Evaluated))
-		m.SymVectorsReused.Add(uint64(p.Reused))
-	case p.Tier == TierMaskExact && p.TierReason == reasonMaskBudget:
-		m.PlanTicks.Inc()
-		if p.FullTabulation {
-			m.PlanFullTabulations.Inc()
-		}
-		m.PlanDirtyVMs.Set(float64(p.DirtyVMs))
-		m.PlanCoalitionsEvaluated.Add(uint64(p.Evaluated))
-		m.PlanCoalitionsReused.Add(uint64(p.Reused))
-	}
+	m.ModelResidual.Observe(a.Prov.ModelResidualRel)
 }
 
 // noteAudit publishes one audited tick and its Efficiency residual.

@@ -73,7 +73,7 @@ func attachClassWorkloads(t *testing.T, host *hypervisor.Host, gens []workload.G
 	}
 }
 
-func startAll(t *testing.T, host *hypervisor.Host) {
+func startAll(t testing.TB, host *hypervisor.Host) {
 	t.Helper()
 	running := make([]bool, host.Set().Len())
 	for i := range running {
@@ -84,12 +84,12 @@ func startAll(t *testing.T, host *hypervisor.Host) {
 	}
 }
 
-// TestSymmetryMatchesLegacyExact is the collapsed tier's equivalence
-// property: a 14-VM host (12x type0 + 2x type1, class workloads) must
-// agree with the legacy 2^n route (the legacyEstimate oracle) on every
-// share of every tick to 1e-12 of the measured power scale, across
-// constant-state reuse ticks, all-dirty synthetic ticks and running-set
-// changes.
+// TestSymmetryMatchesLegacyExact pins the exact tier on grouped states:
+// a 14-VM host (12x type0 + 2x type1, class workloads) must agree with
+// the legacy 2^n route (the legacyEstimate oracle) on every share of
+// every tick to 1e-12 of the measured power scale, across constant and
+// moving states and running-set changes, and give same-group VMs equal
+// shares bit for bit.
 func TestSymmetryMatchesLegacyExact(t *testing.T) {
 	typeCounts := []int{12, 2}
 	cfg := Config{Seed: 3, OfflineTicksPerCombo: 40, IdleMeasureTicks: 3}
@@ -122,8 +122,8 @@ func TestSymmetryMatchesLegacyExact(t *testing.T) {
 					tick, i, allocS.PerVM[i], allocL.PerVM[i], tol)
 			}
 		}
-		// Symmetry axiom, exactly: same-class members get the same share
-		// bit for bit on the collapsed path (one phi per class).
+		// Symmetry axiom, exactly: same-group members get the same share
+		// bit for bit (one phi per group).
 		if allocS.SymmetryClasses > 0 {
 			set := hostS.Set()
 			snap := hostS.Collect()
@@ -166,14 +166,15 @@ func TestSymmetryMatchesLegacyExact(t *testing.T) {
 	phase([]int{0, 1, 2, 13}, 8) // class-count change: (9, 1), full retab
 	phase(nil, 6)                // recovery
 	if symTicks == 0 {
-		t.Fatal("no tick used the symmetry-collapsed path")
+		t.Fatal("no tick was served by the exact tier")
 	}
 }
 
-// TestSymmetryWideHost is the 2^n-wall tentpole claim: a 30-VM host — past
-// vm.MaxPlayers, where coalition masks cannot exist — collects offline and
-// estimates exactly through the collapsed solver, with per-class equal
-// shares and efficiency against the meter.
+// TestSymmetryWideHost pins exact estimation past the 2^n wall: a 30-VM
+// host — past vm.MaxPlayers, where coalition masks cannot exist —
+// collects offline and estimates exactly over its three groups, with
+// per-group equal shares, efficiency against the meter and the model
+// residual on the metrics.
 func TestSymmetryWideHost(t *testing.T) {
 	typeCounts := []int{10, 10, 10}
 	host, est := symTestRig(t, machine.DenseProfile(), typeCounts, Config{Seed: 7})
@@ -242,22 +243,15 @@ func TestSymmetryWideHost(t *testing.T) {
 			t.Fatalf("stopped VM %d got %v, want 0", id, alloc.PerVM[id])
 		}
 	}
-	snap := reg.Snapshot()
-	found := false
-	for _, m := range snap {
-		if m.Name == "vmpower_sym_ticks_total" && float64(m.Value) > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("vmpower_sym_ticks_total not incremented")
+	if got := metrics().ModelResidual.Count(); got != 13 {
+		t.Fatalf("vmpower_model_residual_ratio counted %d ticks, want 13", got)
 	}
 }
 
 // TestSymmetryWideHostRequiresCollapse pins the wide-host tier gate: a
-// set past the mask limit whose running VMs do not collapse into
-// symmetry classes cannot be estimated, and the error says why. Once the
-// same host collapses, Estimate serves every tick exactly as EstimateTick
+// set past the mask limit whose running VMs do not group within the
+// exact budget cannot be estimated, and the error says why. Once the
+// same host groups, Estimate serves every tick exactly as EstimateTick
 // did: same tier, same shares bit for bit.
 func TestSymmetryWideHostRequiresCollapse(t *testing.T) {
 	host, est := symTestRig(t, machine.DenseProfile(), []int{10, 10, 10}, Config{Seed: 7})
@@ -290,8 +284,8 @@ func TestSymmetryWideHostRequiresCollapse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tick %d: %v", tick, err)
 		}
-		if live.Prov.Tier != TierSymExact {
-			t.Fatalf("tick %d: tier %s, want %s", tick, live.Prov.Tier, TierSymExact)
+		if live.Prov.Tier != TierExact {
+			t.Fatalf("tick %d: tier %s, want %s", tick, live.Prov.Tier, TierExact)
 		}
 		got, err := est.Estimate(host.Collect(), live.MeasuredPower)
 		if err != nil {
@@ -311,46 +305,16 @@ func TestSymmetryWideHostRequiresCollapse(t *testing.T) {
 	}
 }
 
-// TestSymmetryGateKeepsDistinctGamesOnMaskPath pins the gate: when every
-// running VM is its own class (distinct states), the collapsed solver
-// stays out of the way and the plan's mask machinery serves the tick.
-func TestSymmetryGateKeepsDistinctGamesOnMaskPath(t *testing.T) {
-	host, est := symTestRig(t, machine.XeonProfile(), []int{2, 1}, Config{Seed: 5})
-	if err := est.CollectOffline(); err != nil {
-		t.Fatal(err)
-	}
-	// Distinct per-VM workloads: no two states collide (different seeds).
-	for i := 0; i < host.Set().Len(); i++ {
-		if err := host.Attach(vm.ID(i), workload.Synthetic{Seed: int64(100 + i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	startAll(t, host)
-	for tick := 0; tick < 5; tick++ {
-		host.Advance(1)
-		alloc, err := est.EstimateTick()
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap := host.Collect()
-		distinct := snap.States[0] != snap.States[1]
-		if distinct && alloc.SymmetryClasses != 0 {
-			t.Fatalf("tick %d: distinct states but %d symmetry classes", tick, alloc.SymmetryClasses)
-		}
-	}
-}
-
-// TestSymmetrySharesPinned pins the collapsed tier's shares bit for bit:
-// a 68-VM dense host whose running VMs form five classes over two feature
-// slots — a small dirty class ahead of a 50-member steady one in the same
-// slot, so slot sums mix classes — runs through all-dirty, steady-reuse
-// and running-set-change ticks, and the FNV-64a digest of every share's
-// bits must equal the digest recorded from an evaluator that adds every
-// member's state one at a time. A change that moves any share by one ulp
-// fails here; a deliberate change to calibration, the simulator or the
-// solver must re-derive the digest and say why it moved.
+// TestSymmetrySharesPinned pins the exact tier's shares bit for bit: a
+// 68-VM dense host whose running VMs form five groups over two classes —
+// a small moving group ahead of a 50-member steady one in the same
+// class — runs through moving, steady and running-set-change ticks, and
+// the FNV-64a digest of every share's bits must equal the recorded one.
+// A change that moves any share by one ulp fails here; a deliberate
+// change to calibration, the simulator or the solver must re-derive the
+// digest and say why it moved.
 func TestSymmetrySharesPinned(t *testing.T) {
-	const want = uint64(0x16635340588ea0c3)
+	const want = uint64(0x048e5ee65a57dc11)
 	host, est := symTestRig(t, machine.DenseProfile(), []int{60, 8}, Config{Seed: 19})
 	if err := est.CollectOffline(); err != nil {
 		t.Fatal(err)
@@ -383,9 +347,27 @@ func TestSymmetrySharesPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if alloc.Prov.Tier != TierSymExact {
-			t.Fatalf("tick %d: tier %v, want the collapsed tier", alloc.Tick, alloc.Prov.Tier)
+		if alloc.Prov.Tier != TierExact {
+			t.Fatalf("tick %d: tier %v, want the exact tier", alloc.Tick, alloc.Prov.Tier)
 		}
+		// The pinned bits are the oracle's to 1e-12.
+		plan, err := est.ensurePlan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var g groupScratch
+		snap := host.Collect()
+		if err := g.build(plan, snap, g.runningMembers(snap)); err != nil {
+			t.Fatal(err)
+		}
+		want, scale := countTextbook(t, plan, g.groups, alloc.DynamicPower)
+		got := make([]float64, len(g.groups))
+		for i, j := range g.groupOf {
+			if j >= 0 {
+				got[j] = alloc.PerVM[i]
+			}
+		}
+		checkAgainst(t, "pinned rig", got, want, scale)
 		for _, p := range alloc.PerVM {
 			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p))
 			h.Write(buf[:])

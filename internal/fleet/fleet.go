@@ -157,7 +157,7 @@ type HostStatus struct {
 	MeasuredWatts float64
 	DynamicWatts  float64
 	// Tier is the solver tier that produced the host's allocation
-	// (core.TierMaskExact and friends; "" for quarantined hosts).
+	// (core.TierExact and friends; "" for quarantined hosts).
 	Tier string
 	// VMs are the names placed on this host, in request order.
 	VMs []string

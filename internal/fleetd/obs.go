@@ -353,7 +353,8 @@ func (o *serverObs) noteProvenance(s *Server, now time.Time, tick *fleet.Tick) {
 	rec.DirtyVMs = 0
 	rec.Evaluated = 0
 	rec.Reused = 0
-	rec.FullTabulation = false
+	rec.ModelResidualWatts = 0
+	rec.ModelResidualRel = 0
 	rec.Degraded = tick.Degraded
 	rec.DegradedReason = reason
 	rec.HoldoverAgeTicks = holdover

@@ -9,7 +9,7 @@ import (
 // FlightRecord is one tick's provenance: everything a post-mortem of a
 // bad bill needs to replay the engine's decision — the inputs (states,
 // measured watts), the solver tier and why the gate picked it, the
-// incremental-tabulation shape, the degradation bookkeeping, the audit
+// solve's shape and the model residual, the degradation bookkeeping, the audit
 // residual, and the outputs (per-VM φ and energy increments). Slices use
 // plain float64/string so a dump round-trips bit-identically through
 // encoding/json (shortest-representation float encoding is exact).
@@ -21,19 +21,21 @@ type FlightRecord struct {
 	UnixNanos     int64   `json:"unix_nanos,omitempty"`
 	MeasuredWatts float64 `json:"measured_watts"`
 	DynamicWatts  float64 `json:"dynamic_watts"`
-	// Tier is the solver tier that produced φ ("exact-mask", "exact-sym",
-	// "montecarlo", "fallback"); TierReason is why the gate picked it.
+	// Tier is the solver tier that produced φ ("exact", "montecarlo",
+	// "fallback"); TierReason is why the gate picked it.
 	Tier       string `json:"tier"`
 	TierReason string `json:"tier_reason,omitempty"`
 	// SymClasses, DirtyVMs, Evaluated and Reused describe the tick's
-	// incremental solve: symmetry classes (collapsed tier only), VMs whose
-	// state changed since the previous tick, and worth-table entries
-	// re-evaluated vs reused verbatim.
-	SymClasses     int  `json:"sym_classes,omitempty"`
-	DirtyVMs       int  `json:"dirty_vms"`
-	Evaluated      int  `json:"evaluated"`
-	Reused         int  `json:"reused"`
-	FullTabulation bool `json:"full_tabulation,omitempty"`
+	// solve (core.Provenance): the groups the exact tier solved over,
+	// zero, the count vectors its correction search evaluated, and zero.
+	SymClasses int `json:"sym_classes,omitempty"`
+	DirtyVMs   int `json:"dirty_vms"`
+	Evaluated  int `json:"evaluated"`
+	Reused     int `json:"reused"`
+	// ModelResidualWatts is δ = dynamic − the model's worth of the
+	// running set, and ModelResidualRel is δ/dynamic (core.Provenance).
+	ModelResidualWatts float64 `json:"model_residual_watts"`
+	ModelResidualRel   float64 `json:"model_residual_rel"`
 	// Degradation bookkeeping, mirroring core.Allocation.
 	Degraded         bool   `json:"degraded,omitempty"`
 	DegradedReason   string `json:"degraded_reason,omitempty"`

@@ -209,7 +209,8 @@ func (o *serverObs) noteProvenance(s *Server, now time.Time, alloc *core.Allocat
 	rec.DirtyVMs = alloc.Prov.DirtyVMs
 	rec.Evaluated = alloc.Prov.Evaluated
 	rec.Reused = alloc.Prov.Reused
-	rec.FullTabulation = alloc.Prov.FullTabulation
+	rec.ModelResidualWatts = alloc.Prov.ModelResidualWatts
+	rec.ModelResidualRel = alloc.Prov.ModelResidualRel
 	rec.Degraded = alloc.Degraded
 	rec.DegradedReason = alloc.DegradedReason
 	rec.HoldoverAgeTicks = alloc.HoldoverAgeTicks

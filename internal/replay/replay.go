@@ -22,8 +22,15 @@ import (
 type Record struct {
 	// Tick is the 1 Hz timestamp.
 	Tick int `json:"tick"`
-	// Coalition is the running VM bitmask.
+	// Coalition is the running VM bitmask; zero on hosts of more than
+	// vm.MaxPlayers VMs, where no mask can represent the set.
 	Coalition uint32 `json:"coalition"`
+	// Running lists the running VMs' IDs in ascending order on those
+	// wide hosts, and is nil otherwise, so narrow traces keep their
+	// bytes. It is a pointer so that a wide tick with no VM running
+	// still records its empty list: records written before the field
+	// existed carry none, and their running set is unknown.
+	Running *[]int `json:"running,omitempty"`
 	// States holds every VM's component state vector (stopped VMs zero).
 	States [][]float64 `json:"states"`
 	// Power is the measured total machine power in watts.
@@ -36,15 +43,26 @@ func fromSnapshot(snap hypervisor.Snapshot, power float64) Record {
 	for i, s := range snap.States {
 		states[i] = s.Vec()
 	}
-	return Record{
+	rec := Record{
 		Tick:      snap.Tick,
 		Coalition: uint32(snap.Coalition),
 		States:    states,
 		Power:     power,
 	}
+	if len(snap.States) > vm.MaxPlayers {
+		ids := []int{}
+		for i, r := range snap.Running {
+			if r {
+				ids = append(ids, i)
+			}
+		}
+		rec.Running = &ids
+	}
+	return rec
 }
 
-// Snapshot converts the record back into a hypervisor snapshot.
+// Snapshot converts the record back into a hypervisor snapshot, with
+// running flags rebuilt from Running when the record lists members.
 // numVMs guards against truncated records.
 func (r Record) Snapshot(numVMs int) (hypervisor.Snapshot, error) {
 	if len(r.States) != numVMs {
@@ -60,11 +78,22 @@ func (r Record) Snapshot(numVMs int) (hypervisor.Snapshot, error) {
 			return hypervisor.Snapshot{}, fmt.Errorf("replay: record at tick %d: %w", r.Tick, err)
 		}
 	}
-	return hypervisor.Snapshot{
+	snap := hypervisor.Snapshot{
 		Tick:      r.Tick,
 		Coalition: vm.Coalition(r.Coalition),
 		States:    states,
-	}, nil
+	}
+	if r.Running != nil {
+		ids := *r.Running
+		snap.Running = make([]bool, numVMs)
+		for j, id := range ids {
+			if id < 0 || id >= numVMs || (j > 0 && id <= ids[j-1]) {
+				return hypervisor.Snapshot{}, fmt.Errorf("replay: record at tick %d: running IDs must ascend within [0,%d), got %d at %d", r.Tick, numVMs, id, j)
+			}
+			snap.Running[id] = true
+		}
+	}
+	return snap, nil
 }
 
 // Writer streams records as JSON lines.

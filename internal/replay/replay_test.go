@@ -3,6 +3,7 @@ package replay
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -106,8 +107,24 @@ func TestSnapshotValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Coalition != vm.CoalitionOf(0) || snap.States[0][vm.CPU] != 1 {
+	if snap.Coalition != vm.CoalitionOf(0) || snap.States[0][vm.CPU] != 1 || snap.Running != nil {
 		t.Fatalf("Snapshot = %+v", snap)
+	}
+	// Running member IDs rebuild the flags and must ascend in range.
+	wide := Record{Tick: 1, States: [][]float64{{1, 0, 0}, {0, 0, 0}, {0.5, 0, 0}}, Power: 150}
+	for _, bad := range [][]int{{3}, {-1}, {2, 0}, {0, 0}} {
+		wide.Running = &bad
+		if _, err := wide.Snapshot(3); err == nil {
+			t.Fatalf("running IDs %v accepted", bad)
+		}
+	}
+	ids := []int{0, 2}
+	wide.Running = &ids
+	if snap, err = wide.Snapshot(3); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Running) != 3 || !snap.Running[0] || snap.Running[1] || !snap.Running[2] {
+		t.Fatalf("running flags %v, want [true false true]", snap.Running)
 	}
 }
 
@@ -169,6 +186,105 @@ func TestRecordThenReplayMatchesLive(t *testing.T) {
 	}
 	if idx != ticks {
 		t.Fatalf("replayed %d ticks", idx)
+	}
+}
+
+// TestReplayWideHostMatchesLive records a 200-VM host, past the
+// coalition mask, whose running VMs fall into three groups, then replays
+// the trace: every replayed tick must be served by the live tick's tier
+// with the same shares bit for bit, including ticks with stopped VMs and
+// one with none running. Narrow records carry no running list.
+func TestReplayWideHostMatchesLive(t *testing.T) {
+	const n = 200
+	mach, err := machine.New(machine.DenseProfile(), machine.Pack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vms := make([]vm.VM, n)
+	for i := range vms {
+		vms[i] = vm.VM{Name: fmt.Sprintf("vm%03d", i)}
+		if i%4 == 3 {
+			vms[i].Type = 1
+		}
+	}
+	set, err := vm.NewSet(vm.PaperCatalog(), vms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := hypervisor.NewHost(mach, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := meter.NewSim(host.PowerSource(), meter.SimOptions{NoiseStdDev: 0.25, Resolution: 0.1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := core.New(host, m, core.Config{OfflineTicksPerCombo: 20, IdleMeasureTicks: 3, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := est.CollectOffline(); err != nil {
+		t.Fatal(err)
+	}
+	steady := workload.Constant("steady", vm.State{vm.CPU: 0.3, vm.Memory: 0.1, vm.DiskIO: 0.05})
+	for i := 0; i < n; i++ {
+		var g workload.Generator = steady
+		if i%10 == 0 {
+			g = workload.Synthetic{Seed: 7}
+		}
+		if err := host.Attach(vm.ID(i), g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	running := make([]bool, n)
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	var live []*core.Allocation
+	for tick := 0; tick < 8; tick++ {
+		for i := range running {
+			running[i] = tick != 6 && !(tick >= 3 && i%7 == 0)
+		}
+		if err := host.SetRunning(running); err != nil {
+			t.Fatal(err)
+		}
+		host.Advance(1)
+		alloc, err := est.EstimateTick()
+		if err != nil {
+			t.Fatalf("tick %d: %v", tick, err)
+		}
+		if err := w.WriteSnapshot(host.Collect(), alloc.MeasuredPower); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, alloc)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := 0
+	if err := Replay(est, recs, func(got *core.Allocation) bool {
+		want := live[idx]
+		if got.Prov.Tier != want.Prov.Tier || (idx != 6 && want.Prov.Tier != core.TierExact) {
+			t.Fatalf("tick %d: replay tier %s, live %s", idx, got.Prov.Tier, want.Prov.Tier)
+		}
+		for i, p := range want.PerVM {
+			if math.Float64bits(got.PerVM[i]) != math.Float64bits(p) {
+				t.Fatalf("tick %d VM %d: replay %.17g, live %.17g", idx, i, got.PerVM[i], p)
+			}
+		}
+		idx++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if idx != len(live) {
+		t.Fatalf("replayed %d of %d ticks", idx, len(live))
+	}
+	if recs[6].Running == nil || len(*recs[6].Running) != 0 || live[6].DynamicPower != 0 {
+		t.Fatalf("the all-stopped tick recorded running %v and %g W dynamic", recs[6].Running, live[6].DynamicPower)
 	}
 }
 

@@ -66,9 +66,8 @@ func randomWorth(n int, seed int64) WorthFunc {
 }
 
 // TestIntoVariantsMatchAllocating pins every *Into entry point against
-// its allocating counterpart, bit for bit, across parallelism settings;
-// the sharded accumulation, which has none, is pinned on poisoned
-// buffers against a run on fresh ones.
+// its allocating counterpart, bit for bit, across parallelism settings,
+// on poisoned buffers.
 func TestIntoVariantsMatchAllocating(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 9} {
 		worth := randomWorth(n, int64(n))
@@ -94,25 +93,6 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d par=%d: TabulateParallelInto != Tabulate", n, par)
 			}
-
-			wantPhi, err := exactFromTableParallel(n, want, par)
-			if err != nil {
-				t.Fatal(err)
-			}
-			phi := make([]float64, n)
-			scratch := make([]float64, ExactScratch(n))
-			for i := range phi {
-				phi[i] = -999
-			}
-			for i := range scratch {
-				scratch[i] = -999
-			}
-			if err := ExactFromTableParallelInto(phi, scratch, n, want, par); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(phi, wantPhi) {
-				t.Fatalf("n=%d par=%d: ExactFromTableParallelInto = %v, want %v", n, par, phi, wantPhi)
-			}
 		}
 		wantPhi, err := ExactFromTable(n, want)
 		if err != nil {
@@ -131,63 +111,13 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	}
 }
 
-// TestRetabulateDirtySubset is the incremental-tabulation recurrence: a
-// worth whose value depends on per-player states, of which only a dirty
-// subset changes between ticks. Retabulating just the dirty-intersecting
-// masks must reproduce a full tabulation of the new states bit for bit.
-func TestRetabulateDirtySubset(t *testing.T) {
-	const n = 7
-	states := make([]float64, n)
-	for i := range states {
-		states[i] = float64(i + 1)
-	}
-	worth := func(s vm.Coalition) float64 {
-		var sum float64
-		for _, id := range s.Members() {
-			sum += states[id] * states[id]
-		}
-		return sum
-	}
-	table := make([]float64, 1<<n)
-	if err := TabulateInto(table, n, worth); err != nil {
-		t.Fatal(err)
-	}
-	// Tick: players 2 and 5 change state.
-	dirty := vm.CoalitionOf(2, 5)
-	states[2] = 17.5
-	states[5] = 0.25
-	for _, par := range []int{1, 4} {
-		got := append([]float64(nil), table...)
-		if err := RetabulateParallelInto(got, n, worth, dirty, par); err != nil {
-			t.Fatal(err)
-		}
-		want, err := Tabulate(n, worth)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("par=%d: incremental retabulation != full tabulation", par)
-		}
-	}
-	// dirty == 0 must leave the table untouched.
-	got := append([]float64(nil), table...)
-	if err := RetabulateParallelInto(got, n, worth, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, table) {
-		t.Fatal("dirty=0 retabulation modified the table")
-	}
-}
-
 // TestIntoZeroAlloc pins the buffer-reuse contract: a serial tabulate +
-// retabulate + accumulate cycle through the Into APIs allocates nothing.
+// accumulate cycle through the Into APIs allocates nothing.
 func TestIntoZeroAlloc(t *testing.T) {
 	const n = 6
 	worth := randomWorth(n, 99)
 	table := make([]float64, 1<<n)
 	phi := make([]float64, n)
-	scratch := make([]float64, ExactScratch(n))
-	dirty := vm.CoalitionOf(1, 3)
 	if _, err := weightsShared(n); err != nil { // warm the memo
 		t.Fatal(err)
 	}
@@ -195,10 +125,7 @@ func TestIntoZeroAlloc(t *testing.T) {
 		if err := TabulateParallelInto(table, n, worth, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := RetabulateParallelInto(table, n, worth, dirty, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := ExactFromTableParallelInto(phi, scratch, n, table, 1); err != nil {
+		if err := ExactFromTableInto(phi, n, table); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -216,16 +143,10 @@ func TestIntoValidation(t *testing.T) {
 	if err := TabulateParallelInto(make([]float64, 4), 2, nil, 1); err == nil {
 		t.Fatal("nil worth accepted")
 	}
-	if err := RetabulateParallelInto(make([]float64, 3), 2, worth, 1, 1); err == nil {
-		t.Fatal("short table accepted by retabulate")
+	if err := TabulateParallelInto(make([]float64, 3), 2, worth, 1); err == nil {
+		t.Fatal("short table accepted by the parallel tabulation")
 	}
 	if err := ExactFromTableInto(make([]float64, 1), 2, make([]float64, 4)); err == nil {
 		t.Fatal("short phi accepted")
-	}
-	if err := ExactFromTableParallelInto(make([]float64, 2), make([]float64, 1), 2, make([]float64, 4), 1); err == nil {
-		t.Fatal("short scratch accepted")
-	}
-	if err := ExactFromTableParallelInto(make([]float64, 2), make([]float64, 16), 2, make([]float64, 3), 1); err == nil {
-		t.Fatal("short table accepted by accumulate")
 	}
 }

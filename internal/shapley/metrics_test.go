@@ -69,7 +69,11 @@ func TestInstrumentExactPhases(t *testing.T) {
 	if _, err := Exact(8, testWorth); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exactParallel(8, testWorth, 2); err != nil {
+	table := make([]float64, 1<<8)
+	if err := TabulateParallelInto(table, 8, testWorth, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExactFromTable(8, table); err != nil {
 		t.Fatal(err)
 	}
 	m := metrics()

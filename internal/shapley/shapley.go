@@ -55,8 +55,8 @@ func weightsShared(n int) ([]float64, error) {
 // computeWeights builds the weight vector with the multiplicative
 // recurrence. Each entry accumulates at most 2(n−1) rounding steps, so
 // the relative error stays below ~2n·ε — about 4.4e-14 at n = 200 and
-// 1.2e-13 at n = SymMaxPlayers, inside the solver's 1e-12 equivalence
-// bound (pinned against a big.Rat oracle in the tests).
+// 1.2e-13 at n = vm.MaxVMs (pinned against a big.Rat oracle in the
+// tests).
 func computeWeights(n int) []float64 {
 	w := make([]float64, n)
 	for s := 0; s < n; s++ {
@@ -71,30 +71,17 @@ func computeWeights(n int) []float64 {
 	return w
 }
 
-// weightsFor returns the read-only weight vector for any n the package's
-// solvers accept: the fixed-size atomic memo serves the mask-based range
-// (n <= ExactMaxPlayers, bit-stable across the process), larger games up
-// to SymMaxPlayers — reachable only through the symmetry-collapsed
-// solver — are computed on demand (O(n²) flops; SymScratch caches the
-// vector across ticks).
-func weightsFor(n int) ([]float64, error) {
-	if n >= 1 && n <= ExactMaxPlayers {
-		return weightsShared(n)
-	}
-	if n < 1 || n > SymMaxPlayers {
-		return nil, fmt.Errorf("%w: n=%d", ErrPlayers, n)
-	}
-	return computeWeights(n), nil
-}
-
 // Weights returns the Shapley coalition weights for an n-player game:
 // Weights(n)[s] is the weight of a coalition of size s not containing the
 // player, i.e. s!(n-s-1)!/n! — equivalently 1/((n-s)·C(n,s)) as written in
-// the paper's Eq. 4. n may reach SymMaxPlayers (the symmetry-collapsed
-// solver's range); vectors up to ExactMaxPlayers are memoized. The
-// returned slice is a private copy the caller may mutate.
+// the paper's Eq. 4. n may reach vm.MaxVMs, the widest host the exact
+// tier serves; vectors up to ExactMaxPlayers are memoized. The returned
+// slice is a private copy the caller may mutate.
 func Weights(n int) ([]float64, error) {
-	w, err := weightsFor(n)
+	if n > ExactMaxPlayers && n <= vm.MaxVMs {
+		return computeWeights(n), nil
+	}
+	w, err := weightsShared(n)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -65,11 +66,11 @@ func TestWeights(t *testing.T) {
 	if _, err := Weights(0); !errors.Is(err, ErrPlayers) {
 		t.Fatalf("Weights(0): %v", err)
 	}
-	if _, err := Weights(SymMaxPlayers + 1); !errors.Is(err, ErrPlayers) {
+	if _, err := Weights(vm.MaxVMs + 1); !errors.Is(err, ErrPlayers) {
 		t.Fatalf("oversize: %v", err)
 	}
-	// Past the bitmask cap the symmetry-collapsed range still serves
-	// weight vectors (needed for games up to SymMaxPlayers players).
+	// Past the bitmask cap Weights still serves vectors, up to the
+	// VM-set ceiling (the exact tier's hosts of up to vm.MaxVMs VMs).
 	if w, err := Weights(ExactMaxPlayers + 1); err != nil || len(w) != ExactMaxPlayers+1 {
 		t.Fatalf("Weights(%d) = (%d entries, %v)", ExactMaxPlayers+1, len(w), err)
 	}
@@ -441,4 +442,31 @@ func NonDeterministic(n int, states []vm.State, worth StateWorthFunc) ([]float64
 	return Exact(n, func(s vm.Coalition) float64 {
 		return worth(s, states)
 	})
+}
+
+// TestWeightsBigRatOracle checks the multiplicative weight recurrence against a
+// big.Rat factorial oracle up to n = 200 (and a few beyond), pinning the
+// relative error under 1e-12 for every entry.
+func TestWeightsBigRatOracle(t *testing.T) {
+	ns := []int{1, 2, 3, 5, 8, 13, 16, 20, 24, 32, 64, 100, 128, 200, 256, vm.MaxVMs}
+	for _, n := range ns {
+		w, err := Weights(n)
+		if err != nil {
+			t.Fatalf("Weights(%d): %v", n, err)
+		}
+		fact := make([]*big.Int, n+1)
+		fact[0] = big.NewInt(1)
+		for i := 1; i <= n; i++ {
+			fact[i] = new(big.Int).Mul(fact[i-1], big.NewInt(int64(i)))
+		}
+		for s := 0; s < n; s++ {
+			num := new(big.Int).Mul(fact[s], fact[n-s-1])
+			exact := new(big.Rat).SetFrac(num, fact[n])
+			want, _ := exact.Float64()
+			rel := math.Abs(w[s]-want) / want
+			if rel > 1e-12 {
+				t.Fatalf("Weights(%d)[%d] = %.17g, oracle %.17g (rel err %.3g)", n, s, w[s], want, rel)
+			}
+		}
+	}
 }

@@ -237,3 +237,38 @@ func ClassedFeaturesFor(set *vm.Set, mask vm.Coalition, states []vm.State, class
 	}
 	return combo, Features(combo, agg), nil
 }
+
+// ClassedFeaturesRunning is ClassedFeaturesFor over a running-flag vector
+// instead of a coalition mask — the wide-set form used when the VM set
+// exceeds the bitmask cap. Flags are scanned in ascending VM-ID order, the
+// same addition order as the mask form, so the two agree bit for bit on
+// sets both can represent.
+func ClassedFeaturesRunning(set *vm.Set, running []bool, states []vm.State, classes *ClassMap) (ComboMask, []float64, error) {
+	if err := classes.Validate(); err != nil {
+		return 0, nil, err
+	}
+	if len(states) != set.Len() {
+		return 0, nil, fmt.Errorf("vhc: %d states for %d VMs", len(states), set.Len())
+	}
+	if len(running) != set.Len() {
+		return 0, nil, fmt.Errorf("vhc: %d running flags for %d VMs", len(running), set.Len())
+	}
+	agg := make(map[vm.TypeID]vm.State, classes.Classes)
+	var combo ComboMask
+	for i, r := range running {
+		if !r {
+			continue
+		}
+		v, err := set.VM(vm.ID(i))
+		if err != nil {
+			return 0, nil, err
+		}
+		if int(v.Type) >= len(classes.ByType) {
+			return 0, nil, fmt.Errorf("vhc: type %d not covered by class map", v.Type)
+		}
+		class := vm.TypeID(classes.ByType[v.Type])
+		combo |= 1 << uint(class)
+		agg[class] = agg[class].Add(states[i])
+	}
+	return combo, Features(combo, agg), nil
+}

@@ -3,6 +3,7 @@ package vhc
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"vmpower/internal/vm"
@@ -207,5 +208,55 @@ func TestClassComboFor(t *testing.T) {
 	}
 	if combo != 0b01 {
 		t.Fatalf("combo = %v", combo)
+	}
+}
+
+// TestClassedFeaturesRunningMatchesMask pins the wide-set feature builder
+// to the mask form bit for bit on every coalition both can represent.
+func TestClassedFeaturesRunningMatchesMask(t *testing.T) {
+	set := testSet(t)
+	classes, err := IdentityClassMap(len(set.Catalog()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13))
+	full := vm.GrandCoalition(set.Len())
+	for trial := 0; trial < 200; trial++ {
+		mask := vm.Coalition(rng.Intn(int(full) + 1))
+		states := make([]vm.State, set.Len())
+		for i := range states {
+			for c := 0; c < int(vm.NumComponents); c++ {
+				states[i][c] = rng.Float64()
+			}
+		}
+		running := make([]bool, set.Len())
+		for i := range running {
+			running[i] = mask.Contains(vm.ID(i))
+		}
+		combo, feats, err := ClassedFeaturesFor(set, mask, states, classes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comboR, featsR, err := ClassedFeaturesRunning(set, running, states, classes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if combo != comboR {
+			t.Fatalf("mask=%s: combo %s != running combo %s", mask, combo, comboR)
+		}
+		if len(feats) != len(featsR) {
+			t.Fatalf("mask=%s: %d features vs %d", mask, len(feats), len(featsR))
+		}
+		for i := range feats {
+			if feats[i] != featsR[i] {
+				t.Fatalf("mask=%s feature %d: %v != %v", mask, i, feats[i], featsR[i])
+			}
+		}
+	}
+	if _, _, err := ClassedFeaturesRunning(set, make([]bool, 2), make([]vm.State, set.Len()), classes); err == nil {
+		t.Fatal("wrong running length must error")
+	}
+	if _, _, err := ClassedFeaturesRunning(set, make([]bool, set.Len()), make([]vm.State, 1), classes); err == nil {
+		t.Fatal("wrong states length must error")
 	}
 }

@@ -147,18 +147,18 @@ func (p *Plan) Epoch() uint64 { return p.epoch }
 // non-members are ignored. The caller is responsible for masking out
 // stopped VMs (dummies) before calling, exactly as with the legacy path.
 func (p *Plan) Eval(s vm.Coalition, states []vm.State) (float64, error) {
-	var feat [maxFeatureLen]float64
+	var feat [MaxFeatureLen]float64
 	combo, err := p.features(s, states, &feat)
 	if err != nil || combo == 0 {
 		return 0, err
 	}
-	return p.worth(combo, &feat)
+	return p.Worth(combo, &feat)
 }
 
 // features fills feat with s's aggregated feature vector, adding member
 // states in ascending VM-ID order, and returns its combo (0 for the
 // empty coalition).
-func (p *Plan) features(s vm.Coalition, states []vm.State, feat *[maxFeatureLen]float64) (ComboMask, error) {
+func (p *Plan) features(s vm.Coalition, states []vm.State, feat *[MaxFeatureLen]float64) (ComboMask, error) {
 	const k = int(vm.NumComponents)
 	if len(states) < p.n {
 		return 0, fmt.Errorf("vhc: %d states for %d planned VMs", len(states), p.n)
@@ -185,22 +185,64 @@ func (p *Plan) features(s vm.Coalition, states []vm.State, feat *[maxFeatureLen]
 	return combo, nil
 }
 
-// worth maps a non-empty combo's aggregated feature vector to v(S, C):
+// ClassBit returns VM i's compiled class bit (1 << class(type(vm i))).
+func (p *Plan) ClassBit(i int) (ComboMask, error) {
+	if i < 0 || i >= p.n {
+		return 0, fmt.Errorf("vhc: plan compiled for %d VMs, no VM %d", p.n, i)
+	}
+	return p.classBit[i], nil
+}
+
+// Weights returns combo's fitted mapping vector, laid out as Features,
+// or nil when the combo is untrained. The slice is the plan's own:
+// callers must not modify it.
+func (p *Plan) Weights(combo ComboMask) []float64 {
+	if int(combo) >= len(p.weights) {
+		return nil
+	}
+	return p.weights[combo]
+}
+
+// TableBox reports whether combo has exact-match table entries and, when
+// it does, fills lo and hi with bounds on every stored key's features: a
+// feature vector with a coordinate i outside [lo[i], hi[i]] has no entry.
+// The bounds are the key box widened by one lattice step on each side,
+// so that rounding in f/resolution never excludes a feature that
+// quantizes into the box.
+func (p *Plan) TableBox(combo ComboMask, lo, hi *[MaxFeatureLen]float64) bool {
+	if int(combo) >= len(p.table) || p.table[combo] == nil || p.resolution <= 0 {
+		return false
+	}
+	t := p.table[combo]
+	for i := 0; i < combo.Size()*int(vm.NumComponents); i++ {
+		lo[i] = (float64(t.lo[i]) - 1) * p.resolution
+		hi[i] = (float64(t.hi[i]) + 1) * p.resolution
+	}
+	return true
+}
+
+// TableMean returns the exact-match table mean stored for combo under
+// feat's lattice key, if any.
+func (p *Plan) TableMean(combo ComboMask, feat *[MaxFeatureLen]float64) (float64, bool) {
+	if int(combo) >= len(p.table) || p.table[combo] == nil || p.resolution <= 0 {
+		return 0, false
+	}
+	return p.table[combo].lookup(feat, combo.Size()*int(vm.NumComponents), p.resolution)
+}
+
+// Worth maps a non-empty combo's aggregated feature vector to v(S, C):
 // the exact-match table mean when the quantized features were measured
 // offline, otherwise the clamped linear approximation.
-func (p *Plan) worth(combo ComboMask, feat *[maxFeatureLen]float64) (float64, error) {
-	if t := p.table[combo]; t != nil && p.resolution > 0 {
-		if v, ok := t.lookup(feat, combo.Size()*int(vm.NumComponents), p.resolution); ok {
-			return v, nil
-		}
+func (p *Plan) Worth(combo ComboMask, feat *[MaxFeatureLen]float64) (float64, error) {
+	if v, ok := p.TableMean(combo, feat); ok {
+		return v, nil
 	}
-	w := p.weights[combo]
+	w := p.Weights(combo)
 	if w == nil {
 		return 0, fmt.Errorf("%w: %s", ErrUntrained, combo)
 	}
 	// Each product is rounded before it is added (the conversion forbids
-	// fusing it into the addition), as in linalg.Vector.Dot and in the
-	// worth rows SymEval sums.
+	// fusing it into the addition), as in linalg.Vector.Dot.
 	var dot float64
 	for i, x := range w {
 		dot += float64(x * feat[i])
@@ -217,7 +259,7 @@ func (p *Plan) worth(combo ComboMask, feat *[maxFeatureLen]float64) (float64, er
 // so such a vector has no entry. Online states almost never hit the
 // table, and most lookups leave the box at the first coordinate, which is
 // therefore tested before the key is zeroed.
-func (t *comboTable) lookup(feat *[maxFeatureLen]float64, flen int, res float64) (float64, bool) {
+func (t *comboTable) lookup(feat *[MaxFeatureLen]float64, flen int, res float64) (float64, bool) {
 	c := latticeCoord(feat[0], res)
 	if c < t.lo[0] || c > t.hi[0] {
 		return 0, false

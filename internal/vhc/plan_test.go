@@ -157,14 +157,14 @@ func TestPlanTableHit(t *testing.T) {
 			for combo, entries := range a.table {
 				flen := a.featureLen(combo)
 				for key, e := range entries {
-					var feat [maxFeatureLen]float64
+					var feat [MaxFeatureLen]float64
 					for i := 0; i < flen; i++ {
 						feat[i] = float64(key[i]) * res
 					}
 					if a.key(feat[:flen]) != key {
 						t.Fatalf("res=%g combo %s: lattice centre does not quantize back to its key", res, combo)
 					}
-					got, err := plan.worth(combo, &feat)
+					got, err := plan.Worth(combo, &feat)
 					if err != nil {
 						t.Fatal(err)
 					}

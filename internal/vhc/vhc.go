@@ -188,9 +188,9 @@ type tableEntry struct {
 
 func (e *tableEntry) mean() float64 { return e.sum / float64(e.count) }
 
-// maxFeatureLen is the widest possible feature vector: every one of the
+// MaxFeatureLen is the widest possible feature vector: every one of the
 // MaxTypes classes present, k components each.
-const maxFeatureLen = MaxTypes * int(vm.NumComponents)
+const MaxFeatureLen = MaxTypes * int(vm.NumComponents)
 
 // tableKey is the quantized numeric form of a feature vector: one lattice
 // coordinate round(f/resolution) per feature slot, zero beyond the combo's
@@ -199,7 +199,7 @@ const maxFeatureLen = MaxTypes * int(vm.NumComponents)
 // keys: a comparable fixed-size array is buildable with zero allocations
 // on the estimation hot path and hashes without string interning. Only
 // meaningful when resolution > 0 — the table is disabled otherwise.
-type tableKey [maxFeatureLen]int64
+type tableKey [MaxFeatureLen]int64
 
 // latticeCoord quantizes one feature onto the resolution lattice. The
 // saturation guards keep pathological resolutions (f/res beyond the int64
