@@ -482,9 +482,11 @@ func (a *Allocation) Shares() map[string]float64 {
 	return out
 }
 
-// Method reports how the Shapley value was computed: "exact" (2^n
-// enumeration, n <= 16), "montecarlo", or "fallback" for a degraded tick
-// split without the solver.
+// Method reports how the Shapley value was computed: "exact" (in closed
+// form, whenever the running VMs' groups of equal class and state span
+// at most 2^22 count vectors — any 22 VMs, or hundreds that repeat),
+// "montecarlo" (hosts of up to 24 VMs past that), or "fallback" for a
+// degraded tick split without the solver.
 func (a *Allocation) Method() string { return a.inner.Method }
 
 // Degraded reports whether this tick was served from a held-over meter
