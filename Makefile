@@ -89,18 +89,21 @@ cover:
 # A short pass over every fuzz target — enough to catch regressions in the
 # frame decoder, stream resync, model loader, the exact tier's closed form,
 # Monte-Carlo sampling stream, workload CSV parser and the history query
-# endpoint without tying up CI.
+# endpoint without tying up CI. Minimizing an input is capped at 100
+# execs: Go's default allows 60 s per input, and shrinking a model-sized
+# input byte by byte would spend the whole FUZZTIME budget minimizing
+# instead of fuzzing. A crasher is still reported, only less minimized.
 FUZZTIME ?= 10s
 fuzz-short:
-	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/meter/serial/
-	$(GO) test -run '^$$' -fuzz '^FuzzReaderResync$$' -fuzztime $(FUZZTIME) ./internal/meter/serial/
-	$(GO) test -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME) ./internal/core/
-	$(GO) test -run '^$$' -fuzz '^FuzzClosedForm$$' -fuzztime $(FUZZTIME) ./internal/core/
-	$(GO) test -run '^$$' -fuzz '^FuzzUnitSource$$' -fuzztime $(FUZZTIME) ./internal/shapley/
-	$(GO) test -run '^$$' -fuzz '^FuzzHistoryQuery$$' -fuzztime $(FUZZTIME) ./internal/powerd/
-	$(GO) test -run '^$$' -fuzz '^FuzzTraceFromCSV$$' -fuzztime $(FUZZTIME) ./internal/workload/
-	$(GO) test -run '^$$' -fuzz '^FuzzGeneratorTicks$$' -fuzztime $(FUZZTIME) ./internal/workload/
-	$(GO) test -run '^$$' -fuzz '^FuzzParseScenario$$' -fuzztime $(FUZZTIME) ./internal/cliutil/
+	$(GO) test -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -fuzz '^FuzzDecode$$' ./internal/meter/serial/
+	$(GO) test -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -fuzz '^FuzzReaderResync$$' ./internal/meter/serial/
+	$(GO) test -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -fuzz '^FuzzLoadModel$$' ./internal/core/
+	$(GO) test -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -fuzz '^FuzzClosedForm$$' ./internal/core/
+	$(GO) test -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -fuzz '^FuzzUnitSource$$' ./internal/shapley/
+	$(GO) test -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -fuzz '^FuzzHistoryQuery$$' ./internal/powerd/
+	$(GO) test -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -fuzz '^FuzzTraceFromCSV$$' ./internal/workload/
+	$(GO) test -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -fuzz '^FuzzGeneratorTicks$$' ./internal/workload/
+	$(GO) test -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -fuzz '^FuzzParseScenario$$' ./internal/cliutil/
 
 # End-to-end fleetd smoke: calibrate a 3-host pool, serve on an ephemeral
 # port, run 10 ticks, self-scrape /healthz and /metrics, exit non-zero on

@@ -80,7 +80,7 @@ func run() error {
 		fHost     = flag.Int("fault-host", 0, "host index the -fault-* injector wraps")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
 		smoke     = flag.Bool("smoke", false, "self-test: serve on an ephemeral port, run a few ticks, scrape /healthz, /metrics and /api/v1/events, exit")
-		auditDeep = flag.Int("audit-deep", 60, "re-solve every Nth host tick through the alternate exact path and compare (0 disables deep checks; the cheap per-tick audit always runs)")
+		auditDeep = flag.Int("audit-deep", 60, "re-solve every Nth exactly-solved host tick with the independent textbook reference and compare (0 disables deep checks; the cheap per-tick audit always runs)")
 		scenFlag  = flag.String("scenario", "", "lifecycle scenario DSL (subject@tick:kind[:args], comma list; e.g. vm1@5:migrate:1:3,host:0@10:drain:2)")
 		scenSeed  = flag.Int64("scenario-seed", 1, "seed for the scenario autoscale burst stream")
 		version   = cliutil.VersionFlag(nil)

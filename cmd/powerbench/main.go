@@ -372,7 +372,7 @@ func bootDaemon(cfg benchConfig) (*powerd.Server, error) {
 			return nil, err
 		}
 	}
-	host.SetCoalition(vm.GrandCoalition(set.Len()))
+	host.SetAll(true)
 	srv, err := powerd.New(est, names, 600)
 	if err != nil {
 		return nil, err

@@ -67,7 +67,7 @@ func run() error {
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		holdover  = flag.Int("holdover", 10, "serve from the last good meter sample for up to this many ticks during an outage (negative disables)")
 		stuckAt   = flag.Int("stuck-threshold", 0, "reject a reading repeated this many times in a row as a stuck meter (0 disables)")
-		auditDeep = flag.Int("audit-deep", 60, "re-solve every Nth tick through the alternate exact path and compare (0 disables deep checks; the cheap per-tick audit always runs)")
+		auditDeep = flag.Int("audit-deep", 60, "re-solve every Nth exactly-solved tick with the independent textbook reference and compare (0 disables deep checks; the cheap per-tick audit always runs)")
 		version   = cliutil.VersionFlag(nil)
 		logCfg    = cliutil.LogFlags(nil)
 		faultCfg  = cliutil.FaultFlags(nil)
@@ -183,7 +183,7 @@ func run() error {
 			return err
 		}
 	}
-	host.SetCoalition(vm.GrandCoalition(set.Len()))
+	host.SetAll(true)
 
 	srv, err := powerd.New(est, names, *history)
 	if err != nil {

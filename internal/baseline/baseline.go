@@ -114,23 +114,24 @@ func Train(host *hypervisor.Host, opts TrainOptions) (*PowerModel, error) {
 		}
 		model.CoefByType[t] = coef
 	}
-	host.SetCoalition(vm.EmptyCoalition)
+	host.SetAll(false)
 	return model, nil
 }
 
 func trainOne(host *hypervisor.Host, id vm.ID, ticks int, seed int64) (float64, error) {
-	prev := host.Running()
-	defer host.SetCoalition(prev)
 	if err := host.Attach(id, workload.Synthetic{Seed: seed}); err != nil {
 		return 0, err
 	}
-	host.SetCoalition(vm.CoalitionOf(id))
+	host.SetAll(false)
+	if err := host.Start(id); err != nil {
+		return 0, err
+	}
 	var sumUP, sumUU float64
 	for i := 0; i < ticks; i++ {
 		host.Advance(1)
 		snap := host.Collect()
 		u := snap.States[int(id)][vm.CPU]
-		p, err := host.DynamicPowerFor(snap.Coalition, snap.States)
+		p, err := host.DynamicPowerFor(snap.Running, snap.States)
 		if err != nil {
 			return 0, err
 		}

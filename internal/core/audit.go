@@ -6,49 +6,37 @@ import (
 
 	"vmpower/internal/hypervisor"
 	"vmpower/internal/shapley"
+	"vmpower/internal/vm"
 )
 
-// AuditConfig tunes the invariant auditor. The zero value gives the
-// defaults below.
+// AuditConfig tunes the invariant auditor.
 type AuditConfig struct {
-	// EfficiencyTol is the relative Efficiency tolerance: a tick violates
-	// when |Σφ − dyn| > EfficiencyTol × max(1, dyn) watts. Default 1e-6.
-	// Monte-Carlo ticks get 100× slack — their φ still telescopes to the
-	// grand worth per sampled permutation, but the float error of
-	// millions of accumulated marginals is larger than an exact solve's.
-	EfficiencyTol float64
-	// ShareMargin widens the per-VM plausibility band: every share must
-	// fall in [−m·s, dyn + m·s] where s = max(1, dyn) and m is the
-	// margin. Exact Shapley shares can go slightly negative under
-	// interference, but a share far below zero or above the whole
-	// dynamic draw is an engine bug, not physics. Default 0.5.
-	ShareMargin float64
 	// DeepEvery is the sampled deep-check cadence: every DeepEvery-th
 	// audited tick that was solved exactly is re-solved by an independent
 	// reference (uncompiled model worths, full 2^n tabulation, textbook
 	// Shapley sum) and compared per-VM. 0 disables deep checks. Each deep
 	// check costs one full 2^n solve.
 	DeepEvery int
-	// DeepTol is the per-VM deep-check tolerance, relative like
-	// EfficiencyTol. Default 1e-9: the exact tier's closed form and the
-	// reference's textbook sum are two evaluations of the same value and
-	// differ by rounding only, within 1e-12 of the worth scale in the
-	// oracle tests.
-	DeepTol float64
 }
 
-func (c AuditConfig) withDefaults() AuditConfig {
-	if c.EfficiencyTol <= 0 {
-		c.EfficiencyTol = 1e-6
-	}
-	if c.ShareMargin <= 0 {
-		c.ShareMargin = 0.5
-	}
-	if c.DeepTol <= 0 {
-		c.DeepTol = 1e-9
-	}
-	return c
-}
+// The auditor's tolerances, relative to s = max(1, dyn) watts.
+const (
+	// efficiencyTol bounds |Σφ − dyn| at efficiencyTol·s. Monte-Carlo
+	// ticks get 100× slack — their φ still telescopes to the grand worth
+	// per sampled permutation, but the float error of millions of
+	// accumulated marginals is larger than an exact solve's.
+	efficiencyTol = 1e-6
+	// shareMargin widens the per-VM plausibility band: every share must
+	// fall in [−m·s, dyn + m·s] for margin m. Exact Shapley shares can go
+	// slightly negative under interference, but a share far below zero
+	// or above the whole dynamic draw is an engine bug, not physics.
+	shareMargin = 0.5
+	// deepTol bounds each VM's deep-check divergence at deepTol·s: the
+	// exact tier's closed form and the reference's textbook sum are two
+	// evaluations of the same value and differ by rounding only, within
+	// 1e-12 of the worth scale in the oracle tests.
+	deepTol = 1e-9
+)
 
 // AuditViolation is one invariant failure, delivered to the auditor's
 // callback. Violations never abort the tick: the allocation has already
@@ -76,7 +64,7 @@ type Auditor struct {
 // NewAuditor builds an auditor. onViolation (nil is fine) is invoked
 // synchronously for each violation.
 func NewAuditor(cfg AuditConfig, onViolation func(AuditViolation)) *Auditor {
-	return &Auditor{cfg: cfg.withDefaults(), onViolation: onViolation}
+	return &Auditor{cfg: cfg, onViolation: onViolation}
 }
 
 // violate records one violation on the tick's provenance, the package
@@ -110,7 +98,7 @@ func (a *Auditor) audit(e *Estimator, snap hypervisor.Snapshot, alloc *Allocatio
 	}
 	residual := math.Abs(sum - dyn)
 	alloc.Prov.EfficiencyResidualWatts = residual
-	tol := a.cfg.EfficiencyTol * scale
+	tol := efficiencyTol * scale
 	if alloc.Method == "montecarlo" {
 		tol *= 100
 	}
@@ -121,8 +109,8 @@ func (a *Auditor) audit(e *Estimator, snap hypervisor.Snapshot, alloc *Allocatio
 	}
 
 	// Plausibility: every share finite and inside the interference band.
-	lo := -a.cfg.ShareMargin * scale
-	hi := dyn + a.cfg.ShareMargin*scale
+	lo := -shareMargin * scale
+	hi := dyn + shareMargin*scale
 	for i, p := range alloc.PerVM {
 		if math.IsNaN(p) || math.IsInf(p, 0) {
 			a.violate(alloc, "non-finite", fmt.Sprintf("φ[%d] = %g", i, p))
@@ -178,10 +166,10 @@ func (a *Auditor) deepCheck(e *Estimator, snap hypervisor.Snapshot, alloc *Alloc
 	}
 	alloc.Prov.DeepChecked = true
 	alloc.Prov.DeepMaxDeltaWatts = maxDelta
-	if maxDelta > a.cfg.DeepTol*scale {
+	if maxDelta > deepTol*scale {
 		a.violate(alloc, "deep-mismatch",
 			fmt.Sprintf("tier %s diverges from the reference solve by %g W at VM %d (tol %g)",
-				alloc.Prov.Tier, maxDelta, worst, a.cfg.DeepTol*scale))
+				alloc.Prov.Tier, maxDelta, worst, deepTol*scale))
 		metrics().noteAuditDeepMismatch()
 	}
 }
@@ -191,11 +179,15 @@ func (a *Auditor) deepCheck(e *Estimator, snap hypervisor.Snapshot, alloc *Alloc
 // so every share is 0.
 func (e *Estimator) referenceShares(snap hypervisor.Snapshot, measuredTotal float64) ([]float64, error) {
 	n := e.host.Set().Len()
-	if snap.Coalition.IsEmpty() {
+	running, err := vm.RunningCoalition(snap.Running)
+	if err != nil {
+		return nil, err
+	}
+	if running.IsEmpty() {
 		return make([]float64, n), nil
 	}
 	dyn := math.Max(0, measuredTotal-e.idlePower)
-	worth, worthErr := e.buildWorth(snap, dyn)
+	worth, worthErr := e.buildWorth(running, snap.States, dyn)
 	table := make([]float64, 1<<uint(n))
 	if err := shapley.TabulateParallelInto(table, n, worth, e.cfg.Parallelism); err != nil {
 		return nil, err

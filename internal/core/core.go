@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -122,8 +123,6 @@ type Config struct {
 	// extension; build one with vhc.ClusterTypes). Nil uses the identity
 	// map — one VHC per catalog type, the paper's base setting.
 	Classes *vhc.ClassMap
-	// RidgeLambda is passed to the VHC approximator. Default 1e-6.
-	RidgeLambda float64
 	// Parallelism is the worker count of Monte-Carlo sampling and of the
 	// deep audit's reference tabulation; the exact tier is serial. 0
 	// defaults to 1 (serial, the paper's single-threaded pipeline);
@@ -209,11 +208,11 @@ const (
 )
 
 // Provenance records how a tick's allocation was produced: the solver
-// tier and why the gate picked it, the incremental solve's shape, and
-// the invariant auditor's verdict. It is filled on every tick with
-// value-typed fields and constant reason strings, so carrying it costs
-// the hot path nothing; the flight recorder and the tick event journal
-// are built from it.
+// tier and why the gate picked it, the exact tier's search effort, the
+// model residual and the invariant auditor's verdict. It is filled on
+// every tick with value-typed fields and constant reason strings, so
+// carrying it costs the hot path nothing; the flight recorder and the
+// tick event journal are built from it.
 type Provenance struct {
 	// Tier is the solver tier that produced PerVM (Tier* constants);
 	// TierReason says why the gate picked it.
@@ -251,10 +250,6 @@ type Provenance struct {
 type Allocation struct {
 	// Tick is the host clock when the states were collected.
 	Tick int
-	// Coalition is the running VM set. On wide hosts (more than
-	// vm.MaxPlayers VMs) no mask can represent the set and this is zero;
-	// running VMs are the ones with non-dummy PerVM entries.
-	Coalition vm.Coalition
 	// MeasuredPower is the meter reading (total wall power, W).
 	MeasuredPower float64
 	// DynamicPower is MeasuredPower minus the idle power (clamped at 0):
@@ -387,10 +382,7 @@ func New(host *hypervisor.Host, m meter.Meter, cfg Config) (*Estimator, error) {
 				len(classes.ByType), len(host.Set().Catalog()))
 		}
 	}
-	approx, err := vhc.New(classes.Classes, vhc.Options{
-		Resolution:  host.Resolution(),
-		RidgeLambda: cfg.RidgeLambda,
-	})
+	approx, err := vhc.New(classes.Classes, vhc.Options{Resolution: host.Resolution()})
 	if err != nil {
 		return nil, err
 	}
@@ -557,7 +549,7 @@ func (e *Estimator) CollectOffline() error {
 	set := e.host.Set()
 
 	// Establish the idle power (Remark 1: stable when no VM runs).
-	e.host.SetCoalition(vm.EmptyCoalition)
+	e.host.SetAll(false)
 	e.peakPower = 0
 	var idleSum float64
 	for i := 0; i < e.cfg.IdleMeasureTicks; i++ {
@@ -583,11 +575,7 @@ func (e *Estimator) CollectOffline() error {
 		}
 	}
 
-	// Traverse the 2^r − 1 non-empty VHC (class) combinations. The
-	// traversal runs over per-VM running flags rather than coalition
-	// masks, so it works identically on hosts past the mask limit; the
-	// flag and mask forms aggregate in the same ascending-ID order and
-	// produce bit-for-bit identical samples on sets both can represent.
+	// Traverse the 2^r − 1 non-empty VHC (class) combinations.
 	numCombos := vhc.ComboMask(1) << uint(e.approx.NumTypes())
 	for combo := vhc.ComboMask(1); combo < numCombos; combo++ {
 		running, any, err := e.runningForCombo(set, combo)
@@ -612,7 +600,7 @@ func (e *Estimator) CollectOffline() error {
 			if dyn < 0 {
 				dyn = 0
 			}
-			got, features, err := vhc.ClassedFeaturesRunning(set, snap.Running, snap.States, e.classes)
+			got, features, err := vhc.ClassedFeaturesFor(set, snap.Running, snap.States, e.classes)
 			if err != nil {
 				return err
 			}
@@ -621,7 +609,7 @@ func (e *Estimator) CollectOffline() error {
 			}
 		}
 	}
-	e.host.SetCoalition(vm.EmptyCoalition)
+	e.host.SetAll(false)
 
 	if err := e.approx.Train(); err != nil {
 		return fmt.Errorf("core: %w", err)
@@ -783,7 +771,6 @@ func (e *Estimator) fallbackAllocation(snap hypervisor.Snapshot, measuredTotal f
 	}
 	alloc := &Allocation{
 		Tick:           snap.Tick,
-		Coalition:      snap.Coalition,
 		MeasuredPower:  measuredTotal,
 		DynamicPower:   dyn,
 		PerVM:          make([]float64, n),
@@ -850,58 +837,27 @@ func (e *Estimator) Estimate(snap hypervisor.Snapshot, measuredTotal float64) (*
 	return e.estimateTick(sc, snap, measuredTotal, nil)
 }
 
-// buildWorth constructs the online coalition worth function for a
-// snapshot: the measured (idle-deducted) power for the running grand
-// coalition, 0 for the empty set, and the VHC approximation for proper
-// subsets; stopped VMs are dummies. The returned func reports the first
-// evaluation failure (Shapley evaluates worths inside tight loops that
-// cannot return errors).
-//
-// Thread-safety: the returned WorthFunc satisfies the parallel Shapley
-// engine's contract (see internal/shapley/parallel.go). It only reads
-// immutable per-call state (the snapshot's coalition and state slice,
-// the VM set) and the trained vhc.Approximator, whose read path is
-// RWMutex-guarded; the error capture below is mutex-guarded. It is pure
-// as long as no AddSample/Train/Import runs concurrently — the online
-// estimation phase never retrains, which is exactly the contract the
-// engine needs.
-func (e *Estimator) buildWorth(snap hypervisor.Snapshot, dyn float64) (shapley.WorthFunc, func() error) {
+// buildWorth constructs the online worth function of the 2^n game over
+// the running set: the measured (idle-deducted) power dyn for the running
+// grand coalition, 0 for the empty set, and the uncompiled VHC
+// approximation for proper subsets; stopped VMs are dummies. The running
+// mask comes from vm.RunningCoalition over a snapshot that passed
+// checkSnapshot. Same thread-safety contract as maskWorth; the
+// approximator's read path is RWMutex-guarded.
+func (e *Estimator) buildWorth(running vm.Coalition, states []vm.State, dyn float64) (shapley.WorthFunc, func() error) {
 	set := e.host.Set()
-	running := snap.Coalition
-	var mu sync.Mutex
-	var worthErr error
-	capture := func(err error) {
-		mu.Lock()
-		if worthErr == nil {
-			worthErr = err
+	n := set.Len()
+	return maskWorth(running, dyn, func(s vm.Coalition) (float64, error) {
+		var flags [vm.MaxPlayers]bool
+		for m := uint32(s); m != 0; m &= m - 1 {
+			flags[bits.TrailingZeros32(m)] = true
 		}
-		mu.Unlock()
-	}
-	worth := func(s vm.Coalition) float64 {
-		s &= running // stopped VMs are dummies
-		if s == running {
-			return dyn
-		}
-		if s.IsEmpty() {
-			return 0
-		}
-		combo, features, err := vhc.ClassedFeaturesFor(set, s, snap.States, e.classes)
+		combo, features, err := vhc.ClassedFeaturesFor(set, flags[:n], states, e.classes)
 		if err != nil {
-			capture(err)
-			return 0
+			return 0, err
 		}
-		p, err := e.approx.Estimate(combo, features)
-		if err != nil {
-			capture(err)
-			return 0
-		}
-		return p
-	}
-	return worth, func() error {
-		mu.Lock()
-		defer mu.Unlock()
-		return worthErr
-	}
+		return e.approx.Estimate(combo, features)
+	})
 }
 
 // ensurePlan returns the compiled worth plan for the current model epoch,
@@ -963,23 +919,29 @@ func (e *Estimator) CalibratedForClass(t vm.TypeID) bool {
 	return e.approx.Trained(vhc.ComboMask(1) << uint(e.classes.ByType[t]))
 }
 
-// planWorth is buildWorth over a compiled plan: the same coalition
-// semantics (measured dynamic power for the running grand coalition, 0
-// for the empty set, stopped VMs masked out as dummies) with vhc.Plan.Eval
-// replacing the allocating ClassedFeaturesFor + Approximator.Estimate
-// pair, bit for bit. It feeds the Monte-Carlo sampler. Same thread-safety
-// contract as buildWorth; Plan.Eval only reads, so concurrent samplers
-// never contend.
+// planWorth is buildWorth over the compiled plan: vhc.Plan.Eval replaces
+// the allocating ClassedFeaturesFor + Approximator.Estimate pair, bit for
+// bit. It feeds the Monte-Carlo sampler; Plan.Eval only reads, so
+// concurrent samplers never contend.
 func planWorth(plan *vhc.Plan, running vm.Coalition, states []vm.State, dyn float64) (shapley.WorthFunc, func() error) {
+	return maskWorth(running, dyn, func(s vm.Coalition) (float64, error) {
+		return plan.Eval(s, states)
+	})
+}
+
+// maskWorth wraps eval, the worth of a proper non-empty sub-coalition
+// of running, into the tick's game: stopped VMs are masked out as
+// dummies, the running grand coalition is worth dyn and the empty set 0.
+// The returned func reports the first evaluation failure (Shapley
+// evaluates worths inside tight loops that cannot return errors).
+//
+// Thread-safety: the WorthFunc satisfies the parallel Shapley engine's
+// contract (see internal/shapley/parallel.go) as long as eval only reads
+// state that stays fixed while the game is solved — the online phase
+// never retrains; the error capture is mutex-guarded.
+func maskWorth(running vm.Coalition, dyn float64, eval func(vm.Coalition) (float64, error)) (shapley.WorthFunc, func() error) {
 	var mu sync.Mutex
 	var worthErr error
-	capture := func(err error) {
-		mu.Lock()
-		if worthErr == nil {
-			worthErr = err
-		}
-		mu.Unlock()
-	}
 	worth := func(s vm.Coalition) float64 {
 		s &= running // stopped VMs are dummies
 		if s == running {
@@ -988,9 +950,13 @@ func planWorth(plan *vhc.Plan, running vm.Coalition, states []vm.State, dyn floa
 		if s.IsEmpty() {
 			return 0
 		}
-		p, err := plan.Eval(s, states)
+		p, err := eval(s)
 		if err != nil {
-			capture(err)
+			mu.Lock()
+			if worthErr == nil {
+				worthErr = err
+			}
+			mu.Unlock()
 			return 0
 		}
 		return p
@@ -1008,7 +974,8 @@ func planWorth(plan *vhc.Plan, running vm.Coalition, states []vm.State, dyn floa
 // space V = ∏(c_g+1) fits exactBudget the exact tier serves the tick in
 // closed form, otherwise Monte Carlo samples it if the host fits a
 // coalition mask, and the tick fails if not. The result is a function of
-// the snapshot, the measured power, the plan and Config alone.
+// the snapshot, the measured power, the plan and Config alone. A snapshot
+// whose running flags or states do not cover the VM set is refused.
 //
 // sc is owned by the caller for the duration of the call.
 func (e *Estimator) estimateTick(sc *scratch, snap hypervisor.Snapshot, measuredTotal float64, sp *obs.Span) (*Allocation, error) {
@@ -1020,12 +987,8 @@ func (e *Estimator) estimateTick(sc *scratch, snap hypervisor.Snapshot, measured
 		return nil, err
 	}
 	n := e.host.Set().Len()
-	if n > vm.MaxPlayers && snap.Running == nil {
-		// Past the mask limit the Coalition mask is empty, so without
-		// Running flags (records written before they carried member IDs)
-		// the running set is unknown, and an all-stopped reading would
-		// bill nobody.
-		return nil, fmt.Errorf("core: %d VMs exceed the %d-player coalition mask limit and the snapshot carries no Running flags", n, vm.MaxPlayers)
+	if err := checkSnapshot(snap, n); err != nil {
+		return nil, err
 	}
 	dyn := measuredTotal - e.idlePower
 	if dyn < 0 {
@@ -1036,7 +999,6 @@ func (e *Estimator) estimateTick(sc *scratch, snap hypervisor.Snapshot, measured
 
 	alloc := &Allocation{
 		Tick:          snap.Tick,
-		Coalition:     snap.Coalition,
 		MeasuredPower: measuredTotal,
 		DynamicPower:  dyn,
 	}
@@ -1078,13 +1040,14 @@ func (e *Estimator) estimateTick(sc *scratch, snap hypervisor.Snapshot, measured
 		}
 		sp.Mark("solve")
 	} else {
-		if n > vm.MaxPlayers {
-			return nil, fmt.Errorf("core: %d running VMs exceed the %d-player mask limit and their %d groups span more than %d count vectors", len(members), vm.MaxPlayers, len(g.groups), exactBudget)
+		running, err := vm.RunningCoalition(snap.Running)
+		if err != nil {
+			return nil, fmt.Errorf("core: %d running VMs in %d groups span more than %d count vectors: %w", len(members), len(g.groups), exactBudget, err)
 		}
 		alloc.Method = "montecarlo"
 		alloc.Prov.Tier = TierMonteCarlo
 		alloc.Prov.TierReason = reasonMCBudget
-		worth, worthErr := planWorth(plan, snap.Coalition, snap.States, dyn)
+		worth, worthErr := planWorth(plan, running, snap.States, dyn)
 		res, err := shapley.MonteCarlo(n, worth, shapley.MCOptions{
 			Permutations: e.cfg.MCPermutations,
 			Seed:         e.cfg.Seed ^ int64(snap.Tick),
@@ -1106,6 +1069,15 @@ func (e *Estimator) estimateTick(sc *scratch, snap hypervisor.Snapshot, measured
 	return alloc, nil
 }
 
+// checkSnapshot refuses a snapshot whose running flags or states do not
+// cover the n-VM set: its running set is unknown.
+func checkSnapshot(snap hypervisor.Snapshot, n int) error {
+	if len(snap.Running) != n || len(snap.States) != n {
+		return fmt.Errorf("core: snapshot at tick %d has %d Running flags and %d states for %d VMs", snap.Tick, len(snap.Running), len(snap.States), n)
+	}
+	return nil
+}
+
 // Interactions computes the pairwise Shapley interaction index of the
 // approximated game at a snapshot: entry (i, j) is the watts the pair
 // jointly "saves" (negative) or "costs" (positive) relative to their
@@ -1121,7 +1093,14 @@ func (e *Estimator) Interactions(snap hypervisor.Snapshot, measuredTotal float64
 		dyn = 0
 	}
 	n := e.host.Set().Len()
-	worth, worthErr := e.buildWorth(snap, dyn)
+	if err := checkSnapshot(snap, n); err != nil {
+		return nil, err
+	}
+	running, err := vm.RunningCoalition(snap.Running)
+	if err != nil {
+		return nil, fmt.Errorf("core: interactions: %w", err)
+	}
+	worth, worthErr := e.buildWorth(running, snap.States, dyn)
 	idx, err := shapley.Interactions(n, worth)
 	if err != nil {
 		return nil, err
@@ -1143,7 +1122,11 @@ func (e *Estimator) Audit(snap hypervisor.Snapshot, measuredTotal, tol float64) 
 	if err != nil {
 		return nil, nil, err
 	}
-	worth, worthErr := e.buildWorth(snap, alloc.DynamicPower)
+	running, err := vm.RunningCoalition(snap.Running)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: audit: %w", err)
+	}
+	worth, worthErr := e.buildWorth(running, snap.States, alloc.DynamicPower)
 	report, err := shapley.CheckAxioms(e.host.Set().Len(), worth, alloc.PerVM, tol)
 	if err != nil {
 		return nil, nil, err

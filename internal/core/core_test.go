@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -85,7 +87,7 @@ func TestCollectOffline(t *testing.T) {
 	if math.Abs(est.IdlePower()-138) > 1e-9 {
 		t.Fatalf("IdlePower = %g, want 138", est.IdlePower())
 	}
-	if !host.Running().IsEmpty() {
+	if slices.Contains(host.Running(), true) {
 		t.Fatal("collection must stop all VMs")
 	}
 	// Combos for both present types (2 of the catalog's 4) are trained;
@@ -186,6 +188,32 @@ func TestEstimateEmptyCoalition(t *testing.T) {
 	}
 	if alloc.DynamicPower != 0 {
 		t.Fatalf("DynamicPower = %g", alloc.DynamicPower)
+	}
+}
+
+// TestEstimateRefusesUncoveredSnapshot pins the input check at every set
+// size: a snapshot whose running flags do not cover the set has an
+// unknown running set, so Estimate and Interactions refuse it instead of
+// billing nobody, and the error names the running flags.
+func TestEstimateRefusesUncoveredSnapshot(t *testing.T) {
+	host, est := testRig(t, Config{Seed: 4})
+	if err := est.CollectOffline(); err != nil {
+		t.Fatal(err)
+	}
+	host.SetAll(true)
+	host.Advance(1)
+	for _, running := range [][]bool{nil, {true, true}, {true, true, true, true}} {
+		snap := host.Collect()
+		snap.Running = running
+		if _, err := est.Estimate(snap, 200); err == nil || !strings.Contains(err.Error(), "Running flags") {
+			t.Fatalf("Estimate with %d flags for 3 VMs: error %v", len(running), err)
+		}
+		if _, err := est.Interactions(snap, 200); err == nil || !strings.Contains(err.Error(), "Running flags") {
+			t.Fatalf("Interactions with %d flags for 3 VMs: error %v", len(running), err)
+		}
+	}
+	if _, err := est.Estimate(host.Collect(), 200); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -139,7 +139,8 @@ func TestExactModelResidual(t *testing.T) {
 				t.Fatal(err)
 			}
 			dyn := alloc.DynamicPower
-			vhat, err := plan.Eval(snap.Coalition, snap.States)
+			running := runningMask(t, snap)
+			vhat, err := plan.Eval(running, snap.States)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,8 +149,8 @@ func TestExactModelResidual(t *testing.T) {
 				t.Fatalf("layout %d tick %d: residual %g W (%g), want %g W (%g)", layout, tick,
 					alloc.Prov.ModelResidualWatts, alloc.Prov.ModelResidualRel, delta, delta/dyn)
 			}
-			model, _ := textbookShares(t, plan, snap.Coalition, snap.States, vhat)
-			nr := float64(snap.Coalition.Size())
+			model, _ := textbookShares(t, plan, running, snap.States, vhat)
+			nr := float64(running.Size())
 			for i, p := range alloc.PerVM {
 				want := 0.0
 				if snap.Running[i] {
@@ -457,7 +458,7 @@ func FuzzClosedForm(f *testing.F) {
 			if s.IsEmpty() || s == running {
 				continue
 			}
-			combo, feats, err := vhc.ClassedFeaturesFor(set, s, states, classes)
+			combo, feats, err := vhc.ClassedFeaturesFor(set, flagsOf(s, n), states, classes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -470,7 +471,7 @@ func FuzzClosedForm(f *testing.F) {
 			t.Fatal(err)
 		}
 		dyn := rng.Float64() * 200
-		snap := hypervisor.Snapshot{Coalition: running, States: states}
+		snap := hypervisor.Snapshot{Running: flagsOf(running, n), States: states}
 		var sc scratch
 		g := &sc.groups
 		got := make([]float64, n)

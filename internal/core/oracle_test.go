@@ -33,21 +33,21 @@ func legacyEstimate(t *testing.T, e *Estimator, snap hypervisor.Snapshot, measur
 	}
 	alloc := &Allocation{
 		Tick:          snap.Tick,
-		Coalition:     snap.Coalition,
 		MeasuredPower: measuredTotal,
 		DynamicPower:  dyn,
 		PerVM:         make([]float64, n),
 		Method:        "exact",
 	}
+	running := runningMask(t, snap)
 	var members []int
-	for _, id := range snap.Coalition.Members() {
+	for _, id := range running.Members() {
 		members = append(members, int(id))
 	}
 	if len(members) == 0 {
 		alloc.DynamicPower = 0
 		return e.attributeIdle(alloc, members)
 	}
-	worth, worthErr := e.buildWorth(snap, dyn)
+	worth, worthErr := e.buildWorth(running, snap.States, dyn)
 	if n <= 20 {
 		phi, err := shapley.Exact(n, worth)
 		if err != nil {
@@ -70,6 +70,26 @@ func legacyEstimate(t *testing.T, e *Estimator, snap hypervisor.Snapshot, measur
 		t.Fatalf("legacy worth evaluation: %v", err)
 	}
 	return e.attributeIdle(alloc, members)
+}
+
+// runningMask is the snapshot's running set as a coalition mask, for the
+// 2^n oracles.
+func runningMask(t testing.TB, snap hypervisor.Snapshot) vm.Coalition {
+	t.Helper()
+	mask, err := vm.RunningCoalition(snap.Running)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mask
+}
+
+// flagsOf returns mask's running flags over n VMs.
+func flagsOf(mask vm.Coalition, n int) []bool {
+	flags := make([]bool, n)
+	for _, id := range mask.Members() {
+		flags[id] = true
+	}
+	return flags
 }
 
 // textbookShares is the exact tier's oracle: the textbook 2^n Shapley sum
@@ -321,7 +341,7 @@ func forceKeys(t testing.TB, est *Estimator, rng *rand.Rand, snap hypervisor.Sna
 				continue
 			}
 			var feats []float64
-			if combo, feats, err = vhc.ClassedFeaturesFor(est.host.Set(), s, snap.States, est.classes); err != nil {
+			if combo, feats, err = vhc.ClassedFeaturesFor(est.host.Set(), flagsOf(s, len(snap.States)), snap.States, est.classes); err != nil {
 				t.Fatal(err)
 			}
 			copy(feat[:], feats)
@@ -422,7 +442,7 @@ func TestExactMatchesTextbook(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, scale := textbookShares(t, plan, snap.Coalition, snap.States, alloc.DynamicPower)
+			want, scale := textbookShares(t, plan, runningMask(t, snap), snap.States, alloc.DynamicPower)
 			checkAgainst(t, fmt.Sprintf("layout %d (n=%d, %d classes, groups %d) tick %d", layout, n, nTypes, groups, tick),
 				alloc.PerVM, want, scale)
 			h, c := gameShape(t, plan, snap)
@@ -440,7 +460,7 @@ func TestExactMatchesTextbook(t *testing.T) {
 func gameShape(t testing.TB, plan *vhc.Plan, snap hypervisor.Snapshot) (hits, clamps int) {
 	t.Helper()
 	const k = int(vm.NumComponents)
-	running := snap.Coalition
+	running := runningMask(t, snap)
 	for s := running; s != 0; s = (s - 1) & running {
 		if s == running {
 			continue

@@ -53,8 +53,7 @@ func TestPlanWorthMatchesBuildWorth(t *testing.T) {
 					states[i] = vm.State{quant(), quant(), quant()}
 				}
 				dyn := rng.Float64() * 200
-				snap := hypervisor.Snapshot{Tick: trial, Coalition: running, States: states}
-				legacy, legacyErr := est.buildWorth(snap, dyn)
+				legacy, legacyErr := est.buildWorth(running, states, dyn)
 				planned, planErr := planWorth(plan, running, states, dyn)
 				for s := vm.Coalition(0); s < 1<<uint(n); s++ {
 					if lw, pw := legacy(s), planned(s); pw != lw {

@@ -50,22 +50,13 @@ type symKey struct {
 }
 
 // runningMembers fills g.members with the running VM ids in ascending
-// order, from the wide-safe Running flags when the snapshot carries them
-// (hypervisor.Collect always does) and from the Coalition mask otherwise
-// (snapshots built by hand in tests and experiments, and narrow replay
-// records).
+// order.
 func (g *groupScratch) runningMembers(snap hypervisor.Snapshot) []int {
 	g.members = g.members[:0]
-	if snap.Running != nil {
-		for i, r := range snap.Running {
-			if r {
-				g.members = append(g.members, i)
-			}
+	for i, r := range snap.Running {
+		if r {
+			g.members = append(g.members, i)
 		}
-		return g.members
-	}
-	for m := uint32(snap.Coalition); m != 0; m &= m - 1 {
-		g.members = append(g.members, bits.TrailingZeros32(m))
 	}
 	return g.members
 }

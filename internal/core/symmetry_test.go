@@ -296,8 +296,8 @@ func TestSymmetryWideHostRequiresCollapse(t *testing.T) {
 				tick, got.Prov.Tier, got.PerVM, live.Prov.Tier, live.PerVM)
 		}
 	}
-	// Without Running flags a wide snapshot's running set is unknown (its
-	// mask is empty), so Estimate refuses it instead of billing nobody.
+	// Without Running flags a wide snapshot's running set is unknown, so
+	// Estimate refuses it instead of billing nobody.
 	snap := host.Collect()
 	snap.Running = nil
 	if _, err := est.Estimate(snap, 500); err == nil || !strings.Contains(err.Error(), "Running flags") {

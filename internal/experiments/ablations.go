@@ -223,7 +223,7 @@ func runScheduler(cfg Config) (*Result, error) {
 			host.SetCoalition(mask)
 			host.Advance(1)
 			snap := host.Collect()
-			return host.DynamicPowerFor(snap.Coalition, snap.States)
+			return host.DynamicPowerFor(snap.Running, snap.States)
 		}
 		first, err := power(vm.CoalitionOf(0))
 		if err != nil {

@@ -311,7 +311,7 @@ func arbitraryValidation(cfg Config, catalog vm.Catalog, classes *vhc.ClassMap) 
 			return 0, 0, err
 		}
 		measured := sample.Power - est.IdlePower()
-		combo, features, err := vhc.ClassedFeaturesFor(set, snap.Coalition, snap.States, classes)
+		combo, features, err := vhc.ClassedFeaturesFor(set, snap.Running, snap.States, classes)
 		if err != nil {
 			return 0, 0, err
 		}

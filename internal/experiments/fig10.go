@@ -70,7 +70,11 @@ func validateVHC(host *hypervisor.Host, cfg Config, offlineTicks, validTicks int
 				return nil, err
 			}
 			measuredDyn := sample.Power - est.IdlePower()
-			combo, features, err := vhc.FeaturesFor(set, snap.Coalition, snap.States)
+			running, err := vm.RunningCoalition(snap.Running)
+			if err != nil {
+				return nil, err
+			}
+			combo, features, err := vhc.FeaturesFor(set, running, snap.States)
 			if err != nil {
 				return nil, err
 			}

@@ -92,7 +92,12 @@ func runFig11(cfg Config) (*Result, error) {
 			shapleySum += phi
 		}
 		cur := p.host.Collect()
-		modelSum, merr := p.model.AggregateEstimate(p.host.Set(), cur.Coalition, cur.States)
+		running, merr := vm.RunningCoalition(cur.Running)
+		if merr != nil {
+			innerErr = merr
+			return false
+		}
+		modelSum, merr := p.model.AggregateEstimate(p.host.Set(), running, cur.States)
 		if merr != nil {
 			innerErr = merr
 			return false
@@ -149,11 +154,15 @@ func runFig12(cfg Config) (*Result, error) {
 	}
 	snap := p.host.Collect()
 	set := p.host.Set()
-	modelPer, err := p.model.Estimate(set, snap.Coalition, snap.States)
+	running, err := vm.RunningCoalition(snap.Running)
 	if err != nil {
 		return nil, err
 	}
-	usagePer, err := baseline.Proportional(set, snap.Coalition, snap.States, p.model, alloc.DynamicPower)
+	modelPer, err := p.model.Estimate(set, running, snap.States)
+	if err != nil {
+		return nil, err
+	}
+	usagePer, err := baseline.Proportional(set, running, snap.States, p.model, alloc.DynamicPower)
 	if err != nil {
 		return nil, err
 	}

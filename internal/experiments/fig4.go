@@ -46,7 +46,7 @@ func fig4Profile(res *Result, prof machine.Profile) error {
 		host.SetCoalition(mask)
 		host.Advance(1)
 		snap := host.Collect()
-		return host.DynamicPowerFor(snap.Coalition, snap.States)
+		return host.DynamicPowerFor(snap.Running, snap.States)
 	}
 
 	// Phase timeline as in the figure: idle → C_VM → C_VM + C_VM'.

@@ -36,6 +36,11 @@ func runHeadline(cfg Config) (*Result, error) {
 	var approxSeries, exactSeries [][]float64
 	runErr := p.estimator.Run(ticks, func(alloc *core.Allocation) bool {
 		snap := host.Collect()
+		running, werr := vm.RunningCoalition(snap.Running)
+		if werr != nil {
+			err = werr
+			return false
+		}
 		oracle, werr := host.Machine().WorthFunc(set, snap.States)
 		if werr != nil {
 			err = werr
@@ -43,7 +48,7 @@ func runHeadline(cfg Config) (*Result, error) {
 		}
 		var worthErr error
 		exact, werr := shapley.Exact(n, func(s vm.Coalition) float64 {
-			s &= snap.Coalition
+			s &= running
 			v, oerr := oracle(s)
 			if oerr != nil && worthErr == nil {
 				worthErr = oerr

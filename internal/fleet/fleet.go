@@ -53,10 +53,9 @@ type VMRequest struct {
 type Config struct {
 	// Hosts is the number of physical machines. Default 1.
 	Hosts int
-	// Profile is the machine profile (default XeonProfile).
+	// Profile is the machine profile (default XeonProfile). Hosts place
+	// vCPUs with machine.Pack.
 	Profile machine.Profile
-	// Policy is the vCPU scheduler policy (default Pack).
-	Policy machine.SchedulerPolicy
 	// Seed drives meters, collection workloads and benchmarks.
 	Seed int64
 	// MeterNoise is each wall meter's Gaussian sigma in watts, following
@@ -443,7 +442,7 @@ func New(cfg Config, reqs []VMRequest) (*Fleet, error) {
 			f.emptyHosts++
 			continue
 		}
-		mach, err := machine.New(cfg.Profile, cfg.Policy)
+		mach, err := machine.New(cfg.Profile, machine.Pack)
 		if err != nil {
 			return nil, err
 		}
@@ -648,7 +647,7 @@ func (f *Fleet) Calibrate() error {
 		}
 	}
 	for _, host := range f.hosts {
-		host.SetCoalition(vm.GrandCoalition(host.Set().Len()))
+		host.SetAll(true)
 	}
 	return nil
 }

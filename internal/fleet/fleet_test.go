@@ -2,11 +2,13 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 	"time"
 
+	"vmpower/internal/core"
 	"vmpower/internal/faults"
 	"vmpower/internal/machine"
 )
@@ -65,6 +67,42 @@ func TestPlacementFirstFitDecreasing(t *testing.T) {
 	}
 	if place["s1"] != place["x5"] || place["s2"] != place["x5"] {
 		t.Fatalf("smalls should backfill host 1: %v", place)
+	}
+}
+
+// TestCalibrateStartsEveryVMOnWideHost pins Calibrate on a host of more
+// VMs than a coalition mask holds: 40 small VMs on one workload seed form
+// one group, well within the exact budget, and every one of them must be
+// running and billed a nonzero share on a healthy tick.
+func TestCalibrateStartsEveryVMOnWideHost(t *testing.T) {
+	reqs := make([]VMRequest, 40)
+	for i := range reqs {
+		reqs[i] = VMRequest{Name: fmt.Sprintf("vm%02d", i), Tenant: "t", Type: 0, Workload: "gcc", WorkloadSeed: 1}
+	}
+	cfg := quickConfig(1)
+	cfg.Profile = machine.DenseProfile()
+	cfg.CalibrationTicks = 10
+	f, err := New(cfg, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Calibrate(); err != nil {
+		t.Fatal(err)
+	}
+	tick, err := f.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := tick.Hosts[0]; h.State != HostHealthy || h.Tier != core.TierExact {
+		t.Fatalf("host state %s tier %q (%s), want healthy exact", h.State, h.Tier, h.Reason)
+	}
+	for _, r := range reqs {
+		if running, err := f.VMRunning(r.Name); err != nil || !running {
+			t.Fatalf("VM %s running = %v (%v) after Calibrate", r.Name, running, err)
+		}
+		if w, ok := tick.PerVM[r.Name]; !ok || w == 0 {
+			t.Fatalf("VM %s billed %g W (accounted %v)", r.Name, w, ok)
+		}
 	}
 }
 

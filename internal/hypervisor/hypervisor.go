@@ -140,9 +140,9 @@ func (h *Host) Stop(id vm.ID) error {
 }
 
 // SetCoalition starts exactly the VMs in mask and stops the rest
-// (retired slots stay stopped whatever the mask says). On a wide host
-// (more than vm.MaxPlayers VMs) a mask can only address the first
-// vm.MaxPlayers VMs; use SetRunning there.
+// (retired slots stay stopped whatever the mask says), for callers that
+// enumerate coalitions. A mask addresses only the first vm.MaxPlayers
+// VMs; SetRunning and SetAll reach every VM.
 func (h *Host) SetCoalition(mask vm.Coalition) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -152,8 +152,7 @@ func (h *Host) SetCoalition(mask vm.Coalition) {
 }
 
 // SetRunning starts exactly the VMs with running[i] true and stops the
-// rest — the wide-set equivalent of SetCoalition, usable at any set size.
-// Retired slots stay stopped.
+// rest, at any set size. Retired slots stay stopped.
 func (h *Host) SetRunning(running []bool) error {
 	if len(running) != h.set.Len() {
 		return fmt.Errorf("hypervisor: %d running flags for %d VMs", len(running), h.set.Len())
@@ -164,6 +163,16 @@ func (h *Host) SetRunning(running []bool) error {
 		h.running[i] = r && !h.retired[i]
 	}
 	return nil
+}
+
+// SetAll starts every VM (running true) or stops every VM, at any set
+// size. Retired slots stay stopped.
+func (h *Host) SetAll(running bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i := range h.running {
+		h.running[i] = running && !h.retired[i]
+	}
 }
 
 // activeVCPUsLocked sums the vCPUs of the non-retired slots — the
@@ -220,7 +229,7 @@ func (h *Host) AddVM(v vm.VM) (vm.ID, error) {
 
 // Retire permanently removes a VM from the host's live roster: the slot
 // is stopped, its workload detached, and its vCPUs released for AddVM
-// capacity. The dense ID space is preserved (coalition masks and PerVM
+// capacity. The dense ID space is preserved (running flags and PerVM
 // indices stay aligned), so the slot lingers as a stopped dummy — exact
 // Shapley gives it φ = 0 forever. Retiring a retired slot is a no-op.
 func (h *Host) Retire(id vm.ID) error {
@@ -282,28 +291,12 @@ func (h *Host) CPULimit(id vm.ID) (float64, error) {
 	return h.cpuLimits[int(id)], nil
 }
 
-// Running returns the currently running coalition.
-func (h *Host) Running() vm.Coalition {
+// Running returns a copy of the running flags, one per VM (true =
+// running).
+func (h *Host) Running() []bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.runningLocked()
-}
-
-func (h *Host) runningLocked() vm.Coalition {
-	// A bitmask can only address the first vm.MaxPlayers VMs; on a wide
-	// host the coalition view is meaningless — callers must use the
-	// Running flags instead (the zero mask keeps With from silently
-	// wrapping shifts past the word width).
-	if h.set.Len() > vm.MaxPlayers {
-		return vm.EmptyCoalition
-	}
-	var c vm.Coalition
-	for i, r := range h.running {
-		if r {
-			c = c.With(vm.ID(i))
-		}
-	}
-	return c
+	return append([]bool(nil), h.running...)
 }
 
 // Advance moves the host clock forward by n ticks (1 tick = 1 s).
@@ -328,12 +321,8 @@ func (h *Host) Clock() int {
 type Snapshot struct {
 	// Tick is the host clock at collection time.
 	Tick int
-	// Coalition is the set of running VMs. On a wide host (more than
-	// vm.MaxPlayers VMs) the mask cannot represent the set and is left
-	// empty; use Running instead.
-	Coalition vm.Coalition
-	// Running holds one flag per VM (true = running) and is valid at any
-	// set size, unlike the Coalition mask.
+	// Running is the running set, the grand coalition N of the tick's
+	// game: one flag per VM (true = running), at any set size.
 	Running []bool
 	// States holds every VM's component state (stopped VMs are zero),
 	// quantized to the host resolution.
@@ -347,8 +336,7 @@ func (h *Host) Collect() Snapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	states := make([]vm.State, h.set.Len())
-	running := make([]bool, h.set.Len())
-	copy(running, h.running)
+	running := append([]bool(nil), h.running...)
 	for i := range states {
 		if !h.running[i] {
 			continue
@@ -361,20 +349,19 @@ func (h *Host) Collect() Snapshot {
 			states[i] = s.Quantize(h.resolution)
 		}
 	}
-	return Snapshot{Tick: h.tick, Coalition: h.runningLocked(), Running: running, States: states}
+	return Snapshot{Tick: h.tick, Running: running, States: states}
 }
 
 // Loads returns the machine loads of the currently running VMs in VM ID
-// order, using the current tick's states. It iterates the Running flags
-// rather than the Coalition mask, so it is correct on wide hosts too.
+// order, using the current tick's states.
 func (h *Host) Loads() ([]machine.Load, error) {
 	snap := h.Collect()
-	return h.LoadsRunning(snap.Running, snap.States)
+	return h.LoadsFor(snap.Running, snap.States)
 }
 
-// LoadsRunning builds machine loads for an arbitrary running-flag vector
-// and state assignment — the wide-set equivalent of LoadsFor.
-func (h *Host) LoadsRunning(running []bool, states []vm.State) ([]machine.Load, error) {
+// LoadsFor builds machine loads, in VM ID order, for an arbitrary running
+// set (one flag per VM) and state assignment.
+func (h *Host) LoadsFor(running []bool, states []vm.State) ([]machine.Load, error) {
 	if len(states) != h.set.Len() {
 		return nil, fmt.Errorf("hypervisor: %d states for %d VMs", len(states), h.set.Len())
 	}
@@ -400,28 +387,6 @@ func (h *Host) LoadsRunning(running []bool, states []vm.State) ([]machine.Load, 
 	return loads, nil
 }
 
-// LoadsFor builds machine loads for an arbitrary coalition and state
-// assignment (used when evaluating hypothetical coalitions).
-func (h *Host) LoadsFor(mask vm.Coalition, states []vm.State) ([]machine.Load, error) {
-	if len(states) != h.set.Len() {
-		return nil, fmt.Errorf("hypervisor: %d states for %d VMs", len(states), h.set.Len())
-	}
-	loads := make([]machine.Load, 0, mask.Size())
-	for _, id := range mask.Members() {
-		t, err := h.set.TypeOf(id)
-		if err != nil {
-			return nil, err
-		}
-		loads = append(loads, machine.Load{
-			VCPUs:    t.VCPUs,
-			MemoryGB: t.MemoryGB,
-			DiskGB:   t.DiskGB,
-			State:    states[int(id)],
-		})
-	}
-	return loads, nil
-}
-
 // TruePower returns the machine's current total wall power (including
 // idle) — what a perfect meter would read right now.
 func (h *Host) TruePower() (float64, error) {
@@ -440,10 +405,10 @@ func (h *Host) PowerSource() meter.PowerSource {
 }
 
 // DynamicPowerFor returns the ground-truth dynamic power (idle deducted)
-// of a hypothetical coalition under the given states — the oracle worth
-// v(S, C) used by experiments to validate against exact Shapley.
-func (h *Host) DynamicPowerFor(mask vm.Coalition, states []vm.State) (float64, error) {
-	loads, err := h.LoadsFor(mask, states)
+// of a running set (one flag per VM) under the given states — what a
+// perfect meter would attribute to those VMs.
+func (h *Host) DynamicPowerFor(running []bool, states []vm.State) (float64, error) {
+	loads, err := h.LoadsFor(running, states)
 	if err != nil {
 		return 0, err
 	}

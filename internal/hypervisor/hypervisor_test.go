@@ -2,7 +2,9 @@ package hypervisor
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"vmpower/internal/machine"
@@ -55,7 +57,7 @@ func TestNewHostValidation(t *testing.T) {
 
 func TestLifecycle(t *testing.T) {
 	h := testHost(t)
-	if !h.Running().IsEmpty() {
+	if slices.Contains(h.Running(), true) {
 		t.Fatal("all VMs must start stopped")
 	}
 	if err := h.Start(0); err != nil {
@@ -64,13 +66,13 @@ func TestLifecycle(t *testing.T) {
 	if err := h.Start(0); err != nil {
 		t.Fatal(err) // idempotent
 	}
-	if got := h.Running(); !got.Contains(0) || got.Size() != 1 {
-		t.Fatalf("Running = %s", got)
+	if got := h.Running(); !slices.Equal(got, []bool{true, false, false}) {
+		t.Fatalf("Running = %v", got)
 	}
 	if err := h.Stop(0); err != nil {
 		t.Fatal(err)
 	}
-	if !h.Running().IsEmpty() {
+	if slices.Contains(h.Running(), true) {
 		t.Fatal("Stop must remove the VM")
 	}
 	if err := h.Start(99); err == nil {
@@ -84,12 +86,64 @@ func TestLifecycle(t *testing.T) {
 func TestSetCoalition(t *testing.T) {
 	h := testHost(t)
 	h.SetCoalition(vm.CoalitionOf(0, 2))
-	if got := h.Running(); got != vm.CoalitionOf(0, 2) {
-		t.Fatalf("Running = %s", got)
+	if got := h.Running(); !slices.Equal(got, []bool{true, false, true}) {
+		t.Fatalf("Running = %v", got)
 	}
 	h.SetCoalition(vm.EmptyCoalition)
-	if !h.Running().IsEmpty() {
+	if slices.Contains(h.Running(), true) {
 		t.Fatal("SetCoalition(empty) must stop everything")
+	}
+}
+
+// TestWidthFreeSetters pins SetRunning and SetAll on a host of more VMs
+// than a coalition mask holds: every VM is reached, retired slots stay
+// stopped, and Running returns a copy.
+func TestWidthFreeSetters(t *testing.T) {
+	mach, err := machine.New(machine.DenseProfile(), machine.Pack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vms := make([]vm.VM, 40)
+	for i := range vms {
+		vms[i] = vm.VM{Name: fmt.Sprintf("vm%d", i), Type: 0}
+	}
+	set, err := vm.NewSet(vm.PaperCatalog(), vms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewHost(mach, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Retire(35); err != nil {
+		t.Fatal(err)
+	}
+	h.SetAll(true)
+	got := h.Running()
+	for i, r := range got {
+		if r != (i != 35) {
+			t.Fatalf("after SetAll(true) VM %d running = %v", i, r)
+		}
+	}
+	got[0] = false
+	if r, _ := h.IsRunning(0); !r {
+		t.Fatal("Running must return a copy")
+	}
+	running := make([]bool, 40)
+	running[33], running[35], running[39] = true, true, true
+	if err := h.SetRunning(running); err != nil {
+		t.Fatal(err)
+	}
+	running[35] = false
+	if got := h.Running(); !slices.Equal(got, running) {
+		t.Fatalf("after SetRunning: %v", got)
+	}
+	if err := h.SetRunning(running[:39]); err == nil {
+		t.Fatal("want a flag-count error")
+	}
+	h.SetAll(false)
+	if slices.Contains(h.Running(), true) {
+		t.Fatal("SetAll(false) must stop everything")
 	}
 }
 
@@ -119,8 +173,8 @@ func TestCollect(t *testing.T) {
 	}
 	h.SetCoalition(vm.CoalitionOf(0)) // only VM 0 runs
 	snap := h.Collect()
-	if snap.Coalition != vm.CoalitionOf(0) {
-		t.Fatalf("Coalition = %s", snap.Coalition)
+	if !slices.Equal(snap.Running, []bool{true, false, false}) {
+		t.Fatalf("Running = %v", snap.Running)
 	}
 	// Running VM's state is quantized to the default 0.01 resolution.
 	if got := snap.States[0][vm.CPU]; math.Abs(got-0.46) > 1e-12 {
@@ -256,7 +310,7 @@ func TestWorkloadEpoch(t *testing.T) {
 func TestLoadsFor(t *testing.T) {
 	h := testHost(t)
 	states := []vm.State{{vm.CPU: 1}, {vm.CPU: 0.5}, {vm.CPU: 0.2}}
-	loads, err := h.LoadsFor(vm.CoalitionOf(0, 2), states)
+	loads, err := h.LoadsFor([]bool{true, false, true}, states)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,8 +320,11 @@ func TestLoadsFor(t *testing.T) {
 	if loads[1].VCPUs != 2 { // VM 2 is type 1 (2 vCPUs)
 		t.Fatalf("second load vCPUs = %d", loads[1].VCPUs)
 	}
-	if _, err := h.LoadsFor(vm.CoalitionOf(0), states[:1]); err == nil {
+	if _, err := h.LoadsFor([]bool{true, false, false}, states[:1]); err == nil {
 		t.Fatal("want state-count error")
+	}
+	if _, err := h.LoadsFor([]bool{true}, states); err == nil {
+		t.Fatal("want flag-count error")
 	}
 }
 
@@ -275,14 +332,14 @@ func TestDynamicPowerFor(t *testing.T) {
 	h := testHost(t)
 	states := []vm.State{{vm.CPU: 1}, {vm.CPU: 1}, {}}
 	// Two 1-vCPU VMs at full: 13 + 7 = 20 W (pack placement).
-	p, err := h.DynamicPowerFor(vm.CoalitionOf(0, 1), states)
+	p, err := h.DynamicPowerFor([]bool{true, true, false}, states)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(p-20) > 1e-9 {
 		t.Fatalf("DynamicPowerFor = %g, want 20", p)
 	}
-	empty, err := h.DynamicPowerFor(vm.EmptyCoalition, states)
+	empty, err := h.DynamicPowerFor(make([]bool, 3), states)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,10 +132,10 @@ func XeonProfile() Profile {
 
 // DenseProfile models a modern high-density virtualization host: 128
 // physical cores with two threads each (256 logical cores), the scale at
-// which a VM population of hundreds collapses into repeated symmetry
-// classes and exact allocation runs through the collapsed solver rather
-// than 2^n enumeration. Power constants are extrapolated from the Xeon
-// profile at 8x the core count.
+// which a VM population of hundreds falls into a few groups of one class
+// and state, which the exact tier solves over count vectors of groups
+// rather than 2^n coalitions. Power constants are extrapolated from the
+// Xeon profile at 8x the core count.
 func DenseProfile() Profile {
 	return Profile{
 		Name:           "dense256",

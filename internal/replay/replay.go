@@ -18,18 +18,20 @@ import (
 	"vmpower/internal/vm"
 )
 
-// Record is one tick of telemetry.
+// Record is one tick of telemetry. The running set is written as a
+// bitmask on hosts of up to vm.MaxPlayers VMs and as a list of IDs on
+// wider ones, where no mask can hold it.
 type Record struct {
 	// Tick is the 1 Hz timestamp.
 	Tick int `json:"tick"`
-	// Coalition is the running VM bitmask; zero on hosts of more than
-	// vm.MaxPlayers VMs, where no mask can represent the set.
+	// Coalition is the running VM bitmask (bit i = VM i); zero on wide
+	// hosts.
 	Coalition uint32 `json:"coalition"`
-	// Running lists the running VMs' IDs in ascending order on those
-	// wide hosts, and is nil otherwise, so narrow traces keep their
-	// bytes. It is a pointer so that a wide tick with no VM running
-	// still records its empty list: records written before the field
-	// existed carry none, and their running set is unknown.
+	// Running lists the running VMs' IDs in ascending order on wide
+	// hosts and is nil on narrow ones. It is a pointer so that a wide
+	// tick with no VM running still records its empty list: a wide
+	// record without it (written before the field existed) has an
+	// unknown running set.
 	Running *[]int `json:"running,omitempty"`
 	// States holds every VM's component state vector (stopped VMs zero).
 	States [][]float64 `json:"states"`
@@ -43,27 +45,31 @@ func fromSnapshot(snap hypervisor.Snapshot, power float64) Record {
 	for i, s := range snap.States {
 		states[i] = s.Vec()
 	}
-	rec := Record{
-		Tick:      snap.Tick,
-		Coalition: uint32(snap.Coalition),
-		States:    states,
-		Power:     power,
-	}
-	if len(snap.States) > vm.MaxPlayers {
-		ids := []int{}
+	rec := Record{Tick: snap.Tick, States: states, Power: power}
+	if len(snap.States) <= vm.MaxPlayers {
 		for i, r := range snap.Running {
 			if r {
-				ids = append(ids, i)
+				rec.Coalition |= 1 << uint(i)
 			}
 		}
-		rec.Running = &ids
+		return rec
 	}
+	ids := []int{}
+	for i, r := range snap.Running {
+		if r {
+			ids = append(ids, i)
+		}
+	}
+	rec.Running = &ids
 	return rec
 }
 
-// Snapshot converts the record back into a hypervisor snapshot, with
-// running flags rebuilt from Running when the record lists members.
-// numVMs guards against truncated records.
+// Snapshot converts the record back into a hypervisor snapshot with one
+// running flag per VM, rebuilt from Running when the record lists
+// members and from Coalition otherwise. numVMs guards against truncated
+// records. A wide record (more than vm.MaxPlayers VMs) without Running
+// and a mask naming a VM at or past numVMs are refused: their running
+// set is unknown.
 func (r Record) Snapshot(numVMs int) (hypervisor.Snapshot, error) {
 	if len(r.States) != numVMs {
 		return hypervisor.Snapshot{}, fmt.Errorf("replay: record at tick %d has %d states, want %d", r.Tick, len(r.States), numVMs)
@@ -78,19 +84,23 @@ func (r Record) Snapshot(numVMs int) (hypervisor.Snapshot, error) {
 			return hypervisor.Snapshot{}, fmt.Errorf("replay: record at tick %d: %w", r.Tick, err)
 		}
 	}
-	snap := hypervisor.Snapshot{
-		Tick:      r.Tick,
-		Coalition: vm.Coalition(r.Coalition),
-		States:    states,
-	}
-	if r.Running != nil {
+	snap := hypervisor.Snapshot{Tick: r.Tick, Running: make([]bool, numVMs), States: states}
+	switch {
+	case r.Running != nil:
 		ids := *r.Running
-		snap.Running = make([]bool, numVMs)
 		for j, id := range ids {
 			if id < 0 || id >= numVMs || (j > 0 && id <= ids[j-1]) {
 				return hypervisor.Snapshot{}, fmt.Errorf("replay: record at tick %d: running IDs must ascend within [0,%d), got %d at %d", r.Tick, numVMs, id, j)
 			}
 			snap.Running[id] = true
+		}
+	case numVMs > vm.MaxPlayers:
+		return hypervisor.Snapshot{}, fmt.Errorf("replay: record at tick %d: %d VMs need running IDs, and the record has none", r.Tick, numVMs)
+	case r.Coalition>>uint(numVMs) != 0:
+		return hypervisor.Snapshot{}, fmt.Errorf("replay: record at tick %d: coalition %#x names a VM at or past the %d-VM set", r.Tick, r.Coalition, numVMs)
+	default:
+		for i := range snap.Running {
+			snap.Running[i] = r.Coalition&(1<<uint(i)) != 0
 		}
 	}
 	return snap, nil

@@ -2,9 +2,11 @@ package replay
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -107,7 +109,7 @@ func TestSnapshotValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Coalition != vm.CoalitionOf(0) || snap.States[0][vm.CPU] != 1 || snap.Running != nil {
+	if !slices.Equal(snap.Running, []bool{true}) || snap.States[0][vm.CPU] != 1 {
 		t.Fatalf("Snapshot = %+v", snap)
 	}
 	// Running member IDs rebuild the flags and must ascend in range.
@@ -125,6 +127,145 @@ func TestSnapshotValidation(t *testing.T) {
 	}
 	if len(snap.Running) != 3 || !snap.Running[0] || snap.Running[1] || !snap.Running[2] {
 		t.Fatalf("running flags %v, want [true false true]", snap.Running)
+	}
+}
+
+// recordTrace writes a short trace of a Xeon host with VMs of the given
+// types, each on its own synthetic workload: every third VM from the
+// second on stays stopped, VM 0 stops on the third tick, and on the last
+// tick nothing runs. It returns the trace and the collected snapshots.
+func recordTrace(t *testing.T, types []vm.TypeID, ticks int) ([]byte, []hypervisor.Snapshot) {
+	t.Helper()
+	mach, err := machine.New(machine.XeonProfile(), machine.Pack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vms := make([]vm.VM, len(types))
+	for i, ty := range types {
+		vms[i] = vm.VM{Name: fmt.Sprintf("vm%d", i), Type: ty}
+	}
+	set, err := vm.NewSet(vm.PaperCatalog(), vms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := hypervisor.NewHost(mach, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	running := make([]bool, len(types))
+	for i := range running {
+		if err := host.Attach(vm.ID(i), workload.Synthetic{Seed: int64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+		running[i] = i%3 != 1
+	}
+	if err := host.SetRunning(running); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	var snaps []hypervisor.Snapshot
+	for tick := 0; tick < ticks; tick++ {
+		switch tick {
+		case 2:
+			if err := host.Stop(0); err != nil {
+				t.Fatal(err)
+			}
+		case ticks - 1:
+			host.SetAll(false)
+		}
+		host.Advance(1)
+		p, err := host.TruePower()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := host.Collect()
+		if err := w.WriteSnapshot(snap, p); err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, snap)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), snaps
+}
+
+// TestWriterBytesPinned pins the trace format byte for byte, so traces
+// stay readable across builds: the SHA-256 of a 4-VM and of a 30-VM trace
+// must not move. The narrow trace writes the coalition mask and no
+// running list; the wide one writes a zero mask and the running IDs. Both
+// read back into the recorded snapshots.
+func TestWriterBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		types []vm.TypeID
+		want  string
+	}{
+		{"narrow", []vm.TypeID{0, 1, 0, 1}, "55d6197b40f0075ee6d4d481886106ac76daf6d3aaa1dc86aa6db3b12a3c0975"},
+		{"wide", make([]vm.TypeID, 30), "d730d0de3f09f4a8400f3fabf57dfb00d9960fbb095e71785e3982feeadf3daa"},
+	} {
+		trace, snaps := recordTrace(t, tc.types, 4)
+		if got := fmt.Sprintf("%x", sha256.Sum256(trace)); got != tc.want {
+			t.Fatalf("%s trace SHA-256 %s, want %s:\n%s", tc.name, got, tc.want, trace)
+		}
+		if wide := bytes.Contains(trace, []byte(`"running"`)); wide != (len(tc.types) > vm.MaxPlayers) {
+			t.Fatalf("%s trace carries running lists: %v", tc.name, wide)
+		}
+		recs, err := Read(bytes.NewReader(trace))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rec := range recs {
+			snap, err := rec.Snapshot(len(tc.types))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(snap.Running, snaps[i].Running) || !slices.Equal(snap.States, snaps[i].States) {
+				t.Fatalf("%s tick %d: read back %+v, recorded %+v", tc.name, rec.Tick, snap, snaps[i])
+			}
+		}
+	}
+}
+
+// TestSnapshotRefusesUnknownRunningSet pins the decode-time refusals: a
+// narrow record that carries only its mask reads, but a wide record
+// without running IDs and a mask naming a VM at or past the set have an
+// unknown running set, and each error names the tick.
+func TestSnapshotRefusesUnknownRunningSet(t *testing.T) {
+	recs, err := Read(strings.NewReader(`{"tick":7,"coalition":5,"states":[[0.5,0,0],[0,0,0],[0.25,0,0]],"power":150}` + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := recs[0].Snapshot(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(snap.Running, []bool{true, false, true}) {
+		t.Fatalf("narrow record running flags %v, want [true false true]", snap.Running)
+	}
+	if _, err := recs[0].Snapshot(2); err == nil {
+		t.Fatal("want state-count error")
+	}
+	past := Record{Tick: 8, Coalition: 0b1001, States: make([][]float64, 3), Power: 150}
+	for i := range past.States {
+		past.States[i] = []float64{0, 0, 0}
+	}
+	if _, err := past.Snapshot(3); err == nil || !strings.Contains(err.Error(), "tick 8") {
+		t.Fatalf("mask naming VM 3 of 3: error %v", err)
+	}
+	const n = vm.MaxPlayers + 1
+	wide := Record{Tick: 9, States: make([][]float64, n), Power: 150}
+	for i := range wide.States {
+		wide.States[i] = []float64{0, 0, 0}
+	}
+	if _, err := wide.Snapshot(n); err == nil || !strings.Contains(err.Error(), "tick 9") {
+		t.Fatalf("wide record without running IDs: error %v", err)
+	}
+	ids := []int{}
+	wide.Running = &ids
+	if snap, err := wide.Snapshot(n); err != nil || slices.Contains(snap.Running, true) {
+		t.Fatalf("wide record with an empty running list: %v, flags %v", err, snap.Running)
 	}
 }
 

@@ -27,9 +27,6 @@ type Metrics struct {
 	// sampling-error signal Statistical Cost Sharing says must be
 	// surfaced, not buried in the result struct.
 	MCStdErr *obs.Gauge
-	// MCEarlyStops counts solves that hit TargetStdErr before the
-	// permutation budget (vmpower_mc_early_stops_total).
-	MCEarlyStops *obs.Counter
 }
 
 // pkgMetrics is swapped atomically so Instrument may run while solvers
@@ -55,8 +52,6 @@ func Instrument(reg *obs.Registry) {
 			"permutations walked by the Monte-Carlo estimator"),
 		MCStdErr: reg.Gauge("vmpower_mc_stderr_watts",
 			"max per-player standard error of the last Monte-Carlo solve"),
-		MCEarlyStops: reg.Counter("vmpower_mc_early_stops_total",
-			"Monte-Carlo solves stopped early by TargetStdErr"),
 	})
 }
 
@@ -97,7 +92,7 @@ func (m *Metrics) startTimer() time.Time {
 }
 
 // noteMC publishes one Monte-Carlo solve's convergence telemetry.
-func (m *Metrics) noteMC(res *MCResult, earlyStop bool) {
+func (m *Metrics) noteMC(res *MCResult) {
 	if m == nil {
 		return
 	}
@@ -109,7 +104,4 @@ func (m *Metrics) noteMC(res *MCResult, earlyStop bool) {
 		}
 	}
 	m.MCStdErr.Set(maxSE)
-	if earlyStop {
-		m.MCEarlyStops.Inc()
-	}
 }

@@ -33,32 +33,6 @@ func TestInstrumentMonteCarloTelemetry(t *testing.T) {
 	if m.SolveMC.Count() != 1 {
 		t.Fatalf("mc solve histogram count = %d", m.SolveMC.Count())
 	}
-	if m.MCEarlyStops.Value() != 0 {
-		t.Fatal("fixed-budget solve must not count as an early stop")
-	}
-}
-
-func TestInstrumentEarlyStopCounter(t *testing.T) {
-	reg := obs.NewRegistry()
-	Instrument(reg)
-	defer Instrument(nil)
-
-	// A constant-marginal game has zero variance: the target is met at
-	// the first convergence check, well before the 100k budget.
-	worth := func(s vm.Coalition) float64 { return 7 * float64(s.Size()) }
-	res, err := MonteCarlo(10, worth, MCOptions{Permutations: 100000, TargetStdErr: 0.5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Permutations >= 100000 {
-		t.Fatalf("no early stop happened (%d permutations)", res.Permutations)
-	}
-	if metrics().MCEarlyStops.Value() != 1 {
-		t.Fatalf("early-stop counter = %d, want 1", metrics().MCEarlyStops.Value())
-	}
-	if se := metrics().MCStdErr.Value(); se > 0.5 {
-		t.Fatalf("stderr gauge %g above target at stop", se)
-	}
 }
 
 func TestInstrumentExactPhases(t *testing.T) {

@@ -12,16 +12,9 @@ import (
 // MCOptions configures the Monte-Carlo permutation-sampling estimator.
 type MCOptions struct {
 	// Permutations is the number of random player orderings to sample.
-	// If TargetStdErr > 0 it is treated as the maximum; otherwise it is
-	// exact. Defaults to DefaultPermutations when zero. With Antithetic
-	// set the budget is rounded up to a whole number of pairs.
+	// Defaults to DefaultPermutations when zero. With Antithetic set the
+	// budget is rounded up to a whole number of pairs.
 	Permutations int
-
-	// TargetStdErr, when positive, stops sampling early once the largest
-	// per-player standard error of the estimate falls below it (checked
-	// in batches of 32 sampling units, after a minimum of 64; a unit is
-	// one permutation, or one pair when Antithetic is set).
-	TargetStdErr float64
 
 	// Antithetic pairs every sampled permutation with its reverse. The
 	// reverse of a uniform random permutation is also uniform, and for
@@ -32,8 +25,7 @@ type MCOptions struct {
 	// permutations toward the budget, and the reported StdErr is
 	// computed over pair averages — the two halves of a pair are
 	// deliberately dependent, so treating them as independent samples
-	// would misstate the error (usually understating it, firing
-	// TargetStdErr too soon).
+	// would misstate the error (usually understating it).
 	Antithetic bool
 
 	// Seed seeds the sampling. The estimator never touches the global
@@ -141,22 +133,21 @@ func MonteCarlo(n int, worth WorthFunc, opts MCOptions) (*MCResult, error) {
 		walk(reversed, out, 0.5)
 	}
 
-	// evalRange evaluates units [lo, hi) into rows (row k−lo) using up to
-	// Parallelism workers; rows are merged by the caller in unit order.
-	evalRange := func(lo, hi int, rows []float64) {
-		workers := resolveParallelism(opts.Parallelism)
-		if workers > hi-lo {
-			workers = hi - lo
+	// Evaluate every unit into its own row (row k) using up to
+	// Parallelism workers, then merge the rows in unit order.
+	rows := make([]float64, totalUnits*n)
+	workers := resolveParallelism(opts.Parallelism)
+	if workers > totalUnits {
+		workers = totalUnits
+	}
+	if workers <= 1 {
+		rng := rand.New(newUnitSource(0))
+		order := make([]int, n)
+		reversed := make([]int, n)
+		for k := 0; k < totalUnits; k++ {
+			unit(k, rng, rows[k*n:(k+1)*n], order, reversed)
 		}
-		if workers <= 1 {
-			rng := rand.New(newUnitSource(0))
-			order := make([]int, n)
-			reversed := make([]int, n)
-			for k := lo; k < hi; k++ {
-				unit(k, rng, rows[(k-lo)*n:(k-lo+1)*n], order, reversed)
-			}
-			return
-		}
+	} else {
 		var wg sync.WaitGroup
 		wg.Add(workers)
 		for w := 0; w < workers; w++ {
@@ -168,64 +159,36 @@ func MonteCarlo(n int, worth WorthFunc, opts MCOptions) (*MCResult, error) {
 				// Static strided assignment: unit k belongs to worker
 				// k mod workers. Which goroutine computes a unit does
 				// not matter — unit results depend only on (seed, k).
-				for k := lo + w; k < hi; k += workers {
-					unit(k, rng, rows[(k-lo)*n:(k-lo+1)*n], order, reversed)
+				for k := w; k < totalUnits; k += workers {
+					unit(k, rng, rows[k*n:(k+1)*n], order, reversed)
 				}
 			}(w)
 		}
 		wg.Wait()
 	}
 
-	const (
-		batch   = 32 // units between convergence checks
-		minDone = 64 // units before the first check
-	)
 	sum := make([]float64, n)
 	sumSq := make([]float64, n)
-	done := 0 // units reduced so far
-	for done < totalUnits {
-		next := totalUnits
-		if opts.TargetStdErr > 0 {
-			// Stop-check boundaries are fixed unit counts (64, 96, 128,
-			// …), so early stopping is as deterministic as the sums.
-			if done < minDone {
-				next = minDone
-			} else {
-				next = done + batch
-			}
-			if next > totalUnits {
-				next = totalUnits
-			}
-		}
-		rows := make([]float64, (next-done)*n)
-		evalRange(done, next, rows)
-		for k := done; k < next; k++ {
-			row := rows[(k-done)*n : (k-done+1)*n]
-			for i := 0; i < n; i++ {
-				d := row[i]
-				sum[i] += d
-				sumSq[i] += d * d
-			}
-		}
-		done = next
-		if opts.TargetStdErr > 0 && done >= minDone && done < totalUnits {
-			if maxStdErr(sum, sumSq, done) <= opts.TargetStdErr {
-				break
-			}
+	for k := 0; k < totalUnits; k++ {
+		row := rows[k*n : (k+1)*n]
+		for i := 0; i < n; i++ {
+			d := row[i]
+			sum[i] += d
+			sumSq[i] += d * d
 		}
 	}
 
 	res := &MCResult{
 		Phi:          make([]float64, n),
 		StdErr:       make([]float64, n),
-		Permutations: done * walksPerUnit,
+		Permutations: totalUnits * walksPerUnit,
 	}
 	for i := 0; i < n; i++ {
-		res.Phi[i] = sum[i] / float64(done)
-		res.StdErr[i] = stdErr(sum[i], sumSq[i], done)
+		res.Phi[i] = sum[i] / float64(totalUnits)
+		res.StdErr[i] = stdErr(sum[i], sumSq[i], totalUnits)
 	}
 	met.observeMC(start)
-	met.noteMC(res, done < totalUnits)
+	met.noteMC(res)
 	return res, nil
 }
 
@@ -242,14 +205,4 @@ func stdErr(sum, sumSq float64, n int) float64 {
 		variance = 0
 	}
 	return math.Sqrt(variance / float64(n))
-}
-
-func maxStdErr(sum, sumSq []float64, n int) float64 {
-	var m float64
-	for i := range sum {
-		if se := stdErr(sum[i], sumSq[i], n); se > m {
-			m = se
-		}
-	}
-	return m
 }

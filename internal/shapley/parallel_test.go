@@ -66,40 +66,6 @@ func TestMonteCarloDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-func TestMonteCarloEarlyStopDeterministicAcrossParallelism(t *testing.T) {
-	// Early stopping decides at fixed unit-count checkpoints, so the
-	// stopping point itself must not depend on the worker count.
-	rng := rand.New(rand.NewSource(29))
-	n := 8
-	table := randomGameTable(rng, n)
-	worth := func(s vm.Coalition) float64 { return table[s] }
-	ref, err := MonteCarlo(n, worth, MCOptions{
-		Permutations: 5000, TargetStdErr: 1.5, Seed: 2, Parallelism: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Permutations >= 5000 {
-		t.Fatalf("test game never early-stops (%d permutations); loosen TargetStdErr", ref.Permutations)
-	}
-	for _, p := range parallelisms[1:] {
-		got, err := MonteCarlo(n, worth, MCOptions{
-			Permutations: 5000, TargetStdErr: 1.5, Seed: 2, Parallelism: p,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Permutations != ref.Permutations {
-			t.Fatalf("p=%d stopped at %d permutations, serial at %d", p, got.Permutations, ref.Permutations)
-		}
-		for i := range ref.Phi {
-			if got.Phi[i] != ref.Phi[i] {
-				t.Fatalf("p=%d: Phi[%d] diverges", p, i)
-			}
-		}
-	}
-}
-
 func TestMonteCarloGOMAXPROCSInvariance(t *testing.T) {
 	// Parallelism 0 (all cores) must agree bit-for-bit with an explicit
 	// worker count — the estimate may depend only on the seed.

@@ -211,39 +211,12 @@ func ClassComboFor(set *vm.Set, mask vm.Coalition, classes *ClassMap) (ComboMask
 	return combo, nil
 }
 
-// ClassedFeaturesFor aggregates a coalition's states per *class* instead
-// of per type (the arbitrary-configuration generalization of Eq. 8) and
-// returns the class combo plus the flattened feature vector.
-func ClassedFeaturesFor(set *vm.Set, mask vm.Coalition, states []vm.State, classes *ClassMap) (ComboMask, []float64, error) {
-	if err := classes.Validate(); err != nil {
-		return 0, nil, err
-	}
-	if len(states) != set.Len() {
-		return 0, nil, fmt.Errorf("vhc: %d states for %d VMs", len(states), set.Len())
-	}
-	agg := make(map[vm.TypeID]vm.State, classes.Classes)
-	var combo ComboMask
-	for _, id := range mask.Members() {
-		v, err := set.VM(id)
-		if err != nil {
-			return 0, nil, err
-		}
-		if int(v.Type) >= len(classes.ByType) {
-			return 0, nil, fmt.Errorf("vhc: type %d not covered by class map", v.Type)
-		}
-		class := vm.TypeID(classes.ByType[v.Type])
-		combo |= 1 << uint(class)
-		agg[class] = agg[class].Add(states[int(id)])
-	}
-	return combo, Features(combo, agg), nil
-}
-
-// ClassedFeaturesRunning is ClassedFeaturesFor over a running-flag vector
-// instead of a coalition mask — the wide-set form used when the VM set
-// exceeds the bitmask cap. Flags are scanned in ascending VM-ID order, the
-// same addition order as the mask form, so the two agree bit for bit on
-// sets both can represent.
-func ClassedFeaturesRunning(set *vm.Set, running []bool, states []vm.State, classes *ClassMap) (ComboMask, []float64, error) {
+// ClassedFeaturesFor aggregates the states of a running set (one flag
+// per VM) per *class* instead of per type (the arbitrary-configuration
+// generalization of Eq. 8) and returns the class combo plus the flattened
+// feature vector. Members are added in ascending VM-ID order, the order
+// Plan.Eval adds them in, so the two agree bit for bit.
+func ClassedFeaturesFor(set *vm.Set, running []bool, states []vm.State, classes *ClassMap) (ComboMask, []float64, error) {
 	if err := classes.Validate(); err != nil {
 		return 0, nil, err
 	}

@@ -163,7 +163,7 @@ func TestClassedFeaturesFor(t *testing.T) {
 	}
 	classes := &ClassMap{ByType: []int{0, 0, 1}, Classes: 2}
 	states := []vm.State{{vm.CPU: 0.4}, {vm.CPU: 0.5}, {vm.CPU: 0.9}}
-	combo, features, err := ClassedFeaturesFor(set, vm.GrandCoalition(3), states, classes)
+	combo, features, err := ClassedFeaturesFor(set, []bool{true, true, true}, states, classes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestClassedFeaturesFor(t *testing.T) {
 	}
 	// A class map that does not cover the catalog errors out.
 	shortMap := &ClassMap{ByType: []int{0}, Classes: 1}
-	if _, _, err := ClassedFeaturesFor(set, vm.GrandCoalition(3), states, shortMap); err == nil {
+	if _, _, err := ClassedFeaturesFor(set, []bool{true, true, true}, states, shortMap); err == nil {
 		t.Fatal("want uncovered-type error")
 	}
 }
@@ -211,8 +211,19 @@ func TestClassComboFor(t *testing.T) {
 	}
 }
 
-// TestClassedFeaturesRunningMatchesMask pins the wide-set feature builder
-// to the mask form bit for bit on every coalition both can represent.
+// flagsOf returns mask's running flags over n VMs.
+func flagsOf(mask vm.Coalition, n int) []bool {
+	flags := make([]bool, n)
+	for _, id := range mask.Members() {
+		flags[id] = true
+	}
+	return flags
+}
+
+// TestClassedFeaturesRunningMatchesMask pins the running-flag feature
+// builder under the identity class map to FeaturesFor, the per-type
+// aggregation over a coalition mask, bit for bit: both add members in
+// ascending VM-ID order.
 func TestClassedFeaturesRunningMatchesMask(t *testing.T) {
 	set := testSet(t)
 	classes, err := IdentityClassMap(len(set.Catalog()))
@@ -229,15 +240,11 @@ func TestClassedFeaturesRunningMatchesMask(t *testing.T) {
 				states[i][c] = rng.Float64()
 			}
 		}
-		running := make([]bool, set.Len())
-		for i := range running {
-			running[i] = mask.Contains(vm.ID(i))
-		}
-		combo, feats, err := ClassedFeaturesFor(set, mask, states, classes)
+		combo, feats, err := FeaturesFor(set, mask, states)
 		if err != nil {
 			t.Fatal(err)
 		}
-		comboR, featsR, err := ClassedFeaturesRunning(set, running, states, classes)
+		comboR, featsR, err := ClassedFeaturesFor(set, flagsOf(mask, set.Len()), states, classes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,10 +260,10 @@ func TestClassedFeaturesRunningMatchesMask(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := ClassedFeaturesRunning(set, make([]bool, 2), make([]vm.State, set.Len()), classes); err == nil {
+	if _, _, err := ClassedFeaturesFor(set, make([]bool, 2), make([]vm.State, set.Len()), classes); err == nil {
 		t.Fatal("wrong running length must error")
 	}
-	if _, _, err := ClassedFeaturesRunning(set, make([]bool, set.Len()), make([]vm.State, 1), classes); err == nil {
+	if _, _, err := ClassedFeaturesFor(set, make([]bool, set.Len()), make([]vm.State, 1), classes); err == nil {
 		t.Fatal("wrong states length must error")
 	}
 }

@@ -140,12 +140,12 @@ func (p *Plan) Epoch() uint64 { return p.epoch }
 // It is the allocation-free equivalent of ClassedFeaturesFor followed by
 // Approximator.Estimate, and matches them bit for bit: member states are
 // accumulated into each class slot in ascending VM-ID order (the same
-// addition order as the legacy aggregation) and the dot product runs the
+// addition order as ClassedFeaturesFor) and the dot product runs the
 // same ascending loop as linalg.Vector.Dot.
 //
 // states is indexed by vm.ID and must cover the plan's VM set; entries of
 // non-members are ignored. The caller is responsible for masking out
-// stopped VMs (dummies) before calling, exactly as with the legacy path.
+// stopped VMs (dummies) before calling.
 func (p *Plan) Eval(s vm.Coalition, states []vm.State) (float64, error) {
 	var feat [MaxFeatureLen]float64
 	combo, err := p.features(s, states, &feat)

@@ -39,7 +39,7 @@ func trainedRig(t *testing.T, res float64, seed int64) (*vm.Set, *ClassMap, *App
 					states[i][c] = math.Round(rng.Float64()*100) / 100
 				}
 			}
-			_, feats, err := ClassedFeaturesFor(set, mask, states, classes)
+			_, feats, err := ClassedFeaturesFor(set, flagsOf(mask, set.Len()), states, classes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +84,7 @@ func TestPlanMatchesEstimateBitForBit(t *testing.T) {
 			if mask.IsEmpty() {
 				want = 0
 			} else {
-				combo, feats, err := ClassedFeaturesFor(set, mask, states, classes)
+				combo, feats, err := ClassedFeaturesFor(set, flagsOf(mask, set.Len()), states, classes)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,7 +111,7 @@ func TestPlanTableHit(t *testing.T) {
 		{vm.CPU: 0.5, vm.Memory: 0.25, vm.DiskIO: 0.1},
 		{}, {},
 	}
-	combo, feats, err := ClassedFeaturesFor(set, mask, states, classes)
+	combo, feats, err := ClassedFeaturesFor(set, flagsOf(mask, set.Len()), states, classes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestPlanUntrainedCombo(t *testing.T) {
 	states := []vm.State{{vm.CPU: 0.5}, {vm.CPU: 0.25}, {}, {}}
 	for i := 0; i < 4; i++ {
 		states[0][vm.CPU] = 0.1 * float64(i+1)
-		_, feats, err := ClassedFeaturesFor(set, vm.CoalitionOf(0, 1), states, classes)
+		_, feats, err := ClassedFeaturesFor(set, flagsOf(vm.CoalitionOf(0, 1), set.Len()), states, classes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +261,7 @@ func TestPlanStaleEpoch(t *testing.T) {
 	if plan.Epoch() != a.Epoch() {
 		t.Fatalf("fresh plan epoch %d != approximator %d", plan.Epoch(), a.Epoch())
 	}
-	_, feats, err := ClassedFeaturesFor(set, vm.CoalitionOf(0), []vm.State{{vm.CPU: 0.5}, {}, {}, {}}, classes)
+	_, feats, err := ClassedFeaturesFor(set, flagsOf(vm.CoalitionOf(0), set.Len()), []vm.State{{vm.CPU: 0.5}, {}, {}, {}}, classes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,10 +127,11 @@ type Options struct {
 	// Resolution quantizes table keys (the paper uses 0.01). Non-positive
 	// disables the exact-match table, forcing pure regression.
 	Resolution float64
-	// RidgeLambda is the regularisation used when least squares is rank
-	// deficient (near-constant or all-zero feature columns). Default 1e-6.
-	RidgeLambda float64
 }
+
+// ridgeLambda is the regularisation used when least squares is rank
+// deficient (near-constant or all-zero feature columns).
+const ridgeLambda = 1e-6
 
 // Approximator learns and serves v(S, C) per VHC combination.
 //
@@ -151,7 +152,6 @@ type Options struct {
 type Approximator struct {
 	numTypes   int
 	resolution float64
-	ridge      float64
 
 	mu      sync.RWMutex
 	epoch   uint64
@@ -220,14 +220,9 @@ func New(numTypes int, opts Options) (*Approximator, error) {
 	if numTypes < 1 || numTypes > MaxTypes {
 		return nil, fmt.Errorf("vhc: numTypes %d outside [1,%d]", numTypes, MaxTypes)
 	}
-	ridge := opts.RidgeLambda
-	if ridge <= 0 {
-		ridge = 1e-6
-	}
 	return &Approximator{
 		numTypes:   numTypes,
 		resolution: opts.Resolution,
-		ridge:      ridge,
 		samples:    make(map[ComboMask][]Sample),
 		table:      make(map[ComboMask]map[tableKey]*tableEntry),
 		weights:    make(map[ComboMask]linalg.Vector),
@@ -339,7 +334,7 @@ func (a *Approximator) trainComboLocked(combo ComboMask, samples []Sample) error
 	if mat.Cols() != cols {
 		return fmt.Errorf("%w: matrix has %d cols, want %d", ErrFeatureLen, mat.Cols(), cols)
 	}
-	w, err := linalg.LeastSquares(mat, b, a.ridge)
+	w, err := linalg.LeastSquares(mat, b, ridgeLambda)
 	if err != nil {
 		return fmt.Errorf("least squares: %w", err)
 	}

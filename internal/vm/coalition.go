@@ -9,14 +9,14 @@ import (
 // MaxPlayers bounds the size of a game so coalitions fit in a uint32
 // bitmask with 2^n enumerable subsets. The paper argues n <= 16 in
 // practice (one VM per logical core on a 16-core Xeon); we allow headroom.
-// VM sets may be larger (up to MaxVMs): beyond MaxPlayers the
-// coalition-bitmask machinery is unavailable and estimation runs through
-// the symmetry-collapsed solver over type-count vectors instead.
+// VM sets may be larger (up to MaxVMs): their running sets are per-VM
+// flags, and only games enumerated or sampled over 2^n coalitions need a
+// mask (see RunningCoalition).
 const MaxPlayers = 24
 
-// MaxVMs bounds the size of a VM set. Sets past MaxPlayers cannot be
-// enumerated as bitmasks; they are estimated exactly only when the
-// population collapses into repeated symmetry classes (dense modern
+// MaxVMs bounds the size of a VM set. Sets past MaxPlayers are estimated
+// only by the exact tier, whose work grows with the groups of running VMs
+// that share a class and a state rather than with the VMs (dense modern
 // hosts run hundreds of VMs drawn from a handful of fixed types).
 const MaxVMs = 512
 
@@ -33,6 +33,23 @@ func GrandCoalition(n int) Coalition {
 		return 0
 	}
 	return Coalition(1<<uint(n)) - 1
+}
+
+// RunningCoalition returns the running set given as one flag per VM (true
+// = running) as a coalition mask, for enumerating or sampling the 2^n game
+// over those VMs. It fails past MaxPlayers flags, where no mask can hold
+// the set, rather than truncate it.
+func RunningCoalition(running []bool) (Coalition, error) {
+	if len(running) > MaxPlayers {
+		return 0, fmt.Errorf("vm: %d VMs exceed the %d-player coalition mask limit", len(running), MaxPlayers)
+	}
+	var c Coalition
+	for i, r := range running {
+		if r {
+			c = c.With(ID(i))
+		}
+	}
+	return c, nil
 }
 
 // CoalitionOf builds a coalition from member IDs.

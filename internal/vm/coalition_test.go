@@ -18,6 +18,26 @@ func TestGrandCoalition(t *testing.T) {
 	}
 }
 
+// TestRunningCoalition pins the one mask builder for running sets: flags
+// map to their bits, and past MaxPlayers VMs it fails instead of
+// truncating the set.
+func TestRunningCoalition(t *testing.T) {
+	c, err := RunningCoalition([]bool{true, false, true})
+	if err != nil || c != CoalitionOf(0, 2) {
+		t.Fatalf("RunningCoalition = %s, %v", c, err)
+	}
+	full := make([]bool, MaxPlayers)
+	for i := range full {
+		full[i] = true
+	}
+	if c, err := RunningCoalition(full); err != nil || c != GrandCoalition(MaxPlayers) {
+		t.Fatalf("RunningCoalition(%d running) = %s, %v", MaxPlayers, c, err)
+	}
+	if _, err := RunningCoalition(make([]bool, MaxPlayers+1)); err == nil {
+		t.Fatalf("RunningCoalition of %d flags must fail", MaxPlayers+1)
+	}
+}
+
 func TestCoalitionOps(t *testing.T) {
 	c := CoalitionOf(1, 3)
 	if c.Size() != 2 {

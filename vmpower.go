@@ -323,14 +323,10 @@ func (s *System) Stop(vmName string) error {
 }
 
 // StartAll boots every VM.
-func (s *System) StartAll() {
-	s.host.SetCoalition(vm.GrandCoalition(s.host.Set().Len()))
-}
+func (s *System) StartAll() { s.host.SetAll(true) }
 
 // StopAll shuts every VM down.
-func (s *System) StopAll() {
-	s.host.SetCoalition(vm.EmptyCoalition)
-}
+func (s *System) StopAll() { s.host.SetAll(false) }
 
 // Step advances the simulated clock one second and performs one online
 // estimation tick: collect VM states, read the meter, disaggregate the
