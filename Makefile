@@ -87,9 +87,9 @@ cover:
 	$(GO) test -cover ./...
 
 # A short pass over every fuzz target — enough to catch regressions in the
-# frame decoder, stream resync, model loader, the exact tier's closed form,
-# Monte-Carlo sampling stream, workload CSV parser and the history query
-# endpoint without tying up CI. Minimizing an input is capped at 100
+# frame decoder, stream resync, model loader, the exact tier's closed form
+# and its correction search's node cap, Monte-Carlo sampling stream,
+# workload CSV parser and the history query endpoint without tying up CI. Minimizing an input is capped at 100
 # execs: Go's default allows 60 s per input, and shrinking a model-sized
 # input byte by byte would spend the whole FUZZTIME budget minimizing
 # instead of fuzzing. A crasher is still reported, only less minimized.

@@ -340,13 +340,17 @@ func BenchmarkOnlineEstimationTick(b *testing.B) {
 // "plan=true" suffix because cmd/benchgate's headline set and the
 // committed trajectory key on it. Those arms run one VM type; the mixed
 // arm alternates small and medium VMs like the mask16 benchmark
-// workload. The mc arm measures a Monte-Carlo tick past the exact
-// budget. The search arm is the correction search's worst case: a
-// calibration whose VMs idle 30% of the time stores exact-match keys
-// that cover the online synthetic states of 20 distinct VMs, so the
-// search visits up to 2^20 count vectors per tick.
+// workload. Past the exact budget, the spec arm (the mc24 benchmark
+// workload's 24 distinct SPEC VMs) is served exactly under the
+// correction search's node cap, while the mc arm's synthetic streams run
+// the search past its cap and fall through to Monte Carlo. The search
+// arm is the correction search's worst case: a calibration whose VMs
+// idle 30% of the time stores exact-match keys that cover the online
+// synthetic states of 20 distinct VMs, so the search visits up to 2^20
+// count vectors per tick.
 func BenchmarkEstimateTick(b *testing.B) {
-	run := func(b *testing.B, n int, steady, audited, mixed bool, collectIdle float64) {
+	suite := []string{"gcc", "gobmk", "sjeng", "omnetpp", "namd", "wrf", "tonto"}
+	run := func(b *testing.B, n int, regime string, audited, mixed bool, collectIdle float64) {
 		mach, err := machine.New(machine.XeonProfile(), machine.Pack)
 		if err != nil {
 			b.Fatal(err)
@@ -384,13 +388,18 @@ func BenchmarkEstimateTick(b *testing.B) {
 		}
 		for i := range vms {
 			var g workload.Generator
-			if steady {
+			switch regime {
+			case "steady":
 				g = workload.Constant("steady", vm.State{
 					vm.CPU:    float64(i%5) / 5,
 					vm.Memory: float64(i%3) / 10,
 					vm.DiskIO: float64(i%2) / 10,
 				})
-			} else {
+			case "spec":
+				if g, err = workload.ByName(suite[i%len(suite)], int64(i+1)); err != nil {
+					b.Fatal(err)
+				}
+			default:
 				g = workload.Synthetic{Seed: int64(i + 1)}
 			}
 			if err := host.Attach(vm.ID(i), g); err != nil {
@@ -430,7 +439,7 @@ func BenchmarkEstimateTick(b *testing.B) {
 			b.Fatal(err)
 		}
 		want := core.TierExact
-		if n == vm.MaxPlayers {
+		if n == vm.MaxPlayers && regime == "alldirty" {
 			want = core.TierMonteCarlo
 		}
 		if alloc.Prov.Tier != want {
@@ -451,29 +460,33 @@ func BenchmarkEstimateTick(b *testing.B) {
 	for _, n := range []int{8, 16} {
 		for _, regime := range []string{"steady", "alldirty"} {
 			b.Run(fmt.Sprintf("n=%d/%s/plan=true", n, regime), func(b *testing.B) {
-				run(b, n, regime == "steady", false, false, 0)
+				run(b, n, regime, false, false, 0)
 			})
 		}
 		// The provenance arm: auditor + flight recorder on the plan path.
 		b.Run(fmt.Sprintf("n=%d/steady/plan=true/audited", n), func(b *testing.B) {
-			run(b, n, true, true, false, 0)
+			run(b, n, "steady", true, false, 0)
 		})
 	}
 	// The mixed arm: 8 small and 8 medium VMs, every state moving.
 	b.Run("n=16/mixed/alldirty/plan=true", func(b *testing.B) {
-		run(b, 16, false, false, true, 0)
+		run(b, 16, "alldirty", false, true, 0)
 	})
 	// The search arm: 20 distinct VMs whose online states the
 	// exact-match keys cover.
 	b.Run("search/n=20/collectidle=0.3", func(b *testing.B) {
-		run(b, 20, false, false, false, 0.3)
+		run(b, 20, "alldirty", false, false, 0.3)
 	})
 
-	// The Monte-Carlo arm: 24 VMs on distinct synthetic streams span 2^24
-	// count vectors, past the exact budget, so every tick samples the
-	// default permutation budget.
+	// Past the exact budget: 24 distinct VMs span 2^24 count vectors.
+	// On SPEC traces the correction search is pruned at every combo's
+	// root and the tick is exact; on synthetic streams it runs past its
+	// node cap, so every tick samples the default permutation budget.
+	b.Run("exact/n=24/spec", func(b *testing.B) {
+		run(b, 24, "spec", false, false, 0)
+	})
 	b.Run("mc/n=24/alldirty", func(b *testing.B) {
-		run(b, 24, false, false, false, 0)
+		run(b, 24, "alldirty", false, false, 0)
 	})
 
 	// Grouped arms: n VMs in r groups on the dense 256-thread profile —

@@ -107,8 +107,9 @@ type Config struct {
 	// Seed drives the synthetic collection workloads and the Monte-Carlo
 	// sampler.
 	Seed int64
-	// MCPermutations is the Monte-Carlo sample count of ticks past the
-	// exact tier's budget (see exactBudget). Default
+	// MCPermutations is the Monte-Carlo sample count of the ticks the
+	// exact tier hands on: past its group-space budget (exactBudget) the
+	// correction search ran past its node cap (searchCap). Default
 	// shapley.DefaultPermutations.
 	MCPermutations int
 	// IdleAttribution selects the idle-power rule. Default IdleNone.
@@ -190,8 +191,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Solver tiers, as recorded in Provenance.Tier: the closed-form exact
-// tier, Monte-Carlo sampling past its budget, and the degraded-mode
-// fallback split.
+// tier, Monte-Carlo sampling of the ticks whose correction search runs
+// past its cap, and the degraded-mode fallback split.
 const (
 	TierExact      = "exact"
 	TierMonteCarlo = "montecarlo"
@@ -203,13 +204,15 @@ const (
 const (
 	reasonNoRunning = "no running VMs"
 	reasonExact     = "group space within the exact budget"
-	reasonMCBudget  = "group space beyond the exact budget"
+	reasonExactCap  = "group space beyond the exact budget; correction search within its node cap"
+	reasonMCCap     = "group space beyond the exact budget; correction search past its node cap"
 	reasonFallback  = "solver/worth failure; fallback policy split"
 )
 
 // Provenance records how a tick's allocation was produced: the solver
-// tier and why the gate picked it, the exact tier's search effort, the
-// model residual and the invariant auditor's verdict. It is filled on
+// tier and why the gate picked it, the exact tier's search effort, a
+// Monte-Carlo tick's sampling error, the model residual and the
+// invariant auditor's verdict. It is filled on
 // every tick with value-typed fields and constant reason strings, so
 // carrying it costs the hot path nothing; the flight recorder and the
 // tick event journal are built from it.
@@ -226,6 +229,10 @@ type Provenance struct {
 	DirtyVMs  int
 	Evaluated int
 	Reused    int
+	// MaxStdErrWatts is the largest finite per-VM standard error of a
+	// Monte-Carlo tick's shares (Allocation.StdErr); 0 on exact and
+	// fallback ticks, whose shares carry no sampling error.
+	MaxStdErrWatts float64
 	// ModelResidualWatts is δ = dyn − v̂(N): the measured dynamic power
 	// minus the model's own worth of the running set (the table mean on
 	// an exact-match hit, else the clamped linear worth). The meter
@@ -264,6 +271,10 @@ type Allocation struct {
 	// Method records how the Shapley value was computed ("exact",
 	// "montecarlo" or "fallback" for a degraded-mode split).
 	Method string
+	// StdErr is each VM's standard error of its PerVM share on a
+	// Monte-Carlo tick, indexed by vm.ID (stopped VMs get 0); nil on
+	// exact and fallback ticks.
+	StdErr []float64
 	// SymmetryClasses is the number of groups the exact tier solved over:
 	// running VMs of one VHC class with bit-equal state form one group.
 	// It is 0 on Monte-Carlo and fallback ticks.
@@ -972,10 +983,12 @@ func maskWorth(running vm.Coalition, dyn float64, eval func(vm.Coalition) (float
 // gate and the solvers, run over the compiled plan into sc. The running
 // VMs are grouped (same VHC class, bit-equal state); when their group
 // space V = ∏(c_g+1) fits exactBudget the exact tier serves the tick in
-// closed form, otherwise Monte Carlo samples it if the host fits a
-// coalition mask, and the tick fails if not. The result is a function of
-// the snapshot, the measured power, the plan and Config alone. A snapshot
-// whose running flags or states do not cover the VM set is refused.
+// closed form. Past the budget the exact tier's correction search runs
+// under searchCap nodes: if it finishes the tick is served exactly,
+// otherwise Monte Carlo samples it if the host fits a coalition mask,
+// and the tick fails if not. The result is a function of the snapshot,
+// the measured power, the plan and Config alone. A snapshot whose
+// running flags or states do not cover the VM set is refused.
 //
 // sc is owned by the caller for the duration of the call.
 func (e *Estimator) estimateTick(sc *scratch, snap hypervisor.Snapshot, measuredTotal float64, sp *obs.Span) (*Allocation, error) {
@@ -1024,15 +1037,19 @@ func (e *Estimator) estimateTick(sc *scratch, snap hypervisor.Snapshot, measured
 		}
 	}
 
-	if g.vectors() <= exactBudget {
+	limit, reason := math.MaxInt, reasonExact
+	if g.vectors() > exactBudget {
+		limit, reason = searchCap, reasonExactCap
+	}
+	phi, done, err := sc.exact.solve(plan, g, dyn, limit, sp)
+	if err != nil {
+		return nil, fmt.Errorf("core: worth evaluation: %w", err)
+	}
+	if done {
 		alloc.Method = "exact"
 		alloc.SymmetryClasses = len(g.groups)
 		alloc.Prov.Tier = TierExact
-		alloc.Prov.TierReason = reasonExact
-		phi, err := sc.exact.solve(plan, g, dyn, sp)
-		if err != nil {
-			return nil, fmt.Errorf("core: worth evaluation: %w", err)
-		}
+		alloc.Prov.TierReason = reason
 		alloc.Prov.Evaluated = sc.exact.visited
 		alloc.PerVM = make([]float64, n)
 		for _, i := range members {
@@ -1042,11 +1059,11 @@ func (e *Estimator) estimateTick(sc *scratch, snap hypervisor.Snapshot, measured
 	} else {
 		running, err := vm.RunningCoalition(snap.Running)
 		if err != nil {
-			return nil, fmt.Errorf("core: %d running VMs in %d groups span more than %d count vectors: %w", len(members), len(g.groups), exactBudget, err)
+			return nil, fmt.Errorf("core: %d running VMs in %d groups span more than %d count vectors and the correction search ran past %d nodes: %w", len(members), len(g.groups), exactBudget, searchCap, err)
 		}
 		alloc.Method = "montecarlo"
 		alloc.Prov.Tier = TierMonteCarlo
-		alloc.Prov.TierReason = reasonMCBudget
+		alloc.Prov.TierReason = reasonMCCap
 		worth, worthErr := planWorth(plan, running, snap.States, dyn)
 		res, err := shapley.MonteCarlo(n, worth, shapley.MCOptions{
 			Permutations: e.cfg.MCPermutations,
@@ -1062,7 +1079,12 @@ func (e *Estimator) estimateTick(sc *scratch, snap hypervisor.Snapshot, measured
 		if err != nil {
 			return nil, err
 		}
-		alloc.PerVM = res.Phi
+		alloc.PerVM, alloc.StdErr = res.Phi, res.StdErr
+		for _, se := range res.StdErr {
+			if se > alloc.Prov.MaxStdErrWatts && !math.IsInf(se, 1) {
+				alloc.Prov.MaxStdErrWatts = se
+			}
+		}
 	}
 	alloc = e.attributeIdle(alloc, members)
 	sp.Mark("normalize")

@@ -12,6 +12,7 @@ import (
 	"vmpower/internal/hypervisor"
 	"vmpower/internal/machine"
 	"vmpower/internal/meter"
+	"vmpower/internal/shapley"
 	"vmpower/internal/vhc"
 	"vmpower/internal/vm"
 	"vmpower/internal/workload"
@@ -329,18 +330,20 @@ func TestMeterDropoutRetries(t *testing.T) {
 	}
 }
 
-// mcRig builds and calibrates a 24-VM host of two types whose VMs hold
-// distinct constant states: 24 groups of one span 2^24 count vectors,
-// past the exact budget, so every tick is sampled by Monte Carlo.
+// mcRig builds and calibrates the BenchmarkEstimateTick mc arm's shape:
+// 24 small VMs of a Xeon host on distinct synthetic streams, calibrated
+// with every VM busy (40 ticks per combination unless cfg says
+// otherwise). 24 groups of one span 2^24 count vectors, past the exact
+// budget, and the correction search runs past searchCap, so every tick
+// is sampled by Monte Carlo.
 func mcRig(t *testing.T, cfg Config) (*hypervisor.Host, *Estimator) {
 	t.Helper()
-	host, est := symTestRig(t, machine.DenseProfile(), []int{12, 12}, cfg)
+	host, est := symTestRig(t, machine.XeonProfile(), []int{vm.MaxPlayers}, cfg)
 	if err := est.CollectOffline(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < host.Set().Len(); i++ {
-		st := vm.State{vm.CPU: 0.3 + 0.02*float64(i), vm.Memory: 0.1 + 0.01*float64(i%7), vm.DiskIO: 0.05}
-		if err := host.Attach(vm.ID(i), workload.Constant("mc", st)); err != nil {
+		if err := host.Attach(vm.ID(i), workload.Synthetic{Seed: int64(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -349,14 +352,14 @@ func mcRig(t *testing.T, cfg Config) (*hypervisor.Host, *Estimator) {
 }
 
 func TestMonteCarloPathForLargeSets(t *testing.T) {
-	host, est := mcRig(t, Config{Seed: 8, MCPermutations: 128, OfflineTicksPerCombo: 20})
+	host, est := mcRig(t, Config{Seed: 8, MCPermutations: 128})
 	host.Advance(1)
 	alloc, err := est.EstimateTick()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alloc.Method != "montecarlo" {
-		t.Fatalf("Method = %q", alloc.Method)
+	if alloc.Method != "montecarlo" || alloc.Prov.TierReason != reasonMCCap {
+		t.Fatalf("Method = %q (%s)", alloc.Method, alloc.Prov.TierReason)
 	}
 	var sum float64
 	for _, p := range alloc.PerVM {
@@ -365,6 +368,66 @@ func TestMonteCarloPathForLargeSets(t *testing.T) {
 	// MC permutation sampling is exactly efficient.
 	if math.Abs(sum-alloc.DynamicPower) > 1e-9 {
 		t.Fatalf("MC efficiency: %g vs %g", sum, alloc.DynamicPower)
+	}
+}
+
+// TestMonteCarloStdErrServed pins the uncertainty a Monte-Carlo tick
+// serves: Allocation.StdErr is the sampler's per-VM standard error bit
+// for bit, and Provenance.MaxStdErrWatts its largest value. Exact and
+// fallback ticks carry neither.
+func TestMonteCarloStdErrServed(t *testing.T) {
+	host, est := mcRig(t, Config{Seed: 5, MCPermutations: 64})
+	for tick := 0; tick < 3; tick++ {
+		host.Advance(1)
+		alloc, err := est.EstimateTick()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alloc.Prov.Tier != TierMonteCarlo {
+			t.Fatalf("tick %d: tier %s", tick, alloc.Prov.Tier)
+		}
+		snap := host.Collect()
+		plan, err := est.ensurePlan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		worth, _ := planWorth(plan, runningMask(t, snap), snap.States, alloc.DynamicPower)
+		res, err := shapley.MonteCarlo(len(alloc.PerVM), worth, shapley.MCOptions{
+			Permutations: 64, Seed: 5 ^ int64(snap.Tick), Parallelism: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(alloc.StdErr, res.StdErr) {
+			t.Fatalf("tick %d: served StdErr %v, sampler %v", tick, alloc.StdErr, res.StdErr)
+		}
+		var most float64
+		for _, se := range res.StdErr {
+			most = math.Max(most, se)
+		}
+		if most <= 0 || alloc.Prov.MaxStdErrWatts != most {
+			t.Fatalf("tick %d: MaxStdErrWatts %g, want the largest StdErr %g", tick, alloc.Prov.MaxStdErrWatts, most)
+		}
+	}
+
+	host, est = testRig(t, Config{Seed: 5, Fallback: FallbackProportional})
+	if err := est.CollectOffline(); err != nil {
+		t.Fatal(err)
+	}
+	host.SetCoalition(vm.CoalitionOf(0, 1))
+	host.Advance(1)
+	exact, err := est.EstimateTick()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fallback, err := est.fallbackAllocation(host.Collect(), exact.MeasuredPower, errors.New("injected"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []*Allocation{exact, fallback} {
+		if a.StdErr != nil || a.Prov.MaxStdErrWatts != 0 {
+			t.Fatalf("%s tick: StdErr %v, MaxStdErrWatts %g, want none", a.Prov.Tier, a.StdErr, a.Prov.MaxStdErrWatts)
+		}
 	}
 }
 
@@ -720,8 +783,8 @@ func TestParallelismDeterministicAllocations(t *testing.T) {
 	// seed and snapshot the allocation must be bit-for-bit identical at
 	// any worker count (the sampler's decomposition is fixed; see
 	// internal/shapley/parallel.go). Exercise both the exact tier and, on
-	// a host past the exact budget, the Monte-Carlo tier, each also
-	// through the legacyEstimate oracle.
+	// a host whose correction search runs past its cap, the Monte-Carlo
+	// tier, each also through the legacyEstimate oracle.
 	for _, tc := range []struct {
 		name   string
 		cfg    Config
@@ -730,8 +793,8 @@ func TestParallelismDeterministicAllocations(t *testing.T) {
 	}{
 		{"exact", Config{Seed: 12}, false, false},
 		{"exact-legacy", Config{Seed: 12}, false, true},
-		{"montecarlo", Config{Seed: 12, MCPermutations: 96, OfflineTicksPerCombo: 20}, true, false},
-		{"montecarlo-legacy", Config{Seed: 12, MCPermutations: 96, OfflineTicksPerCombo: 20}, true, true},
+		{"montecarlo", Config{Seed: 12, MCPermutations: 96}, true, false},
+		{"montecarlo-legacy", Config{Seed: 12, MCPermutations: 96}, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			estimate := func(parallelism int) []float64 {
@@ -757,6 +820,13 @@ func TestParallelismDeterministicAllocations(t *testing.T) {
 				alloc, err := est.EstimateTick()
 				if err != nil {
 					t.Fatal(err)
+				}
+				want := TierExact
+				if tc.mc {
+					want = TierMonteCarlo
+				}
+				if alloc.Prov.Tier != want {
+					t.Fatalf("tier %s, want %s", alloc.Prov.Tier, want)
 				}
 				if tc.legacy {
 					alloc = legacyEstimate(t, est, host.Collect(), alloc.MeasuredPower)

@@ -36,14 +36,24 @@ import (
 // search over count vectors finds E group by group; a vector of t_g
 // members of each group g stands for ∏ C(c_g, t_g) coalitions.
 
-// exactBudget caps the group space V = ∏(c_g+1) the exact tier serves.
-// The correction search visits at most V count vectors per searched
-// combo, and usually a handful. But a model whose exact-match keys cover
-// the online states (offline samples drawn from sub-coalition-like
-// states) defeats the key box, and the search then visits nearly all of
-// V at ~170 ns a vector: ~0.7 s at 2^22 on a 2-vCPU VM. Past the budget
-// the tick is sampled instead.
+// exactBudget is the group space V = ∏(c_g+1) the exact tier serves
+// whatever its correction search costs. The search visits at most V
+// count vectors per searched combo, and usually a handful. But a model
+// whose exact-match keys cover the online states (offline samples drawn
+// from sub-coalition-like states) defeats the key box, and the search
+// then visits nearly all of V at ~170 ns a vector: ~0.7 s at 2^22 on a
+// 2-vCPU VM. Past the budget the search runs under searchCap.
 const exactBudget = 1 << 22
+
+// searchCap caps the correction search's nodes (visit calls) on a tick
+// whose group space is past exactBudget. A search that finishes under
+// it serves the tick exactly; one that runs past it hands the tick to
+// Monte Carlo, or fails it on hosts past the coalition mask. 24 distinct
+// VMs on SPEC traces are pruned at every combo's root (0 nodes), while
+// 24 on synthetic streams, whose uncapped searches take 0.15–6.2 M nodes
+// (15–570 ms) per tick, stop here after ~90 µs: ~7% of the ~1.3 ms
+// Monte-Carlo tick that follows, on a 2-vCPU VM.
+const searchCap = 1 << 10
 
 // exactScratch is the exact tier's work space; see the file comment for
 // the quantities it holds.
@@ -63,20 +73,22 @@ type exactScratch struct {
 }
 
 // solve returns each group's share of the tick's game, whose grand
-// coalition is worth dyn. Before it returns, it marks the span "worth"
-// once the corrections are found. A combination reachable by a proper
-// coalition must be trained; the running set's own may be untrained when
-// only the running set has it.
-func (x *exactScratch) solve(plan *vhc.Plan, g *groupScratch, dyn float64, sp *obs.Span) ([]float64, error) {
+// coalition is worth dyn, and true. If the correction search would take
+// more than limit nodes it stops there and solve returns nil and false.
+// Once the corrections are found it marks the span "worth". A
+// combination reachable by a proper coalition must be trained; the
+// running set's own may be untrained when only the running set has it.
+func (x *exactScratch) solve(plan *vhc.Plan, g *groupScratch, dyn float64, limit int, sp *obs.Span) ([]float64, bool, error) {
 	const k = int(vm.NumComponents)
 	n, r := len(g.members), len(g.classes)
 	full := 1<<r - 1
 	x.phi = resize(x.phi, len(g.groups))
 	x.visited = 0
+	x.search.nodes = 0
 	if n == 1 {
 		x.phi[0] = dyn
 		sp.Mark("worth")
-		return x.phi, nil
+		return x.phi, true, nil
 	}
 	x.comboOf = resize(x.comboOf, full+1)
 	x.deg = resize(x.deg, full+1)
@@ -86,12 +98,12 @@ func (x *exactScratch) solve(plan *vhc.Plan, g *groupScratch, dyn float64, sp *o
 		x.comboOf[u] = x.comboOf[u&(u-1)] | g.classes[a].bit
 		x.deg[u] = x.deg[u&(u-1)] + g.classes[a].size
 		if plan.Weights(x.comboOf[u]) == nil && (u != full || n != r) {
-			return nil, fmt.Errorf("%w: %s", vhc.ErrUntrained, x.comboOf[u])
+			return nil, false, fmt.Errorf("%w: %s", vhc.ErrUntrained, x.comboOf[u])
 		}
 	}
 	p, err := x.shapleyWeights(n)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 
 	// The corrections.
@@ -102,11 +114,14 @@ func (x *exactScratch) solve(plan *vhc.Plan, g *groupScratch, dyn float64, sp *o
 		x.binom = appendBinomRow(x.binom, gr.count)
 	}
 	s := &x.search
-	s.reset(plan, g, p, x.binom, x.rowOf)
-	for u := 1; u <= full; u++ {
+	s.reset(plan, g, p, x.binom, x.rowOf, limit)
+	for u := 1; u <= full && s.nodes <= limit; u++ {
 		s.run(u, x.comboOf[u])
 	}
 	x.visited = s.visited
+	if s.nodes > limit {
+		return nil, false, nil
+	}
 	sp.Mark("worth")
 
 	// The linear part.
@@ -150,7 +165,7 @@ func (x *exactScratch) solve(plan *vhc.Plan, g *groupScratch, dyn float64, sp *o
 			}
 			pa, err := x.shapleyWeights(n - g.classes[a].size + 1)
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			var e, q float64
 			for b, fb := range f {
@@ -198,7 +213,7 @@ func (x *exactScratch) solve(plan *vhc.Plan, g *groupScratch, dyn float64, sp *o
 			x.phi[i] = dot + beta + share + s.corr[i] + s.common
 		}
 	}
-	return x.phi, nil
+	return x.phi, true, nil
 }
 
 // shapleyWeights returns the Shapley weights p(s) = s!(n−s−1)!/n! of an
@@ -224,7 +239,8 @@ func (x *exactScratch) shapleyWeights(n int) ([]float64, error) {
 // per-member linear term is negative; the search descends group by
 // group, choosing how many of the group's members the coalition holds,
 // and prunes a subtree whose reachable feature sums all miss the table's
-// key box and whose reachable linear worth cannot go negative.
+// key box and whose reachable linear worth cannot go negative. It counts
+// its nodes and stops once they pass limit.
 type search struct {
 	plan   *vhc.Plan
 	g      *groupScratch
@@ -253,17 +269,19 @@ type search struct {
 	corr    []float64 // per group: correction of each member's share
 	common  float64   // correction of every running VM's share
 	visited int
+	nodes   int // visit calls so far
+	limit   int // the node cap
 }
 
 // reset binds the search to a tick and clears its sums.
-func (s *search) reset(plan *vhc.Plan, g *groupScratch, p, binom []float64, rowOf []int) {
+func (s *search) reset(plan *vhc.Plan, g *groupScratch, p, binom []float64, rowOf []int, limit int) {
 	s.plan, s.g, s.p, s.binom, s.rowOf = plan, g, p, binom, rowOf
 	s.n = len(g.members)
 	s.t = resize(s.t, len(g.groups))
 	clear(s.t)
 	s.corr = resize(s.corr, len(g.groups))
 	clear(s.corr)
-	s.common, s.visited = 0, 0
+	s.common, s.visited, s.nodes, s.limit = 0, 0, 0, limit
 }
 
 // run searches the count vectors whose classes are exactly the local
@@ -353,6 +371,9 @@ func (s *search) feasible(d int, lin float64) bool {
 // vhc.Plan.Eval forms when groups are contiguous in VM-ID order.
 func (s *search) visit(d, size int, lin, mult float64) {
 	const k = int(vm.NumComponents)
+	if s.nodes++; s.nodes > s.limit {
+		return
+	}
 	if d == len(s.order) {
 		s.leaf(size, lin, mult)
 		return
@@ -367,7 +388,7 @@ func (s *search) visit(d, size int, lin, mult float64) {
 		first = 1 // the class's last chance to join the coalition
 	}
 	row := s.binom[s.rowOf[i]:]
-	for t := 0; t <= gr.count; t++ {
+	for t := 0; t <= gr.count && s.nodes <= s.limit; t++ {
 		if t > 0 {
 			for c := 0; c < k; c++ {
 				s.feat[b+c] += gr.state[c]

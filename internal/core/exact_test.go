@@ -9,10 +9,13 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vmpower/internal/hypervisor"
 	"vmpower/internal/machine"
+	"vmpower/internal/meter"
+	"vmpower/internal/shapley"
 	"vmpower/internal/vhc"
 	"vmpower/internal/vm"
 	"vmpower/internal/workload"
@@ -193,18 +196,22 @@ func replacedTier(nSet int, counts []int) string {
 // TestExactCoversReplacedTierLayouts enumerates group layouts — every
 // split of up to 30 running VMs into groups of sizes 1–4 on hosts of
 // that many VMs and a few more, plus wide hosts — and checks the gate:
-// a layout the replaced tiers served exactly is served by the exact
-// tier, and a layout they sampled or refused is still sampled or
-// refused unless it now fits the exact budget. Then a few layouts run end to end through
-// EstimateTick.
+// a layout the replaced tiers served exactly is served by the exact tier
+// whatever its correction search costs, and a layout they sampled or
+// refused is still sampled or refused when its search runs past
+// searchCap, unless it fits the exact budget. Then a few layouts run end
+// to end through EstimateTick, and on a host of 24 distinct VMs, whose
+// ticks' searches end on both sides of the cap, every tick gets the tier
+// the gate predicts from its uncapped search's node count, with the
+// uncapped search's shares bit for bit when it is exact.
 func TestExactCoversReplacedTierLayouts(t *testing.T) {
-	tier := func(nSet int, counts []int) string {
+	tier := func(nSet int, counts []int, finished bool) string {
 		g := groupScratch{}
 		for _, c := range counts {
 			g.groups = append(g.groups, group{count: c})
 		}
 		switch {
-		case g.vectors() <= exactBudget:
+		case g.vectors() <= exactBudget, finished:
 			return TierExact
 		case nSet <= vm.MaxPlayers:
 			return TierMonteCarlo
@@ -220,7 +227,7 @@ func TestExactCoversReplacedTierLayouts(t *testing.T) {
 		}
 		if nr > 0 {
 			for _, nSet := range []int{nr, nr + 2, nr + 8} {
-				old, now := replacedTier(nSet, counts), tier(nSet, counts)
+				old, now := replacedTier(nSet, counts), tier(nSet, counts, false)
 				if old != now && now != TierExact {
 					t.Fatalf("host of %d VMs with groups %v: replaced tiers %s, now %s", nSet, counts, old, now)
 				}
@@ -239,7 +246,7 @@ func TestExactCoversReplacedTierLayouts(t *testing.T) {
 		for _, c := range counts {
 			nr += c
 		}
-		if old, now := replacedTier(nr, counts), tier(nr, counts); old != now {
+		if old, now := replacedTier(nr, counts), tier(nr, counts, false); old != now {
 			t.Fatalf("wide host with groups %v: replaced tiers %s, now %s", counts, old, now)
 		}
 	}
@@ -251,12 +258,10 @@ func TestExactCoversReplacedTierLayouts(t *testing.T) {
 		name   string
 		types  []int
 		groups int // VMs per shared stream; 1 is distinct
-		want   string
 	}{
-		{"mask16", make([]int, 16), 1, TierExact},
-		{"sym24", make([]int, 24), 3, TierExact},
-		{"distinct20", make([]int, 20), 1, TierExact},
-		{"distinct24", make([]int, 24), 1, TierMonteCarlo},
+		{"mask16", make([]int, 16), 1},
+		{"sym24", make([]int, 24), 3},
+		{"distinct20", make([]int, 20), 1},
 	} {
 		streams := make([]int64, len(tc.types))
 		for i := range streams {
@@ -268,36 +273,69 @@ func TestExactCoversReplacedTierLayouts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if alloc.Prov.Tier != tc.want {
-			t.Fatalf("%s: tier %s, want %s", tc.name, alloc.Prov.Tier, tc.want)
+		if alloc.Prov.Tier != TierExact {
+			t.Fatalf("%s: tier %s, want %s", tc.name, alloc.Prov.Tier, TierExact)
 		}
+	}
+
+	streams := make([]int64, vm.MaxPlayers)
+	for i := range streams {
+		streams[i] = int64(i)
+	}
+	host, est := matrixRig(t, 1, make([]int, vm.MaxPlayers), streams, 7)
+	plan, err := est.ensurePlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for tick := 0; tick < 10; tick++ {
+		host.Advance(1)
+		alloc, err := est.EstimateTick()
+		if err != nil {
+			t.Fatalf("distinct24 tick %d: %v", tick, err)
+		}
+		var sc scratch
+		g := &sc.groups
+		snap := host.Collect()
+		if err := g.build(plan, snap, g.runningMembers(snap)); err != nil {
+			t.Fatal(err)
+		}
+		counts := make([]int, len(g.groups))
+		for j, gr := range g.groups {
+			counts[j] = gr.count
+		}
+		phi, _, err := sc.exact.solve(plan, g, alloc.DynamicPower, math.MaxInt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := sc.exact.search.nodes
+		want := tier(vm.MaxPlayers, counts, nodes <= searchCap)
+		if alloc.Prov.Tier != want {
+			t.Fatalf("distinct24 tick %d: tier %s, want %s (%d groups, %d uncapped search nodes)", tick, alloc.Prov.Tier, want, len(g.groups), nodes)
+		}
+		seen[want]++
+		if want != TierExact {
+			continue
+		}
+		for i, j := range g.groupOf {
+			if math.Float64bits(alloc.PerVM[i]) != math.Float64bits(phi[j]) {
+				t.Fatalf("distinct24 tick %d VM %d: capped search %.17g, uncapped %.17g", tick, i, alloc.PerVM[i], phi[j])
+			}
+		}
+	}
+	if seen[TierExact] == 0 || seen[TierMonteCarlo] == 0 {
+		t.Fatalf("distinct24 tiers %v, want ticks on both sides of the cap", seen)
 	}
 }
 
 // TestMonteCarloSharesPinned pins the Monte-Carlo tier's shares bit for
-// bit: a 24-VM host of distinct constant states spans 2^24 count
-// vectors, past the exact budget, and six sampled ticks must hash to the
-// digest the tier produced before the exact tier replaced the mask and
-// collapsed tiers.
+// bit on mcRig, whose ticks the correction search cannot finish under
+// searchCap: six sampled ticks must hash to the digest the same shape
+// produced when every tick past the exact budget was sampled, so a tick
+// that is still sampled keeps its bits.
 func TestMonteCarloSharesPinned(t *testing.T) {
-	const want = uint64(0x600585a8aebf8c7b)
-	host, est := symTestRig(t, machine.DenseProfile(), []int{12, 12}, Config{Seed: 8, MCPermutations: 64, OfflineTicksPerCombo: 20})
-	if err := est.CollectOffline(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < host.Set().Len(); i++ {
-		st := vm.State{vm.CPU: 0.3 + 0.02*float64(i), vm.Memory: 0.1 + 0.01*float64(i%7), vm.DiskIO: 0.05}
-		if i%3 == 0 {
-			if err := host.Attach(vm.ID(i), workload.Synthetic{Seed: int64(i)}); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		if err := host.Attach(vm.ID(i), workload.Constant("mc", st)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	startAll(t, host)
+	const want = uint64(0x6617407c9b221c3a)
+	host, est := mcRig(t, Config{Seed: 8, MCPermutations: 64})
 	h := fnv.New64a()
 	var buf [8]byte
 	for tick := 0; tick < 6; tick++ {
@@ -317,6 +355,104 @@ func TestMonteCarloSharesPinned(t *testing.T) {
 	if got := h.Sum64(); got != want {
 		t.Fatalf("share digest %#016x, want %#016x", got, want)
 	}
+}
+
+// spec24Rig calibrates the mc24 benchmark workload's host: 24 small
+// Xeon VMs, VM i on SPEC trace i mod 7 seeded seed+i, a meter with
+// 0.25 W of noise and the default calibration.
+func spec24Rig(t testing.TB, seed int64) (*hypervisor.Host, *Estimator) {
+	t.Helper()
+	suite := []string{"gcc", "gobmk", "sjeng", "omnetpp", "namd", "wrf", "tonto"}
+	mach, err := machine.New(machine.XeonProfile(), machine.Pack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vms := make([]vm.VM, vm.MaxPlayers)
+	for i := range vms {
+		vms[i] = vm.VM{Name: fmt.Sprintf("vm%02d", i)}
+	}
+	set, err := vm.NewSet(vm.PaperCatalog(), vms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := hypervisor.NewHost(mach, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := meter.NewSim(host.PowerSource(), meter.SimOptions{NoiseStdDev: 0.25, Resolution: 0.1, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := New(host, m, Config{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := est.CollectOffline(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range vms {
+		gen, err := workload.ByName(suite[i%len(suite)], seed+int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := host.Attach(vm.ID(i), gen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	startAll(t, host)
+	return host, est
+}
+
+// TestExactServesSPEC24PastBudget serves the mc24 benchmark's shape, 24
+// small Xeon VMs on distinct SPEC traces: their groups span more than
+// exactBudget count vectors, but the correction search is pruned at
+// every combo's root, so each tick is served exactly under searchCap.
+// The first tick matches the count-vector textbook sum to 1e-12 of the
+// worth scale (enumerating its ~10^7 vectors takes seconds). Each
+// tick's shares are also compared with the Monte-Carlo estimate the
+// tick got when every tick past the budget was sampled; the largest
+// per-VM gap is logged.
+func TestExactServesSPEC24PastBudget(t *testing.T) {
+	host, est := spec24Rig(t, 1)
+	plan, err := est.ensurePlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gap float64
+	for tick := 0; tick < 8; tick++ {
+		host.Advance(1)
+		alloc, err := est.EstimateTick()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := host.Collect()
+		var g groupScratch
+		if err := g.build(plan, snap, g.runningMembers(snap)); err != nil {
+			t.Fatal(err)
+		}
+		if alloc.Prov.Tier != TierExact || alloc.Prov.TierReason != reasonExactCap || g.vectors() <= exactBudget {
+			t.Fatalf("tick %d: tier %s (%s) over %d groups", tick, alloc.Prov.Tier, alloc.Prov.TierReason, len(g.groups))
+		}
+		if tick == 0 {
+			want, scale := countTextbook(t, plan, g.groups, alloc.DynamicPower)
+			got := make([]float64, len(g.groups))
+			for i, j := range g.groupOf {
+				got[j] = alloc.PerVM[i]
+			}
+			checkAgainst(t, "SPEC tick", got, want, scale)
+		}
+		worth, _ := planWorth(plan, runningMask(t, snap), snap.States, alloc.DynamicPower)
+		res, err := shapley.MonteCarlo(len(alloc.PerVM), worth, shapley.MCOptions{
+			Permutations: est.cfg.MCPermutations, Seed: est.cfg.Seed ^ int64(snap.Tick), Parallelism: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range alloc.PerVM {
+			gap = math.Max(gap, math.Abs(p-res.Phi[i]))
+		}
+	}
+	t.Logf("largest per-VM |exact − Monte Carlo| over 8 ticks: %.3f W", gap)
 }
 
 // dropCombo re-imports the estimator's model without combo's weights.
@@ -385,12 +521,17 @@ func TestExactUntrainedCombo(t *testing.T) {
 // multiples of 1/64 (so every feature sum is exact in any order), random
 // weights with negative components, exact-match keys forced on random
 // coalitions, and a random running set. The shares must agree to 1e-12
-// of the worth scale.
+// of the worth scale. The search is also run under a fuzzed node cap
+// first, on the scratch the uncapped solve then reuses: a search that
+// finishes under it gives the uncapped bits, and one that runs past it
+// says so, stops at the first node past the cap and returns no φ. The
+// first seed's search takes 18 nodes; the last runs it past a cap of 5.
 func FuzzClosedForm(f *testing.F) {
-	f.Add(int64(1), uint8(6), uint8(2), uint8(3), uint8(2))
-	f.Add(int64(7), uint8(10), uint8(3), uint8(2), uint8(5))
-	f.Add(int64(42), uint8(9), uint8(1), uint8(1), uint8(0))
-	f.Fuzz(func(t *testing.T, seed int64, nVMs, nTypes, nStates, nKeys uint8) {
+	f.Add(int64(1), uint8(6), uint8(2), uint8(3), uint8(2), uint8(40))
+	f.Add(int64(7), uint8(10), uint8(3), uint8(2), uint8(5), uint8(3))
+	f.Add(int64(42), uint8(9), uint8(1), uint8(1), uint8(0), uint8(255))
+	f.Add(int64(1), uint8(6), uint8(2), uint8(3), uint8(2), uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, nVMs, nTypes, nStates, nKeys, nodeCap uint8) {
 		n, r := 1+int(nVMs)%10, 1+int(nTypes)%3
 		rng := rand.New(rand.NewSource(seed))
 		vms := make([]vm.VM, n)
@@ -479,9 +620,23 @@ func FuzzClosedForm(f *testing.F) {
 			if err := g.build(plan, snap, members); err != nil {
 				t.Fatal(err)
 			}
-			phi, err := sc.exact.solve(plan, g, dyn, nil)
+			limit := int(nodeCap)
+			capped, done, err := sc.exact.solve(plan, g, dyn, limit, nil)
 			if err != nil {
 				t.Fatal(err)
+			}
+			capped = slices.Clone(capped)
+			if nodes := sc.exact.search.nodes; done != (nodes <= limit) || !done && (nodes != limit+1 || capped != nil) {
+				t.Fatalf("cap %d: finished %v after %d nodes, φ %v", limit, done, nodes, capped)
+			}
+			phi, done, err := sc.exact.solve(plan, g, dyn, math.MaxInt, nil)
+			if err != nil || !done {
+				t.Fatalf("uncapped solve: finished %v, %v", done, err)
+			}
+			for j := range capped {
+				if math.Float64bits(capped[j]) != math.Float64bits(phi[j]) {
+					t.Fatalf("cap %d: group %d got %.17g, uncapped %.17g", limit, j, capped[j], phi[j])
+				}
 			}
 			for _, i := range members {
 				got[i] = phi[g.groupOf[i]]
@@ -513,7 +668,7 @@ func TestExactSolveZeroAlloc(t *testing.T) {
 		if err := g.build(plan, snap, g.runningMembers(snap)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sc.exact.solve(plan, g, 80, nil); err != nil {
+		if _, _, err := sc.exact.solve(plan, g, 80, math.MaxInt, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -199,14 +199,12 @@ func TestPlanParallelismDeepEqual(t *testing.T) {
 	}
 }
 
-// TestPlanMonteCarloMatchesLegacy serves a host past the exact budget,
-// so the plan-backed worth feeds the permutation sampler; with a fixed
-// seed the result must match the legacy route bit for bit.
+// TestPlanMonteCarloMatchesLegacy serves a host whose correction search
+// runs past its cap, so the plan-backed worth feeds the permutation
+// sampler; with a fixed seed the result must match the legacy route bit
+// for bit.
 func TestPlanMonteCarloMatchesLegacy(t *testing.T) {
-	host, est := mcRig(t, Config{Seed: 11, MCPermutations: 64, OfflineTicksPerCombo: 20})
-	if err := host.Attach(1, workload.Synthetic{Seed: 2}); err != nil {
-		t.Fatal(err)
-	}
+	host, est := mcRig(t, Config{Seed: 11, MCPermutations: 64})
 	for tick := 0; tick < 6; tick++ {
 		host.Advance(1)
 		alloc, err := est.EstimateTick()

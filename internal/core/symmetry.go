@@ -13,7 +13,7 @@ import (
 // can ask about, so they form one group, and a coalition is described up
 // to symmetry by how many members of each group it holds: a count vector
 // t with 0 ≤ t_g ≤ c_g. The group space V = ∏(c_g+1) sizes the tick: the
-// exact tier searches it, and past exactBudget the tick is sampled.
+// exact tier searches it, under a node cap past exactBudget.
 
 // group is one group of running VMs: their class bit, shared state and
 // number.

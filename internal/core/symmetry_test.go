@@ -250,7 +250,8 @@ func TestSymmetryWideHost(t *testing.T) {
 
 // TestSymmetryWideHostRequiresCollapse pins the wide-host tier gate: a
 // set past the mask limit whose running VMs do not group within the
-// exact budget cannot be estimated, and the error says why. Once the
+// exact budget, on synthetic states whose correction search runs past
+// its cap, cannot be estimated, and the error says why. Once the
 // same host groups, Estimate serves every tick exactly as EstimateTick
 // did: same tier, same shares bit for bit.
 func TestSymmetryWideHostRequiresCollapse(t *testing.T) {

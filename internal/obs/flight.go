@@ -32,6 +32,10 @@ type FlightRecord struct {
 	DirtyVMs   int `json:"dirty_vms"`
 	Evaluated  int `json:"evaluated"`
 	Reused     int `json:"reused"`
+	// MaxStdErrWatts is the largest per-VM standard error of a
+	// Monte-Carlo tick's shares (core.Provenance); absent on exact and
+	// fallback ticks.
+	MaxStdErrWatts float64 `json:"max_stderr_watts,omitempty"`
 	// ModelResidualWatts is δ = dynamic − the model's worth of the
 	// running set, and ModelResidualRel is δ/dynamic (core.Provenance).
 	ModelResidualWatts float64 `json:"model_residual_watts"`

@@ -209,6 +209,7 @@ func (o *serverObs) noteProvenance(s *Server, now time.Time, alloc *core.Allocat
 	rec.DirtyVMs = alloc.Prov.DirtyVMs
 	rec.Evaluated = alloc.Prov.Evaluated
 	rec.Reused = alloc.Prov.Reused
+	rec.MaxStdErrWatts = alloc.Prov.MaxStdErrWatts
 	rec.ModelResidualWatts = alloc.Prov.ModelResidualWatts
 	rec.ModelResidualRel = alloc.Prov.ModelResidualRel
 	rec.Degraded = alloc.Degraded

@@ -3,14 +3,23 @@ package powerd
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"vmpower/internal/core"
 	"vmpower/internal/faults"
+	"vmpower/internal/hypervisor"
+	"vmpower/internal/machine"
+	"vmpower/internal/meter"
 	"vmpower/internal/meter/serial"
 	"vmpower/internal/obs"
+	"vmpower/internal/vm"
+	"vmpower/internal/workload"
 )
 
 // TestChaosProvenanceSurface drives the chaos schedule with the auditor
@@ -152,5 +161,92 @@ func TestChaosProvenanceSurface(t *testing.T) {
 	}
 	if live.Reason != "http" || len(live.Records) != obs.DefaultFlightCapacity {
 		t.Fatalf("live dump = %q / %d records", live.Reason, len(live.Records))
+	}
+}
+
+// TestFlightRecordsMonteCarloStdErr serves a 24-VM host on distinct
+// synthetic streams, whose ticks the correction search cannot finish
+// under its node cap: each sampled tick's flight record carries the
+// tick's largest per-VM standard error. Once four VMs are left running
+// the exact tier serves the tick and the record omits the field.
+func TestFlightRecordsMonteCarloStdErr(t *testing.T) {
+	mach, err := machine.New(machine.XeonProfile(), machine.Pack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, vm.MaxPlayers)
+	vms := make([]vm.VM, vm.MaxPlayers)
+	for i := range vms {
+		names[i] = fmt.Sprintf("vm%02d", i)
+		vms[i] = vm.VM{Name: names[i]}
+	}
+	set, err := vm.NewSet(vm.PaperCatalog(), vms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := hypervisor.NewHost(mach, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := meter.Perfect(host.PowerSource())
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := core.New(host, m, core.Config{Seed: 3, OfflineTicksPerCombo: 40, IdleMeasureTicks: 3, MCPermutations: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := est.CollectOffline(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range vms {
+		if err := host.Attach(vm.ID(i), workload.Synthetic{Seed: int64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	host.SetAll(true)
+	srv, err := New(est, names, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Instrument(obs.NewRegistry(), obs.NewLogger(io.Discard, obs.LevelError, obs.FormatKV), time.Second)
+	newest := func() (obs.FlightRecord, string) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := srv.DumpFlight(&buf, "test"); err != nil {
+			t.Fatal(err)
+		}
+		var dump struct{ Records []json.RawMessage }
+		if err := json.Unmarshal(buf.Bytes(), &dump); err != nil {
+			t.Fatal(err)
+		}
+		raw := dump.Records[len(dump.Records)-1]
+		var rec obs.FlightRecord
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			t.Fatal(err)
+		}
+		return rec, string(raw)
+	}
+	for tick := 0; tick < 3; tick++ {
+		alloc, err := srv.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, _ := newest()
+		if alloc.Prov.Tier != core.TierMonteCarlo || alloc.Prov.MaxStdErrWatts <= 0 || rec.MaxStdErrWatts != alloc.Prov.MaxStdErrWatts {
+			t.Fatalf("tick %d: %s tick recorded max StdErr %g W, served %g W", tick, alloc.Prov.Tier, rec.MaxStdErrWatts, alloc.Prov.MaxStdErrWatts)
+		}
+	}
+	for i := 4; i < len(vms); i++ {
+		if err := host.Stop(vm.ID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alloc, err := srv.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, raw := newest(); alloc.Prov.Tier != core.TierExact || rec.MaxStdErrWatts != 0 || strings.Contains(raw, "max_stderr_watts") {
+		t.Fatalf("%s tick recorded %s", alloc.Prov.Tier, raw)
 	}
 }

@@ -429,6 +429,105 @@ func TestReplayWideHostMatchesLive(t *testing.T) {
 	}
 }
 
+// TestReplayWideSPECHostExact records a 30-VM dense host whose VMs run
+// distinct SPEC traces: no coalition mask holds the set and its groups
+// span more count vectors than the exact budget, but the correction
+// search finishes under its node cap, so every tick is served exactly.
+// Every replayed tick must be served the same way, bit for bit.
+func TestReplayWideSPECHostExact(t *testing.T) {
+	const n = 30
+	suite := []string{"gcc", "gobmk", "sjeng", "omnetpp", "namd", "wrf", "tonto"}
+	mach, err := machine.New(machine.DenseProfile(), machine.Pack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vms := make([]vm.VM, n)
+	for i := range vms {
+		vms[i] = vm.VM{Name: fmt.Sprintf("vm%02d", i)}
+	}
+	set, err := vm.NewSet(vm.PaperCatalog(), vms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := hypervisor.NewHost(mach, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := meter.NewSim(host.PowerSource(), meter.SimOptions{NoiseStdDev: 0.25, Resolution: 0.1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := core.New(host, m, core.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := est.CollectOffline(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range vms {
+		gen, err := workload.ByName(suite[i%len(suite)], int64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := host.Attach(vm.ID(i), gen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	host.SetAll(true)
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	var live []*core.Allocation
+	for tick := 0; tick < 200; tick++ {
+		host.Advance(1)
+		alloc, err := est.EstimateTick()
+		if err != nil {
+			t.Fatalf("tick %d: %v", tick, err)
+		}
+		snap := host.Collect()
+		counts := map[vm.State]int{}
+		for _, st := range snap.States {
+			counts[st]++
+		}
+		vectors := 1
+		for _, c := range counts {
+			vectors *= c + 1
+		}
+		if alloc.Prov.Tier != core.TierExact || vectors <= 1<<22 {
+			t.Fatalf("tick %d: tier %s over %d count vectors", tick, alloc.Prov.Tier, vectors)
+		}
+		if err := w.WriteSnapshot(snap, alloc.MeasuredPower); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, alloc)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := 0
+	if err := Replay(est, recs, func(got *core.Allocation) bool {
+		want := live[idx]
+		if got.Prov.Tier != want.Prov.Tier {
+			t.Fatalf("tick %d: replay tier %s, live %s", idx, got.Prov.Tier, want.Prov.Tier)
+		}
+		for i, p := range want.PerVM {
+			if math.Float64bits(got.PerVM[i]) != math.Float64bits(p) {
+				t.Fatalf("tick %d VM %d: replay %.17g, live %.17g", idx, i, got.PerVM[i], p)
+			}
+		}
+		idx++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if idx != len(live) {
+		t.Fatalf("replayed %d of %d ticks", idx, len(live))
+	}
+}
+
 func TestReplayValidation(t *testing.T) {
 	_, est := testEstimator(t)
 	if err := Replay(nil, nil, nil); err == nil {

@@ -27,8 +27,13 @@ type Coalition uint32
 // EmptyCoalition is the coalition with no members.
 const EmptyCoalition Coalition = 0
 
-// GrandCoalition returns the coalition containing all n VMs.
+// GrandCoalition returns the coalition containing all n VMs. It panics
+// past MaxPlayers, where no mask can hold the set: use per-VM running
+// flags there.
 func GrandCoalition(n int) Coalition {
+	if n > MaxPlayers {
+		panic(fmt.Sprintf("vm: GrandCoalition(%d) exceeds the %d-player coalition mask limit", n, MaxPlayers))
+	}
 	if n <= 0 {
 		return 0
 	}

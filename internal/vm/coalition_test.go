@@ -16,6 +16,26 @@ func TestGrandCoalition(t *testing.T) {
 	if g.Size() != 3 || !g.Contains(0) || !g.Contains(2) || g.Contains(3) {
 		t.Fatalf("GrandCoalition(3) = %s", g)
 	}
+	if g := GrandCoalition(MaxPlayers); g.Size() != MaxPlayers || g.Contains(MaxPlayers) {
+		t.Fatalf("GrandCoalition(%d) = %s", MaxPlayers, g)
+	}
+}
+
+// TestGrandCoalitionPanicsPastMaskLimit pins the mask limit: past
+// MaxPlayers VMs, including widths whose uint32 shift would wrap to a
+// 32-VM mask, GrandCoalition panics instead of returning a mask that
+// leaves VMs out.
+func TestGrandCoalitionPanicsPastMaskLimit(t *testing.T) {
+	for _, n := range []int{MaxPlayers + 1, 33, 40} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("GrandCoalition(%d) did not panic", n)
+				}
+			}()
+			GrandCoalition(n)
+		}()
+	}
 }
 
 // TestRunningCoalition pins the one mask builder for running sets: flags

@@ -59,16 +59,38 @@ func TestRecordAndReplayFacade(t *testing.T) {
 		}
 	}
 
-	// 24 Small VMs on distinct SPEC traces span 2^24 count vectors, past
-	// the exact budget, so every tick is sampled by Monte Carlo.
-	// The estimate is a pure function of the recorded inputs and the
-	// per-tick seed, so replay re-derives the bills bit for bit.
+	// 24 Small VMs on distinct SPEC traces span more count vectors than
+	// the exact budget, but the correction search is pruned at every
+	// combination's root, so every tick is served exactly.
 	cfg = testConfig()
 	cfg.MeterNoise = 0.25
 	cfg.VMs = nil
 	for i := 0; i < 24; i++ {
 		cfg.VMs = append(cfg.VMs, VMSpec{Name: fmt.Sprintf("s%02d", i), Type: Small})
 	}
+	spec, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.Calibrate(); err != nil {
+		t.Fatal(err)
+	}
+	suite := []string{"gcc", "gobmk", "sjeng", "omnetpp", "namd", "wrf", "tonto"}
+	for i, name := range spec.VMNames() {
+		if err := spec.RunWorkload(name, suite[i%len(suite)], int64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for tick, tier := range recordAndReplay(t, spec) {
+		if tier != core.TierExact {
+			t.Fatalf("tick %d: live tier %s, want %s", tick, tier, core.TierExact)
+		}
+	}
+
+	// On distinct synthetic streams the search runs past its node cap,
+	// so every tick is sampled by Monte Carlo. The estimate is a pure
+	// function of the recorded inputs and the per-tick seed, so replay
+	// re-derives the bills bit for bit.
 	mc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -76,9 +98,8 @@ func TestRecordAndReplayFacade(t *testing.T) {
 	if err := mc.Calibrate(); err != nil {
 		t.Fatal(err)
 	}
-	spec := []string{"gcc", "gobmk", "sjeng", "omnetpp", "namd", "wrf", "tonto"}
 	for i, name := range mc.VMNames() {
-		if err := mc.RunWorkload(name, spec[i%len(spec)], int64(i+1)); err != nil {
+		if err := mc.RunWorkload(name, "synthetic", int64(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}

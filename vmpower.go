@@ -480,9 +480,12 @@ func (a *Allocation) Shares() map[string]float64 {
 
 // Method reports how the Shapley value was computed: "exact" (in closed
 // form, whenever the running VMs' groups of equal class and state span
-// at most 2^22 count vectors — any 22 VMs, or hundreds that repeat),
-// "montecarlo" (hosts of up to 24 VMs past that), or "fallback" for a
-// degraded tick split without the solver.
+// at most 2^22 count vectors — any 22 VMs, or hundreds that repeat —
+// and past that whenever the search for coalitions served off the
+// linear model finishes within 1,024 steps, as on 24 VMs on distinct
+// SPEC traces), "montecarlo" (hosts of up to 24 VMs whose search runs
+// past that), or "fallback" for a degraded tick split without the
+// solver.
 func (a *Allocation) Method() string { return a.inner.Method }
 
 // Degraded reports whether this tick was served from a held-over meter
