@@ -89,7 +89,8 @@ cover:
 # A short pass over every fuzz target — enough to catch regressions in the
 # frame decoder, stream resync, model loader, the exact tier's closed form
 # and its correction search's node cap, Monte-Carlo sampling stream,
-# workload CSV parser and the history query endpoint without tying up CI. Minimizing an input is capped at 100
+# workload CSV parser, the history query endpoint and the serving
+# encoder against encoding/json without tying up CI. Minimizing an input is capped at 100
 # execs: Go's default allows 60 s per input, and shrinking a model-sized
 # input byte by byte would spend the whole FUZZTIME budget minimizing
 # instead of fuzzing. A crasher is still reported, only less minimized.
@@ -101,6 +102,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -fuzz '^FuzzClosedForm$$' ./internal/core/
 	$(GO) test -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -fuzz '^FuzzUnitSource$$' ./internal/shapley/
 	$(GO) test -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -fuzz '^FuzzHistoryQuery$$' ./internal/powerd/
+	$(GO) test -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -fuzz '^FuzzAppendJSON$$' ./internal/serve/
 	$(GO) test -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -fuzz '^FuzzTraceFromCSV$$' ./internal/workload/
 	$(GO) test -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -fuzz '^FuzzGeneratorTicks$$' ./internal/workload/
 	$(GO) test -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -fuzz '^FuzzParseScenario$$' ./internal/cliutil/

@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestCappingExperiment(t *testing.T) {
 	res := runByID(t, "capping")
@@ -46,6 +49,23 @@ func TestFleetExperiment(t *testing.T) {
 	}
 	if got := value(t, res, "hosts"); got < 2 {
 		t.Fatalf("hosts = %g, want the pool to span >= 2 machines", got)
+	}
+}
+
+// TestSumByNameOrder pins the fleet experiment's per-tick sum to
+// ascending name order on a map whose sum depends on the order: one
+// value dwarfs the others, so each 1 added to it rounds away, while the
+// 1s added first survive.
+func TestSumByNameOrder(t *testing.T) {
+	m := map[string]float64{"a": 1e16}
+	for i := 0; i < 20; i++ {
+		m[fmt.Sprintf("b%02d", i)] = 1
+	}
+	want := 1e16 // "a" first: every 1 that follows rounds away
+	for i := 0; i < 100; i++ {
+		if got := sumByName(m); got != want {
+			t.Fatalf("sum %d: %v, want %v, the sum in name order", i, got, want)
+		}
 	}
 }
 

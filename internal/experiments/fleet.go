@@ -55,11 +55,7 @@ func runFleet(cfg Config) (*Result, error) {
 	var innerErr error
 	if err := f.Run(ticks, func(tk *fleet.Tick) bool {
 		last = tk
-		var sum float64
-		for _, w := range tk.PerVM {
-			sum += w
-		}
-		if gap := abs(sum - tk.DynamicTotal); gap > maxGap {
+		if gap := abs(sumByName(tk.PerVM) - tk.DynamicTotal); gap > maxGap {
 			maxGap = gap
 		}
 		innerErr = tbl.AppendRow(tk.MeasuredTotal, tk.DynamicTotal,
@@ -91,6 +87,22 @@ func runFleet(cfg Config) (*Result, error) {
 	res.Set("hosts", float64(f.Hosts()))
 	res.Set("max_efficiency_gap", maxGap)
 	return res, nil
+}
+
+// sumByName adds the values of m in ascending name order: float addition
+// is not associative, so a sum in map order would let the reported gap
+// change from run to run.
+func sumByName(m map[string]float64) float64 {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var sum float64
+	for _, name := range names {
+		sum += m[name]
+	}
+	return sum
 }
 
 func abs(v float64) float64 {

@@ -269,6 +269,18 @@ func (s *Server) Step() (*fleet.Tick, error) {
 		s.mu.Unlock()
 		return nil, err
 	}
+	wire := s.record(tick)
+	now := s.now()
+	o.noteTick(now, time.Since(start), tick, wire)
+	o.noteProvenance(s, now, tick)
+	return tick, nil
+}
+
+// record publishes one fleet tick together with the roster, energy and
+// scenario progress the fleet holds after it, in one critical section,
+// and returns the tick's wire form. Step goroutine only: it reads the
+// fleet.
+func (s *Server) record(tick *fleet.Tick) *TickJSON {
 	wire := wireTick(tick)
 	energy := energyJSON(s.f)
 	vms := s.f.VMNames()
@@ -279,6 +291,7 @@ func (s *Server) Step() (*fleet.Tick, error) {
 		scen = s.scenarioJSON()
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.latest = wire
 	s.energy = energy
 	s.vms = vms
@@ -297,11 +310,7 @@ func (s *Server) Step() (*fleet.Tick, error) {
 	s.lastTickAt = s.now()
 	s.lastErr = ""
 	s.publishLocked(wire)
-	s.mu.Unlock()
-	now := s.now()
-	o.noteTick(now, time.Since(start), tick, wire)
-	o.noteProvenance(s, now, tick)
-	return tick, nil
+	return wire
 }
 
 // EnableAudit installs the per-tick invariant auditor (see core.Auditor)

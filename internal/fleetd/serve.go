@@ -8,8 +8,11 @@ import "vmpower/internal/serve"
 // marshal allocations per request. On top of the snapshot sits
 // /api/v1/allocation?since=<tick>: a delta read carrying only the hosts,
 // VMs and tenants that changed after the client's tick, so a thousand
-// scrapers cost O(changed), not O(fleet). Bodies, writers and delta
-// reads are internal/serve's, shared with powerd.
+// scrapers cost O(changed), not O(fleet). Each tick's bodies are
+// appended field by field with serve.Encoder (the write* functions
+// below), in the bytes encoding/json gives the same value; encoding/json
+// stays for the per-request paths and is the tests' oracle. Bodies,
+// writers and delta reads are internal/serve's, shared with powerd.
 
 // servedSnapshot is one tick's pre-encoded HTTP surface, immutable after
 // publication apart from the delta bodies its cache fills in on first
@@ -107,22 +110,36 @@ func hostEqual(a, b *HostJSON) bool {
 
 // publishLocked logs the tick's per-VM, per-tenant and per-host
 // changes, pre-encodes the tick's read-mostly endpoints and swaps the
-// served snapshot. Called from Step with s.mu held, after the tick's
+// served snapshot. Called from record with s.mu held, after the tick's
 // state (latest, energy, roster counts, scenario) has been assigned; the
 // previous snapshot stays valid for requests already holding its
 // pointer.
 func (s *Server) publishLocked(wire *TickJSON) {
-	s.vmLog.Publish(wire.Tick, wire.PerVM)
-	s.tenantLog.Publish(wire.Tick, wire.PerTenant)
+	vmKeys := s.vmLog.Publish(wire.Tick, wire.PerVM)
+	tenantKeys := s.tenantLog.Publish(wire.Tick, wire.PerTenant)
 	s.hostLog.Publish(wire.Tick, hostRows(wire))
 	snap := &servedSnapshot{
-		allocation: serve.Encode(wire),
-		status:     serve.Encode(s.statusLocked()),
-		energy:     serve.Encode(s.energyLocked()),
-		deltas:     serve.NewDeltas(wire.Tick, func(since int) any { return s.delta(wire, since) }),
+		deltas: serve.NewDeltas(wire.Tick,
+			func(since int) *TickDeltaJSON { return s.delta(wire, since) },
+			func(e *serve.Encoder, d *TickDeltaJSON) { writeTickDelta(e, d, vmKeys, tenantKeys) }),
 	}
+	last := s.served.Load()
+	if last == nil {
+		last = &servedSnapshot{}
+	}
+	snap.allocation = serve.Write(last.allocation, func(e *serve.Encoder) { writeTick(e, wire, vmKeys, tenantKeys) })
+	snap.status = serve.Write(last.status, func(e *serve.Encoder) {
+		st := s.statusLocked()
+		writeStatus(e, &st)
+	})
+	// The energy maps hold a subset of the fleet's tenants, and
+	// s.tenants lists them all in ascending order.
+	snap.energy = serve.Write(last.energy, func(e *serve.Encoder) {
+		energy := s.energyLocked()
+		writeEnergy(e, &energy, s.tenants)
+	})
 	if s.scenario != nil {
-		snap.scenario = serve.Encode(s.scenario)
+		snap.scenario = serve.Write(last.scenario, func(e *serve.Encoder) { writeScenario(e, s.scenario) })
 	}
 	s.served.Store(snap)
 }
@@ -168,4 +185,197 @@ func (s *Server) delta(wire *TickJSON, since int) *TickDeltaJSON {
 	}
 	out.RemovedHosts = removed
 	return out
+}
+
+// The writers below append one wire value each, field by field in the
+// struct's order, skipping an omitempty field exactly when encoding/json
+// does. vmKeys and tenantKeys list the per-VM and per-tenant maps' names
+// in ascending order.
+
+func writeTick(e *serve.Encoder, t *TickJSON, vmKeys, tenantKeys []string) {
+	e.Open("")
+	e.Int("tick", t.Tick)
+	e.Float("measured_watts", t.MeasuredWatts)
+	e.Float("dynamic_watts", t.DynamicWatts)
+	e.Floats("per_vm_watts", vmKeys, t.PerVM)
+	e.Floats("per_tenant_watts", tenantKeys, t.PerTenant)
+	writeHostCounts(e, t.Degraded, t.DegradedHosts, t.QuarantinedHosts, t.DrainingHosts, t.DrainedHosts, t.IdleUnmeteredHosts)
+	writeLifecycle(e, t.Unaccounted, t.Events, t.Migrations)
+	serve.List(e, "hosts", t.Hosts, writeHost)
+	e.Close()
+}
+
+func writeTickDelta(e *serve.Encoder, d *TickDeltaJSON, vmKeys, tenantKeys []string) {
+	e.Open("")
+	e.Int("since", d.Since)
+	e.Int("tick", d.Tick)
+	if d.Full {
+		e.Bool("full", true)
+	}
+	e.Float("measured_watts", d.MeasuredWatts)
+	e.Float("dynamic_watts", d.DynamicWatts)
+	writeHostCounts(e, d.Degraded, d.DegradedHosts, d.QuarantinedHosts, d.DrainingHosts, d.DrainedHosts, d.IdleUnmeteredHosts)
+	e.Floats("per_vm_watts", vmKeys, d.PerVM)
+	if len(d.RemovedVMs) > 0 {
+		e.Strings("removed_vms", d.RemovedVMs)
+	}
+	e.Floats("per_tenant_watts", tenantKeys, d.PerTenant)
+	if len(d.RemovedTenants) > 0 {
+		e.Strings("removed_tenants", d.RemovedTenants)
+	}
+	serve.List(e, "hosts", d.Hosts, writeHost)
+	if len(d.RemovedHosts) > 0 {
+		serve.List(e, "removed_hosts", d.RemovedHosts, func(e *serve.Encoder, host *int) { e.Int("", *host) })
+	}
+	writeLifecycle(e, d.Unaccounted, d.Events, d.Migrations)
+	e.Close()
+}
+
+// writeHostCounts writes the degraded flag and host-state counts a tick
+// and its delta share, each omitted when empty.
+func writeHostCounts(e *serve.Encoder, degraded bool, degradedHosts, quarantined, draining, drained, idleUnmetered int) {
+	if degraded {
+		e.Bool("degraded", true)
+	}
+	if degradedHosts != 0 {
+		e.Int("degraded_hosts", degradedHosts)
+	}
+	if quarantined != 0 {
+		e.Int("quarantined_hosts", quarantined)
+	}
+	if draining != 0 {
+		e.Int("draining_hosts", draining)
+	}
+	if drained != 0 {
+		e.Int("drained_hosts", drained)
+	}
+	if idleUnmetered != 0 {
+		e.Int("idle_unmetered_hosts", idleUnmetered)
+	}
+}
+
+// writeLifecycle writes the unaccounted VMs, events and migrations a tick
+// and its delta share, each omitted when empty.
+func writeLifecycle(e *serve.Encoder, unaccounted []string, events []EventJSON, migrations []MigrationJSON) {
+	if len(unaccounted) > 0 {
+		e.Strings("unaccounted", unaccounted)
+	}
+	if len(events) > 0 {
+		serve.List(e, "events", events, writeEvent)
+	}
+	if len(migrations) > 0 {
+		serve.List(e, "migrations", migrations, writeMigration)
+	}
+}
+
+func writeHost(e *serve.Encoder, h *HostJSON) {
+	e.Open("")
+	e.Int("host", h.Host)
+	e.String("state", h.State)
+	if h.Reason != "" {
+		e.String("reason", h.Reason)
+	}
+	if h.MeterLost {
+		e.Bool("meter_lost", true)
+	}
+	if h.QuarantinedTicks != 0 {
+		e.Int("quarantined_ticks", h.QuarantinedTicks)
+	}
+	if h.HoldoverAgeTicks != 0 {
+		e.Int("holdover_age_ticks", h.HoldoverAgeTicks)
+	}
+	if h.RejectedSamples != 0 {
+		e.Int("rejected_samples", h.RejectedSamples)
+	}
+	e.Float("measured_watts", h.MeasuredWatts)
+	e.Float("dynamic_watts", h.DynamicWatts)
+	if h.Tier != "" {
+		e.String("tier", h.Tier)
+	}
+	e.Strings("vms", h.VMs)
+	e.Close()
+}
+
+func writeEvent(e *serve.Encoder, ev *EventJSON) {
+	e.Open("")
+	e.String("type", ev.Type)
+	e.String("subject", ev.Subject)
+	if ev.Detail != "" {
+		e.String("detail", ev.Detail)
+	}
+	e.Close()
+}
+
+func writeMigration(e *serve.Encoder, m *MigrationJSON) {
+	e.Open("")
+	e.String("name", m.Name)
+	e.Int("from", m.From)
+	e.Int("to", m.To)
+	e.Int("copy_tick", m.CopyTick)
+	e.Int("copy_ticks", m.CopyTicks)
+	e.Float("from_watts", m.FromWatts)
+	e.Float("to_watts", m.ToWatts)
+	e.Bool("from_accounted", m.FromAccounted)
+	e.Bool("to_accounted", m.ToAccounted)
+	e.Close()
+}
+
+func writeStatus(e *serve.Encoder, st *StatusJSON) {
+	e.Open("")
+	e.Int("hosts", st.Hosts)
+	if st.EmptyHosts != 0 {
+		e.Int("empty_hosts", st.EmptyHosts)
+	}
+	e.Strings("vms", st.VMs)
+	e.Strings("tenants", st.Tenants)
+	e.Int("ticks_estimated", st.Ticks)
+	e.Bool("degraded", st.Degraded)
+	e.Int("degraded_ticks", st.DegradedTicks)
+	e.Int("quarantines", st.Quarantines)
+	e.Int("readmits", st.Readmits)
+	serve.List(e, "host_states", st.HostStates, writeHost)
+	e.Close()
+}
+
+// writeEnergy writes en; tenants lists its maps' tenants, and may list
+// more, in ascending order.
+func writeEnergy(e *serve.Encoder, en *EnergyJSON, tenants []string) {
+	e.Open("")
+	e.Float("seconds", en.Seconds)
+	e.Floats("per_tenant_wh", tenants, en.PerTenantWh)
+	if len(en.DegradedPerTenantWh) > 0 {
+		e.Floats("degraded_per_tenant_wh", tenants, en.DegradedPerTenantWh)
+	}
+	e.Float("total_wh", en.TotalWh)
+	e.Float("degraded_wh", en.DegradedWh)
+	e.Close()
+}
+
+func writeScenario(e *serve.Encoder, sc *ScenarioJSON) {
+	e.Open("")
+	e.Int("events", sc.Events)
+	e.Int("applied", sc.Applied)
+	e.Int("refused", sc.Refused)
+	if sc.NextTick != 0 {
+		e.Int("next_tick", sc.NextTick)
+	}
+	e.Bool("done", sc.Done)
+	if len(sc.Groups) > 0 {
+		serve.List(e, "groups", sc.Groups, writeGroup)
+	}
+	e.Int("migrations_active", sc.MigrationsActive)
+	e.Int("migrations_completed", sc.MigrationsCompleted)
+	e.Int("migrations_aborted", sc.MigrationsAborted)
+	e.Close()
+}
+
+func writeGroup(e *serve.Encoder, g *GroupJSON) {
+	e.Open("")
+	e.String("prefix", g.Prefix)
+	e.Int("min", g.Min)
+	e.Int("max", g.Max)
+	e.Int("target", g.Target)
+	e.Int("running", g.Running)
+	e.Int("members", g.Members)
+	e.Close()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -19,6 +20,7 @@ import (
 	"vmpower/internal/obs"
 	"vmpower/internal/scenario"
 	"vmpower/internal/serve"
+	"vmpower/internal/serve/servetest"
 )
 
 // encodeJSON is a fresh encode of v by the encoder the wire uses: the
@@ -93,39 +95,137 @@ func fleetServer(t *testing.T, f *fleet.Fleet, script string) *Server {
 	return srv
 }
 
-// TestFleetCachedBytesIdentical pins the serving-path contract on the
-// fleet daemon: the cached snapshot bytes are bit-identical to a fresh
-// per-request encode of the same tick's state, across several ticks —
-// including the scenario endpoint while a scenario runs.
-func TestFleetCachedBytesIdentical(t *testing.T) {
-	srv := scenarioServer(t, "s1@2:poweroff,s1@4:poweron")
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+// servedFleets steps two fleets and calls check after every tick: a
+// lifecycle fleet whose scenario powers a VM off and on, hot-plugs a VM
+// of a new tenant, migrates another and removes the hot-plugged one
+// (events, open migrations, and per-VM and per-tenant key sets that
+// change twice), and the chaos fleet, whose host 1 drops out past the
+// holdover into quarantine (degraded and quarantined hosts, unaccounted
+// VMs). It fails unless the ticks carried each of those.
+func servedFleets(t *testing.T, check func(srv *Server, ts *httptest.Server)) {
+	t.Helper()
+	lifecycle := scenarioServer(t, "s1@2:poweroff,s1@4:poweron,n1@2:hotplug:2:small:dave:gcc:77,"+
+		"s2@3:migrate:2:2,n1@6:remove")
+	chaos, fm, _, _ := chaosRig(t, 1)
+	var events, migrations, unaccounted, degraded, quarantined, rekeyed bool
+	for _, run := range []struct {
+		srv   *Server
+		ticks int
+		next  func() // advances the fault schedule, if any
+	}{{lifecycle, 8, func() {}}, {chaos, 24, fm.NextTick}} {
+		ts := httptest.NewServer(run.srv.Handler())
+		vms, tenants := -1, -1
+		for i := 0; i < run.ticks; i++ {
+			if _, err := run.srv.Step(); err != nil {
+				t.Fatal(err)
+			}
+			run.next()
+			check(run.srv, ts)
+			w := run.srv.latest
+			events = events || len(w.Events) > 0
+			migrations = migrations || len(w.Migrations) > 0
+			unaccounted = unaccounted || len(w.Unaccounted) > 0
+			degraded = degraded || w.DegradedHosts > 0
+			quarantined = quarantined || w.QuarantinedHosts > 0
+			rekeyed = rekeyed || vms >= 0 && (len(w.PerVM) != vms || len(w.PerTenant) != tenants)
+			vms, tenants = len(w.PerVM), len(w.PerTenant)
+		}
+		ts.Close()
+	}
+	if !events || !migrations || !unaccounted || !degraded || !quarantined || !rekeyed {
+		t.Fatalf("the ticks missed a case: events %v, migrations %v, unaccounted %v, degraded %v, quarantined %v, key set change %v",
+			events, migrations, unaccounted, degraded, quarantined, rekeyed)
+	}
+}
 
-	for i := 0; i < 6; i++ {
-		if _, err := srv.Step(); err != nil {
-			t.Fatal(err)
-		}
+// TestFleetCachedBytesIdentical pins the serving-path contract on the
+// fleet daemon: every body a tick caches comes from the appender (it is
+// OK, so the handler serves it) and is bit-identical to a fresh
+// encoding/json encode of the same tick's state, on every tick of
+// servedFleets — through hot-plug and removal, events, migrations and
+// quarantine — including the scenario endpoint while a scenario runs.
+func TestFleetCachedBytesIdentical(t *testing.T) {
+	type cached struct {
+		path string
+		body serve.Body
+		v    any // the state the body encodes
+	}
+	servedFleets(t, func(srv *Server, ts *httptest.Server) {
+		d := srv.served.Load()
 		srv.mu.RLock()
-		wantAlloc, err1 := encodeJSON(srv.latest)
-		wantStatus, err2 := encodeJSON(srv.statusLocked())
-		wantEnergy, err3 := encodeJSON(srv.energyLocked())
-		wantScen, err4 := encodeJSON(srv.scenario)
+		tick := srv.latest.Tick
+		cases := []cached{
+			{"/api/v1/allocation", d.allocation, srv.latest},
+			{"/api/v1/status", d.status, srv.statusLocked()},
+			{"/api/v1/energy", d.energy, srv.energyLocked()},
+		}
+		if srv.scenario != nil {
+			cases = append(cases, cached{"/api/v1/scenario", d.scenario, srv.scenario})
+		}
 		srv.mu.RUnlock()
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
-			t.Fatal(err1, err2, err3, err4)
+		for _, c := range cases {
+			want, err := encodeJSON(c.v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !c.body.OK() {
+				t.Fatalf("tick %d: %s body not cached", tick, c.path)
+			}
+			if got := getBody(t, ts, c.path); !bytes.Equal(got, want) {
+				t.Fatalf("tick %d: cached %s differs from fresh encode:\n got %s\nwant %s", tick, c.path, got, want)
+			}
 		}
-		if got := getBody(t, ts, "/api/v1/allocation"); !bytes.Equal(got, wantAlloc) {
-			t.Fatalf("tick %d: cached allocation differs from fresh encode:\n got %s\nwant %s", i, got, wantAlloc)
+	})
+}
+
+// TestFleetWritersMatchEncodingJSON fills every exported field of each
+// wire type a tick publishes, nested ones included, by reflection, and
+// requires its writer to append the bytes encoding/json gives the value;
+// so must the zero value, with every omitempty field absent and every
+// map and slice nil. A field added to a wire type but not to its writer
+// fails here.
+func TestFleetWritersMatchEncodingJSON(t *testing.T) {
+	for _, filled := range []bool{false, true} {
+		var tk TickJSON
+		var d TickDeltaJSON
+		var st StatusJSON
+		var en EnergyJSON
+		var sc ScenarioJSON
+		if filled {
+			servetest.Fill(&tk)
+			servetest.Fill(&d)
+			servetest.Fill(&st)
+			servetest.Fill(&en)
+			servetest.Fill(&sc)
 		}
-		if got := getBody(t, ts, "/api/v1/status"); !bytes.Equal(got, wantStatus) {
-			t.Fatalf("tick %d: cached status differs from fresh encode:\n got %s\nwant %s", i, got, wantStatus)
+		// The energy writer takes every tenant of the fleet in ascending
+		// order, a superset of its maps' keys.
+		all := map[string]float64{"~tenant without energy": 0}
+		for k := range en.PerTenantWh {
+			all[k] = 0
 		}
-		if got := getBody(t, ts, "/api/v1/energy"); !bytes.Equal(got, wantEnergy) {
-			t.Fatalf("tick %d: cached energy differs from fresh encode:\n got %s\nwant %s", i, got, wantEnergy)
+		for k := range en.DegradedPerTenantWh {
+			all[k] = 0
 		}
-		if got := getBody(t, ts, "/api/v1/scenario"); !bytes.Equal(got, wantScen) {
-			t.Fatalf("tick %d: cached scenario differs from fresh encode:\n got %s\nwant %s", i, got, wantScen)
+		tenants := servetest.Keys(all)
+		for _, c := range []struct {
+			name  string
+			v     any
+			write func(*serve.Encoder)
+		}{
+			{"tick", &tk, func(e *serve.Encoder) {
+				writeTick(e, &tk, servetest.Keys(tk.PerVM), servetest.Keys(tk.PerTenant))
+			}},
+			{"delta", &d, func(e *serve.Encoder) {
+				writeTickDelta(e, &d, servetest.Keys(d.PerVM), servetest.Keys(d.PerTenant))
+			}},
+			{"status", &st, func(e *serve.Encoder) { writeStatus(e, &st) }},
+			{"energy", &en, func(e *serve.Encoder) { writeEnergy(e, &en, tenants) }},
+			{"scenario", &sc, func(e *serve.Encoder) { writeScenario(e, &sc) }},
+		} {
+			if got, want, ok := servetest.Same(c.v, c.write); !ok {
+				t.Errorf("%s (filled %v): writer differs from encoding/json:\n got %s\nwant %s", c.name, filled, got, want)
+			}
 		}
 	}
 }
@@ -482,9 +582,9 @@ func TestFleetCachedContentLength(t *testing.T) {
 // TestFleetCachedDeltaBytesIdentical pins the fleet's cached delta
 // bodies: for a client that is current (since = tick) or one tick behind
 // (since = tick-1), the served bytes equal the delta logs' composition,
-// on the first tick, on quiet ticks (every VM powered off) and through a
-// hot-plug and its removal, and they come from the snapshot's cache: two
-// requests, one composition.
+// on the first tick, on quiet ticks (every VM powered off), through a
+// hot-plug and its removal, and on every tick of servedFleets, and they
+// come from the snapshot's cache: two requests, one composition.
 func TestFleetCachedDeltaBytesIdentical(t *testing.T) {
 	srv := fleetServer(t, smallFleet(t), "a1@2:poweroff,a2@2:poweroff,a3@2:poweroff,a4@2:poweroff,"+
 		"b1@2:poweroff,n1@5:hotplug:1:small:dave:gcc:77,n1@7:remove")
@@ -496,44 +596,108 @@ func TestFleetCachedDeltaBytesIdentical(t *testing.T) {
 		if _, err := srv.Step(); err != nil {
 			t.Fatal(err)
 		}
-		d := srv.served.Load()
-		srv.mu.RLock()
-		wire := srv.latest
-		srv.mu.RUnlock()
-		for _, since := range []int{wire.Tick, wire.Tick - 1} {
-			path := "/api/v1/allocation?since=" + strconv.Itoa(since)
-			delta := srv.delta(wire, since)
-			want, err := encodeJSON(delta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if since < wire.Tick && len(delta.PerVM)+len(delta.Hosts)+len(delta.PerTenant) == 0 {
-				quiet++
-			}
-			if got := getBody(t, ts, path); !bytes.Equal(got, want) {
-				t.Fatalf("tick %d since %d: cached delta differs from the delta logs' composition:\n got %s\nwant %s",
-					wire.Tick, since, got, want)
-			}
-			var composes atomic.Int32
-			counted := *d
-			counted.deltas = serve.NewDeltas(wire.Tick, func(since int) any {
-				composes.Add(1)
-				return srv.delta(wire, since)
-			})
-			srv.served.Store(&counted)
-			for k := 0; k < 2; k++ {
-				if got := getBody(t, ts, path); !bytes.Equal(got, want) {
-					t.Fatalf("tick %d since %d: request %d differs:\n got %s\nwant %s", wire.Tick, since, k, got, want)
-				}
-			}
-			srv.served.Store(d)
-			if n := composes.Load(); n != 1 {
-				t.Fatalf("tick %d since %d: %d compositions for two requests, want 1 (served without caching the body)",
-					wire.Tick, since, n)
-			}
+		if checkFleetDeltas(t, srv, ts) {
+			quiet++
 		}
 	}
 	if quiet == 0 {
 		t.Fatal("no quiet tick: the test never served an empty delta")
 	}
+	servedFleets(t, func(srv *Server, ts *httptest.Server) { checkFleetDeltas(t, srv, ts) })
+}
+
+// checkFleetDeltas compares the served since = tick and tick-1 bodies
+// with encoding/json of the logs' composition, and requires each to be
+// composed once for two requests. It reports whether the tick-1 delta
+// was empty.
+func checkFleetDeltas(t *testing.T, srv *Server, ts *httptest.Server) (quiet bool) {
+	t.Helper()
+	d := srv.served.Load()
+	srv.mu.RLock()
+	wire := srv.latest
+	srv.mu.RUnlock()
+	for _, since := range []int{wire.Tick, wire.Tick - 1} {
+		path := "/api/v1/allocation?since=" + strconv.Itoa(since)
+		delta := srv.delta(wire, since)
+		want, err := encodeJSON(delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if since < wire.Tick && len(delta.PerVM)+len(delta.Hosts)+len(delta.PerTenant) == 0 {
+			quiet = true
+		}
+		if got := getBody(t, ts, path); !bytes.Equal(got, want) {
+			t.Fatalf("tick %d since %d: cached delta differs from the delta logs' composition:\n got %s\nwant %s",
+				wire.Tick, since, got, want)
+		}
+		if b, _ := d.deltas.Cached(since); !b.OK() {
+			t.Fatalf("tick %d since %d: delta body not cached", wire.Tick, since)
+		}
+		var composes atomic.Int32
+		counted := *d
+		counted.deltas = serve.NewDeltas(wire.Tick, func(since int) *TickDeltaJSON {
+			composes.Add(1)
+			return srv.delta(wire, since)
+		}, func(e *serve.Encoder, d *TickDeltaJSON) {
+			writeTickDelta(e, d, servetest.Keys(wire.PerVM), servetest.Keys(wire.PerTenant))
+		})
+		srv.served.Store(&counted)
+		for k := 0; k < 2; k++ {
+			if got := getBody(t, ts, path); !bytes.Equal(got, want) {
+				t.Fatalf("tick %d since %d: request %d differs:\n got %s\nwant %s", wire.Tick, since, k, got, want)
+			}
+		}
+		srv.served.Store(d)
+		if n := composes.Load(); n != 1 {
+			t.Fatalf("tick %d since %d: %d compositions for two requests, want 1 (served without caching the body)",
+				wire.Tick, since, n)
+		}
+	}
+	return quiet
+}
+
+// BenchmarkPublish times Step's publish layer on a fleet of 32 Xeon
+// hosts with 8 large VMs each, from 8 tenants: building the tick's wire
+// form, energy and roster, logging the deltas and pre-encoding the
+// tick's bodies, everything Step does past the fleet's own Step. Two
+// ticks alternate, so every VM's watts change on every tick.
+func BenchmarkPublish(b *testing.B) {
+	b.Run("hosts=32x8", func(b *testing.B) {
+		var reqs []fleet.VMRequest
+		for i := 0; i < 32*8; i++ {
+			reqs = append(reqs, fleet.VMRequest{
+				Name: fmt.Sprintf("L%03d", i), Tenant: fmt.Sprintf("t%d", i%8), Type: 2,
+				Workload: "gcc", WorkloadSeed: int64(i),
+			})
+		}
+		f, err := fleet.New(fleet.Config{Hosts: 32, Seed: 1, CalibrationTicks: 20}, reqs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := f.Calibrate(); err != nil {
+			b.Fatal(err)
+		}
+		srv, err := New(f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var ticks [2]fleet.Tick
+		for i := range ticks {
+			tk, err := srv.Step()
+			if err != nil {
+				b.Fatal(err)
+			}
+			ticks[i] = *tk
+		}
+		if n := len(srv.latest.Hosts); n != 32 {
+			b.Fatalf("%d hosts, want 32", n)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tk := &ticks[i%2]
+			tk.Tick = ticks[1].Tick + 1 + i
+			srv.record(tk)
+		}
+	})
 }

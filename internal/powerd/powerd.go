@@ -63,6 +63,9 @@ type EnergyJSON struct {
 type Server struct {
 	est   *core.Estimator
 	names []string
+	// vmsJSON is names as the status body's vms array, encoded once: the
+	// roster is fixed at New.
+	vmsJSON []byte
 
 	// telemetry is nil until Instrument; Step pays one atomic load to
 	// find out. core holds its shared part for the HTTP surface.
@@ -92,8 +95,11 @@ type Server struct {
 	lastTickAt    time.Time
 	lastErr       string
 	// vmLog backs /api/v1/allocation?since=: the bounded per-tick log of
-	// the VMs whose wire watts changed.
+	// the VMs whose wire watts changed. keys are its names in ascending
+	// order, the order the bodies list per-VM values in (nil before the
+	// first tick).
 	vmLog *serve.Table[string, float64]
+	keys  []string
 
 	// intMu single-flights the O(2^n) interaction matrix: one compute
 	// and one encode per tick no matter how many scrapers ask.
@@ -112,7 +118,8 @@ type InteractionsJSON struct {
 }
 
 // New builds a Server over a calibrated (or to-be-calibrated) estimator.
-// names maps VM IDs (by index) to the names exposed on the wire.
+// names maps VM IDs (by index) to the names exposed on the wire; each
+// names one VM, so no two may be equal.
 func New(est *core.Estimator, names []string, historySize int) (*Server, error) {
 	if est == nil {
 		return nil, errors.New("powerd: nil estimator")
@@ -120,12 +127,24 @@ func New(est *core.Estimator, names []string, historySize int) (*Server, error) 
 	if len(names) != est.Host().Set().Len() {
 		return nil, fmt.Errorf("powerd: %d names for %d VMs", len(names), est.Host().Set().Len())
 	}
+	seen := make(map[string]bool, len(names))
+	for _, name := range names {
+		if seen[name] {
+			return nil, fmt.Errorf("powerd: duplicate VM name %q", name)
+		}
+		seen[name] = true
+	}
 	if historySize <= 0 {
 		historySize = 300
 	}
+	names = append([]string(nil), names...)
+	var vms serve.Encoder
+	vms.Strings("", names)
+	vmsJSON, _ := vms.Bytes() // strings always encode
 	return &Server{
 		est:       est,
-		names:     append([]string(nil), names...),
+		names:     names,
+		vmsJSON:   vmsJSON,
 		histCap:   historySize,
 		energyWs:  make(map[string]float64, len(names)),
 		vmLog:     serve.NewTable[string](serve.Equal[float64]),

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -73,6 +74,11 @@ func TestNewValidation(t *testing.T) {
 	srv, _ := testServer(t)
 	if _, err := New(srv.est, []string{"only-one"}, 1); err == nil {
 		t.Fatal("want name-count error")
+	}
+	// Two VMs under one name would share a per_vm_watts key, so one share
+	// would drop off the wire while the energy counter billed both to it.
+	if _, err := New(srv.est, []string{"web", "web"}, 1); err == nil || !strings.Contains(err.Error(), `duplicate VM name "web"`) {
+		t.Fatalf("duplicate names: err %v, want a duplicate-name error", err)
 	}
 }
 

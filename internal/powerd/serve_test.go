@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,8 +13,13 @@ import (
 	"testing"
 	"time"
 
+	"vmpower/internal/core"
+	"vmpower/internal/hypervisor"
+	"vmpower/internal/machine"
+	"vmpower/internal/meter"
 	"vmpower/internal/obs"
 	"vmpower/internal/serve"
+	"vmpower/internal/serve/servetest"
 	"vmpower/internal/vm"
 	"vmpower/internal/workload"
 )
@@ -45,52 +51,157 @@ func getBody(t *testing.T, ts *httptest.Server, path string) []byte {
 	return body
 }
 
-// TestCachedBytesIdentical pins the serving-path contract: the cached
-// snapshot bytes each endpoint serves are bit-identical to a fresh
-// per-request encode of the same tick's state, across several ticks.
-func TestCachedBytesIdentical(t *testing.T) {
-	srv, host := testServer(t)
+// vmNames is n names printed by format with the VM's index.
+func vmNames(n int, format string) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf(format, i)
+	}
+	return names
+}
+
+// escapingNames is 200 VM names that need escaping: <, >, &, quotes,
+// backslashes, control bytes, U+2028/U+2029 and invalid UTF-8.
+func escapingNames() []string {
+	names := vmNames(200, "vm<%03d>&\"q\\")
+	names[1] = "vm\b\f\x01\t" + string(rune(0x2028)) + string(rune(0x2029))
+	names[2] = "vm\xff\xfe"
+	names[3] = "vm " + string(rune(0xe9)) + string(rune(0x1f600))
+	return names
+}
+
+// wideServer is a calibrated server of len(names) small VMs on the dense
+// 256-thread profile. All but ten share one generator and those ten run
+// their own, so the exact tier serves every tick.
+func wideServer(t testing.TB, names []string) *Server {
+	t.Helper()
+	n := len(names)
+	mach, err := machine.New(machine.DenseProfile(), machine.Pack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vms := make([]vm.VM, n)
+	for i, name := range names {
+		vms[i] = vm.VM{Name: name, Type: 0}
+	}
+	set, err := vm.NewSet(vm.PaperCatalog(), vms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := hypervisor.NewHost(mach, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := meter.Perfect(host.PowerSource())
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := core.New(host, m, core.Config{Seed: 1, OfflineTicksPerCombo: 20, IdleMeasureTicks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := est.CollectOffline(); err != nil {
+		t.Fatal(err)
+	}
+	running := make([]bool, n)
+	for i := range running {
+		running[i] = true
+		if err := host.Attach(vm.ID(i), workload.Synthetic{Seed: int64(max(0, i-n+11) + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := host.SetRunning(running); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(est, names, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
+// servedTicks steps a 2-VM server and a 200-VM one whose names need
+// escaping five ticks each and calls check after every tick, plus once after a degraded tick
+// recorded on top of the last one, with every degraded field set.
+func servedTicks(t *testing.T, check func(srv *Server, ts *httptest.Server)) {
+	t.Helper()
+	small, host := testServer(t)
 	host.SetCoalition(vm.GrandCoalition(2))
 	if err := host.Attach(0, workload.Synthetic{Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	for i := 0; i < 5; i++ {
-		if _, err := srv.Step(); err != nil {
-			t.Fatal(err)
+	for _, srv := range []*Server{small, wideServer(t, escapingNames())} {
+		ts := httptest.NewServer(srv.Handler())
+		var alloc *core.Allocation
+		for i := 0; i < 5; i++ {
+			var err error
+			if alloc, err = srv.Step(); err != nil {
+				t.Fatal(err)
+			}
+			check(srv, ts)
 		}
-		srv.mu.RLock()
-		wantAlloc, err1 := encodeJSON(srv.latest)
-		wantStatus, err2 := encodeJSON(srv.statusLocked())
-		wantEnergy, err3 := encodeJSON(srv.energyLocked())
-		srv.mu.RUnlock()
-		if err1 != nil || err2 != nil || err3 != nil {
-			t.Fatal(err1, err2, err3)
+		deg := *alloc
+		deg.Tick++
+		deg.Degraded = true
+		deg.DegradedReason = "holdover <stale> & \"quoted\""
+		deg.HoldoverAgeTicks = 2
+		deg.RejectedSamples = 3
+		snap := srv.est.Host().Collect()
+		srv.record(&deg, &snap)
+		check(srv, ts)
+		if st := srv.statusLocked(); st.LastDegradedReason == "" || !st.Degraded {
+			t.Fatalf("degraded tick not recorded: %+v", st)
 		}
-		if got := getBody(t, ts, "/api/v1/allocation"); !bytes.Equal(got, wantAlloc) {
-			t.Fatalf("tick %d: cached allocation differs from fresh encode:\n got %s\nwant %s", i, got, wantAlloc)
-		}
-		if got := getBody(t, ts, "/api/v1/status"); !bytes.Equal(got, wantStatus) {
-			t.Fatalf("tick %d: cached status differs from fresh encode:\n got %s\nwant %s", i, got, wantStatus)
-		}
-		if got := getBody(t, ts, "/api/v1/energy"); !bytes.Equal(got, wantEnergy) {
-			t.Fatalf("tick %d: cached energy differs from fresh encode:\n got %s\nwant %s", i, got, wantEnergy)
-		}
+		ts.Close()
 	}
+}
+
+// TestCachedBytesIdentical pins the serving-path contract: every body a
+// tick caches comes from the appender (it is OK, so the handler serves
+// it) and is bit-identical to a fresh encoding/json encode of the same
+// tick's state, across the ticks of servedTicks: a 2-VM host, a 200-VM
+// host whose names need escaping, and a degraded tick with every
+// omitempty field set.
+func TestCachedBytesIdentical(t *testing.T) {
+	servedTicks(t, func(srv *Server, ts *httptest.Server) {
+		d := srv.served.Load()
+		srv.mu.RLock()
+		tick := srv.latest.Tick
+		cases := []struct {
+			path string
+			body serve.Body
+			v    any // the state the body encodes
+		}{
+			{"/api/v1/allocation", d.allocation, srv.latest},
+			{"/api/v1/status", d.status, srv.statusLocked()},
+			{"/api/v1/energy", d.energy, srv.energyLocked()},
+		}
+		srv.mu.RUnlock()
+		for _, c := range cases {
+			want, err := encodeJSON(c.v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !c.body.OK() {
+				t.Fatalf("tick %d: %s body not cached", tick, c.path)
+			}
+			if got := getBody(t, ts, c.path); !bytes.Equal(got, want) {
+				t.Fatalf("tick %d: cached %s differs from fresh encode:\n got %s\nwant %s", tick, c.path, got, want)
+			}
+		}
+	})
 }
 
 // TestCachedDeltaBytesIdentical pins the cached delta bodies: for a
 // client that is current (since = tick) or one tick behind (since =
-// tick-1), the served bytes equal the delta log's composition, on the
-// first tick, on ticks where nothing changed and on ticks where VMs did,
-// and they come from the snapshot's cache: two requests, one composition.
+// tick-1), the served bytes equal the delta log's composition on every
+// tick of servedTicks (the first tick, the 200-VM host, the degraded
+// tick), on ticks where nothing changed and on ticks where VMs did, and
+// they come from the snapshot's cache: two requests, one composition.
 func TestCachedDeltaBytesIdentical(t *testing.T) {
 	srv, host := testServer(t)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-
 	for i := 0; i < 6; i++ {
 		if i == 3 {
 			host.SetCoalition(vm.GrandCoalition(2))
@@ -101,37 +212,121 @@ func TestCachedDeltaBytesIdentical(t *testing.T) {
 		if _, err := srv.Step(); err != nil {
 			t.Fatal(err)
 		}
-		d := srv.served.Load()
-		srv.mu.RLock()
-		wire := srv.latest
-		srv.mu.RUnlock()
-		for _, since := range []int{wire.Tick, wire.Tick - 1} {
-			path := "/api/v1/allocation?since=" + itoa(since)
-			want, err := encodeJSON(srv.delta(wire, since))
-			if err != nil {
-				t.Fatal(err)
-			}
+		checkCachedDeltas(t, srv, ts)
+	}
+	servedTicks(t, func(srv *Server, ts *httptest.Server) { checkCachedDeltas(t, srv, ts) })
+}
+
+// checkCachedDeltas compares the served since = tick and tick-1 bodies
+// with encoding/json of the log's composition, and requires each to be
+// composed once for two requests.
+func checkCachedDeltas(t *testing.T, srv *Server, ts *httptest.Server) {
+	t.Helper()
+	d := srv.served.Load()
+	srv.mu.RLock()
+	wire := srv.latest
+	srv.mu.RUnlock()
+	for _, since := range []int{wire.Tick, wire.Tick - 1} {
+		path := "/api/v1/allocation?since=" + itoa(since)
+		want, err := encodeJSON(srv.delta(wire, since))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := getBody(t, ts, path); !bytes.Equal(got, want) {
+			t.Fatalf("tick %d since %d: cached delta differs from the delta log's composition:\n got %s\nwant %s",
+				wire.Tick, since, got, want)
+		}
+		if b, _ := d.deltas.Cached(since); !b.OK() {
+			t.Fatalf("tick %d since %d: delta body not cached", wire.Tick, since)
+		}
+		var composes atomic.Int32
+		counted := *d
+		counted.deltas = serve.NewDeltas(wire.Tick, func(since int) *AllocationDeltaJSON {
+			composes.Add(1)
+			return srv.delta(wire, since)
+		}, func(e *serve.Encoder, d *AllocationDeltaJSON) { writeAllocationDelta(e, d, srv.keys) })
+		srv.served.Store(&counted)
+		for k := 0; k < 2; k++ {
 			if got := getBody(t, ts, path); !bytes.Equal(got, want) {
-				t.Fatalf("tick %d since %d: cached delta differs from the delta log's composition:\n got %s\nwant %s",
-					wire.Tick, since, got, want)
+				t.Fatalf("tick %d since %d: request %d differs:\n got %s\nwant %s", wire.Tick, since, k, got, want)
 			}
-			var composes atomic.Int32
-			counted := *d
-			counted.deltas = serve.NewDeltas(wire.Tick, func(since int) any {
-				composes.Add(1)
-				return srv.delta(wire, since)
-			})
-			srv.served.Store(&counted)
-			for k := 0; k < 2; k++ {
-				if got := getBody(t, ts, path); !bytes.Equal(got, want) {
-					t.Fatalf("tick %d since %d: request %d differs:\n got %s\nwant %s", wire.Tick, since, k, got, want)
-				}
+		}
+		srv.served.Store(d)
+		if n := composes.Load(); n != 1 {
+			t.Fatalf("tick %d since %d: %d compositions for two requests, want 1 (served without caching the body)",
+				wire.Tick, since, n)
+		}
+	}
+}
+
+// TestWritersMatchEncodingJSON fills every exported field of each wire
+// type a tick publishes, by reflection, and requires its writer to
+// append the bytes encoding/json gives the value; so must the zero
+// value, with every omitempty field absent and every map and slice nil.
+// A field added to a wire type but not to its writer fails here.
+func TestWritersMatchEncodingJSON(t *testing.T) {
+	for _, filled := range []bool{false, true} {
+		var a AllocationJSON
+		var d AllocationDeltaJSON
+		var st StatusJSON
+		var en EnergyJSON
+		if filled {
+			servetest.Fill(&a)
+			servetest.Fill(&d)
+			servetest.Fill(&st)
+			servetest.Fill(&en)
+		}
+		var vms serve.Encoder
+		vms.Strings("", st.VMs)
+		vmsJSON, _ := vms.Bytes()
+		for _, c := range []struct {
+			name  string
+			v     any
+			write func(*serve.Encoder)
+		}{
+			{"allocation", &a, func(e *serve.Encoder) { writeAllocation(e, &a, servetest.Keys(a.PerVM)) }},
+			{"delta", &d, func(e *serve.Encoder) { writeAllocationDelta(e, &d, servetest.Keys(d.PerVM)) }},
+			{"status", &st, func(e *serve.Encoder) { writeStatus(e, &st, vmsJSON) }},
+			{"energy", &en, func(e *serve.Encoder) { writeEnergy(e, &en, servetest.Keys(en.PerVMWh)) }},
+		} {
+			if got, want, ok := servetest.Same(c.v, c.write); !ok {
+				t.Errorf("%s (filled %v): writer differs from encoding/json:\n got %s\nwant %s", c.name, filled, got, want)
 			}
-			srv.served.Store(d)
-			if n := composes.Load(); n != 1 {
-				t.Fatalf("tick %d since %d: %d compositions for two requests, want 1 (served without caching the body)",
-					wire.Tick, since, n)
-			}
+		}
+	}
+}
+
+// TestEnergyTotalInNameOrder pins total_wh's summation order: the
+// per-VM watt-hours are added in ascending name order, the order the
+// body lists them, so repeated encodes of one state are byte-equal. One
+// VM's energy dwarfs the rest, so any other order rounds differently.
+func TestEnergyTotalInNameOrder(t *testing.T) {
+	srv := wideServer(t, escapingNames())
+	if _, err := srv.Step(); err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	for i, name := range srv.names {
+		srv.energyWs[name] = 3600
+		if i == 100 {
+			srv.energyWs[name] = 3600e16
+		}
+	}
+	var want float64
+	for _, name := range servetest.Keys(srv.energyWs) {
+		want += srv.energyWs[name] / 3600
+	}
+	srv.mu.Unlock()
+	srv.mu.RLock()
+	defer srv.mu.RUnlock()
+	first, _ := encodeJSON(srv.energyLocked())
+	for i := 0; i < 50; i++ {
+		en := srv.energyLocked()
+		if en.TotalWh != want {
+			t.Fatalf("encode %d: total_wh %v, want %v, the sum in name order", i, en.TotalWh, want)
+		}
+		if got, _ := encodeJSON(en); !bytes.Equal(got, first) {
+			t.Fatalf("encode %d differs from the first:\n got %s\nwant %s", i, got, first)
 		}
 	}
 }
@@ -461,4 +656,34 @@ func BenchmarkServeCached(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkPublish times Step's publish layer on a host of 200 VMs named
+// vm000 to vm199: recording one tick's allocation into the wire map, the
+// energy counters and the history, and pre-encoding the tick's bodies.
+// Two allocations alternate, so every VM's watts change on every tick as
+// on a busy host.
+func BenchmarkPublish(b *testing.B) {
+	b.Run("n=200", func(b *testing.B) {
+		srv := wideServer(b, vmNames(200, "vm%03d"))
+		a, err := srv.Step()
+		if err != nil {
+			b.Fatal(err)
+		}
+		allocs := [2]core.Allocation{*a, *a}
+		for i := range allocs {
+			allocs[i].PerVM = make([]float64, len(a.PerVM))
+			for j, w := range a.PerVM {
+				allocs[i].PerVM[j] = w * (1 + 0.01*float64(i))
+			}
+		}
+		snap := srv.est.Host().Collect()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			alloc := &allocs[i%2]
+			alloc.Tick = a.Tick + 1 + i
+			srv.record(alloc, &snap)
+		}
+	})
 }

@@ -21,6 +21,10 @@ const Window = 512
 type Table[K cmp.Ordered, V any] struct {
 	equal func(a, b V) bool
 	prev  map[K]V // the rows last published; Step goroutine only
+	// keys are prev's keys in ascending order, encoding/json's map
+	// order. A snapshot's writers hold the slice, so a new key set gets
+	// a new slice instead of an update in place.
+	keys []K
 
 	mu  sync.RWMutex
 	log []change[K]
@@ -44,20 +48,40 @@ func Equal[V comparable](a, b V) bool { return a == b }
 // Publish logs the keys of rows that differ from the previous tick's rows
 // (every key on the first tick), and the keys that left. The table keeps
 // rows as the next baseline and Delta reads them, so rows must not change
-// after the call.
-func (t *Table[K, V]) Publish(tick int, rows map[K]V) {
+// after the call. It returns rows' keys in ascending order, the order
+// encoding/json lists a map's keys in; they are sorted again only on a
+// tick whose key set changed, and the returned slice is never modified.
+func (t *Table[K, V]) Publish(tick int, rows map[K]V) []K {
 	// Sized to the table rather than grown: the log retains Window of
 	// these, and a growing slice overshoots when every row changes.
 	keys := make([]K, 0, len(rows))
+	joined := 0
 	for k, v := range rows {
-		if p, ok := t.prev[k]; !ok || !t.equal(p, v) {
+		p, ok := t.prev[k]
+		if !ok {
+			joined++
+		}
+		if !ok || !t.equal(p, v) {
 			keys = append(keys, k)
 		}
 	}
-	for k := range t.prev {
-		if _, ok := rows[k]; !ok {
-			keys = append(keys, k)
+	// len(rows)-joined of the previous keys are still present; the rest
+	// left.
+	left := len(t.prev) - (len(rows) - joined)
+	if left > 0 {
+		for k := range t.prev {
+			if _, ok := rows[k]; !ok {
+				keys = append(keys, k)
+			}
 		}
+	}
+	if joined > 0 || left > 0 || t.keys == nil {
+		sorted := make([]K, 0, len(rows))
+		for k := range rows {
+			sorted = append(sorted, k)
+		}
+		slices.Sort(sorted)
+		t.keys = sorted
 	}
 	t.prev = rows
 	t.mu.Lock()
@@ -66,6 +90,7 @@ func (t *Table[K, V]) Publish(tick int, rows map[K]V) {
 		t.log = t.log[len(t.log)-Window:]
 	}
 	t.mu.Unlock()
+	return t.keys
 }
 
 // Delta composes the change from the client's tick since to tick, where
@@ -116,6 +141,7 @@ func (t *Table[K, V]) Delta(since, tick int, rows map[K]V) (upserts map[K]V, rem
 type Deltas struct {
 	tick    int
 	compose func(since int) any
+	encode  func(since int) Body
 	bodies  [2]onceBody // indexed by tick - since
 }
 
@@ -127,8 +153,16 @@ type onceBody struct {
 // NewDeltas returns the delta cache of the snapshot of tick. compose
 // builds the delta from since to that snapshot; it must read the logs
 // only up to tick (as Table.Delta does), never a later publication.
-func NewDeltas(tick int, compose func(since int) any) *Deltas {
-	return &Deltas{tick: tick, compose: compose}
+// write appends a composed delta as its cached body, with the bytes
+// encoding/json gives the value the per-request path writes.
+func NewDeltas[T any](tick int, compose func(since int) T, write func(*Encoder, T)) *Deltas {
+	return &Deltas{
+		tick:    tick,
+		compose: func(since int) any { return compose(since) },
+		encode: func(since int) Body {
+			return Write(Body{}, func(e *Encoder) { write(e, compose(since)) })
+		},
+	}
 }
 
 // ServeDelta answers GET ...?since=raw from d, the served snapshot's
@@ -145,15 +179,24 @@ func (c *Core) ServeDelta(w http.ResponseWriter, raw string, d *Deltas, notYet s
 		c.WriteError(w, http.StatusNotFound, notYet)
 		return
 	}
-	if back := d.tick - since; back >= 0 && back < len(d.bodies) {
-		b := &d.bodies[back]
-		b.once.Do(func() { b.body = Encode(d.compose(since)) })
-		if b.body.OK() {
-			c.WriteCached(w, b.body)
-			return
-		}
+	if b, ok := d.Cached(since); ok && b.OK() {
+		c.WriteCached(w, b)
+		return
 	}
 	// Not a cached baseline, or the body could not encode: the
 	// per-request path counts the failure instead of hiding it.
 	c.WriteJSON(w, http.StatusOK, d.compose(since))
+}
+
+// Cached returns the cached body of since = tick or tick-1, composing
+// and writing it on first use; ok is false for any other since. The body
+// is not OK when it could not encode.
+func (d *Deltas) Cached(since int) (b Body, ok bool) {
+	back := d.tick - since
+	if back < 0 || back >= len(d.bodies) {
+		return Body{}, false
+	}
+	ob := &d.bodies[back]
+	ob.once.Do(func() { ob.body = d.encode(since) })
+	return ob.body, true
 }

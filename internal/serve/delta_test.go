@@ -100,7 +100,7 @@ func serveSince(c *Core, raw string, d *Deltas) *httptest.ResponseRecorder {
 // first tick.
 func TestServeDeltaRejects(t *testing.T) {
 	var c Core
-	d := NewDeltas(5, func(since int) any { return since })
+	d := NewDeltas(5, func(since int) int { return since }, func(e *Encoder, v int) { e.Int("", v) })
 	for _, raw := range []string{"nope", "-3", "1.5", "0x10"} {
 		rec := serveSince(&c, raw, d)
 		if rec.Code != http.StatusBadRequest || rec.Body.String() != `{"error":"since must be a non-negative integer"}`+"\n" {
@@ -114,15 +114,19 @@ func TestServeDeltaRejects(t *testing.T) {
 
 // TestDeltasComposeOnce pins the per-snapshot cache: since = tick and
 // since = tick-1 are composed once each however many requests (run with
-// -race, concurrent ones too) ask, with a declared length; any other
-// since is composed per request, by the same function, into the same
-// bytes a cached body would hold.
+// -race, concurrent ones too) ask, written by the snapshot's writer with
+// a declared length; any other since is composed per request, by the
+// same function, into the same bytes a cached body holds.
 func TestDeltasComposeOnce(t *testing.T) {
 	var c Core
 	var composes [8]atomic.Int32
-	d := NewDeltas(5, func(since int) any {
+	d := NewDeltas(5, func(since int) map[string]int {
 		composes[since].Add(1)
 		return map[string]int{"since": since}
+	}, func(e *Encoder, m map[string]int) {
+		e.Open("")
+		e.Int("since", m["since"])
+		e.Close()
 	})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -152,5 +156,8 @@ func TestDeltasComposeOnce(t *testing.T) {
 	rec := serveSince(&c, "4", d)
 	if got, want := rec.Header().Get("Content-Length"), strconv.Itoa(rec.Body.Len()); got != want {
 		t.Fatalf("cached delta: Content-Length %q, body is %s bytes", got, want)
+	}
+	if want := `{"since":4}` + "\n"; rec.Body.String() != want {
+		t.Fatalf("cached since=4: body %q, want %q", rec.Body, want)
 	}
 }

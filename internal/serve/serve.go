@@ -1,13 +1,18 @@
 // Package serve is the HTTP serving core that powerd and fleetd share:
-// pre-encoded response bodies with their declared length, the cached and
-// per-request JSON writers with encode-error accounting, the bounded
-// per-tick change log behind ?since= delta reads and its per-snapshot
-// cache (delta.go), the per-path request metrics, the telemetry routes,
-// the flight-dump trigger and the /healthz rungs both daemons share.
+// pre-encoded response bodies with their declared length, the append
+// encoder that writes each tick's bodies without reflection in the bytes
+// encoding/json gives them (json.go), the cached and per-request JSON
+// writers with encode-error accounting, the bounded per-tick change log
+// behind ?since= delta reads, which also keeps each table's keys in
+// encoding/json's order, and its per-snapshot cache (delta.go), the
+// per-path request metrics, the telemetry routes, the flight-dump
+// trigger and the /healthz rungs both daemons share. encoding/json
+// serves the per-request paths and is the encoder's test oracle.
 //
-// Each daemon keeps its wire types, its own metric families, the rest of
-// its health ladder and its error texts; everything here is one
-// implementation of a decision both daemons make the same way.
+// Each daemon keeps its wire types and their writers, its own metric
+// families, the rest of its health ladder and its error texts;
+// everything here is one implementation of a decision both daemons make
+// the same way.
 package serve
 
 import (
@@ -37,7 +42,9 @@ type Body struct {
 // Encode renders v exactly as WriteJSON's per-request encoder does (same
 // encoder, same trailing newline), so a cached body is bit-identical to a
 // fresh encode of the same value. It returns the zero Body when v cannot
-// encode (NaN watts would be one).
+// encode (NaN watts would be one). It serves bodies cached on demand,
+// such as powerd's interaction matrix; each tick's bodies are written
+// with an Encoder.
 func Encode(v any) Body {
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(v); err != nil {

@@ -83,6 +83,13 @@ func TestEncodeErrorsCountedOnce(t *testing.T) {
 	if got := errs.Value(); got != 3 {
 		t.Fatalf("after a value that cannot encode: %d, want 3", got)
 	}
+	// A cached delta the appender cannot encode falls back to the
+	// per-request path, which counts the failure.
+	nan := NewDeltas(5, func(int) float64 { return math.NaN() }, func(e *Encoder, v float64) { e.Float("", v) })
+	c.ServeDelta(httptest.NewRecorder(), "5", nan, "")
+	if got := errs.Value(); got != 4 {
+		t.Fatalf("after a cached delta that cannot encode: %d, want 4", got)
+	}
 	var bare Core
 	bare.WriteCached(gone, Encode(1))
 }
