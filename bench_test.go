@@ -17,6 +17,7 @@ import (
 
 	"vmpower/internal/core"
 	"vmpower/internal/experiments"
+	"vmpower/internal/fleet"
 	"vmpower/internal/hypervisor"
 	"vmpower/internal/machine"
 	"vmpower/internal/meter"
@@ -692,5 +693,73 @@ func BenchmarkWorkloadGen(b *testing.B) {
 		for _, g := range gens {
 			_ = g.StateAt(i)
 		}
+	}
+}
+
+// fleetPoolArms runs a fleet benchmark serially and on one worker per
+// CPU (cmd/fleetd's default), so the pool's effect is the gap between
+// the two arms.
+var fleetPoolArms = []struct {
+	name string
+	par  int
+}{{"par=1", 1}, {"par=all", -1}}
+
+// poolFleet builds the shape of vmbench's fleet32 pool: 32 Xeon hosts of
+// 8 large VMs each (4 vCPUs, 32 threads a host), from 8 tenants, on the
+// SPEC suite.
+func poolFleet(b *testing.B, par int) *fleet.Fleet {
+	b.Helper()
+	suite := []string{"gcc", "gobmk", "sjeng", "omnetpp", "namd", "wrf", "tonto"}
+	reqs := make([]fleet.VMRequest, 32*8)
+	for i := range reqs {
+		reqs[i] = fleet.VMRequest{
+			Name: fmt.Sprintf("L%03d", i), Tenant: fmt.Sprintf("t%d", i%8), Type: vm.TypeID(Large),
+			Workload: suite[i%len(suite)], WorkloadSeed: int64(i),
+		}
+	}
+	f, err := fleet.New(fleet.Config{Hosts: 32, Seed: 1, MeterNoise: 0.25, Parallelism: par}, reqs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if f.Hosts() != 32 {
+		b.Fatalf("%d hosts, want 32", f.Hosts())
+	}
+	return f
+}
+
+// BenchmarkFleetCalibrate times Fleet.Calibrate on poolFleet: every
+// host's offline collection and fit, then the workload binding.
+func BenchmarkFleetCalibrate(b *testing.B) {
+	for _, arm := range fleetPoolArms {
+		b.Run(arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				f := poolFleet(b, arm.par)
+				b.StartTimer()
+				if err := f.Calibrate(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFleetStep times back-to-back Fleet.Steps on a calibrated
+// poolFleet, without the deep audit.
+func BenchmarkFleetStep(b *testing.B) {
+	for _, arm := range fleetPoolArms {
+		b.Run(arm.name, func(b *testing.B) {
+			f := poolFleet(b, arm.par)
+			if err := f.Calibrate(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := f.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

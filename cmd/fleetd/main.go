@@ -71,7 +71,7 @@ func run() error {
 		vmsFlag   = flag.String("vms", defaultVMs, "comma list of name:type:tenant[:workload] VM specs")
 		interval  = flag.Duration("interval", time.Second, "fleet tick interval")
 		seed      = flag.Int64("seed", 1, "random seed")
-		par       = flag.Int("parallelism", 0, "host estimation workers (0 = all cores, 1 = serial); ticks are identical at any setting")
+		par       = flag.Int("parallelism", 0, "host workers for calibration and every tick (0 = all cores, 1 = serial); models and ticks are identical at any setting")
 		probe     = flag.Int("probe", 5, "readmission probe cadence for quarantined hosts, in ticks (negative disables)")
 		holdover  = flag.Int("holdover", 10, "serve a host from its last good meter sample for up to this many ticks during an outage (negative disables)")
 		stuckAt   = flag.Int("stuck-threshold", 0, "reject a reading repeated this many times in a row as a stuck meter (0 disables)")

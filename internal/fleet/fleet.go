@@ -11,10 +11,11 @@
 // degradation ladder (see internal/core), and a host whose estimator
 // turns terminal is quarantined — its VMs reported as unaccounted, the
 // rest of the fleet still ticking — and periodically probed for
-// readmission. Hosts are advanced and estimated concurrently by a
-// bounded worker pool, but every rollup sum is accumulated in fixed host
-// order after the fan-in, so a Tick is a deterministic function of the
-// fleet's seed and fault schedule at any Parallelism.
+// readmission. Hosts are calibrated, advanced and estimated concurrently
+// by one bounded worker pool, but each host owns its state and every
+// rollup sum is accumulated in fixed host order after the fan-in, so the
+// models and every Tick are a deterministic function of the fleet's seed
+// and fault schedule at any Parallelism.
 package fleet
 
 import (
@@ -23,6 +24,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vmpower/internal/core"
@@ -66,10 +68,11 @@ type Config struct {
 	MeterNoise float64
 	// CalibrationTicks is the per-combination offline sample count.
 	CalibrationTicks int
-	// Parallelism bounds the worker pool Step fans hosts out to,
-	// following the core.Config convention: 0 defaults to 1 (serial),
-	// negative uses all cores (GOMAXPROCS), >= 2 uses that many workers.
-	// Tick contents are bit-for-bit identical at any setting.
+	// Parallelism bounds the one worker pool that both Calibrate and
+	// Step fan hosts out to, following the core.Config convention: 0
+	// defaults to 1 (serial), negative uses all cores (GOMAXPROCS), >= 2
+	// uses that many workers, the calling goroutine among them. Models
+	// and tick contents are bit-for-bit identical at any setting.
 	Parallelism int
 	// TickInterval is the wall-clock duration one Step covers; the energy
 	// rollups integrate watts × interval per tick. 0 defaults to 1 s (the
@@ -625,10 +628,17 @@ func (f *Fleet) InjectFaults(h int, opts faults.Options) (*faults.Meter, error) 
 	return fm, nil
 }
 
-// Calibrate runs the offline collection phase on every host.
+// Calibrate runs the offline collection phase on every host, then
+// binds the VMs' workloads and starts them. Each host owns its machine,
+// meter, PRNG streams and model, so the hosts calibrate concurrently on
+// Step's worker pool (Config.Parallelism) and every model is the same at
+// any setting. Every host is calibrated; an error names the lowest
+// failing host.
 func (f *Fleet) Calibrate() error {
-	for i, est := range f.estimators {
-		if err := est.CollectOffline(); err != nil {
+	errs := make([]error, len(f.estimators))
+	fanOut(len(f.estimators), f.par, func(i int) { errs[i] = f.estimators[i].CollectOffline() })
+	for i, err := range errs {
+		if err != nil {
 			return fmt.Errorf("fleet: host %d: %w", i, err)
 		}
 	}
@@ -1274,6 +1284,41 @@ func (f *Fleet) AuditConservation(t *Tick, tol float64) []string {
 	return problems
 }
 
+// fanOut calls do(i) for every i in [0, n) on at most par goroutines,
+// the calling one among them, and returns when every call has. Workers
+// claim the next index from a shared counter, so no index waits for a
+// handoff to a particular goroutine: the caller starts on index 0 at
+// once, and a worker that wakes late takes whatever is left. do must be
+// safe to run concurrently for distinct indices.
+func fanOut(n, par int, do func(i int)) {
+	if par = min(par, n); par <= 1 {
+		for i := 0; i < n; i++ {
+			do(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			do(i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(par - 1)
+	for w := 1; w < par; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
 // Step advances every host one tick and aggregates the allocations.
 //
 // Hosts are advanced and estimated by a bounded worker pool
@@ -1314,34 +1359,12 @@ func (f *Fleet) Step() (*Tick, error) {
 	// indices.
 	allocs := make([]*core.Allocation, n)
 	errs := make([]error, n)
-	step := func(i int) {
+	fanOut(n, f.par, func(i int) {
 		f.hosts[i].Advance(1)
 		if estimate[i] {
 			allocs[i], errs[i] = f.estimators[i].EstimateTick()
 		}
-	}
-	if par := min(f.par, n); par <= 1 {
-		for i := 0; i < n; i++ {
-			step(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					step(i)
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	})
 
 	// Fan in: state transitions and rollups in fixed host order.
 	tick := &Tick{

@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -523,5 +525,96 @@ func TestStepParallelismDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("tick streams diverge across parallelism:\nserial:   %+v\nparallel: %+v",
 			serial[len(serial)-1], parallel[len(parallel)-1])
+	}
+}
+
+// poolFleet builds a 4-host fleet of two VM classes: ten xlarge VMs fill
+// hosts 0 and 1 and half of host 2, and twelve medium VMs fill the rest
+// of host 2 and spill onto host 3, so host 2 calibrates three class
+// combinations and the others one each.
+func poolFleet(t *testing.T, par int) *Fleet {
+	t.Helper()
+	var reqs []VMRequest
+	for i := 0; i < 10; i++ {
+		reqs = append(reqs, VMRequest{Name: fmt.Sprintf("x%02d", i), Tenant: "bob", Type: 3,
+			Workload: "namd", WorkloadSeed: int64(i)})
+	}
+	for i := 0; i < 12; i++ {
+		reqs = append(reqs, VMRequest{Name: fmt.Sprintf("m%02d", i), Tenant: "alice", Type: 1,
+			Workload: "gcc", WorkloadSeed: int64(100 + i)})
+	}
+	cfg := quickConfig(4)
+	cfg.Parallelism = par
+	f, err := New(cfg, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	place := f.Placement()
+	if f.Hosts() != 4 || place["x09"] != 2 || place["m00"] != 2 || place["m11"] != 3 {
+		t.Fatalf("unexpected placement over %d hosts: %v", f.Hosts(), place)
+	}
+	return f
+}
+
+// TestCalibrateParallelismDeterminism pins calibration on the worker
+// pool: at any worker count every host fits the same model, byte for
+// byte as saved, and the fleet then ticks the same stream. Host 2, the
+// one of two classes, calibrates behind a disarmed fault injector.
+func TestCalibrateParallelismDeterminism(t *testing.T) {
+	run := func(par int) ([][]byte, []*Tick) {
+		f := poolFleet(t, par)
+		if _, err := f.InjectFaults(2, faults.Options{Seed: 3, DropoutProb: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Calibrate(); err != nil {
+			t.Fatal(err)
+		}
+		models := make([][]byte, f.Hosts())
+		for i, est := range f.estimators {
+			var buf bytes.Buffer
+			if err := est.SaveModel(&buf); err != nil {
+				t.Fatal(err)
+			}
+			models[i] = buf.Bytes()
+		}
+		ticks := make([]*Tick, 0, 6)
+		if err := f.Run(6, func(tk *Tick) bool { ticks = append(ticks, tk); return true }); err != nil {
+			t.Fatal(err)
+		}
+		return models, ticks
+	}
+	serialModels, serialTicks := run(1)
+	parModels, parTicks := run(4)
+	for i := range serialModels {
+		if !bytes.Equal(serialModels[i], parModels[i]) {
+			t.Fatalf("host %d: the model saved after a parallel calibration differs from the serial one", i)
+		}
+	}
+	if !reflect.DeepEqual(serialTicks, parTicks) {
+		t.Fatalf("tick streams diverge across calibration parallelism:\nserial:   %+v\nparallel: %+v",
+			serialTicks[len(serialTicks)-1], parTicks[len(parTicks)-1])
+	}
+}
+
+// TestCalibrateErrorNamesLowestHost pins Calibrate's error on the worker
+// pool: with the meters of hosts 1 and 3 dead, the error names host 1 at
+// any worker count, whichever host fails first. A dropout episode from
+// the injector's tick 0 kills a meter for all of calibration, which
+// never advances the episode clock (a DropoutProb of 1 is refused).
+func TestCalibrateErrorNamesLowestHost(t *testing.T) {
+	dead := faults.Options{Episodes: []faults.Episode{{Start: 0, Len: 1, Kind: faults.Dropout}}}
+	for _, par := range []int{1, 4} {
+		f := poolFleet(t, par)
+		for _, h := range []int{1, 3} {
+			fm, err := f.InjectFaults(h, dead)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fm.SetArmed(true)
+		}
+		err := f.Calibrate()
+		if err == nil || !strings.HasPrefix(err.Error(), "fleet: host 1: ") {
+			t.Fatalf("parallelism %d: Calibrate error %v, want one naming host 1", par, err)
+		}
 	}
 }

@@ -25,6 +25,7 @@ type servedSnapshot struct {
 	energy     serve.Body
 	scenario   serve.Body
 	deltas     *serve.Deltas
+	hosts      []byte // the host rows allocation and status share
 }
 
 // TickDeltaJSON is the wire form of GET /api/v1/allocation?since=T: the
@@ -127,10 +128,15 @@ func (s *Server) publishLocked(wire *TickJSON) {
 	if last == nil {
 		last = &servedSnapshot{}
 	}
-	snap.allocation = serve.Write(last.allocation, func(e *serve.Encoder) { writeTick(e, wire, vmKeys, tenantKeys) })
+	// The status body's host_states are the allocation's hosts: the rows
+	// are encoded once and spliced into both.
+	snap.hosts = encodeHosts(last.hosts, wire.Hosts)
+	snap.allocation = serve.Write(last.allocation, func(e *serve.Encoder) {
+		writeTick(e, wire, vmKeys, tenantKeys, snap.hosts)
+	})
 	snap.status = serve.Write(last.status, func(e *serve.Encoder) {
 		st := s.statusLocked()
-		writeStatus(e, &st)
+		writeStatus(e, &st, snap.hosts)
 	})
 	// The energy maps hold a subset of the fleet's tenants, and
 	// s.tenants lists them all in ascending order.
@@ -190,9 +196,17 @@ func (s *Server) delta(wire *TickJSON, since int) *TickDeltaJSON {
 // The writers below append one wire value each, field by field in the
 // struct's order, skipping an omitempty field exactly when encoding/json
 // does. vmKeys and tenantKeys list the per-VM and per-tenant maps' names
-// in ascending order.
+// in ascending order; hosts is the value's host rows as encodeHosts
+// wrote them.
 
-func writeTick(e *serve.Encoder, t *TickJSON, vmKeys, tenantKeys []string) {
+// encodeHosts returns rows as an Encoder writes them, for Raw, or nil
+// when a row cannot encode; last, the previous tick's rows, sizes the
+// buffer.
+func encodeHosts(last []byte, rows []HostJSON) []byte {
+	return serve.Value(last, func(e *serve.Encoder) { serve.List(e, "", rows, writeHost) })
+}
+
+func writeTick(e *serve.Encoder, t *TickJSON, vmKeys, tenantKeys []string, hosts []byte) {
 	e.Open("")
 	e.Int("tick", t.Tick)
 	e.Float("measured_watts", t.MeasuredWatts)
@@ -201,7 +215,7 @@ func writeTick(e *serve.Encoder, t *TickJSON, vmKeys, tenantKeys []string) {
 	e.Floats("per_tenant_watts", tenantKeys, t.PerTenant)
 	writeHostCounts(e, t.Degraded, t.DegradedHosts, t.QuarantinedHosts, t.DrainingHosts, t.DrainedHosts, t.IdleUnmeteredHosts)
 	writeLifecycle(e, t.Unaccounted, t.Events, t.Migrations)
-	serve.List(e, "hosts", t.Hosts, writeHost)
+	e.Raw("hosts", hosts)
 	e.Close()
 }
 
@@ -320,7 +334,7 @@ func writeMigration(e *serve.Encoder, m *MigrationJSON) {
 	e.Close()
 }
 
-func writeStatus(e *serve.Encoder, st *StatusJSON) {
+func writeStatus(e *serve.Encoder, st *StatusJSON, hosts []byte) {
 	e.Open("")
 	e.Int("hosts", st.Hosts)
 	if st.EmptyHosts != 0 {
@@ -333,7 +347,7 @@ func writeStatus(e *serve.Encoder, st *StatusJSON) {
 	e.Int("degraded_ticks", st.DegradedTicks)
 	e.Int("quarantines", st.Quarantines)
 	e.Int("readmits", st.Readmits)
-	serve.List(e, "host_states", st.HostStates, writeHost)
+	e.Raw("host_states", hosts)
 	e.Close()
 }
 

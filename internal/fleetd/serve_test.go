@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -182,22 +183,20 @@ func TestFleetCachedBytesIdentical(t *testing.T) {
 // wire type a tick publishes, nested ones included, by reflection, and
 // requires its writer to append the bytes encoding/json gives the value;
 // so must the zero value, with every omitempty field absent and every
-// map and slice nil. A field added to a wire type but not to its writer
-// fails here.
+// map and slice nil, and a value whose floats run in repeats with 0 next
+// to -0. A field added to a wire type but not to its writer fails here.
 func TestFleetWritersMatchEncodingJSON(t *testing.T) {
-	for _, filled := range []bool{false, true} {
+	for _, fill := range servetest.Fills {
 		var tk TickJSON
 		var d TickDeltaJSON
 		var st StatusJSON
 		var en EnergyJSON
 		var sc ScenarioJSON
-		if filled {
-			servetest.Fill(&tk)
-			servetest.Fill(&d)
-			servetest.Fill(&st)
-			servetest.Fill(&en)
-			servetest.Fill(&sc)
-		}
+		fill.Fill(&tk)
+		fill.Fill(&d)
+		fill.Fill(&st)
+		fill.Fill(&en)
+		fill.Fill(&sc)
 		// The energy writer takes every tenant of the fleet in ascending
 		// order, a superset of its maps' keys.
 		all := map[string]float64{"~tenant without energy": 0}
@@ -214,17 +213,17 @@ func TestFleetWritersMatchEncodingJSON(t *testing.T) {
 			write func(*serve.Encoder)
 		}{
 			{"tick", &tk, func(e *serve.Encoder) {
-				writeTick(e, &tk, servetest.Keys(tk.PerVM), servetest.Keys(tk.PerTenant))
+				writeTick(e, &tk, servetest.Keys(tk.PerVM), servetest.Keys(tk.PerTenant), encodeHosts(nil, tk.Hosts))
 			}},
 			{"delta", &d, func(e *serve.Encoder) {
 				writeTickDelta(e, &d, servetest.Keys(d.PerVM), servetest.Keys(d.PerTenant))
 			}},
-			{"status", &st, func(e *serve.Encoder) { writeStatus(e, &st) }},
+			{"status", &st, func(e *serve.Encoder) { writeStatus(e, &st, encodeHosts(nil, st.HostStates)) }},
 			{"energy", &en, func(e *serve.Encoder) { writeEnergy(e, &en, tenants) }},
 			{"scenario", &sc, func(e *serve.Encoder) { writeScenario(e, &sc) }},
 		} {
 			if got, want, ok := servetest.Same(c.v, c.write); !ok {
-				t.Errorf("%s (filled %v): writer differs from encoding/json:\n got %s\nwant %s", c.name, filled, got, want)
+				t.Errorf("%s (%s): writer differs from encoding/json:\n got %s\nwant %s", c.name, fill.Name, got, want)
 			}
 		}
 	}
@@ -553,6 +552,46 @@ func TestFleetEncodeErrorsCounted(t *testing.T) {
 	srv.handleAllocation(w, httptest.NewRequest(http.MethodGet, "/api/v1/allocation?since=0", nil))
 	if got := encodeErrs.Value(); got != 2 {
 		t.Fatalf("after failing delta write: counter %d, want 2", got)
+	}
+}
+
+// TestFleetHostRowUnencodable pins the failure path of the host rows
+// the allocation and status bodies share: a row that cannot encode (a
+// NaN watt) leaves both bodies not OK, so both handlers fall back to the
+// per-request path, whose encode failure is counted; the energy body,
+// which holds no host row, stays cached.
+func TestFleetHostRowUnencodable(t *testing.T) {
+	f := smallFleet(t)
+	if err := f.Calibrate(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	srv.Instrument(reg, obs.NewLogger(io.Discard, obs.LevelError, obs.FormatKV), time.Minute)
+	tick, err := srv.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := *tick
+	bad.Tick++
+	bad.Hosts = append([]fleet.HostStatus(nil), tick.Hosts...)
+	bad.Hosts[1].MeasuredWatts = math.NaN()
+	srv.record(&bad)
+	d := srv.served.Load()
+	if d.allocation.OK() || d.status.OK() || !d.energy.OK() {
+		t.Fatalf("bodies OK: allocation %v, status %v, energy %v; want false, false, true",
+			d.allocation.OK(), d.status.OK(), d.energy.OK())
+	}
+	encodeErrs := reg.Counter("vmpower_http_encode_errors_total", "")
+	h := srv.Handler()
+	for i, path := range []string{"/api/v1/allocation", "/api/v1/status", "/api/v1/energy"} {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, path, nil))
+		if want := min(i+1, 2); encodeErrs.Value() != uint64(want) {
+			t.Fatalf("after %s: %d encode errors, want %d", path, encodeErrs.Value(), want)
+		}
 	}
 }
 

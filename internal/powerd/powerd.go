@@ -140,7 +140,7 @@ func New(est *core.Estimator, names []string, historySize int) (*Server, error) 
 	names = append([]string(nil), names...)
 	var vms serve.Encoder
 	vms.Strings("", names)
-	vmsJSON, _ := vms.Bytes() // strings always encode
+	vmsJSON := vms.Bytes() // strings always encode
 	return &Server{
 		est:       est,
 		names:     names,

@@ -262,23 +262,22 @@ func checkCachedDeltas(t *testing.T, srv *Server, ts *httptest.Server) {
 // TestWritersMatchEncodingJSON fills every exported field of each wire
 // type a tick publishes, by reflection, and requires its writer to
 // append the bytes encoding/json gives the value; so must the zero
-// value, with every omitempty field absent and every map and slice nil.
-// A field added to a wire type but not to its writer fails here.
+// value, with every omitempty field absent and every map and slice nil,
+// and a value whose floats run in repeats with 0 next to -0. A field
+// added to a wire type but not to its writer fails here.
 func TestWritersMatchEncodingJSON(t *testing.T) {
-	for _, filled := range []bool{false, true} {
+	for _, fill := range servetest.Fills {
 		var a AllocationJSON
 		var d AllocationDeltaJSON
 		var st StatusJSON
 		var en EnergyJSON
-		if filled {
-			servetest.Fill(&a)
-			servetest.Fill(&d)
-			servetest.Fill(&st)
-			servetest.Fill(&en)
-		}
+		fill.Fill(&a)
+		fill.Fill(&d)
+		fill.Fill(&st)
+		fill.Fill(&en)
 		var vms serve.Encoder
 		vms.Strings("", st.VMs)
-		vmsJSON, _ := vms.Bytes()
+		vmsJSON := vms.Bytes()
 		for _, c := range []struct {
 			name  string
 			v     any
@@ -290,7 +289,7 @@ func TestWritersMatchEncodingJSON(t *testing.T) {
 			{"energy", &en, func(e *serve.Encoder) { writeEnergy(e, &en, servetest.Keys(en.PerVMWh)) }},
 		} {
 			if got, want, ok := servetest.Same(c.v, c.write); !ok {
-				t.Errorf("%s (filled %v): writer differs from encoding/json:\n got %s\nwant %s", c.name, filled, got, want)
+				t.Errorf("%s (%s): writer differs from encoding/json:\n got %s\nwant %s", c.name, fill.Name, got, want)
 			}
 		}
 	}

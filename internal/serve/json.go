@@ -20,6 +20,13 @@ import (
 type Encoder struct {
 	buf []byte
 	bad bool // a NaN or ±Inf was written, or a map missed its key order
+
+	// The last float written: its bits and where its bytes sit in buf
+	// (lastEnd 0: none yet). A grouped host's shares repeat, so the
+	// next float often has the same bits and copies these bytes instead
+	// of formatting again.
+	lastBits        uint64
+	lastAt, lastEnd int
 }
 
 // Write returns the document write appends as a served body (see
@@ -28,11 +35,22 @@ type Encoder struct {
 // body allocates its buffer once, though its floats print a few digits
 // longer.
 func Write(last Body, write func(*Encoder)) Body {
-	n := len(last.data)
-	e := Encoder{buf: make([]byte, 0, n+n/8)}
-	write(&e)
+	e := sized(len(last.data))
+	write(e)
 	return e.Body()
 }
+
+// Value returns the value write appends, for Raw, or nil when it cannot
+// encode. Given the same value's bytes on the previous tick as last, it
+// sizes its buffer as Write does.
+func Value(last []byte, write func(*Encoder)) []byte {
+	e := sized(len(last))
+	write(e)
+	return e.Bytes()
+}
+
+// sized returns an Encoder with room for n bytes and an eighth more.
+func sized(n int) *Encoder { return &Encoder{buf: make([]byte, 0, n+n/8)} }
 
 // member writes what comes before a value: a comma unless the value is
 // the document or the first in its object or array, then the key when
@@ -133,8 +151,12 @@ func (e *Encoder) Floats(key string, keys []string, m map[string]float64) {
 	e.buf = append(e.buf, '}')
 }
 
-// Raw writes v, a value encoded earlier by an Encoder (see Bytes).
+// Raw writes v, a value encoded earlier by an Encoder (see Bytes). A
+// nil v, a value that could not encode, makes the body unencodable.
 func (e *Encoder) Raw(key string, v []byte) {
+	if v == nil {
+		e.bad = true
+	}
 	e.member(key)
 	e.buf = append(e.buf, v...)
 }
@@ -154,9 +176,14 @@ func List[T any](e *Encoder, key string, v []T, write func(*Encoder, *T)) {
 	e.buf = append(e.buf, ']')
 }
 
-// Bytes returns the value written so far, for Raw, and whether it can
-// encode.
-func (e *Encoder) Bytes() ([]byte, bool) { return e.buf, !e.bad }
+// Bytes returns the value written so far, for Raw, or nil when it
+// cannot encode.
+func (e *Encoder) Bytes() []byte {
+	if e.bad {
+		return nil
+	}
+	return e.buf
+}
 
 // Body returns the document as a served body, with the trailing newline
 // Encode writes, or the zero Body when it cannot encode: a NaN or ±Inf
@@ -172,12 +199,19 @@ func (e *Encoder) Body() Body {
 
 // appendFloat writes f with encoding/json's format: the shortest
 // representation in 'f' form, or 'e' form below 1e-6 and from 1e21 with
-// a one-digit negative exponent unpadded (1e-7, not 1e-07).
+// a one-digit negative exponent unpadded (1e-7, not 1e-07). A float
+// with the bits of the last one written copies its bytes.
 func (e *Encoder) appendFloat(f float64) {
+	bits := math.Float64bits(f)
+	if e.lastEnd > 0 && bits == e.lastBits {
+		e.buf = append(e.buf, e.buf[e.lastAt:e.lastEnd]...)
+		return
+	}
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		e.bad = true
 		return
 	}
+	at := len(e.buf)
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -190,6 +224,7 @@ func (e *Encoder) appendFloat(f float64) {
 		}
 	}
 	e.buf = b
+	e.lastBits, e.lastAt, e.lastEnd = bits, at, len(b)
 }
 
 const hexDigits = "0123456789abcdef"

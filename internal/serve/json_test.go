@@ -11,10 +11,12 @@ import (
 
 // FuzzAppendJSON holds the Encoder to encoding/json, its oracle: a
 // document with s as a string, an array element and a map key, and x as
-// a float and a map value, must encode to the bytes json.NewEncoder's
-// Encode writes, with a matching declared length, and to the zero Body
-// exactly where encoding/json fails (NaN and ±Inf). The seeds cover the
-// escapes (<, >, &, quote, backslash, control bytes with \b and \f,
+// a float, a map value and an array element, must encode to the bytes
+// json.NewEncoder's Encode writes, with a matching declared length, and
+// to the zero Body exactly where encoding/json fails (NaN and ±Inf).
+// The floats come in runs of equal values, which copy the last float's
+// bytes, broken by -x and by 0 next to -0. The seeds cover the escapes
+// (<, >, &, quote, backslash, control bytes with \b and \f,
 // U+2028/U+2029, invalid UTF-8) and the float edges (±0, the 1e-6 and
 // 1e21 format switches, subnormals, ±MaxFloat64).
 func FuzzAppendJSON(f *testing.F) {
@@ -31,11 +33,15 @@ func FuzzAppendJSON(f *testing.F) {
 		type doc struct {
 			S string             `json:"s"`
 			F float64            `json:"f"`
+			G float64            `json:"g"`
 			L []string           `json:"l"`
 			N []string           `json:"n"`
 			M map[string]float64 `json:"m"`
+			R []float64          `json:"r"`
 		}
-		v := doc{S: s, F: x, L: []string{s, "k"}, M: map[string]float64{s: x, "k": -x}}
+		zero, neg := 0.0, math.Copysign(0, -1)
+		v := doc{S: s, F: x, G: x, L: []string{s, "k"}, M: map[string]float64{s: x, "k": -x, "l": -x},
+			R: []float64{x, x, x, -x, -x, zero, neg, neg, zero, x}}
 		var want bytes.Buffer
 		oracleErr := json.NewEncoder(&want).Encode(v)
 
@@ -48,9 +54,11 @@ func FuzzAppendJSON(f *testing.F) {
 		e.Open("")
 		e.String("s", v.S)
 		e.Float("f", v.F)
+		e.Float("g", v.G)
 		e.Strings("l", v.L)
 		e.Strings("n", v.N)
 		e.Floats("m", keys, v.M)
+		List(&e, "r", v.R, func(e *Encoder, x *float64) { e.Float("", *x) })
 		e.Close()
 		b := e.Body()
 
@@ -91,5 +99,23 @@ func TestFloatsKeyOrder(t *testing.T) {
 		if got := string(b.data); tc.want == "" && b.OK() || tc.want != "" && got != tc.want+"\n" {
 			t.Errorf("Floats(%v, %v) = %q (OK %v), want %q", tc.keys, tc.m, got, b.OK(), tc.want)
 		}
+	}
+}
+
+// TestRawUnencodable pins how a value that cannot encode travels
+// through Raw: Bytes returns nil for it, and a body that splices it in
+// is not OK.
+func TestRawUnencodable(t *testing.T) {
+	var v Encoder
+	v.Float("", math.NaN())
+	if b := v.Bytes(); b != nil {
+		t.Fatalf("Bytes of a NaN = %q, want nil", b)
+	}
+	var e Encoder
+	e.Open("")
+	e.Raw("v", v.Bytes())
+	e.Close()
+	if e.Body().OK() {
+		t.Fatal("a body holding a value that cannot encode is OK")
 	}
 }
