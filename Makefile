@@ -23,7 +23,7 @@ GATE_BENCHTIME ?= 3x
 # Benches the gate re-measures (the headline set in cmd/benchgate).
 GATE_BENCH_RE ?= EstimateTick|ServeCached
 
-.PHONY: all build test race bench bench-json bench-gate powerbench-smoke verify experiments csv cover fmt fmt-check vet clean fuzz-short golden fleetd-smoke lifecycle-smoke
+.PHONY: all build test race bench bench-vet bench-json bench-gate powerbench-smoke verify experiments csv cover fmt fmt-check vet clean fuzz-short golden fleetd-smoke lifecycle-smoke
 
 all: build test
 
@@ -42,6 +42,13 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench/ is its own module, built against this one through a replace
+# directive, so the root `go test ./...` never compiles it. Vet and test
+# it, as CI's bench-module job does, so that removing a name the
+# benchmark uses fails here too.
+bench-vet:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Snapshot benchmark numbers (name, ns/op, allocs/op) into the committed
 # trajectory JSON for cross-commit comparison. Includes the powerbench
@@ -73,10 +80,11 @@ powerbench-smoke:
 experiments:
 	$(GO) run ./cmd/experiments -run all
 
-# Full verification: vet + race across the tree, the enforcing perf gate
-# against the committed trajectory, and every calibration band from
-# DESIGN.md §5 (exits non-zero on drift).
-verify: race bench-gate
+# Full verification: vet + race across the tree, the benchmark module's
+# vet and tests, the enforcing perf gate against the committed
+# trajectory, and every calibration band from DESIGN.md §5 (exits
+# non-zero on drift).
+verify: race bench-vet bench-gate
 	$(GO) run ./cmd/experiments -verify
 
 # Regenerate the figure CSVs under results/.

@@ -115,7 +115,7 @@ func run() error {
 
 	parallelism := *par
 	if parallelism == 0 {
-		parallelism = -1 // fleet convention: negative = all cores
+		parallelism = -1 // the flag's 0 means all cores, which par.Workers reads as -1
 	}
 	f, err := fleet.New(fleet.Config{
 		Hosts:                *hosts,

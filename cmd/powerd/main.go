@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -126,8 +125,8 @@ func run() error {
 		m = injector
 	}
 	parallelism := *par
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
+	if parallelism == 0 {
+		parallelism = -1 // the flag's 0 means all cores, which par.Workers reads as -1
 	}
 	est, err := core.New(host, m, core.Config{
 		Seed:           *seed,

@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -81,8 +80,8 @@ func run() error {
 	}
 
 	parallelism := *par
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
+	if parallelism == 0 {
+		parallelism = -1 // the flag's 0 means all cores, which par.Workers reads as -1
 	}
 	sys, err := vmpower.New(vmpower.Config{
 		Machine:         model,

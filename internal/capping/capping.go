@@ -21,37 +21,21 @@ import (
 	"vmpower/internal/vm"
 )
 
-// Options tunes the control loop. The zero value gives sensible defaults.
-type Options struct {
-	// ReleaseStep is the additive CPU-limit increase per tick while a
-	// capped VM draws less than ReleaseFraction of its cap. Default 0.05.
-	ReleaseStep float64
-	// ReleaseFraction is the fraction of the cap below which the limit
-	// is released. Default 0.9.
-	ReleaseFraction float64
-	// MinLimit floors the CPU ceiling so a capped VM is never starved
-	// completely. Default 0.05.
-	MinLimit float64
-	// Headroom scales the throttle target so the controller aims
-	// slightly below the cap, absorbing estimation noise. Default 0.95.
-	Headroom float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.ReleaseStep <= 0 {
-		o.ReleaseStep = 0.05
-	}
-	if o.ReleaseFraction <= 0 || o.ReleaseFraction >= 1 {
-		o.ReleaseFraction = 0.9
-	}
-	if o.MinLimit <= 0 {
-		o.MinLimit = 0.05
-	}
-	if o.Headroom <= 0 || o.Headroom > 1 {
-		o.Headroom = 0.95
-	}
-	return o
-}
+// The control loop's constants.
+const (
+	// releaseStep is the additive CPU-limit increase per tick while a
+	// capped VM draws less than releaseFraction of its cap.
+	releaseStep = 0.05
+	// releaseFraction is the fraction of the cap below which the limit
+	// is released.
+	releaseFraction = 0.9
+	// minLimit floors the CPU ceiling so a capped VM is never starved
+	// completely.
+	minLimit = 0.05
+	// headroom scales the throttle target so the controller aims
+	// slightly below the cap, absorbing estimation noise.
+	headroom = 0.95
+)
 
 // Action records one control decision, for logging and tests.
 type Action struct {
@@ -78,20 +62,15 @@ func (a Action) String() string {
 // Controller enforces per-VM power caps on a host.
 type Controller struct {
 	host *hypervisor.Host
-	opts Options
 	caps map[vm.ID]float64
 }
 
 // New builds a Controller for the host.
-func New(host *hypervisor.Host, opts Options) (*Controller, error) {
+func New(host *hypervisor.Host) (*Controller, error) {
 	if host == nil {
 		return nil, errors.New("capping: nil host")
 	}
-	return &Controller{
-		host: host,
-		opts: opts.withDefaults(),
-		caps: make(map[vm.ID]float64),
-	}, nil
+	return &Controller{host: host, caps: make(map[vm.ID]float64)}, nil
 }
 
 // SetCap installs a power cap (watts of attributed dynamic power) for a VM.
@@ -153,12 +132,12 @@ func (c *Controller) Observe(alloc *core.Allocation) ([]Action, error) {
 			// Multiplicative throttle toward the headroom-adjusted cap.
 			// Power is roughly proportional to the CPU ceiling, so this
 			// converges in a few ticks.
-			newLimit = limit * c.opts.Headroom * capW / power
-			if newLimit < c.opts.MinLimit {
-				newLimit = c.opts.MinLimit
+			newLimit = limit * headroom * capW / power
+			if newLimit < minLimit {
+				newLimit = minLimit
 			}
-		case power < c.opts.ReleaseFraction*capW && limit < 1:
-			newLimit = limit + c.opts.ReleaseStep
+		case power < releaseFraction*capW && limit < 1:
+			newLimit = limit + releaseStep
 			if newLimit > 1 {
 				newLimit = 1
 			}

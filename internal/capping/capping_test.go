@@ -39,7 +39,7 @@ func rig(t *testing.T) (*hypervisor.Host, *core.Estimator, *Controller) {
 	if err := est.CollectOffline(); err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := New(host, Options{})
+	ctrl, err := New(host)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func rig(t *testing.T) (*hypervisor.Host, *core.Estimator, *Controller) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, Options{}); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Fatal("want nil-host error")
 	}
 }
@@ -204,7 +204,7 @@ func TestMinLimitFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	host.SetCoalition(vm.CoalitionOf(2))
-	// An absurdly low cap cannot starve the VM below MinLimit.
+	// An absurdly low cap cannot starve the VM below minLimit.
 	if err := ctrl.SetCap(2, 0.001); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestMinLimitFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if limit < 0.05-1e-12 {
+	if limit < minLimit-1e-12 {
 		t.Fatalf("limit %g fell below the floor", limit)
 	}
 }

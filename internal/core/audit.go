@@ -142,8 +142,8 @@ const deepMaxPlayers = 16
 // exact tier, whose closed form is a different computation.
 // Comparing per-VM shares checks how the tick derived its dynamic power,
 // the compiled plan and the closed form with its corrections.
-// Monte-Carlo and fallback ticks have no exact reference and are
-// skipped, as are sets past deepMaxPlayers VMs.
+// Monte-Carlo ticks have no exact reference and are skipped, as are
+// sets past deepMaxPlayers VMs.
 func (a *Auditor) deepCheck(e *Estimator, snap hypervisor.Snapshot, alloc *Allocation, scale float64) {
 	n := len(alloc.PerVM)
 	if alloc.Method != "exact" || n > deepMaxPlayers {

@@ -22,12 +22,12 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"runtime"
 	"sync"
 
 	"vmpower/internal/hypervisor"
 	"vmpower/internal/meter"
 	"vmpower/internal/obs"
+	"vmpower/internal/par"
 	"vmpower/internal/shapley"
 	"vmpower/internal/vhc"
 	"vmpower/internal/vm"
@@ -63,39 +63,6 @@ func (a IdleAttribution) String() string {
 	}
 }
 
-// FallbackPolicy selects the degraded-mode allocation served when the
-// worth evaluation or the solver fails mid-tick (e.g. a corrupted model
-// reload): the estimator can keep serving a plausible split instead of
-// erroring the tick.
-type FallbackPolicy int
-
-const (
-	// FallbackNone propagates solver/worth errors (the strict default).
-	FallbackNone FallbackPolicy = iota
-	// FallbackProportional serves a usage-proportional (CPU-share) split
-	// of the dynamic power, flagged Degraded.
-	FallbackProportional
-	// FallbackHold re-serves the previous successful allocation's
-	// proportions rescaled to the current dynamic power, flagged
-	// Degraded; it degenerates to the proportional split before the
-	// first success.
-	FallbackHold
-)
-
-// String names the fallback policy.
-func (p FallbackPolicy) String() string {
-	switch p {
-	case FallbackNone:
-		return "none"
-	case FallbackProportional:
-		return "proportional"
-	case FallbackHold:
-		return "hold"
-	default:
-		return fmt.Sprintf("fallback(%d)", int(p))
-	}
-}
-
 // Config tunes an Estimator. The zero value gives the paper's settings.
 type Config struct {
 	// OfflineTicksPerCombo is the number of 1 Hz samples collected per
@@ -107,11 +74,6 @@ type Config struct {
 	// Seed drives the synthetic collection workloads and the Monte-Carlo
 	// sampler.
 	Seed int64
-	// MCPermutations is the Monte-Carlo sample count of the ticks the
-	// exact tier hands on: past its group-space budget (exactBudget) the
-	// correction search ran past its node cap (searchCap). Default
-	// shapley.DefaultPermutations.
-	MCPermutations int
 	// IdleAttribution selects the idle-power rule. Default IdleNone.
 	IdleAttribution IdleAttribution
 	// CollectIdleProb is the probability each VM idles on a collection
@@ -125,12 +87,12 @@ type Config struct {
 	// map — one VHC per catalog type, the paper's base setting.
 	Classes *vhc.ClassMap
 	// Parallelism is the worker count of Monte-Carlo sampling and of the
-	// deep audit's reference tabulation; the exact tier is serial. 0
-	// defaults to 1 (serial, the paper's single-threaded pipeline);
-	// negative uses all cores (GOMAXPROCS); values >= 2 use that many
-	// workers. The allocation is a deterministic function of the snapshot
-	// and Seed at any setting: the sampler's decomposition never depends
-	// on the worker count (see internal/shapley/parallel.go).
+	// deep audit's reference tabulation; the exact tier is serial. It
+	// follows par.Workers: 0 runs serial (the paper's single-threaded
+	// pipeline), negative uses all cores (GOMAXPROCS), values >= 2 use
+	// that many workers. The allocation is a deterministic function of
+	// the snapshot and Seed at any setting: the sampler's decomposition
+	// never depends on the worker count (see internal/shapley/parallel.go).
 	Parallelism int
 	// MeterRetries bounds the in-tick meter reads spent riding out
 	// dropouts and rejected (implausible) readings before the tick
@@ -144,22 +106,11 @@ type Config struct {
 	// 10; negative disables holdover entirely (any exhausted tick is a
 	// terminal error, the pre-resilience semantics).
 	HoldoverTicks int
-	// PlausibilityMargin widens the calibrated plausibility band
-	// [idle/2, peak·(1+margin)] readings must fall in; readings outside
-	// it are rejected as implied dropouts (a spiking or zeroed meter is a
-	// broken meter, not a 10x machine). 0 defaults to 0.5; negative
-	// disables the band. Non-finite readings are always rejected. The
-	// band needs a calibrated peak, so it is inert before CollectOffline
-	// (or after loading a model saved without one).
-	PlausibilityMargin float64
 	// StuckThreshold is the consecutive-identical-reading count past
 	// which the meter is presumed stuck and further identical readings
 	// are rejected as implied dropouts. 0 (the default) disables
 	// detection: noiseless simulated meters legitimately repeat readings.
 	StuckThreshold int
-	// Fallback selects the degraded-mode allocation policy on
-	// solver/worth failure. Default FallbackNone.
-	Fallback FallbackPolicy
 }
 
 func (c Config) withDefaults() Config {
@@ -169,34 +120,30 @@ func (c Config) withDefaults() Config {
 	if c.IdleMeasureTicks <= 0 {
 		c.IdleMeasureTicks = 30
 	}
-	if c.MCPermutations <= 0 {
-		c.MCPermutations = shapley.DefaultPermutations
-	}
-	switch {
-	case c.Parallelism == 0:
-		c.Parallelism = 1
-	case c.Parallelism < 0:
-		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
+	c.Parallelism = par.Workers(c.Parallelism)
 	if c.MeterRetries <= 0 {
 		c.MeterRetries = 32
 	}
 	if c.HoldoverTicks == 0 {
 		c.HoldoverTicks = 10
 	}
-	if c.PlausibilityMargin == 0 {
-		c.PlausibilityMargin = 0.5
-	}
 	return c
 }
 
+// plausibilityMargin widens the calibrated plausibility band
+// [idle/2, peak·(1+margin)] online readings must fall in; readings
+// outside it are rejected as implied dropouts (a spiking or zeroed meter
+// is a broken meter, not a 10x machine). Non-finite readings are always
+// rejected. The band needs a calibrated peak, so it is inert before
+// CollectOffline (or after loading a model saved without one).
+const plausibilityMargin = 0.5
+
 // Solver tiers, as recorded in Provenance.Tier: the closed-form exact
-// tier, Monte-Carlo sampling of the ticks whose correction search runs
-// past its cap, and the degraded-mode fallback split.
+// tier and Monte-Carlo sampling of the ticks whose correction search
+// runs past its cap.
 const (
 	TierExact      = "exact"
 	TierMonteCarlo = "montecarlo"
-	TierFallback   = "fallback"
 )
 
 // Tier-gate reasons. Constant strings only: the hot path writes them
@@ -206,7 +153,6 @@ const (
 	reasonExact     = "group space within the exact budget"
 	reasonExactCap  = "group space beyond the exact budget; correction search within its node cap"
 	reasonMCCap     = "group space beyond the exact budget; correction search past its node cap"
-	reasonFallback  = "solver/worth failure; fallback policy split"
 )
 
 // Provenance records how a tick's allocation was produced: the solver
@@ -222,24 +168,24 @@ type Provenance struct {
 	Tier       string
 	TierReason string
 	// Evaluated counts the count vectors whose worth the exact tier's
-	// correction search evaluated (zero on Monte-Carlo and fallback
-	// ticks). DirtyVMs and Reused are always zero: the exact tier keeps
+	// correction search evaluated (zero on Monte-Carlo ticks). DirtyVMs
+	// and Reused are always zero: the exact tier keeps
 	// no state across ticks. Both stay for readers of the earlier
 	// incremental tiers' provenance.
 	DirtyVMs  int
 	Evaluated int
 	Reused    int
 	// MaxStdErrWatts is the largest finite per-VM standard error of a
-	// Monte-Carlo tick's shares (Allocation.StdErr); 0 on exact and
-	// fallback ticks, whose shares carry no sampling error.
+	// Monte-Carlo tick's shares (Allocation.StdErr); 0 on exact ticks,
+	// whose shares carry no sampling error.
 	MaxStdErrWatts float64
 	// ModelResidualWatts is δ = dyn − v̂(N): the measured dynamic power
 	// minus the model's own worth of the running set (the table mean on
 	// an exact-match hit, else the clamped linear worth). The meter
 	// overrides v̂(N), and on the exact tier that adds exactly δ/n to
 	// every running VM's share. ModelResidualRel is δ/dyn (0 when dyn is
-	// 0). Both are 0 on fallback ticks, with no VM running, and when the
-	// running set's combination is untrained.
+	// 0). Both are 0 with no VM running and when the running set's
+	// combination is untrained.
 	ModelResidualWatts float64
 	ModelResidualRel   float64
 	// EfficiencyResidualWatts is |Σφ − dynamic| as measured by the
@@ -268,25 +214,22 @@ type Allocation struct {
 	// IdlePerVM is each VM's idle-power share under the configured
 	// attribution rule (nil for IdleNone).
 	IdlePerVM []float64
-	// Method records how the Shapley value was computed ("exact",
-	// "montecarlo" or "fallback" for a degraded-mode split).
+	// Method records how the Shapley value was computed ("exact" or
+	// "montecarlo").
 	Method string
 	// StdErr is each VM's standard error of its PerVM share on a
 	// Monte-Carlo tick, indexed by vm.ID (stopped VMs get 0); nil on
-	// exact and fallback ticks.
+	// exact ticks.
 	StdErr []float64
 	// SymmetryClasses is the number of groups the exact tier solved over:
 	// running VMs of one VHC class with bit-equal state form one group.
-	// It is 0 on Monte-Carlo and fallback ticks.
+	// It is 0 on Monte-Carlo ticks.
 	SymmetryClasses int
 	// Degraded marks an allocation produced under fault handling: the
-	// measured power is a held-over stale sample, or the shares came from
-	// the fallback policy rather than the Shapley solver. Degraded
-	// allocations are still efficient against MeasuredPower but carry
-	// reduced confidence.
+	// measured power is a held-over stale sample. Degraded allocations are
+	// still efficient against MeasuredPower but carry reduced confidence.
 	Degraded bool
-	// DegradedReason says why ("holdover: ..." or "fallback: ...");
-	// empty on clean ticks.
+	// DegradedReason says why ("holdover: ..."); empty on clean ticks.
 	DegradedReason string
 	// HoldoverAgeTicks is the age of the meter sample backing this
 	// allocation: 0 when fresh, otherwise ticks since the last good
@@ -327,7 +270,6 @@ type Estimator struct {
 	haveGood     bool
 	stuckRun     int
 	lastRaw      float64
-	lastShares   []float64
 
 	// The compiled worth plan, recompiled lazily whenever the
 	// approximator's epoch moves (retraining, model reload). planMu
@@ -494,9 +436,9 @@ func (e *Estimator) rejectReason(p float64) string {
 			return fmt.Sprintf("stuck-at reading (%d identical)", e.stuckRun)
 		}
 	}
-	if e.cfg.PlausibilityMargin >= 0 && e.peakPower > 0 {
+	if e.peakPower > 0 {
 		lo := e.idlePower / 2
-		hi := e.peakPower * (1 + e.cfg.PlausibilityMargin)
+		hi := e.peakPower * (1 + plausibilityMargin)
 		if p < lo || p > hi {
 			return fmt.Sprintf("out-of-band reading (%.6g W outside [%.6g, %.6g])", p, lo, hi)
 		}
@@ -730,15 +672,9 @@ func (e *Estimator) EstimateTickSpan(sp *obs.Span) (*Allocation, error) {
 	sp.Mark("meter")
 	alloc, err := e.estimateTick(&e.scratch, snap, rd.sample.Power, sp)
 	if err != nil {
-		alloc, err = e.fallbackAllocation(snap, rd.sample.Power, err)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// Remember the proportions for FallbackHold.
-		e.lastShares = alloc.PerVM
-		metrics().noteTick(alloc)
+		return nil, err
 	}
+	metrics().noteTick(alloc)
 	if rd.degraded {
 		alloc.Degraded = true
 		alloc.DegradedReason = rd.reason
@@ -764,68 +700,6 @@ func (e *Estimator) PlanCompileStats() (compiles, compileErrors uint64) {
 	e.planMu.Lock()
 	defer e.planMu.Unlock()
 	return e.planCompiles, e.planCompileErrors
-}
-
-// fallbackAllocation serves the degraded-mode split after a solver or
-// worth-evaluation failure, per the configured FallbackPolicy: the
-// previous allocation's proportions (FallbackHold) or a usage-
-// proportional CPU split (FallbackProportional), both rescaled to the
-// current dynamic power so Efficiency still holds against the meter.
-func (e *Estimator) fallbackAllocation(snap hypervisor.Snapshot, measuredTotal float64, cause error) (*Allocation, error) {
-	if e.cfg.Fallback == FallbackNone {
-		return nil, cause
-	}
-	n := e.host.Set().Len()
-	dyn := measuredTotal - e.idlePower
-	if dyn < 0 {
-		dyn = 0
-	}
-	alloc := &Allocation{
-		Tick:           snap.Tick,
-		MeasuredPower:  measuredTotal,
-		DynamicPower:   dyn,
-		PerVM:          make([]float64, n),
-		Method:         "fallback",
-		Degraded:       true,
-		DegradedReason: fmt.Sprintf("fallback(%s): %v", e.cfg.Fallback, cause),
-	}
-	alloc.Prov.Tier = TierFallback
-	alloc.Prov.TierReason = reasonFallback
-	members := e.scratch.groups.runningMembers(snap)
-	if len(members) == 0 {
-		alloc.DynamicPower = 0
-		return e.attributeIdle(alloc, members), nil
-	}
-	weights := make([]float64, n)
-	var total float64
-	// The length check (not just nil) protects against a roster that grew
-	// since the shares were remembered (hot-plug between ticks).
-	if e.cfg.Fallback == FallbackHold && len(e.lastShares) == n {
-		for _, i := range members {
-			w := math.Max(e.lastShares[i], 0)
-			weights[i] = w
-			total += w
-		}
-	}
-	if total <= 0 {
-		// Usage-proportional split (also FallbackHold's bootstrap).
-		for _, i := range members {
-			w := snap.States[i][vm.CPU]
-			weights[i] = w
-			total += w
-		}
-	}
-	if total <= 0 {
-		// Nothing reports usage: split equally across running VMs.
-		for _, i := range members {
-			weights[i] = 1
-		}
-		total = float64(len(members))
-	}
-	for _, i := range members {
-		alloc.PerVM[i] = dyn * weights[i] / total
-	}
-	return e.attributeIdle(alloc, members), nil
 }
 
 // Estimate disaggregates a measured total power across the snapshot's
@@ -875,8 +749,8 @@ func (e *Estimator) buildWorth(running vm.Coalition, states []vm.State, dyn floa
 // compiling one lazily when the model has changed since the last compile
 // (CollectOffline, LoadModel, or any direct approximator mutation — all
 // advance vhc.Approximator.Epoch). A failed compile returns its error, so
-// the tick falls to the configured Fallback policy; it is not retried
-// until the model changes again. Safe from any goroutine.
+// every tick fails until the model changes again; it is not retried
+// before then. Safe from any goroutine.
 func (e *Estimator) ensurePlan() (*vhc.Plan, error) {
 	epoch := e.approx.Epoch()
 	e.planMu.Lock()
@@ -901,18 +775,16 @@ func (e *Estimator) ensurePlan() (*vhc.Plan, error) {
 	return p, nil
 }
 
-// InvalidatePlan discards the compiled worth plan and the fallback-hold
-// proportions, the structures keyed on the VM set's shape. Call it after
-// mutating the host's roster (hypervisor.Host.AddVM) — the approximator
-// epoch only tracks the model, not the set, so without this the next
-// tick would evaluate a plan compiled for the old n. Same
-// single-goroutine contract as EstimateTickSpan.
+// InvalidatePlan discards the compiled worth plan, which is keyed on the
+// VM set's shape. Call it after mutating the host's roster
+// (hypervisor.Host.AddVM) — the approximator epoch only tracks the model,
+// not the set, so without this the next tick would evaluate a plan
+// compiled for the old n.
 func (e *Estimator) InvalidatePlan() {
 	e.planMu.Lock()
 	e.plan = nil
 	e.planErr = nil
 	e.planMu.Unlock()
-	e.lastShares = nil
 }
 
 // CalibratedForClass reports whether offline collection trained a model
@@ -1066,7 +938,7 @@ func (e *Estimator) estimateTick(sc *scratch, snap hypervisor.Snapshot, measured
 		alloc.Prov.TierReason = reasonMCCap
 		worth, worthErr := planWorth(plan, running, snap.States, dyn)
 		res, err := shapley.MonteCarlo(n, worth, shapley.MCOptions{
-			Permutations: e.cfg.MCPermutations,
+			Permutations: shapley.DefaultPermutations,
 			Seed:         e.cfg.Seed ^ int64(snap.Tick),
 			Parallelism:  e.cfg.Parallelism,
 		})

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"vmpower/internal/faults"
 	"vmpower/internal/hypervisor"
 	"vmpower/internal/machine"
 	"vmpower/internal/meter"
@@ -309,10 +310,15 @@ func TestMeterDropoutRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := meter.NewSim(host.PowerSource(), meter.SimOptions{DropoutProb: 0.4, Seed: 7})
+	sim, err := meter.NewSim(host.PowerSource(), meter.SimOptions{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, err := faults.Wrap(sim, faults.Options{DropoutProb: 0.4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetArmed(true)
 	est, err := New(host, m, Config{OfflineTicksPerCombo: 60, IdleMeasureTicks: 5, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -327,6 +333,9 @@ func TestMeterDropoutRetries(t *testing.T) {
 	host.Advance(1)
 	if _, err := est.EstimateTick(); err != nil {
 		t.Fatal(err)
+	}
+	if m.Injected().Dropouts == 0 {
+		t.Fatal("no dropouts injected")
 	}
 }
 
@@ -352,7 +361,7 @@ func mcRig(t *testing.T, cfg Config) (*hypervisor.Host, *Estimator) {
 }
 
 func TestMonteCarloPathForLargeSets(t *testing.T) {
-	host, est := mcRig(t, Config{Seed: 8, MCPermutations: 128})
+	host, est := mcRig(t, Config{Seed: 8})
 	host.Advance(1)
 	alloc, err := est.EstimateTick()
 	if err != nil {
@@ -373,10 +382,10 @@ func TestMonteCarloPathForLargeSets(t *testing.T) {
 
 // TestMonteCarloStdErrServed pins the uncertainty a Monte-Carlo tick
 // serves: Allocation.StdErr is the sampler's per-VM standard error bit
-// for bit, and Provenance.MaxStdErrWatts its largest value. Exact and
-// fallback ticks carry neither.
+// for bit, and Provenance.MaxStdErrWatts its largest value. Exact ticks
+// carry neither.
 func TestMonteCarloStdErrServed(t *testing.T) {
-	host, est := mcRig(t, Config{Seed: 5, MCPermutations: 64})
+	host, est := mcRig(t, Config{Seed: 5})
 	for tick := 0; tick < 3; tick++ {
 		host.Advance(1)
 		alloc, err := est.EstimateTick()
@@ -393,7 +402,7 @@ func TestMonteCarloStdErrServed(t *testing.T) {
 		}
 		worth, _ := planWorth(plan, runningMask(t, snap), snap.States, alloc.DynamicPower)
 		res, err := shapley.MonteCarlo(len(alloc.PerVM), worth, shapley.MCOptions{
-			Permutations: 64, Seed: 5 ^ int64(snap.Tick), Parallelism: 1,
+			Permutations: shapley.DefaultPermutations, Seed: 5 ^ int64(snap.Tick), Parallelism: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -410,7 +419,7 @@ func TestMonteCarloStdErrServed(t *testing.T) {
 		}
 	}
 
-	host, est = testRig(t, Config{Seed: 5, Fallback: FallbackProportional})
+	host, est = testRig(t, Config{Seed: 5})
 	if err := est.CollectOffline(); err != nil {
 		t.Fatal(err)
 	}
@@ -420,14 +429,8 @@ func TestMonteCarloStdErrServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fallback, err := est.fallbackAllocation(host.Collect(), exact.MeasuredPower, errors.New("injected"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range []*Allocation{exact, fallback} {
-		if a.StdErr != nil || a.Prov.MaxStdErrWatts != 0 {
-			t.Fatalf("%s tick: StdErr %v, MaxStdErrWatts %g, want none", a.Prov.Tier, a.StdErr, a.Prov.MaxStdErrWatts)
-		}
+	if exact.StdErr != nil || exact.Prov.MaxStdErrWatts != 0 {
+		t.Fatalf("exact tick: StdErr %v, MaxStdErrWatts %g, want none", exact.StdErr, exact.Prov.MaxStdErrWatts)
 	}
 }
 
@@ -793,8 +796,8 @@ func TestParallelismDeterministicAllocations(t *testing.T) {
 	}{
 		{"exact", Config{Seed: 12}, false, false},
 		{"exact-legacy", Config{Seed: 12}, false, true},
-		{"montecarlo", Config{Seed: 12, MCPermutations: 96}, true, false},
-		{"montecarlo-legacy", Config{Seed: 12, MCPermutations: 96}, true, true},
+		{"montecarlo", Config{Seed: 12}, true, false},
+		{"montecarlo-legacy", Config{Seed: 12}, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			estimate := func(parallelism int) []float64 {

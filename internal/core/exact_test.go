@@ -330,12 +330,13 @@ func TestExactCoversReplacedTierLayouts(t *testing.T) {
 
 // TestMonteCarloSharesPinned pins the Monte-Carlo tier's shares bit for
 // bit on mcRig, whose ticks the correction search cannot finish under
-// searchCap: six sampled ticks must hash to the digest the same shape
+// searchCap: six sampled ticks at the production budget of
+// shapley.DefaultPermutations must hash to the digest the same shape
 // produced when every tick past the exact budget was sampled, so a tick
 // that is still sampled keeps its bits.
 func TestMonteCarloSharesPinned(t *testing.T) {
-	const want = uint64(0x6617407c9b221c3a)
-	host, est := mcRig(t, Config{Seed: 8, MCPermutations: 64})
+	const want = uint64(0xc3949e12c5ea125f)
+	host, est := mcRig(t, Config{Seed: 8})
 	h := fnv.New64a()
 	var buf [8]byte
 	for tick := 0; tick < 6; tick++ {
@@ -443,7 +444,7 @@ func TestExactServesSPEC24PastBudget(t *testing.T) {
 		}
 		worth, _ := planWorth(plan, runningMask(t, snap), snap.States, alloc.DynamicPower)
 		res, err := shapley.MonteCarlo(len(alloc.PerVM), worth, shapley.MCOptions{
-			Permutations: est.cfg.MCPermutations, Seed: est.cfg.Seed ^ int64(snap.Tick), Parallelism: 1,
+			Seed: est.cfg.Seed ^ int64(snap.Tick), Parallelism: 1,
 		})
 		if err != nil {
 			t.Fatal(err)

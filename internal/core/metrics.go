@@ -13,8 +13,8 @@ import (
 type Metrics struct {
 	// PlanCompiles counts worth-plan compilations
 	// (vmpower_plan_compiles_total); PlanCompileErrors counts failed
-	// compiles, each of which sends ticks to the fallback policy until
-	// the model changes (vmpower_plan_compile_errors_total).
+	// compiles, after each of which ticks fail until the model changes
+	// (vmpower_plan_compile_errors_total).
 	PlanCompiles      *obs.Counter
 	PlanCompileErrors *obs.Counter
 	// ModelResidual is δ/dyn of each EstimateTick tick served by the
@@ -58,7 +58,7 @@ func Instrument(reg *obs.Registry) {
 		PlanCompiles: reg.Counter("vmpower_plan_compiles_total",
 			"compiled worth-plan builds (one per model epoch)"),
 		PlanCompileErrors: reg.Counter("vmpower_plan_compile_errors_total",
-			"worth-plan compiles that failed (ticks fall to the fallback policy until the model changes)"),
+			"worth-plan compiles that failed (ticks fail until the model changes)"),
 		ModelResidual: reg.Histogram("vmpower_model_residual_ratio",
 			"(dynamic - model worth of the running set) / dynamic, per served tick", residualBuckets),
 		AuditChecks: reg.Counter("vmpower_audit_checks_total",

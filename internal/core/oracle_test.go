@@ -57,9 +57,8 @@ func legacyEstimate(t *testing.T, e *Estimator, snap hypervisor.Snapshot, measur
 	} else {
 		alloc.Method = "montecarlo"
 		res, err := shapley.MonteCarlo(n, worth, shapley.MCOptions{
-			Permutations: e.cfg.MCPermutations,
-			Seed:         e.cfg.Seed ^ int64(snap.Tick),
-			Parallelism:  e.cfg.Parallelism,
+			Seed:        e.cfg.Seed ^ int64(snap.Tick),
+			Parallelism: e.cfg.Parallelism,
 		})
 		if err != nil {
 			t.Fatal(err)

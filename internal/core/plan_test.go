@@ -204,7 +204,7 @@ func TestPlanParallelismDeepEqual(t *testing.T) {
 // sampler; with a fixed seed the result must match the legacy route bit
 // for bit.
 func TestPlanMonteCarloMatchesLegacy(t *testing.T) {
-	host, est := mcRig(t, Config{Seed: 11, MCPermutations: 64})
+	host, est := mcRig(t, Config{Seed: 11})
 	for tick := 0; tick < 6; tick++ {
 		host.Advance(1)
 		alloc, err := est.EstimateTick()
@@ -223,11 +223,10 @@ func TestPlanMonteCarloMatchesLegacy(t *testing.T) {
 }
 
 // TestPlanCompileErrorFallsToPolicy pins what a failed plan compile
-// does now that no route bypasses the plan: the tick returns the compile
-// error, which the Fallback policy serves as a degraded split, and each
-// model epoch gets one compile attempt.
+// does now that no route bypasses the plan: every tick returns the
+// compile error, and each model epoch gets one compile attempt.
 func TestPlanCompileErrorFallsToPolicy(t *testing.T) {
-	host, est := testRig(t, Config{Seed: 3, Fallback: FallbackProportional})
+	host, est := testRig(t, Config{Seed: 3})
 	if err := est.CollectOffline(); err != nil {
 		t.Fatal(err)
 	}
@@ -238,12 +237,8 @@ func TestPlanCompileErrorFallsToPolicy(t *testing.T) {
 	tick := func() {
 		t.Helper()
 		host.Advance(1)
-		alloc, err := est.EstimateTick()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if alloc.Prov.Tier != TierFallback || !alloc.Degraded {
-			t.Fatalf("tier %s degraded %v, want the fallback split", alloc.Prov.Tier, alloc.Degraded)
+		if alloc, err := est.EstimateTick(); !errors.Is(err, vhc.ErrPlan) {
+			t.Fatalf("tick served %+v, error %v: want vhc.ErrPlan", alloc, err)
 		}
 	}
 	for i := 0; i < 3; i++ {

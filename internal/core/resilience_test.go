@@ -152,21 +152,6 @@ func TestPlausibilityGateRejectsSpikesAndNaN(t *testing.T) {
 	}
 }
 
-func TestPlausibilityGateDisabled(t *testing.T) {
-	est := trainedRig(t, Config{Seed: 11, PlausibilityMargin: -1})
-	fresh := step(t, est)
-	spike := fresh.MeasuredPower * 10
-	if err := est.SetMeter(meterFunc(func() (meter.Sample, error) {
-		return meter.Sample{Power: spike}, nil
-	})); err != nil {
-		t.Fatal(err)
-	}
-	alloc := step(t, est)
-	if alloc.RejectedSamples != 0 || alloc.MeasuredPower != spike {
-		t.Fatalf("disabled gate still rejected: %+v", alloc)
-	}
-}
-
 func TestStuckAtDetection(t *testing.T) {
 	est := trainedRig(t, Config{Seed: 13, StuckThreshold: 3, HoldoverTicks: 20})
 	fresh := step(t, est)
@@ -196,55 +181,6 @@ func TestStuckAtDetection(t *testing.T) {
 	}
 	if a3.RejectedSamples == 0 {
 		t.Fatal("stuck readings not counted as rejected")
-	}
-}
-
-func TestFallbackAllocationDirect(t *testing.T) {
-	// Drive fallbackAllocation directly: it must split the dynamic power
-	// across running VMs, sum to dyn, and flag the allocation.
-	est := trainedRig(t, Config{Seed: 19, Fallback: FallbackProportional})
-	step(t, est)
-	snap := est.Host().Collect()
-	cause := errors.New("solver exploded")
-	alloc, err := est.fallbackAllocation(snap, est.IdlePower()+30, cause)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !alloc.Degraded || alloc.Method != "fallback" {
-		t.Fatalf("fallback not flagged: %+v", alloc)
-	}
-	if !strings.Contains(alloc.DegradedReason, "solver exploded") {
-		t.Fatalf("reason %q", alloc.DegradedReason)
-	}
-	var sum float64
-	for _, p := range alloc.PerVM {
-		if p < 0 {
-			t.Fatalf("negative fallback share %g", p)
-		}
-		sum += p
-	}
-	if math.Abs(sum-alloc.DynamicPower) > 1e-9 {
-		t.Fatalf("fallback inefficient: %g vs %g", sum, alloc.DynamicPower)
-	}
-
-	// FallbackNone propagates the cause.
-	est.cfg.Fallback = FallbackNone
-	if _, err := est.fallbackAllocation(snap, 100, cause); !errors.Is(err, cause) {
-		t.Fatalf("want cause, got %v", err)
-	}
-
-	// FallbackHold reuses the last shares' proportions.
-	est.cfg.Fallback = FallbackHold
-	hold, err := est.fallbackAllocation(snap, est.IdlePower()+30, cause)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum = 0
-	for _, p := range hold.PerVM {
-		sum += p
-	}
-	if math.Abs(sum-hold.DynamicPower) > 1e-9 {
-		t.Fatalf("hold fallback inefficient: %g vs %g", sum, hold.DynamicPower)
 	}
 }
 

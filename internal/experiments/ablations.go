@@ -89,11 +89,11 @@ func runMC(cfg Config) (*Result, error) {
 		return maxE, meanE
 	}
 	for _, perms := range counts {
-		mc, err := shapley.MonteCarlo(n, tableWorth, shapley.MCOptions{Permutations: perms, Seed: cfg.Seed})
+		mc, err := shapley.MonteCarlo(n, tableWorth, shapley.MCOptions{Permutations: perms, Seed: cfg.Seed, Parallelism: -1})
 		if err != nil {
 			return nil, err
 		}
-		anti, err := shapley.MonteCarlo(n, tableWorth, shapley.MCOptions{Permutations: perms, Antithetic: true, Seed: cfg.Seed})
+		anti, err := shapley.MonteCarlo(n, tableWorth, shapley.MCOptions{Permutations: perms, Antithetic: true, Seed: cfg.Seed, Parallelism: -1})
 		if err != nil {
 			return nil, err
 		}

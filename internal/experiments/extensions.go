@@ -68,7 +68,7 @@ func runCapping(cfg Config) (*Result, error) {
 	}
 
 	const capW = 25.0
-	ctrl, err := capping.New(host, capping.Options{})
+	ctrl, err := capping.New(host)
 	if err != nil {
 		return nil, err
 	}

@@ -21,10 +21,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"vmpower/internal/core"
@@ -32,6 +29,7 @@ import (
 	"vmpower/internal/hypervisor"
 	"vmpower/internal/machine"
 	"vmpower/internal/meter"
+	"vmpower/internal/par"
 	"vmpower/internal/vm"
 	"vmpower/internal/workload"
 )
@@ -69,10 +67,10 @@ type Config struct {
 	// CalibrationTicks is the per-combination offline sample count.
 	CalibrationTicks int
 	// Parallelism bounds the one worker pool that both Calibrate and
-	// Step fan hosts out to, following the core.Config convention: 0
-	// defaults to 1 (serial), negative uses all cores (GOMAXPROCS), >= 2
-	// uses that many workers, the calling goroutine among them. Models
-	// and tick contents are bit-for-bit identical at any setting.
+	// Step fan hosts out to, following par.Workers: 0 runs serial,
+	// negative uses all cores (GOMAXPROCS), >= 2 uses that many workers,
+	// the calling goroutine among them. Models and tick contents are
+	// bit-for-bit identical at any setting.
 	Parallelism int
 	// TickInterval is the wall-clock duration one Step covers; the energy
 	// rollups integrate watts × interval per tick. 0 defaults to 1 s (the
@@ -83,13 +81,12 @@ type Config struct {
 	// that succeeds readmits the host that same tick). 0 defaults to 5;
 	// negative disables probing (quarantine is then permanent).
 	QuarantineProbeTicks int
-	// MeterRetries, HoldoverTicks, StuckThreshold and Fallback are
-	// forwarded to every host's core.Config (zero values take the core
-	// defaults), so the whole pool shares one degradation ladder.
+	// MeterRetries, HoldoverTicks and StuckThreshold are forwarded to
+	// every host's core.Config (zero values take the core defaults), so
+	// the whole pool shares one degradation ladder.
 	MeterRetries   int
 	HoldoverTicks  int
 	StuckThreshold int
-	Fallback       core.FallbackPolicy
 }
 
 // HostState is one host's place in the fleet degradation ladder.
@@ -99,7 +96,7 @@ const (
 	// HostHealthy means the last tick produced a fresh allocation.
 	HostHealthy HostState = iota
 	// HostDegraded means the last tick produced a degraded allocation
-	// (holdover or fallback) — still counted in the rollups.
+	// (holdover) — still counted in the rollups.
 	HostDegraded
 	// HostQuarantined means the host's estimator returned an error (it
 	// exhausted its degradation ladder); its VMs are unaccounted until a
@@ -267,7 +264,7 @@ type Fleet struct {
 	byName     map[string]*placement
 	order      []string // every VM ever admitted, admission order
 
-	par        int
+	workers    int
 	probeEvery int
 	emptyHosts int
 
@@ -357,12 +354,6 @@ func New(cfg Config, reqs []VMRequest) (*Fleet, error) {
 	if cfg.MeterNoise < 0 {
 		return nil, fmt.Errorf("fleet: negative meter noise %g (0 means noiseless)", cfg.MeterNoise)
 	}
-	switch {
-	case cfg.Parallelism == 0:
-		cfg.Parallelism = 1
-	case cfg.Parallelism < 0:
-		cfg.Parallelism = runtime.GOMAXPROCS(0)
-	}
 	if cfg.QuarantineProbeTicks == 0 {
 		cfg.QuarantineProbeTicks = 5
 	}
@@ -434,7 +425,7 @@ func New(cfg Config, reqs []VMRequest) (*Fleet, error) {
 		energyWs:   make(map[string]float64, len(reqs)),
 		degradedWs: make(map[string]float64),
 		drains:     make(map[int]*drainState),
-		par:        cfg.Parallelism,
+		workers:    par.Workers(cfg.Parallelism),
 		probeEvery: cfg.QuarantineProbeTicks,
 		dt:         cfg.TickInterval.Seconds(),
 	}
@@ -475,7 +466,6 @@ func New(cfg Config, reqs []VMRequest) (*Fleet, error) {
 			MeterRetries:         cfg.MeterRetries,
 			HoldoverTicks:        cfg.HoldoverTicks,
 			StuckThreshold:       cfg.StuckThreshold,
-			Fallback:             cfg.Fallback,
 		})
 		if err != nil {
 			return nil, err
@@ -636,7 +626,7 @@ func (f *Fleet) InjectFaults(h int, opts faults.Options) (*faults.Meter, error) 
 // failing host.
 func (f *Fleet) Calibrate() error {
 	errs := make([]error, len(f.estimators))
-	fanOut(len(f.estimators), f.par, func(i int) { errs[i] = f.estimators[i].CollectOffline() })
+	par.For(len(f.estimators), f.workers, func(i int) { errs[i] = f.estimators[i].CollectOffline() })
 	for i, err := range errs {
 		if err != nil {
 			return fmt.Errorf("fleet: host %d: %w", i, err)
@@ -1284,41 +1274,6 @@ func (f *Fleet) AuditConservation(t *Tick, tol float64) []string {
 	return problems
 }
 
-// fanOut calls do(i) for every i in [0, n) on at most par goroutines,
-// the calling one among them, and returns when every call has. Workers
-// claim the next index from a shared counter, so no index waits for a
-// handoff to a particular goroutine: the caller starts on index 0 at
-// once, and a worker that wakes late takes whatever is left. do must be
-// safe to run concurrently for distinct indices.
-func fanOut(n, par int, do func(i int)) {
-	if par = min(par, n); par <= 1 {
-		for i := 0; i < n; i++ {
-			do(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			do(i)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(par - 1)
-	for w := 1; w < par; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-}
-
 // Step advances every host one tick and aggregates the allocations.
 //
 // Hosts are advanced and estimated by a bounded worker pool
@@ -1329,8 +1284,8 @@ func fanOut(n, par int, do func(i int)) {
 // A host whose estimator fails does not abort the fleet tick: the host is
 // quarantined (its VMs land in Tick.Unaccounted), and every
 // QuarantineProbeTicks the fleet re-tries it; a successful probe readmits
-// the host with that tick's allocation. Degraded (holdover/fallback)
-// allocations are counted in the rollups and flagged per host.
+// the host with that tick's allocation. Degraded (holdover) allocations
+// are counted in the rollups and flagged per host.
 //
 // Step must be driven from one goroutine; the returned error is always
 // nil today and reserved for conditions that prevent a tick entirely.
@@ -1359,7 +1314,7 @@ func (f *Fleet) Step() (*Tick, error) {
 	// indices.
 	allocs := make([]*core.Allocation, n)
 	errs := make([]error, n)
-	fanOut(n, f.par, func(i int) {
+	par.For(n, f.workers, func(i int) {
 		f.hosts[i].Advance(1)
 		if estimate[i] {
 			allocs[i], errs[i] = f.estimators[i].EstimateTick()
@@ -1510,6 +1465,11 @@ func (f *Fleet) Run(n int, fn func(*Tick) bool) error {
 // rollups so far: ticks × TickInterval, as real seconds.
 func (f *Fleet) ElapsedSeconds() float64 { return f.elapsed }
 
+// TickSeconds is the wall-clock time one Step covers (Config.TickInterval,
+// as real seconds): the dt every energy rollup integrates a tick's watts
+// over.
+func (f *Fleet) TickSeconds() float64 { return f.dt }
+
 // EnergyWhByTenant returns cumulative attributed energy per tenant in
 // watt-hours since the fleet started stepping, including energy from
 // degraded ticks (see DegradedEnergyWhByTenant for that slice alone).
@@ -1526,8 +1486,8 @@ func (f *Fleet) EnergyWhByTenant() map[string]float64 {
 }
 
 // DegradedEnergyWhByTenant returns the portion of each tenant's
-// cumulative energy that was integrated from degraded (holdover or
-// fallback) host ticks — the watt-hours a bill might exclude or annotate
+// cumulative energy that was integrated from degraded (holdover) host
+// ticks — the watt-hours a bill might exclude or annotate
 // as reduced-confidence. Tenants with no degraded energy are absent.
 func (f *Fleet) DegradedEnergyWhByTenant() map[string]float64 {
 	out := make(map[string]float64)

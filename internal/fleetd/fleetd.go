@@ -125,8 +125,8 @@ type ScenarioJSON struct {
 }
 
 // EnergyJSON is the wire form of the cumulative energy counters. The
-// degraded slice is the watt-hours integrated from holdover/fallback
-// ticks — included in the per-tenant totals, broken out for billing.
+// degraded slice is the watt-hours integrated from holdover ticks —
+// included in the per-tenant totals, broken out for billing.
 // Seconds is the real integrated time (ticks × tick interval), not the
 // tick count.
 type EnergyJSON struct {

@@ -328,7 +328,7 @@ func (o *serverObs) noteProvenance(s *Server, now time.Time, tick *fleet.Tick) {
 	rec.Names = rec.Names[:0]
 	rec.PerVMWatts = rec.PerVMWatts[:0]
 	rec.PerVMEnergyWs = rec.PerVMEnergyWs[:0]
-	dt := o.Interval.Seconds()
+	dt := s.f.TickSeconds()
 	for _, name := range o.order {
 		w, ok := tick.PerVM[name]
 		if !ok {

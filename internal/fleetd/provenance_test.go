@@ -1,10 +1,15 @@
 package fleetd
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"math"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"vmpower/internal/core"
 	"vmpower/internal/fleet"
@@ -65,7 +70,7 @@ func TestFleetChaosProvenanceSurface(t *testing.T) {
 	}
 
 	// Conservation held on every rollup, and the per-host solver audit
-	// stayed silent through degradation, holdover and fallback.
+	// stayed silent through degradation and holdover.
 	if v := reg.Counter("vmpower_fleet_audit_checks_total", "").Value(); v != ticks {
 		t.Fatalf("fleet audit checks = %d, want %d", v, ticks)
 	}
@@ -155,6 +160,58 @@ func TestFleetChaosProvenanceSurface(t *testing.T) {
 	for _, hs := range st.HostStates {
 		if hs.State == fleet.HostHealthy.String() && hs.Tier == "" {
 			t.Fatalf("healthy host %d has no tier on the wire: %+v", hs.Host, hs)
+		}
+	}
+}
+
+// TestFleetFlightRecordBilledEnergy pins the flight record's per-VM
+// energy to what the fleet bills, watts × the fleet's tick interval,
+// when the fleet steps every 250 ms and is instrumented at 1 s.
+func TestFleetFlightRecordBilledEnergy(t *testing.T) {
+	f, err := fleet.New(fleet.Config{
+		Seed:             1,
+		CalibrationTicks: 40,
+		TickInterval:     250 * time.Millisecond,
+	}, []fleet.VMRequest{
+		{Name: "a1", Tenant: "acme", Type: 3, Workload: "gcc", WorkloadSeed: 11},
+		{Name: "b1", Tenant: "edu-lab", Type: 0, Workload: "namd", WorkloadSeed: 15},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Calibrate(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Instrument(obs.NewRegistry(), obs.NewLogger(io.Discard, obs.LevelError, obs.FormatKV), time.Second)
+	if _, err := srv.Step(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := srv.DumpFlight(&buf, "test"); err != nil {
+		t.Fatal(err)
+	}
+	var dump struct{ Records []obs.FlightRecord }
+	if err := json.Unmarshal(buf.Bytes(), &dump); err != nil {
+		t.Fatal(err)
+	}
+	rec := dump.Records[len(dump.Records)-1]
+	if len(rec.Names) != 2 || len(rec.PerVMEnergyWs) != 2 {
+		t.Fatalf("record lists %v with energies %v, want both VMs", rec.Names, rec.PerVMEnergyWs)
+	}
+	// One VM per tenant: each tenant's bill is its VM's energy.
+	billed := f.EnergyWhByTenant()
+	for i, name := range rec.Names {
+		tenant, err := f.VMTenant(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := billed[tenant] * 3600
+		if got := rec.PerVMEnergyWs[i]; want <= 0 || math.Abs(got-want) > 1e-9*want {
+			t.Fatalf("%s: flight record %g Ws, fleet billed %g Ws", name, got, want)
 		}
 	}
 }

@@ -588,9 +588,24 @@ func TestFleetHostRowUnencodable(t *testing.T) {
 	encodeErrs := reg.Counter("vmpower_http_encode_errors_total", "")
 	h := srv.Handler()
 	for i, path := range []string{"/api/v1/allocation", "/api/v1/status", "/api/v1/energy"} {
-		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, path, nil))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 		if want := min(i+1, 2); encodeErrs.Value() != uint64(want) {
 			t.Fatalf("after %s: %d encode errors, want %d", path, encodeErrs.Value(), want)
+		}
+		if got, want := rec.Header().Get("Content-Length"), strconv.Itoa(rec.Body.Len()); got != want {
+			t.Fatalf("%s: Content-Length %q, body is %s bytes", path, got, want)
+		}
+		if path == "/api/v1/energy" {
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d, want 200", path, rec.Code)
+			}
+			continue
+		}
+		// The unencodable row is answered 500 with an error body.
+		var body struct{ Error string }
+		if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &body) != nil || body.Error == "" {
+			t.Fatalf("%s: status %d, body %q; want 500 with an error body", path, rec.Code, rec.Body.String())
 		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package meter abstracts the paper's wall power meter (Sec. VI-B): a
 // 1 Hz sampler of whole-machine power. SimMeter samples a simulated power
 // source and reproduces a physical meter's imperfections (Gaussian noise,
-// display quantization, occasional dropouts). The serial subpackage
+// display quantization); internal/faults layers dropouts and other faults
+// over any Meter. The serial subpackage
 // implements the prototype's serial-port transport between the metered
 // server and the estimating server; the rapl subpackage reads Linux
 // powercap sysfs where available.
@@ -42,8 +43,6 @@ type SimOptions struct {
 	// Resolution quantizes readings (e.g. 0.1 W display resolution).
 	// Non-positive disables quantization.
 	Resolution float64
-	// DropoutProb is the probability a sample is lost (ErrDropout).
-	DropoutProb float64
 	// Seed seeds the meter's private PRNG.
 	Seed int64
 }
@@ -66,9 +65,6 @@ func NewSim(source PowerSource, opts SimOptions) (*SimMeter, error) {
 	if opts.NoiseStdDev < 0 {
 		return nil, fmt.Errorf("meter: negative noise sigma %g", opts.NoiseStdDev)
 	}
-	if opts.DropoutProb < 0 || opts.DropoutProb >= 1 {
-		return nil, fmt.Errorf("meter: dropout probability %g outside [0,1)", opts.DropoutProb)
-	}
 	return &SimMeter{
 		source: source,
 		opts:   opts,
@@ -82,9 +78,6 @@ func (m *SimMeter) Sample() (Sample, error) {
 	defer m.mu.Unlock()
 	m.seq++
 	seq := m.seq
-	if m.opts.DropoutProb > 0 && m.rng.Float64() < m.opts.DropoutProb {
-		return Sample{Seq: seq}, ErrDropout
-	}
 	p, err := m.source()
 	if err != nil {
 		return Sample{Seq: seq}, fmt.Errorf("meter: source: %w", err)

@@ -18,9 +18,6 @@ func TestNewSimValidation(t *testing.T) {
 	if _, err := NewSim(constSource(1), SimOptions{NoiseStdDev: -1}); err == nil {
 		t.Fatal("want negative-noise error")
 	}
-	if _, err := NewSim(constSource(1), SimOptions{DropoutProb: 1}); err == nil {
-		t.Fatal("want dropout-probability error")
-	}
 }
 
 func TestPerfectMeter(t *testing.T) {
@@ -82,25 +79,6 @@ func TestNoiseStatistics(t *testing.T) {
 	}
 	if math.Abs(std-sigma) > 0.1 {
 		t.Fatalf("noisy std = %g, want ~%g", std, sigma)
-	}
-}
-
-func TestDropout(t *testing.T) {
-	m, err := NewSim(constSource(1), SimOptions{DropoutProb: 0.5, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	drops := 0
-	const n = 1000
-	for i := 0; i < n; i++ {
-		if _, err := m.Sample(); errors.Is(err, ErrDropout) {
-			drops++
-		} else if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if drops < n/3 || drops > 2*n/3 {
-		t.Fatalf("drop rate %d/%d far from 0.5", drops, n)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"vmpower/internal/faults"
 	"vmpower/internal/meter"
 )
 
@@ -66,12 +67,12 @@ func TestServerClientEndToEnd(t *testing.T) {
 func TestServerSkipsDropouts(t *testing.T) {
 	// A meter with heavy dropouts must still deliver a stream: the
 	// server skips lost samples rather than closing the connection.
-	sim, err := meter.NewSim(func() (float64, error) { return 100, nil },
-		meter.SimOptions{DropoutProb: 0.7, Seed: 1})
+	lossy, err := faults.Wrap(testMeter(t, 100), faults.Options{DropoutProb: 0.7, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(sim, time.Millisecond)
+	lossy.SetArmed(true)
+	srv, err := NewServer(lossy, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +98,9 @@ func TestServerSkipsDropouts(t *testing.T) {
 		if s.Power != 100 {
 			t.Fatalf("Power = %g", s.Power)
 		}
+	}
+	if lossy.Injected().Dropouts == 0 {
+		t.Fatal("no dropouts injected")
 	}
 }
 

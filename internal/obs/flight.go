@@ -21,8 +21,8 @@ type FlightRecord struct {
 	UnixNanos     int64   `json:"unix_nanos,omitempty"`
 	MeasuredWatts float64 `json:"measured_watts"`
 	DynamicWatts  float64 `json:"dynamic_watts"`
-	// Tier is the solver tier that produced φ ("exact", "montecarlo",
-	// "fallback"); TierReason is why the gate picked it.
+	// Tier is the solver tier that produced φ ("exact" or
+	// "montecarlo"); TierReason is why the gate picked it.
 	Tier       string `json:"tier"`
 	TierReason string `json:"tier_reason,omitempty"`
 	// SymClasses, DirtyVMs, Evaluated and Reused describe the tick's
@@ -33,8 +33,8 @@ type FlightRecord struct {
 	Evaluated  int `json:"evaluated"`
 	Reused     int `json:"reused"`
 	// MaxStdErrWatts is the largest per-VM standard error of a
-	// Monte-Carlo tick's shares (core.Provenance); absent on exact and
-	// fallback ticks.
+	// Monte-Carlo tick's shares (core.Provenance); absent on exact
+	// ticks.
 	MaxStdErrWatts float64 `json:"max_stderr_watts,omitempty"`
 	// ModelResidualWatts is δ = dynamic − the model's worth of the
 	// running set, and ModelResidualRel is δ/dynamic (core.Provenance).

@@ -75,7 +75,7 @@ func (s *Server) Instrument(reg *obs.Registry, log *obs.Logger, interval time.Du
 		ticks:      reg.Counter("vmpower_ticks_total", "estimation ticks completed"),
 		tickErrors: reg.Counter("vmpower_tick_errors_total", "estimation ticks that failed"),
 		degraded: reg.Counter("vmpower_degraded_ticks_total",
-			"ticks served from holdover or fallback instead of a fresh plausible reading"),
+			"ticks served from holdover instead of a fresh plausible reading"),
 		rejected: reg.Counter("vmpower_rejected_samples_total",
 			"meter samples rejected by the plausibility gate"),
 		degradedNow: reg.Gauge("vmpower_degraded",
@@ -194,7 +194,7 @@ func (o *serverObs) noteProvenance(s *Server, now time.Time, alloc *core.Allocat
 	}
 	if compileErrs != o.prevCompileErrs {
 		o.Journal.Append(alloc.Tick, "plan_compile_error", "",
-			fmt.Sprintf("worth-plan compile failure #%d (ticks fall to the fallback policy until the model changes)", compileErrs))
+			fmt.Sprintf("worth-plan compile failure #%d (ticks fail until the model changes)", compileErrs))
 		o.prevCompileErrs = compileErrs
 	}
 

@@ -27,8 +27,8 @@ type AllocationJSON struct {
 	DynamicWatts  float64            `json:"dynamic_watts"`
 	Method        string             `json:"method"`
 	PerVM         map[string]float64 `json:"per_vm_watts"`
-	// Degraded marks a tick served from holdover or fallback rather than a
-	// fresh plausible meter reading; DegradedReason and HoldoverAgeTicks
+	// Degraded marks a tick served from holdover rather than a fresh
+	// plausible meter reading; DegradedReason and HoldoverAgeTicks
 	// carry the cause and staleness.
 	Degraded         bool   `json:"degraded,omitempty"`
 	DegradedReason   string `json:"degraded_reason,omitempty"`
@@ -308,7 +308,7 @@ func (s *Server) Handler() http.Handler {
 // HealthJSON is the wire form of /healthz.
 type HealthJSON struct {
 	// Status is "ok", "degraded" (ticks landing but served from holdover
-	// or fallback — still 200), "starting" (no tick yet, within the stall
+	// — still 200), "starting" (no tick yet, within the stall
 	// threshold), "stalled" (no tick for more than 3 intervals) or
 	// "error" (the last Step failed).
 	Status     string `json:"status"`
@@ -328,10 +328,9 @@ type HealthJSON struct {
 // intervals (the Instrument cadence, default 1 s) or the last Step
 // failed — which is how a meter lost beyond the holdover bound surfaces,
 // since EstimateTick turns terminal at core.ErrMeterLost. A degraded but
-// ticking pipeline (holdover within the staleness bound, fallback split)
-// reports "degraded" with 200: the daemon is alive and serving bounded-
-// staleness answers, which is exactly what the degradation machinery is
-// for.
+// ticking pipeline (holdover within the staleness bound) reports
+// "degraded" with 200: the daemon is alive and serving bounded-staleness
+// answers, which is exactly what the degradation machinery is for.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	now := s.now()
 	s.mu.RLock()

@@ -192,7 +192,7 @@ func TestFlightRecordsMonteCarloStdErr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := core.New(host, m, core.Config{Seed: 3, OfflineTicksPerCombo: 40, IdleMeasureTicks: 3, MCPermutations: 64})
+	est, err := core.New(host, m, core.Config{Seed: 3, OfflineTicksPerCombo: 40, IdleMeasureTicks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -605,7 +607,8 @@ func TestEncodeErrorsCounted(t *testing.T) {
 	if err := host.Attach(0, workload.FloatPoint()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Step(); err != nil {
+	alloc, err := srv.Step()
+	if err != nil {
 		t.Fatal(err)
 	}
 	encodeErrs := reg.Counter("vmpower_http_encode_errors_total", "")
@@ -622,6 +625,27 @@ func TestEncodeErrorsCounted(t *testing.T) {
 	srv.handleAllocation(w, httptest.NewRequest(http.MethodGet, "/api/v1/allocation?since=0", nil))
 	if got := encodeErrs.Value(); got != 2 {
 		t.Fatalf("after failing delta write: counter %d, want 2", got)
+	}
+	// A value that cannot encode (NaN watts) is answered 500 with an
+	// error body, on the uncached fallback and on an uncached delta.
+	bad := *alloc
+	bad.Tick++
+	bad.MeasuredPower = math.NaN()
+	snap := host.Collect()
+	srv.record(&bad, &snap)
+	for i, path := range []string{"/api/v1/allocation", "/api/v1/allocation?since=0"} {
+		rec := httptest.NewRecorder()
+		srv.handleAllocation(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		var body struct{ Error string }
+		if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &body) != nil || body.Error == "" {
+			t.Fatalf("%s: status %d, body %q; want 500 with an error body", path, rec.Code, rec.Body.String())
+		}
+		if got, want := rec.Header().Get("Content-Length"), strconv.Itoa(rec.Body.Len()); got != want {
+			t.Fatalf("%s: Content-Length %q, body is %s bytes", path, got, want)
+		}
+		if got, want := encodeErrs.Value(), uint64(3+i); got != want {
+			t.Fatalf("after %s: counter %d, want %d", path, got, want)
+		}
 	}
 }
 

@@ -46,11 +46,16 @@ type Body struct {
 // such as powerd's interaction matrix; each tick's bodies are written
 // with an Encoder.
 func Encode(v any) Body {
+	b, _ := encode(v)
+	return b
+}
+
+func encode(v any) (Body, error) {
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(v); err != nil {
-		return Body{}
+		return Body{}, err
 	}
-	return Body{data: buf.Bytes(), size: []string{strconv.Itoa(buf.Len())}}
+	return Body{data: buf.Bytes(), size: []string{strconv.Itoa(buf.Len())}}, nil
 }
 
 // OK reports whether the body encoded.
@@ -155,23 +160,31 @@ var jsonCType = []string{"application/json"}
 // nothing; a failed write (client gone mid-response) is counted like an
 // encode failure.
 func (c *Core) WriteCached(w http.ResponseWriter, b Body) {
-	h := w.Header()
-	h["Content-Type"] = jsonCType
-	h["Content-Length"] = b.size
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(b.data); err != nil {
-		c.noteEncodeError(err)
-	}
+	c.write(w, http.StatusOK, b)
 }
 
 // WriteJSON is the per-request path (before the first tick, error
-// bodies, uncached deltas): encode straight onto the wire. A value that
-// cannot marshal, or a client that hung up mid-body, is counted in
+// bodies, uncached deltas): encode v, then write it with status and its
+// declared length. A value that cannot marshal (NaN watts would be one)
+// is answered 500 with {"error": …} instead of a status with no body.
+// Either failure, and a client that hung up mid-body, is counted in
 // vmpower_http_encode_errors_total and logged at debug.
 func (c *Core) WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	b, err := encode(v)
+	if err != nil {
+		c.noteEncodeError(err)
+		status = http.StatusInternalServerError
+		b = Encode(errorJSON{Error: "encode response: " + err.Error()})
+	}
+	c.write(w, status, b)
+}
+
+func (c *Core) write(w http.ResponseWriter, status int, b Body) {
+	h := w.Header()
+	h["Content-Type"] = jsonCType
+	h["Content-Length"] = b.size
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	if _, err := w.Write(b.data); err != nil {
 		c.noteEncodeError(err)
 	}
 }

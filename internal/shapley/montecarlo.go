@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
+	"vmpower/internal/par"
 	"vmpower/internal/vm"
 )
 
@@ -35,11 +35,11 @@ type MCOptions struct {
 	Seed int64
 
 	// Parallelism is the worker count used to evaluate sampled
-	// permutations: <= 0 uses all cores (GOMAXPROCS), 1 runs on the
-	// calling goroutine, >= 2 uses that many workers. The result is
-	// bit-for-bit identical at every setting; see the package
-	// thread-safety contract in parallel.go for what the WorthFunc must
-	// guarantee when Parallelism != 1.
+	// permutations, resolved by par.Workers: 0 and 1 run on the calling
+	// goroutine, negative uses all cores (GOMAXPROCS), >= 2 uses that
+	// many workers. The result is bit-for-bit identical at every
+	// setting; see the package thread-safety contract in parallel.go for
+	// what the WorthFunc must guarantee with more than one worker.
 	Parallelism int
 }
 
@@ -134,38 +134,20 @@ func MonteCarlo(n int, worth WorthFunc, opts MCOptions) (*MCResult, error) {
 	}
 
 	// Evaluate every unit into its own row (row k) using up to
-	// Parallelism workers, then merge the rows in unit order.
+	// Parallelism workers, then merge the rows in unit order. Worker w
+	// strides units w, w+workers, … with its own generator; which
+	// goroutine runs a worker does not matter — unit results depend only
+	// on (seed, k).
 	rows := make([]float64, totalUnits*n)
-	workers := resolveParallelism(opts.Parallelism)
-	if workers > totalUnits {
-		workers = totalUnits
-	}
-	if workers <= 1 {
+	workers := min(par.Workers(opts.Parallelism), totalUnits)
+	par.For(workers, workers, func(w int) {
 		rng := rand.New(newUnitSource(0))
 		order := make([]int, n)
 		reversed := make([]int, n)
-		for k := 0; k < totalUnits; k++ {
+		for k := w; k < totalUnits; k += workers {
 			unit(k, rng, rows[k*n:(k+1)*n], order, reversed)
 		}
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				rng := rand.New(newUnitSource(0))
-				order := make([]int, n)
-				reversed := make([]int, n)
-				// Static strided assignment: unit k belongs to worker
-				// k mod workers. Which goroutine computes a unit does
-				// not matter — unit results depend only on (seed, k).
-				for k := w; k < totalUnits; k += workers {
-					unit(k, rng, rows[k*n:(k+1)*n], order, reversed)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
+	})
 
 	sum := make([]float64, n)
 	sumSq := make([]float64, n)

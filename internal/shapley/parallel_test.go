@@ -8,9 +8,9 @@ import (
 )
 
 // parallelisms exercised by the determinism tests: serial, fewer and
-// more workers than shards-per-worker boundaries, and the GOMAXPROCS
-// default.
-var parallelisms = []int{1, 2, 3, 7, 16, 0}
+// more workers than shards-per-worker boundaries, the zero value
+// (serial) and all cores (GOMAXPROCS).
+var parallelisms = []int{1, 2, 3, 7, 16, 0, -1}
 
 func TestTabulateParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -67,14 +67,14 @@ func TestMonteCarloDeterministicAcrossParallelism(t *testing.T) {
 }
 
 func TestMonteCarloGOMAXPROCSInvariance(t *testing.T) {
-	// Parallelism 0 (all cores) must agree bit-for-bit with an explicit
+	// Parallelism -1 (all cores) must agree bit-for-bit with an explicit
 	// worker count — the estimate may depend only on the seed.
 	n := 7
 	worth := func(s vm.Coalition) float64 {
 		size := float64(s.Size())
 		return 9*size - 0.5*size*size
 	}
-	a, err := MonteCarlo(n, worth, MCOptions{Permutations: 96, Seed: 4, Parallelism: 0})
+	a, err := MonteCarlo(n, worth, MCOptions{Permutations: 96, Seed: 4, Parallelism: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestMonteCarloGOMAXPROCSInvariance(t *testing.T) {
 	}
 	for i := range a.Phi {
 		if a.Phi[i] != b.Phi[i] {
-			t.Fatalf("Phi[%d] differs between parallelism 0 and 5", i)
+			t.Fatalf("Phi[%d] differs between parallelism -1 and 5", i)
 		}
 	}
 }

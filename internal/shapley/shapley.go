@@ -12,7 +12,6 @@ package shapley
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"vmpower/internal/vm"
@@ -190,7 +189,7 @@ func ExactFromTableInto(phi []float64, n int, table []float64) error {
 // weighted uniformly rather than by coalition size. Unlike the Shapley
 // value it is NOT efficient — the shares need not sum to v(N) — which is
 // exactly why the paper's axiomatization rejects it for power accounting;
-// it is provided as a comparison rule (use NormalizeEfficient to rescale).
+// it is provided as a comparison rule.
 func Banzhaf(n int, table []float64) ([]float64, error) {
 	if n < 1 || n > ExactMaxPlayers {
 		return nil, fmt.Errorf("%w: n=%d", ErrPlayers, n)
@@ -215,46 +214,6 @@ func Banzhaf(n int, table []float64) ([]float64, error) {
 		phi[i] *= scale
 	}
 	return phi, nil
-}
-
-// normalizeMinDenomFrac is the cancellation guard of NormalizeEfficient:
-// proportional rescaling is abandoned when |Σφ| falls below this
-// fraction of Σ|φ|.
-const normalizeMinDenomFrac = 1e-9
-
-// NormalizeEfficient rescales an allocation so it sums to target (e.g.
-// the measured power), preserving proportions.
-//
-// Contract for degenerate inputs: an all-zero allocation is returned as
-// zeros. Shares of mixed sign are legitimate (interference makes Φ_i < 0
-// meaningful — see Interactions), but they can cancel to a net sum near
-// zero while the individual shares stay large; dividing by that sum
-// would scale the output toward ±∞. When |Σφ| < 1e-9·Σ|φ| the
-// proportional rescale is therefore replaced by a uniform additive
-// shift of (target − Σφ)/n: the result still sums to target and
-// preserves the differences between shares instead of amplifying
-// cancellation noise.
-func NormalizeEfficient(phi []float64, target float64) []float64 {
-	var sum, sumAbs float64
-	for _, p := range phi {
-		sum += p
-		sumAbs += math.Abs(p)
-	}
-	out := make([]float64, len(phi))
-	if sumAbs == 0 {
-		return out
-	}
-	if math.Abs(sum) < normalizeMinDenomFrac*sumAbs {
-		shift := (target - sum) / float64(len(phi))
-		for i, p := range phi {
-			out[i] = p + shift
-		}
-		return out
-	}
-	for i, p := range phi {
-		out[i] = p * target / sum
-	}
-	return out
 }
 
 // MarginalContribution returns v(S ∪ {i}) − v(S), player i's marginal

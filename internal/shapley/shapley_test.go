@@ -228,14 +228,6 @@ func TestBanzhafNotEfficientInGeneral(t *testing.T) {
 	if math.Abs(sum-1) < 1e-9 {
 		t.Fatalf("glove Banzhaf unexpectedly efficient: %v", phi)
 	}
-	norm := NormalizeEfficient(phi, table[len(table)-1])
-	var nsum float64
-	for _, p := range norm {
-		nsum += p
-	}
-	if math.Abs(nsum-1) > 1e-12 {
-		t.Fatalf("normalized sum = %g", nsum)
-	}
 }
 
 func TestBanzhafAdditiveGame(t *testing.T) {
@@ -268,53 +260,6 @@ func TestBanzhafErrors(t *testing.T) {
 	}
 	if _, err := Banzhaf(2, []float64{1}); err == nil {
 		t.Fatal("want table-length error")
-	}
-}
-
-func TestNormalizeEfficientZero(t *testing.T) {
-	out := NormalizeEfficient([]float64{0, 0}, 10)
-	if out[0] != 0 || out[1] != 0 {
-		t.Fatalf("zero allocation must stay zero: %v", out)
-	}
-}
-
-func TestNormalizeEfficientMixedSignCancellation(t *testing.T) {
-	// Interference makes negative shares legitimate; when they cancel
-	// the net sum to (near) zero, proportional rescaling would divide by
-	// ~0 and blow the shares up to ±∞-scale values. The guard must fall
-	// back to a uniform shift that restores efficiency at bounded
-	// magnitude.
-	for _, phi := range [][]float64{
-		{25, -25},             // exact cancellation
-		{25, -25 + 1e-12},     // cancellation below the guard threshold
-		{10, -30, 20 + 1e-13}, // three-way near-cancellation
-	} {
-		out := NormalizeEfficient(phi, 12)
-		var sum, maxAbs float64
-		for i, p := range out {
-			sum += p
-			if a := math.Abs(p); a > maxAbs {
-				maxAbs = a
-			}
-			// The shift preserves pairwise differences.
-			if i > 0 {
-				wantDiff := phi[i] - phi[i-1]
-				if math.Abs((out[i]-out[i-1])-wantDiff) > 1e-9 {
-					t.Fatalf("phi=%v: share differences not preserved: %v", phi, out)
-				}
-			}
-		}
-		if math.Abs(sum-12) > 1e-9 {
-			t.Fatalf("phi=%v: normalized sum %g, want 12", phi, sum)
-		}
-		if maxAbs > 100 {
-			t.Fatalf("phi=%v: cancellation amplified to %v", phi, out)
-		}
-	}
-	// Far from cancellation the proportional path must be untouched.
-	out := NormalizeEfficient([]float64{30, -10}, 10)
-	if math.Abs(out[0]-15) > 1e-12 || math.Abs(out[1]+5) > 1e-12 {
-		t.Fatalf("proportional path disturbed: %v", out)
 	}
 }
 

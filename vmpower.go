@@ -370,7 +370,7 @@ func (s *System) SetPowerCap(vmName string, watts float64) error {
 		return err
 	}
 	if s.capper == nil {
-		ctrl, err := capping.New(s.host, capping.Options{})
+		ctrl, err := capping.New(s.host)
 		if err != nil {
 			return err
 		}
@@ -483,13 +483,12 @@ func (a *Allocation) Shares() map[string]float64 {
 // at most 2^22 count vectors — any 22 VMs, or hundreds that repeat —
 // and past that whenever the search for coalitions served off the
 // linear model finishes within 1,024 steps, as on 24 VMs on distinct
-// SPEC traces), "montecarlo" (hosts of up to 24 VMs whose search runs
-// past that), or "fallback" for a degraded tick split without the
-// solver.
+// SPEC traces) or "montecarlo" (hosts of up to 24 VMs whose search runs
+// past that).
 func (a *Allocation) Method() string { return a.inner.Method }
 
 // Degraded reports whether this tick was served from a held-over meter
-// sample or a fallback split instead of a fresh plausible reading.
+// sample instead of a fresh plausible reading.
 func (a *Allocation) Degraded() bool { return a.inner.Degraded }
 
 // DegradedReason explains a degraded tick ("" when not degraded).
@@ -520,14 +519,15 @@ func ExactShapley(n int, worth WorthFunc) ([]float64, error) {
 // MonteCarloShapley estimates the Shapley value by permutation sampling —
 // the tractable path for n > 16. The estimate is exactly efficient
 // (shares sum to worth(all) − worth(none)). It returns the estimate and
-// its per-player standard errors.
+// its per-player standard errors. Sampling runs on all cores, so worth
+// must be safe for concurrent calls; the estimate depends only on seed.
 func MonteCarloShapley(n int, worth WorthFunc, permutations int, seed int64) (phi, stderr []float64, err error) {
 	if worth == nil {
 		return nil, nil, shapley.ErrNilWorth
 	}
 	res, err := shapley.MonteCarlo(n, func(s vm.Coalition) float64 {
 		return worth(uint32(s))
-	}, shapley.MCOptions{Permutations: permutations, Seed: seed})
+	}, shapley.MCOptions{Permutations: permutations, Seed: seed, Parallelism: -1})
 	if err != nil {
 		return nil, nil, err
 	}
