@@ -13,9 +13,8 @@ BENCHTIME ?= 1x
 BENCH_BASELINE ?= BENCH_2026-08-08.json
 # Relative ns/op tolerance for headline benches. 15% absorbs run-to-run
 # jitter at -benchtime $(GATE_BENCHTIME) while still catching real
-# regressions; BenchmarkServeLive wall-clock arms get a looser 60%
-# inside benchgate (short-run p99s of a live daemon are noisy), and
-# sub-microsecond benches are protected by benchgate's -min-ns-delta.
+# regressions; sub-microsecond benches are protected by benchgate's
+# -min-ns-delta.
 GATE_TOLERANCE ?= 0.15
 # Longer benchtime for gate measurements than for the 1x snapshot pass:
 # the gate compares numbers, so they need to be stable.
@@ -23,7 +22,7 @@ GATE_BENCHTIME ?= 3x
 # Benches the gate re-measures (the headline set in cmd/benchgate).
 GATE_BENCH_RE ?= EstimateTick|ServeCached
 
-.PHONY: all build test race bench bench-vet bench-json bench-gate powerbench-smoke verify experiments csv cover fmt fmt-check vet clean fuzz-short golden fleetd-smoke lifecycle-smoke
+.PHONY: all build test race bench bench-vet bench-json bench-gate serve-smoke verify experiments csv cover fmt fmt-check vet clean fuzz-short golden fleetd-smoke lifecycle-smoke
 
 all: build test
 
@@ -51,13 +50,12 @@ bench-vet:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Snapshot benchmark numbers (name, ns/op, allocs/op) into the committed
-# trajectory JSON for cross-commit comparison. Includes the powerbench
-# live-serve arms (BenchmarkServeLive/...) so the serving-path p99s are
-# part of the trajectory. Overwrites $(BENCH_BASELINE): re-running this
-# target IS the bless step for an intentional perf change.
+# trajectory JSON for cross-commit comparison. Overwrites
+# $(BENCH_BASELINE): re-running this target IS the bless step for an
+# intentional perf change. benchjson refuses a transcript with a failed
+# benchmark or package, so a broken run leaves the baseline untouched.
 bench-json:
-	{ $(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./... ; \
-	  $(GO) run ./cmd/powerbench -gobench -clients 4 -duration 2s -interval 50ms -warmup 10 ; } \
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./... \
 	  | $(GO) run ./cmd/benchjson -out $(BENCH_BASELINE)
 
 # Enforce the trajectory: re-measure the headline benches and fail on a
@@ -65,16 +63,16 @@ bench-json:
 # is written to bench_fresh_gate.json (gitignored by clean) so a failing
 # run can be inspected.
 bench-gate:
-	{ $(GO) test -run '^$$' -bench '$(GATE_BENCH_RE)' -benchmem -benchtime $(GATE_BENCHTIME) ./... ; \
-	  $(GO) run ./cmd/powerbench -gobench -clients 4 -duration 2s -interval 50ms -warmup 10 ; } \
+	$(GO) test -run '^$$' -bench '$(GATE_BENCH_RE)' -benchmem -benchtime $(GATE_BENCHTIME) ./... \
 	  | $(GO) run ./cmd/benchjson -out bench_fresh_gate.json
 	$(GO) run ./cmd/benchgate -baseline $(BENCH_BASELINE) -fresh bench_fresh_gate.json -tolerance $(GATE_TOLERANCE)
 
-# Quick self-hosted load test of the powerd serving path: boots a
-# calibrated daemon, hammers the cached endpoints, reports p50/p99/qps
-# per endpoint plus how many ticks the load disturbed.
-powerbench-smoke:
-	$(GO) run ./cmd/powerbench -clients 4 -duration 2s -interval 50ms -warmup 10
+# Serving-path smoke: the benchmark's serve4 workload serves powerd's
+# Handler() to two pollers over allocation, ?since= deltas, status and
+# energy, checks every tick's shares against the dynamic power and the
+# sampled bodies, and exits 1 on an incorrect run.
+serve-smoke:
+	bash bench/run.sh --workload serve4 --seconds 2
 
 # Full-size reproduction of every paper table/figure.
 experiments:

@@ -6,15 +6,14 @@
 // Usage:
 //
 //	benchgate -baseline BENCH_2026-08-08.json -fresh /tmp/fresh.json \
-//	          [-tolerance 0.15] [-live-tolerance 0.60] [-alloc-slack 2] \
-//	          [-min-ns-delta 500] [-headline re1,re2,...]
+//	          [-tolerance 0.15] [-alloc-slack 2] [-min-ns-delta 500] \
+//	          [-headline re1,re2,...]
 //
 // The headline set defaults to the benches the ROADMAP names as the
 // performance contract: EstimateTick n=16 steady/all-dirty on the
-// compiled plan, every grouped (sym/) arm, and the serving-path benches
-// (BenchmarkServeCached allocs pins and the powerbench
-// BenchmarkServeLive p99 arms). A headline bench missing from the fresh
-// snapshot is a failure — a deleted benchmark silently un-gates its
+// compiled plan, every grouped (sym/) arm, and the serving path's
+// BenchmarkServeCached allocs pins. A headline bench missing from the
+// fresh snapshot is a failure — a deleted benchmark silently un-gates its
 // regression. Improvements always pass; bless an intentional regression
 // by re-snapshotting the baseline (`make bench-json`) and committing it,
 // with the justification in the commit message.
@@ -28,8 +27,6 @@
 //     fail, so sub-microsecond benches are not failed on scheduler
 //     jitter that is invisible at the multi-millisecond scale the
 //     tolerance is meant to police.
-//   - BenchmarkServeLive arms are wall-clock p99s of a live daemon under
-//     socket load; they get the looser -live-tolerance.
 package main
 
 import (
@@ -57,15 +54,13 @@ var defaultHeadlines = []string{
 	`^BenchmarkEstimateTick/n=16/(steady|alldirty)/plan=true$`,
 	`^BenchmarkEstimateTick/sym/`,
 	`^BenchmarkServeCached/`,
-	`^BenchmarkServeLive/`,
 }
 
 type gateConfig struct {
-	tolerance     float64
-	liveTolerance float64
-	allocSlack    float64
-	minNsDelta    float64
-	headlines     []*regexp.Regexp
+	tolerance  float64
+	allocSlack float64
+	minNsDelta float64
+	headlines  []*regexp.Regexp
 }
 
 // cpuSuffix is the -N GOMAXPROCS suffix `go test -bench` appends on
@@ -111,14 +106,10 @@ func runGate(baseline, fresh []Result, cfg gateConfig, w io.Writer) bool {
 				fail("%s: headline bench missing from fresh snapshot", name)
 				continue
 			}
-			tol := cfg.tolerance
-			if strings.HasPrefix(name, "BenchmarkServeLive/") {
-				tol = cfg.liveTolerance
-			}
-			if f.NsPerOp > b.NsPerOp*(1+tol) && f.NsPerOp-b.NsPerOp > cfg.minNsDelta {
+			if f.NsPerOp > b.NsPerOp*(1+cfg.tolerance) && f.NsPerOp-b.NsPerOp > cfg.minNsDelta {
 				fail("%s: ns/op %.0f -> %.0f (+%.1f%%, tolerance %.0f%%)",
 					name, b.NsPerOp, f.NsPerOp,
-					100*(f.NsPerOp-b.NsPerOp)/b.NsPerOp, 100*tol)
+					100*(f.NsPerOp-b.NsPerOp)/b.NsPerOp, 100*cfg.tolerance)
 				continue
 			}
 			if b.AllocsPerOp != nil {
@@ -172,7 +163,6 @@ func main() {
 	basePath := flag.String("baseline", "", "committed benchjson trajectory snapshot")
 	freshPath := flag.String("fresh", "", "freshly measured benchjson snapshot")
 	tolerance := flag.Float64("tolerance", 0.15, "relative ns/op (and allocs/op) regression tolerance")
-	liveTol := flag.Float64("live-tolerance", 0.60, "tolerance for BenchmarkServeLive wall-clock arms")
 	allocSlack := flag.Float64("alloc-slack", 2, "absolute allocs/op slack on top of the relative tolerance")
 	minNsDelta := flag.Float64("min-ns-delta", 500, "ns/op regressions smaller than this absolute delta never fail")
 	headlines := flag.String("headline", "", "comma list of headline regexes (default: the built-in contract)")
@@ -191,10 +181,9 @@ func main() {
 		pats = strings.Split(*headlines, ",")
 	}
 	cfg := gateConfig{
-		tolerance:     *tolerance,
-		liveTolerance: *liveTol,
-		allocSlack:    *allocSlack,
-		minNsDelta:    *minNsDelta,
+		tolerance:  *tolerance,
+		allocSlack: *allocSlack,
+		minNsDelta: *minNsDelta,
 	}
 	for _, p := range pats {
 		re, err := regexp.Compile(strings.TrimSpace(p))

@@ -9,6 +9,11 @@
 // Each benchmark line becomes one object carrying the name, iteration
 // count, ns/op, and — when -benchmem is on — B/op and allocs/op. Custom
 // metrics reported via b.ReportMetric land in "extra" keyed by unit.
+//
+// A transcript with a failed benchmark or package (a "--- FAIL" or
+// "FAIL" line, which a build failure prints too) is refused: benchjson
+// exits 1 and writes nothing, so a broken run cannot pass for a
+// snapshot.
 package main
 
 import (
@@ -38,7 +43,7 @@ type Result struct {
 // parse reads `go test -bench` output and returns the benchmark lines in
 // order. Non-benchmark lines (goos/goarch/pkg headers, PASS/ok trailers)
 // are skipped, except that "pkg:" headers set the package attributed to
-// the following benchmarks.
+// the following benchmarks. A "FAIL" or "--- FAIL" line is an error.
 func parse(r io.Reader) ([]Result, error) {
 	var out []Result
 	pkg := ""
@@ -46,6 +51,9 @@ func parse(r io.Reader) ([]Result, error) {
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
+		if strings.HasPrefix(line, "FAIL") || strings.HasPrefix(line, "--- FAIL") {
+			return nil, fmt.Errorf("the run failed: %q", line)
+		}
 		if strings.HasPrefix(line, "pkg:") {
 			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 			continue
@@ -66,7 +74,7 @@ func parse(r io.Reader) ([]Result, error) {
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("benchjson: bad value %q in %q", fields[i], line)
+				return nil, fmt.Errorf("bad value %q in %q", fields[i], line)
 			}
 			switch unit := fields[i+1]; unit {
 			case "ns/op":

@@ -71,3 +71,36 @@ func TestParseEmpty(t *testing.T) {
 		t.Fatalf("want no results, got %+v", results)
 	}
 }
+
+// TestParseRefusesFailedRun: a transcript with a failed benchmark or a
+// package that did not build is an error, not a partial snapshot.
+func TestParseRefusesFailedRun(t *testing.T) {
+	for name, transcript := range map[string]string{
+		"failed benchmark and build": `goos: linux
+pkg: vmpower
+BenchmarkA-2   	       3	       100 ns/op
+--- FAIL: BenchmarkB-2
+    bench_test.go:12: boom
+FAIL
+exit status 1
+FAIL	vmpower	0.012s
+# vmpower/internal/fleet
+internal/fleet/fleet.go:1:1: expected 'package', found 'EOF'
+FAIL	vmpower/internal/fleet [build failed]
+FAIL
+`,
+		"failed sub-benchmark": `pkg: vmpower
+BenchmarkA-2   	       3	       100 ns/op
+    --- FAIL: BenchmarkB/n=4-2
+ok  	vmpower	0.012s
+`,
+		"build failed": `FAIL	vmpower/internal/fleet [build failed]
+pkg: vmpower
+BenchmarkA-2   	       3	       100 ns/op
+`,
+	} {
+		if results, err := parse(strings.NewReader(transcript)); err == nil {
+			t.Errorf("%s: parsed %d results, want an error", name, len(results))
+		}
+	}
+}

@@ -94,15 +94,6 @@ func (c *Controller) RemoveCap(id vm.ID) error {
 	return c.host.SetCPULimit(id, 1)
 }
 
-// Caps returns the installed caps keyed by VM, in a fresh map.
-func (c *Controller) Caps() map[vm.ID]float64 {
-	out := make(map[vm.ID]float64, len(c.caps))
-	for id, w := range c.caps {
-		out[id] = w
-	}
-	return out
-}
-
 // Observe feeds one allocation into the control loop and applies the
 // resulting CPU-limit adjustments to the hypervisor. It returns the
 // actions taken this tick (possibly none), sorted by VM ID.

@@ -184,13 +184,6 @@ func (m *Meter) SetArmed(on bool) {
 	m.mu.Unlock()
 }
 
-// Armed reports whether injection is active.
-func (m *Meter) Armed() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.armed
-}
-
 // NextTick advances the episode clock by one tick. The driving loop calls
 // it once per estimation tick so Episodes line up with the estimator's
 // tick numbering regardless of how many retry samples a tick consumes.

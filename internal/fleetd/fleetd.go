@@ -169,7 +169,6 @@ type Server struct {
 	telemetry atomic.Pointer[serverObs]
 	core      serve.Core
 	now       func() time.Time
-	createdAt time.Time
 
 	// served is the tick-published, pre-encoded HTTP surface: one atomic
 	// pointer swap per tick, cached bytes per request (nil until the
@@ -179,12 +178,9 @@ type Server struct {
 	mu            sync.RWMutex
 	latest        *TickJSON
 	energy        EnergyJSON
-	ticks         int
 	degradedTicks int
 	quarantines   int
 	readmits      int
-	lastTickAt    time.Time
-	lastErr       string
 	// vms, tenants, hosts and emptyHosts are roster snapshots refreshed
 	// by Step: handlers must not call fleet accessors directly once a
 	// scenario can mutate the roster from the Step goroutine.
@@ -207,14 +203,16 @@ func New(f *fleet.Fleet) (*Server, error) {
 	if f == nil {
 		return nil, errors.New("fleetd: nil fleet")
 	}
-	return &Server{
-		f: f, now: time.Now, createdAt: time.Now(),
+	s := &Server{
+		f: f, now: time.Now,
 		vms: f.VMNames(), tenants: f.Tenants(),
 		hosts: f.Hosts(), emptyHosts: f.EmptyHosts(),
 		vmLog:     serve.NewTable[string](serve.Equal[float64]),
 		tenantLog: serve.NewTable[string](serve.Equal[float64]),
 		hostLog:   serve.NewTable[int](hostEqual),
-	}, nil
+	}
+	s.core.Start(s.now())
+	return s, nil
 }
 
 // SetScenario installs a lifecycle scenario engine: every Step first
@@ -264,9 +262,7 @@ func (s *Server) Step() (*fleet.Tick, error) {
 	tick, err := s.f.Step()
 	if err != nil {
 		o.noteTickError(err)
-		s.mu.Lock()
-		s.lastErr = err.Error()
-		s.mu.Unlock()
+		s.core.Failed(err)
 		return nil, err
 	}
 	wire := s.record(tick)
@@ -301,14 +297,12 @@ func (s *Server) record(tick *fleet.Tick) *TickJSON {
 	if scen != nil {
 		s.scenario = scen
 	}
-	s.ticks++
+	s.core.Ticked(s.now())
 	if tick.Degraded {
 		s.degradedTicks++
 	}
 	s.quarantines += tick.NewQuarantines
 	s.readmits += tick.Readmits
-	s.lastTickAt = s.now()
-	s.lastErr = ""
 	s.publishLocked(wire)
 	return wire
 }
@@ -463,23 +457,19 @@ func (s *Server) Handler() http.Handler {
 // "degraded" (200, some hosts degraded or quarantined with per-host
 // reasons; the rest of the pool still accounts), "ok" (200).
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	now := s.now()
 	s.mu.RLock()
-	ticks := s.ticks
-	lastTickAt := s.lastTickAt
-	lastErr := s.lastErr
 	latest := s.latest
 	// The tick-published roster count, not s.f.Hosts(): handlers must
 	// not touch fleet accessors while a scenario mutates the roster on
 	// the Step goroutine (pinned by TestRosterScrapeRace).
 	hosts := s.hosts
+	live := s.core.Health(s.now())
 	s.mu.RUnlock()
 
-	live := s.core.Health(now, s.createdAt, ticks, lastTickAt, lastErr)
 	h := HealthJSON{
 		Status:             live.Status,
 		Hosts:              hosts,
-		Ticks:              ticks,
+		Ticks:              live.Ticks,
 		LastTickAgeSeconds: live.AgeSeconds,
 		Error:              live.Error,
 	}

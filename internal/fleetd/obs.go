@@ -223,18 +223,16 @@ func (o *serverObs) noteTick(now time.Time, dur time.Duration, tick *fleet.Tick,
 }
 
 // noteProvenance runs the tick's provenance bookkeeping from the Step
-// goroutine: the skew gauge, per-host transition events in fixed host
-// order (exactly one event per state edge), per-host tier switches, the
-// fleet rollup conservation audit, the fleet flight record, and — last,
-// so the dump includes the triggering tick — any armed flight dump
-// (quarantine, conservation violation, or a per-host solver audit
-// violation relayed by EnableAudit).
+// goroutine: per-host transition events in fixed host order (exactly
+// one event per state edge), per-host tier switches, the fleet rollup
+// conservation audit, the fleet flight record, and — last, so the dump
+// includes the triggering tick — any armed flight dump (quarantine,
+// conservation violation, or a per-host solver audit violation relayed
+// by EnableAudit).
 func (o *serverObs) noteProvenance(s *Server, now time.Time, tick *fleet.Tick) {
 	if o == nil {
 		return
 	}
-	o.NoteSkew(now)
-
 	// Lifecycle events first: each fleet event is drained into exactly
 	// one Tick, so appending the batch here gives the journal the
 	// exactly-once guarantee for free. Hot-plugs also grow the flight

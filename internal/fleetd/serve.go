@@ -70,7 +70,7 @@ func (s *Server) statusLocked() StatusJSON {
 		EmptyHosts:    s.emptyHosts,
 		VMs:           s.vms,
 		Tenants:       s.tenants,
-		Ticks:         s.ticks,
+		Ticks:         s.core.Ticks(),
 		DegradedTicks: s.degradedTicks,
 		Quarantines:   s.quarantines,
 		Readmits:      s.readmits,

@@ -254,16 +254,6 @@ func (h *Host) IsRunning(id vm.ID) (bool, error) {
 	return h.running[int(id)], nil
 }
 
-// Retired reports whether a slot was retired.
-func (h *Host) Retired(id vm.ID) (bool, error) {
-	if _, err := h.set.VM(id); err != nil {
-		return false, err
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.retired[int(id)], nil
-}
-
 // SetCPULimit caps a VM's CPU utilization at frac (0..1], the way a
 // hypervisor's credit scheduler enforces a per-VM cap. The limit applies
 // to the state the collector reports (and hence to the power the VM can

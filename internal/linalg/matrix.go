@@ -50,13 +50,6 @@ func (m *Matrix) At(i, j int) float64 { return m.data[i*m.cols+j] }
 // Set assigns the element at (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) Vector {
-	out := make(Vector, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
 // Clone returns an independent copy of m.
 func (m *Matrix) Clone() *Matrix {
 	out := &Matrix{rows: m.rows, cols: m.cols, data: make([]float64, len(m.data))}

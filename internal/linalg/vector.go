@@ -19,9 +19,6 @@ var ErrDimension = errors.New("linalg: dimension mismatch")
 // Vector is a dense column vector.
 type Vector []float64
 
-// NewVector returns a zero vector of length n.
-func NewVector(n int) Vector { return make(Vector, n) }
-
 // Clone returns an independent copy of v.
 func (v Vector) Clone() Vector {
 	out := make(Vector, len(v))
@@ -64,48 +61,6 @@ func (v Vector) Sub(u Vector) (Vector, error) {
 		out[i] = x - u[i]
 	}
 	return out, nil
-}
-
-// AddInPlace accumulates u into v. It returns ErrDimension on length mismatch.
-func (v Vector) AddInPlace(u Vector) error {
-	if len(v) != len(u) {
-		return fmt.Errorf("%w: add-in-place %d vs %d", ErrDimension, len(v), len(u))
-	}
-	for i := range v {
-		v[i] += u[i]
-	}
-	return nil
-}
-
-// Scale returns a*v as a new vector.
-func (v Vector) Scale(a float64) Vector {
-	out := make(Vector, len(v))
-	for i, x := range v {
-		out[i] = a * x
-	}
-	return out
-}
-
-// Norm2 returns the Euclidean norm of v, computed with scaling to avoid
-// overflow for large components.
-func (v Vector) Norm2() float64 {
-	var scale, ssq float64
-	ssq = 1
-	for _, x := range v {
-		if x == 0 {
-			continue
-		}
-		ax := math.Abs(x)
-		if scale < ax {
-			r := scale / ax
-			ssq = 1 + ssq*r*r
-			scale = ax
-		} else {
-			r := ax / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
 }
 
 // MaxAbs returns the infinity norm of v (0 for an empty vector).

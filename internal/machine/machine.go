@@ -47,11 +47,13 @@ type Load struct {
 }
 
 // Machine is a simulated physical machine: a profile plus a scheduler
-// policy. Machine is stateless and safe for concurrent use; the
-// time-stepped wrapper lives in the hypervisor package.
+// policy. Machine is immutable after New and safe for concurrent use;
+// the time-stepped wrapper lives in the hypervisor package.
 type Machine struct {
-	prof   Profile
-	policy SchedulerPolicy
+	prof Profile
+	// slots is the placement order of the logical cores under the
+	// policy, built once by New.
+	slots []threadSlot
 }
 
 // New builds a Machine, validating the profile.
@@ -62,32 +64,29 @@ func New(prof Profile, policy SchedulerPolicy) (*Machine, error) {
 	if policy != Pack && policy != Spread {
 		return nil, fmt.Errorf("machine: unknown scheduler policy %d", int(policy))
 	}
-	return &Machine{prof: prof, policy: policy}, nil
+	return &Machine{prof: prof, slots: slotOrder(prof, policy)}, nil
 }
 
 // Profile returns the machine's profile.
 func (m *Machine) Profile() Profile { return m.prof }
 
-// Policy returns the scheduler policy.
-func (m *Machine) Policy() SchedulerPolicy { return m.policy }
-
 // threadSlot identifies a logical core as (physical core, thread).
 type threadSlot struct{ core, thread int }
 
-// slotOrder returns the placement order of logical cores for the policy.
-func (m *Machine) slotOrder() []threadSlot {
-	n := m.prof.LogicalCores()
-	slots := make([]threadSlot, 0, n)
-	switch m.policy {
+// slotOrder returns the placement order of the profile's logical cores
+// under policy.
+func slotOrder(prof Profile, policy SchedulerPolicy) []threadSlot {
+	slots := make([]threadSlot, 0, prof.LogicalCores())
+	switch policy {
 	case Spread:
-		for t := 0; t < m.prof.ThreadsPerCore; t++ {
-			for c := 0; c < m.prof.PhysicalCores; c++ {
+		for t := 0; t < prof.ThreadsPerCore; t++ {
+			for c := 0; c < prof.PhysicalCores; c++ {
 				slots = append(slots, threadSlot{core: c, thread: t})
 			}
 		}
 	default: // Pack
-		for c := 0; c < m.prof.PhysicalCores; c++ {
-			for t := 0; t < m.prof.ThreadsPerCore; t++ {
+		for c := 0; c < prof.PhysicalCores; c++ {
+			for t := 0; t < prof.ThreadsPerCore; t++ {
 				slots = append(slots, threadSlot{core: c, thread: t})
 			}
 		}
@@ -109,7 +108,7 @@ func (m *Machine) ThreadUtilizations(loads []Load) ([][]float64, error) {
 	for i := range grid {
 		grid[i] = cells[i*tpc : (i+1)*tpc : (i+1)*tpc]
 	}
-	slots := m.slotOrder()
+	slots := m.slots
 	next := 0
 	for li, l := range loads {
 		if l.VCPUs <= 0 {

@@ -79,8 +79,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Policy() != Pack || m.Profile().Name != "xeon16" {
-		t.Fatal("accessors wrong")
+	if m.Profile().Name != "xeon16" {
+		t.Fatal("Profile wrong")
 	}
 }
 

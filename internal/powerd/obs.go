@@ -159,18 +159,16 @@ func (o *serverObs) noteTick(now time.Time, trained bool, idle float64, alloc *c
 }
 
 // noteProvenance runs the tick's provenance bookkeeping from the Step
-// goroutine: the skew gauge, edge-triggered journal events (tier switch,
-// degraded/recovered, plan recompiles), the flight record, and — last,
-// so the dump includes the tick that tripped it — any flight dump the
-// audit callback armed mid-tick. The steady-state path (no transitions)
+// goroutine: edge-triggered journal events (tier switch, degraded/
+// recovered, plan recompiles), the flight record, and — last, so the
+// dump includes the tick that tripped it — any flight dump the audit
+// callback armed mid-tick. The steady-state path (no transitions)
 // is allocation-free: the scratch record refills preallocated slices and
 // Record copies into preallocated slots.
 func (o *serverObs) noteProvenance(s *Server, now time.Time, alloc *core.Allocation, snap *hypervisor.Snapshot, dt float64) {
 	if o == nil {
 		return
 	}
-	o.NoteSkew(now)
-
 	if alloc.Prov.Tier != o.prevTier {
 		if o.prevTier != "" {
 			o.Journal.Append(alloc.Tick, "tier_switch", alloc.Prov.Tier,

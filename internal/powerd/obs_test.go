@@ -2,6 +2,7 @@ package powerd
 
 import (
 	"bufio"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -261,9 +262,7 @@ func TestHealthzLifecycle(t *testing.T) {
 	srv.now = time.Now
 
 	// A failed Step surfaces as an error state until the next good tick.
-	srv.mu.Lock()
-	srv.lastErr = "meter: 32 consecutive dropouts"
-	srv.mu.Unlock()
+	srv.core.Failed(errors.New("meter: 32 consecutive dropouts"))
 	if code := getJSON(t, ts, "/healthz", &h); code != http.StatusServiceUnavailable || h.Status != "error" {
 		t.Fatalf("error state: code %d status %q, want 503 error", code, h.Status)
 	}
@@ -280,7 +279,7 @@ func TestHealthzLifecycle(t *testing.T) {
 
 func TestHealthzStalledBeforeFirstTick(t *testing.T) {
 	srv, _, _ := instrumentedServer(t)
-	srv.now = func() time.Time { return srv.createdAt.Add(10 * time.Second) }
+	srv.now = func() time.Time { return time.Now().Add(10 * time.Second) }
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	var h HealthJSON

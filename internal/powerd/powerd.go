@@ -72,7 +72,6 @@ type Server struct {
 	telemetry atomic.Pointer[serverObs]
 	core      serve.Core
 	now       func() time.Time
-	createdAt time.Time
 
 	// served is the tick-published, pre-encoded HTTP surface: one
 	// atomic pointer swap per tick, cached bytes per request (nil until
@@ -88,12 +87,9 @@ type Server struct {
 	histCap       int
 	energyWs      map[string]float64
 	energySeconds float64
-	ticks         int
 	degradedTicks int
 	rejected      int
 	lastDegraded  string
-	lastTickAt    time.Time
-	lastErr       string
 	// vmLog backs /api/v1/allocation?since=: the bounded per-tick log of
 	// the VMs whose wire watts changed. keys are its names in ascending
 	// order, the order the bodies list per-VM values in (nil before the
@@ -141,18 +137,19 @@ func New(est *core.Estimator, names []string, historySize int) (*Server, error) 
 	var vms serve.Encoder
 	vms.Strings("", names)
 	vmsJSON := vms.Bytes() // strings always encode
-	return &Server{
-		est:       est,
-		names:     names,
-		vmsJSON:   vmsJSON,
-		histCap:   historySize,
-		energyWs:  make(map[string]float64, len(names)),
-		vmLog:     serve.NewTable[string](serve.Equal[float64]),
-		interval:  time.Second,
-		now:       time.Now,
-		createdAt: time.Now(),
-		intTick:   -1,
-	}, nil
+	s := &Server{
+		est:      est,
+		names:    names,
+		vmsJSON:  vmsJSON,
+		histCap:  historySize,
+		energyWs: make(map[string]float64, len(names)),
+		vmLog:    serve.NewTable[string](serve.Equal[float64]),
+		interval: time.Second,
+		now:      time.Now,
+		intTick:  -1,
+	}
+	s.core.Start(s.now())
+	return s, nil
 }
 
 // SetInterval declares the wall-clock duration one Step covers, which the
@@ -187,9 +184,7 @@ func (s *Server) Step() (*core.Allocation, error) {
 	alloc, err := s.est.EstimateTickSpan(sp)
 	if err != nil {
 		o.noteTickError(err)
-		s.mu.Lock()
-		s.lastErr = err.Error()
-		s.mu.Unlock()
+		s.core.Failed(err)
 		return nil, err
 	}
 	snap := s.est.Host().Collect()
@@ -271,9 +266,7 @@ func (s *Server) record(alloc *core.Allocation, snap *hypervisor.Snapshot) *Allo
 	if len(s.history) > s.histCap {
 		s.history = s.history[len(s.history)-s.histCap:]
 	}
-	s.ticks++
-	s.lastTickAt = s.now()
-	s.lastErr = ""
+	s.core.Ticked(s.now())
 	s.publishLocked(wire)
 	return wire
 }
@@ -332,18 +325,14 @@ type HealthJSON struct {
 // "degraded" with 200: the daemon is alive and serving bounded-staleness
 // answers, which is exactly what the degradation machinery is for.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	now := s.now()
 	s.mu.RLock()
-	ticks := s.ticks
-	lastTickAt := s.lastTickAt
-	lastErr := s.lastErr
 	latest := s.latest
+	live := s.core.Health(s.now())
 	s.mu.RUnlock()
-	live := s.core.Health(now, s.createdAt, ticks, lastTickAt, lastErr)
 	h := HealthJSON{
 		Status:             live.Status,
 		Calibrated:         s.est.Trained(),
-		Ticks:              ticks,
+		Ticks:              live.Ticks,
 		LastTickAgeSeconds: live.AgeSeconds,
 		Error:              live.Error,
 	}

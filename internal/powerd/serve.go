@@ -55,7 +55,7 @@ func (s *Server) statusLocked() StatusJSON {
 		Calibrated:         s.est.Trained(),
 		IdleWatts:          s.est.IdlePower(),
 		VMs:                s.names,
-		Ticks:              s.ticks,
+		Ticks:              s.core.Ticks(),
 		Degraded:           s.latest != nil && s.latest.Degraded,
 		DegradedTicks:      s.degradedTicks,
 		RejectedSamples:    s.rejected,

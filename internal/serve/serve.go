@@ -6,8 +6,9 @@
 // behind ?since= delta reads, which also keeps each table's keys in
 // encoding/json's order, and its per-snapshot cache (delta.go), the
 // per-path request metrics, the telemetry routes, the flight-dump
-// trigger and the /healthz rungs both daemons share. encoding/json
-// serves the per-request paths and is the encoder's test oracle.
+// trigger, the liveness ledger and the /healthz rungs both daemons
+// share. encoding/json serves the per-request paths and is the
+// encoder's test oracle.
 //
 // Each daemon keeps its wire types and their writers, its own metric
 // families, the rest of its health ladder and its error texts;
@@ -83,8 +84,6 @@ type Telemetry struct {
 	// worker goroutines.
 	dumpMu      sync.Mutex
 	pendingDump string
-
-	prevTickWall time.Time // Step goroutine only
 }
 
 // NewTelemetry registers the shared families on reg (encode errors and
@@ -104,15 +103,6 @@ func NewTelemetry(reg *obs.Registry, log *obs.Logger, interval time.Duration, fl
 		tickSkew: reg.Gauge("vmpower_tick_skew_seconds",
 			"last tick-to-tick wall spacing minus the configured interval"),
 	}
-}
-
-// NoteSkew sets the skew gauge from the wall spacing since the previous
-// tick. Step goroutine only.
-func (t *Telemetry) NoteSkew(now time.Time) {
-	if !t.prevTickWall.IsZero() {
-		t.tickSkew.Set(now.Sub(t.prevTickWall).Seconds() - t.Interval.Seconds())
-	}
-	t.prevTickWall = now
 }
 
 // ArmDump requests a flight dump once the current tick's record has
@@ -142,10 +132,44 @@ func (t *Telemetry) FireDump(tick int) {
 	t.Log.Warn("flight dump triggered", "tick", tick, "reason", reason)
 }
 
-// Core is the serving state a daemon's Server holds: the telemetry its
-// Instrument installed. The zero Core serves uninstrumented.
+// Core is a daemon's serving state: its telemetry and the liveness
+// ledger /healthz reads. The zero Core serves uninstrumented.
 type Core struct {
 	tel atomic.Pointer[Telemetry]
+
+	mu      sync.Mutex
+	since   time.Time // Start, then the last tick
+	ticks   int
+	lastErr string // the last Step error, "" after a good tick
+}
+
+// Start opens the liveness ledger at the daemon's creation time now.
+// Call it before the Core is shared.
+func (c *Core) Start(now time.Time) { c.since = now }
+
+// Ticked records a tick that landed at now, clears a Step error and,
+// instrumented, sets the skew gauge from the spacing since the last tick.
+func (c *Core) Ticked(now time.Time) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t := c.tel.Load(); t != nil && c.ticks > 0 {
+		t.tickSkew.Set(now.Sub(c.since).Seconds() - t.Interval.Seconds())
+	}
+	c.since, c.ticks, c.lastErr = now, c.ticks+1, ""
+}
+
+// Failed records a failed Step; Health reports it until the next tick.
+func (c *Core) Failed(err error) {
+	c.mu.Lock()
+	c.lastErr = err.Error()
+	c.mu.Unlock()
+}
+
+// Ticks returns the ticks landed since Start.
+func (c *Core) Ticks() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ticks
 }
 
 // Instrument installs t; nil uninstruments.
@@ -287,32 +311,33 @@ type Health struct {
 	Status string
 	Code   int
 	Error  string
+	Ticks  int
 	// AgeSeconds is the age of the last tick, 0 before the first one.
 	AgeSeconds float64
 }
 
-// Health applies the shared rungs to a daemon's tick bookkeeping: ticks
-// completed, when the last one landed, the last Step error ("" after a
-// good tick) and when the daemon was created. The stall threshold is
-// three Instrument intervals, or 3 s uninstrumented.
-func (c *Core) Health(now, createdAt time.Time, ticks int, lastTickAt time.Time, lastErr string) Health {
-	interval := time.Second
+// Health applies the shared rungs to the ledger at now. The stall
+// threshold is three Instrument intervals, or 3 s uninstrumented,
+// counted from the last tick or, before the first one, from Start.
+func (c *Core) Health(now time.Time) Health {
+	stallAfter := 3 * time.Second
 	if t := c.tel.Load(); t != nil {
-		interval = t.Interval
+		stallAfter = 3 * t.Interval
 	}
-	stallAfter := 3 * interval
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.lastErr != "" {
+		return Health{Status: "error", Code: http.StatusServiceUnavailable, Error: c.lastErr, Ticks: c.ticks}
+	}
+	h := Health{Code: http.StatusOK, Ticks: c.ticks}
+	if c.ticks > 0 {
+		h.AgeSeconds = now.Sub(c.since).Seconds()
+	}
 	switch {
-	case lastErr != "":
-		return Health{Status: "error", Code: http.StatusServiceUnavailable, Error: lastErr}
-	case ticks == 0:
-		if now.Sub(createdAt) > stallAfter {
-			return Health{Status: "stalled", Code: http.StatusServiceUnavailable}
-		}
-		return Health{Status: "starting", Code: http.StatusOK}
-	}
-	h := Health{Code: http.StatusOK, AgeSeconds: now.Sub(lastTickAt).Seconds()}
-	if now.Sub(lastTickAt) > stallAfter {
+	case now.Sub(c.since) > stallAfter:
 		h.Status, h.Code = "stalled", http.StatusServiceUnavailable
+	case c.ticks == 0:
+		h.Status = "starting"
 	}
 	return h
 }

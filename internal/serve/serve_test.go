@@ -96,34 +96,33 @@ func TestEncodeErrorsCountedOnce(t *testing.T) {
 
 // TestHealthRungs pins the shared /healthz rungs at the stall boundary
 // (three intervals: 3 s uninstrumented, 6 s at a 2 s cadence): exactly
-// three intervals is still live, a nanosecond more is stalled, before
-// and after the first tick; a Step error outranks both.
+// three intervals after Start or the last tick is still live, a
+// nanosecond more is stalled; a Step error outranks both.
 func TestHealthRungs(t *testing.T) {
-	now := time.Unix(1000, 0)
+	start := time.Unix(1000, 0)
+	last := start.Add(time.Hour)
 	var bare Core
 	paced, _, _ := instrumented(2 * time.Second)
-	for _, tc := range []struct {
-		name       string
-		c          *Core
-		createdAgo time.Duration
-		ticks      int
-		lastAgo    time.Duration
-		lastErr    string
-		want       Health
-	}{
-		{"starting", &bare, 3 * time.Second, 0, 0, "", Health{Status: "starting", Code: 200}},
-		{"stalled before first tick", &bare, 3*time.Second + 1, 0, 0, "", Health{Status: "stalled", Code: 503}},
-		{"live at boundary", &bare, time.Hour, 5, 3 * time.Second, "", Health{Code: 200, AgeSeconds: 3}},
-		{"stalled past boundary", &bare, time.Hour, 5, 3*time.Second + 1, "", Health{Status: "stalled", Code: 503, AgeSeconds: 3.000000001}},
-		{"live at paced boundary", paced, time.Hour, 5, 6 * time.Second, "", Health{Code: 200, AgeSeconds: 6}},
-		{"stalled past paced boundary", paced, time.Hour, 5, 6*time.Second + 1, "", Health{Status: "stalled", Code: 503, AgeSeconds: 6.000000001}},
-		{"error", &bare, time.Hour, 5, time.Hour, "meter lost", Health{Status: "error", Code: 503, Error: "meter lost"}},
-	} {
-		got := tc.c.Health(now, now.Add(-tc.createdAgo), tc.ticks, now.Add(-tc.lastAgo), tc.lastErr)
-		if got != tc.want {
-			t.Errorf("%s: %+v, want %+v", tc.name, got, tc.want)
+	check := func(name string, c *Core, now time.Time, want Health) {
+		t.Helper()
+		if got := c.Health(now); got != want {
+			t.Errorf("%s: %+v, want %+v", name, got, want)
 		}
 	}
+	bare.Start(start)
+	paced.Start(start)
+	check("starting", &bare, start.Add(3*time.Second), Health{Status: "starting", Code: 200})
+	check("stalled before first tick", &bare, start.Add(3*time.Second+1), Health{Status: "stalled", Code: 503})
+	for i := 0; i < 5; i++ {
+		bare.Ticked(last)
+		paced.Ticked(last)
+	}
+	check("live at boundary", &bare, last.Add(3*time.Second), Health{Code: 200, Ticks: 5, AgeSeconds: 3})
+	check("stalled past boundary", &bare, last.Add(3*time.Second+1), Health{Status: "stalled", Code: 503, Ticks: 5, AgeSeconds: 3.000000001})
+	check("live at paced boundary", paced, last.Add(6*time.Second), Health{Code: 200, Ticks: 5, AgeSeconds: 6})
+	check("stalled past paced boundary", paced, last.Add(6*time.Second+1), Health{Status: "stalled", Code: 503, Ticks: 5, AgeSeconds: 6.000000001})
+	bare.Failed(errors.New("meter lost"))
+	check("error", &bare, last.Add(time.Hour), Health{Status: "error", Code: 503, Ticks: 5, Error: "meter lost"})
 }
 
 // TestTelemetryRoutes pins the shared routes: absent uninstrumented;

@@ -140,21 +140,6 @@ func (e *ECDF) At(x float64) float64 {
 	return float64(idx) / float64(len(e.sorted))
 }
 
-// Quantile returns the q-th quantile (0 <= q <= 1).
-func (e *ECDF) Quantile(q float64) float64 {
-	if q <= 0 {
-		return e.sorted[0]
-	}
-	if q >= 1 {
-		return e.sorted[len(e.sorted)-1]
-	}
-	idx := int(math.Ceil(q*float64(len(e.sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return e.sorted[idx]
-}
-
 // Points returns (x, P(X<=x)) pairs suitable for plotting a CDF curve,
 // downsampled to at most maxPoints.
 func (e *ECDF) Points(maxPoints int) [][2]float64 {

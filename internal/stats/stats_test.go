@@ -134,15 +134,6 @@ func TestECDF(t *testing.T) {
 	if got := e.At(3); got != 1 {
 		t.Fatalf("At(3) = %g", got)
 	}
-	if got := e.Quantile(0); got != 1 {
-		t.Fatalf("Quantile(0) = %g", got)
-	}
-	if got := e.Quantile(1); got != 3 {
-		t.Fatalf("Quantile(1) = %g", got)
-	}
-	if got := e.Quantile(0.5); got != 2 {
-		t.Fatalf("Quantile(0.5) = %g", got)
-	}
 	if _, err := NewECDF(nil); !errors.Is(err, ErrEmpty) {
 		t.Fatal("want ErrEmpty")
 	}

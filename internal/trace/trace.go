@@ -1,15 +1,13 @@
-// Package trace records experiment time series and renders them as
-// aligned text tables or CSV, the formats cmd/experiments uses to
-// regenerate the paper's figures as data.
+// Package trace records experiment time series and renders them as CSV,
+// the format cmd/experiments uses to regenerate the paper's figures as
+// data.
 package trace
 
 import (
 	"encoding/csv"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 )
 
 // Series is one named time series sampled at 1 Hz ticks.
@@ -66,16 +64,6 @@ func (t *Table) Rows() int {
 	return n
 }
 
-// Column returns the series with the given name.
-func (t *Table) Column(name string) (*Series, error) {
-	for _, c := range t.Columns {
-		if c.Name == name {
-			return c, nil
-		}
-	}
-	return nil, fmt.Errorf("trace: no column %q", name)
-}
-
 // WriteCSV writes the table with a header row and a leading tick column.
 func (t *Table) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
@@ -104,50 +92,4 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// FormatText renders the table as an aligned text block, optionally
-// downsampled to at most maxRows rows (0 = all).
-func (t *Table) FormatText(maxRows int) string {
-	rows := t.Rows()
-	step := 1
-	if maxRows > 0 && rows > maxRows {
-		step = (rows + maxRows - 1) / maxRows
-	}
-	var sb strings.Builder
-	label := t.TickLabel
-	if label == "" {
-		label = "tick"
-	}
-	fmt.Fprintf(&sb, "%8s", label)
-	for _, c := range t.Columns {
-		fmt.Fprintf(&sb, " %14s", c.Name)
-	}
-	sb.WriteByte('\n')
-	for i := 0; i < rows; i += step {
-		fmt.Fprintf(&sb, "%8d", i)
-		for _, c := range t.Columns {
-			fmt.Fprintf(&sb, " %14.4f", c.Values[i])
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// ErrShape is returned when series lengths are inconsistent.
-var ErrShape = errors.New("trace: inconsistent series lengths")
-
-// FromSeries builds a table from pre-built series, which must share a
-// common length.
-func FromSeries(series ...*Series) (*Table, error) {
-	if len(series) == 0 {
-		return NewTable(), nil
-	}
-	n := series[0].Len()
-	for _, s := range series[1:] {
-		if s.Len() != n {
-			return nil, fmt.Errorf("%w: %q has %d values, want %d", ErrShape, s.Name, s.Len(), n)
-		}
-	}
-	return &Table{TickLabel: "tick", Columns: series}, nil
 }

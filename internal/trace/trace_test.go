@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"errors"
 	"strings"
 	"testing"
 )
@@ -23,15 +22,8 @@ func TestTableAppendAndRows(t *testing.T) {
 	if err := tbl.AppendRow(1); err == nil {
 		t.Fatal("want arity error")
 	}
-	col, err := tbl.Column("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if col.Len() != 2 || col.Values[1] != 4 {
+	if col := tbl.Columns[1]; col.Len() != 2 || col.Values[1] != 4 {
 		t.Fatalf("column b = %v", col.Values)
-	}
-	if _, err := tbl.Column("zz"); err == nil {
-		t.Fatal("want unknown-column error")
 	}
 }
 
@@ -76,26 +68,6 @@ func TestWriteCSVCustomLabel(t *testing.T) {
 	}
 }
 
-func TestFormatText(t *testing.T) {
-	tbl := NewTable("v")
-	for i := 0; i < 100; i++ {
-		if err := tbl.AppendRow(float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	full := tbl.FormatText(0)
-	if lines := strings.Count(full, "\n"); lines != 101 { // header + 100 rows
-		t.Fatalf("full text has %d lines", lines)
-	}
-	down := tbl.FormatText(10)
-	if lines := strings.Count(down, "\n"); lines > 12 {
-		t.Fatalf("downsampled text has %d lines", lines)
-	}
-	if !strings.Contains(down, "tick") {
-		t.Fatal("header missing")
-	}
-}
-
 func TestSeries(t *testing.T) {
 	var s Series
 	s.Name = "x"
@@ -103,25 +75,5 @@ func TestSeries(t *testing.T) {
 	s.Append(2)
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d", s.Len())
-	}
-}
-
-func TestFromSeries(t *testing.T) {
-	a := &Series{Name: "a", Values: []float64{1, 2}}
-	b := &Series{Name: "b", Values: []float64{3, 4}}
-	tbl, err := FromSeries(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Rows() != 2 {
-		t.Fatalf("Rows = %d", tbl.Rows())
-	}
-	short := &Series{Name: "c", Values: []float64{5}}
-	if _, err := FromSeries(a, short); !errors.Is(err, ErrShape) {
-		t.Fatalf("want ErrShape, got %v", err)
-	}
-	empty, err := FromSeries()
-	if err != nil || empty.Rows() != 0 {
-		t.Fatalf("FromSeries() = %v, %v", empty, err)
 	}
 }

@@ -92,9 +92,6 @@ func (c Coalition) Members() []ID {
 	return out
 }
 
-// SubsetOf reports whether c ⊆ other.
-func (c Coalition) SubsetOf(other Coalition) bool { return c&^other == 0 }
-
 // String renders the coalition as {i, j, ...}.
 func (c Coalition) String() string {
 	ids := c.Members()
@@ -103,19 +100,4 @@ func (c Coalition) String() string {
 		parts[i] = fmt.Sprintf("%d", id)
 	}
 	return "{" + strings.Join(parts, ",") + "}"
-}
-
-// EnumerateSubcoalitions calls fn for every subset of base (including the
-// empty set and base itself), using the standard submask-walk trick.
-func EnumerateSubcoalitions(base Coalition, fn func(Coalition) bool) {
-	sub := base
-	for {
-		if !fn(sub) {
-			return
-		}
-		if sub == 0 {
-			return
-		}
-		sub = (sub - 1) & base
-	}
 }

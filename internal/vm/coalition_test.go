@@ -92,20 +92,6 @@ func TestCoalitionOps(t *testing.T) {
 	}
 }
 
-func TestSubsetOf(t *testing.T) {
-	a := CoalitionOf(0, 2)
-	b := CoalitionOf(0, 1, 2)
-	if !a.SubsetOf(b) || b.SubsetOf(a) {
-		t.Fatal("SubsetOf wrong")
-	}
-	if !EmptyCoalition.SubsetOf(a) {
-		t.Fatal("empty is a subset of everything")
-	}
-	if !a.SubsetOf(a) {
-		t.Fatal("every set is a subset of itself")
-	}
-}
-
 func TestEnumerateSubsets(t *testing.T) {
 	var seen []Coalition
 	EnumerateSubsets(3, func(c Coalition) bool {
@@ -136,32 +122,6 @@ func TestEnumerateSubsets(t *testing.T) {
 		t.Fatal("oversize n must not enumerate")
 		return true
 	})
-}
-
-func TestEnumerateSubcoalitions(t *testing.T) {
-	base := CoalitionOf(0, 2)
-	var seen []Coalition
-	EnumerateSubcoalitions(base, func(c Coalition) bool {
-		seen = append(seen, c)
-		return true
-	})
-	if len(seen) != 4 {
-		t.Fatalf("enumerated %d, want 4", len(seen))
-	}
-	for _, c := range seen {
-		if !c.SubsetOf(base) {
-			t.Fatalf("%s is not a subset of %s", c, base)
-		}
-	}
-	// Early stop.
-	count := 0
-	EnumerateSubcoalitions(base, func(Coalition) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Fatalf("early stop after %d", count)
-	}
 }
 
 // Property: Members/CoalitionOf round-trip.
