@@ -732,6 +732,7 @@ func poolFleet(b *testing.B, par int) *fleet.Fleet {
 func BenchmarkFleetCalibrate(b *testing.B) {
 	for _, arm := range fleetPoolArms {
 		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				f := poolFleet(b, arm.par)

@@ -36,6 +36,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"sort"
 	"strings"
 
 	"vmpower/internal/cliutil"
@@ -95,12 +96,17 @@ func runGate(baseline, fresh []Result, cfg gateConfig, w io.Writer) bool {
 		fmt.Fprintf(w, "FAIL "+format+"\n", args...)
 	}
 	for _, re := range cfg.headlines {
-		matched := 0
-		for name, b := range base {
-			if !re.MatchString(name) {
-				continue
+		// Walk the matches in name order, so two logs of the same
+		// inputs list the arms alike.
+		var names []string
+		for name := range base {
+			if re.MatchString(name) {
+				names = append(names, name)
 			}
-			matched++
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			b := base[name]
 			f, found := cur[name]
 			if !found {
 				fail("%s: headline bench missing from fresh snapshot", name)
@@ -125,7 +131,7 @@ func runGate(baseline, fresh []Result, cfg gateConfig, w io.Writer) bool {
 			}
 			fmt.Fprintf(w, "ok   %s: ns/op %.0f -> %.0f\n", name, b.NsPerOp, f.NsPerOp)
 		}
-		if matched == 0 {
+		if len(names) == 0 {
 			// A pattern with no baseline benches gates nothing. Fresh-only
 			// matches mean a new bench family awaiting its first committed
 			// snapshot — report, don't fail.

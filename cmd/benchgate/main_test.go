@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -218,5 +219,40 @@ func TestDefaultHeadlinesMatchCommittedBaseline(t *testing.T) {
 				t.Errorf("%s: headline %s matches no entry", filepath.Base(path), p)
 			}
 		}
+	}
+}
+
+// TestGateOrderIsStable: the verdict lines of one headline come out in
+// name order on every run, whatever order the baseline lists them in and
+// however its index map iterates.
+func TestGateOrderIsStable(t *testing.T) {
+	arms := []string{"status", "allocation_since", "energy", "history", "allocation", "metrics"}
+	var base []Result
+	for _, a := range arms {
+		base = append(base, Result{Name: "BenchmarkServeCached/" + a + "-2", NsPerOp: 30, AllocsPerOp: fptr(0)})
+	}
+	fresh := append([]Result(nil), base...)
+	fresh[2].AllocsPerOp = fptr(5) // energy regresses: a FAIL line among the ok ones
+	cfg := defaultCfg(t)
+	cfg.headlines = []*regexp.Regexp{regexp.MustCompile(`^BenchmarkServeCached/`)}
+	var first string
+	for run := 0; run < 20; run++ {
+		var out bytes.Buffer
+		runGate(base, fresh, cfg, &out)
+		if run == 0 {
+			first = out.String()
+			continue
+		}
+		if out.String() != first {
+			t.Fatalf("run %d printed\n%s\nrun 0 printed\n%s", run, out.String(), first)
+		}
+	}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(first), "\n") {
+		name, _, _ := strings.Cut(strings.TrimSpace(strings.TrimPrefix(strings.TrimPrefix(line, "FAIL"), "ok")), ":")
+		names = append(names, name)
+	}
+	if len(names) != len(arms) || !sort.StringsAreSorted(names) {
+		t.Fatalf("verdicts not one per arm in name order:\n%s", first)
 	}
 }

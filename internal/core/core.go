@@ -289,6 +289,9 @@ type Estimator struct {
 
 	// scratch is the estimation goroutine's cross-tick solver state.
 	scratch scratch
+	// snap is the estimation goroutine's collection buffer: CollectOffline
+	// and EstimateTickSpan collect every tick into it.
+	snap hypervisor.Snapshot
 	// spare holds *scratch values for Estimate, one per concurrent call,
 	// so a replay of many records reuses one set of buffers.
 	spare sync.Pool
@@ -528,7 +531,10 @@ func (e *Estimator) CollectOffline() error {
 		}
 	}
 
-	// Traverse the 2^r − 1 non-empty VHC (class) combinations.
+	// Traverse the 2^r − 1 non-empty VHC (class) combinations. Every
+	// offline tick collects into e.snap and aggregates into one feature
+	// array; AddSample keeps its own copy of the features.
+	var feat [vhc.MaxFeatureLen]float64
 	numCombos := vhc.ComboMask(1) << uint(e.approx.NumTypes())
 	for combo := vhc.ComboMask(1); combo < numCombos; combo++ {
 		running, any, err := e.runningForCombo(set, combo)
@@ -543,7 +549,7 @@ func (e *Estimator) CollectOffline() error {
 		}
 		for t := 0; t < e.cfg.OfflineTicksPerCombo; t++ {
 			e.host.Advance(1)
-			snap := e.host.Collect()
+			e.host.CollectInto(&e.snap)
 			s, err := e.sampleMeter()
 			if err != nil {
 				return fmt.Errorf("core: collecting combo %s: %w", combo, err)
@@ -553,7 +559,7 @@ func (e *Estimator) CollectOffline() error {
 			if dyn < 0 {
 				dyn = 0
 			}
-			got, features, err := vhc.ClassedFeaturesFor(set, snap.Running, snap.States, e.classes)
+			got, features, err := vhc.ClassedFeaturesInto(set, e.snap.Running, e.snap.States, e.classes, &feat)
 			if err != nil {
 				return err
 			}
@@ -663,7 +669,8 @@ func (e *Estimator) EstimateTick() (*Allocation, error) {
 // the same contract Run and powerd.Step already follow; Estimate stays
 // pure.
 func (e *Estimator) EstimateTickSpan(sp *obs.Span) (*Allocation, error) {
-	snap := e.host.Collect()
+	e.host.CollectInto(&e.snap)
+	snap := e.snap
 	sp.Mark("snapshot")
 	rd, err := e.sampleMeterResilient(snap.Tick)
 	if err != nil {
@@ -737,7 +744,8 @@ func (e *Estimator) buildWorth(running vm.Coalition, states []vm.State, dyn floa
 		for m := uint32(s); m != 0; m &= m - 1 {
 			flags[bits.TrailingZeros32(m)] = true
 		}
-		combo, features, err := vhc.ClassedFeaturesFor(set, flags[:n], states, e.classes)
+		var feat [vhc.MaxFeatureLen]float64
+		combo, features, err := vhc.ClassedFeaturesInto(set, flags[:n], states, e.classes, &feat)
 		if err != nil {
 			return 0, err
 		}

@@ -103,6 +103,65 @@ func TestCollectOffline(t *testing.T) {
 	}
 }
 
+// offlineAllocsPerSample bounds CollectOffline's allocations per offline
+// sample. AddSample makes two: its copy of the features and the v(S,C)
+// table's key, which Go stores out of line because it is over 128 bytes.
+// The rest is the amortized growth of the sample list and the table, and
+// the fit. Collecting the tick, reading the meter's ground truth and
+// aggregating the features allocate nothing.
+const offlineAllocsPerSample = 2.1
+
+// TestCollectOfflineAllocs pins CollectOffline's allocations per offline
+// sample on one host of fleet32's shape: a Xeon of 8 large VMs behind a
+// noisy meter.
+func TestCollectOfflineAllocs(t *testing.T) {
+	const runs = 5
+	ests := make([]*Estimator, runs+1) // AllocsPerRun makes one warm-up call
+	large := make([]vm.VM, 8)
+	for i := range large {
+		large[i].Type = 2
+	}
+	for i := range ests {
+		mach, err := machine.New(machine.XeonProfile(), machine.Pack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := vm.NewSet(vm.PaperCatalog(), large)
+		if err != nil {
+			t.Fatal(err)
+		}
+		host, err := hypervisor.NewHost(mach, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := meter.NewSim(host.PowerSource(), meter.SimOptions{NoiseStdDev: 0.25, Resolution: 0.1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ests[i], err = New(host, m, Config{Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := ests[next].CollectOffline(); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	// Every combination of the catalog's types that contains the large
+	// type runs the same 8 VMs, so all the samples land in one combo.
+	samples := ests[0].Approximator().SampleCount(1 << 2)
+	if samples == 0 {
+		t.Fatal("no offline samples")
+	}
+	perSample := allocs / float64(samples)
+	t.Logf("%.0f allocations per CollectOffline, %.2f per offline sample", allocs, perSample)
+	if perSample > offlineAllocsPerSample {
+		t.Fatalf("CollectOffline allocates %.2f times per offline sample, want at most %g", perSample, offlineAllocsPerSample)
+	}
+}
+
 func TestEstimateEfficiencyAndDummy(t *testing.T) {
 	host, est := testRig(t, Config{Seed: 2})
 	if err := est.CollectOffline(); err != nil {

@@ -9,6 +9,7 @@ package hypervisor
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"vmpower/internal/machine"
@@ -41,6 +42,14 @@ type Host struct {
 	epochs    []int     // tick at which each VM's workload was attached
 	cpuLimits []float64 // per-VM CPU ceiling, 0..1 (1 = unthrottled)
 	retired   []bool    // permanently stopped slots (removed/migrated-away VMs)
+
+	// states is the current tick's collected states, valid while
+	// collected is true (see statesLocked). Every mutator clears
+	// collected.
+	states    []vm.State
+	collected bool
+	// loads is TruePower's reused load buffer.
+	loads []machine.Load
 }
 
 // NewHost builds a host for the VM set on the machine. All VMs start
@@ -110,6 +119,7 @@ func (h *Host) Attach(id vm.ID, g workload.Generator) error {
 	}
 	h.workloads[int(id)] = g
 	h.epochs[int(id)] = h.tick
+	h.collected = false
 	return nil
 }
 
@@ -125,6 +135,7 @@ func (h *Host) Start(id vm.ID) error {
 		return fmt.Errorf("hypervisor: VM %d is retired", int(id))
 	}
 	h.running[int(id)] = true
+	h.collected = false
 	return nil
 }
 
@@ -136,6 +147,7 @@ func (h *Host) Stop(id vm.ID) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.running[int(id)] = false
+	h.collected = false
 	return nil
 }
 
@@ -149,6 +161,7 @@ func (h *Host) SetCoalition(mask vm.Coalition) {
 	for i := range h.running {
 		h.running[i] = mask.Contains(vm.ID(i)) && !h.retired[i]
 	}
+	h.collected = false
 }
 
 // SetRunning starts exactly the VMs with running[i] true and stops the
@@ -162,6 +175,7 @@ func (h *Host) SetRunning(running []bool) error {
 	for i, r := range running {
 		h.running[i] = r && !h.retired[i]
 	}
+	h.collected = false
 	return nil
 }
 
@@ -173,6 +187,7 @@ func (h *Host) SetAll(running bool) {
 	for i := range h.running {
 		h.running[i] = running && !h.retired[i]
 	}
+	h.collected = false
 }
 
 // activeVCPUsLocked sums the vCPUs of the non-retired slots — the
@@ -224,6 +239,7 @@ func (h *Host) AddVM(v vm.VM) (vm.ID, error) {
 	h.epochs = append(h.epochs, 0)
 	h.cpuLimits = append(h.cpuLimits, 1)
 	h.retired = append(h.retired, false)
+	h.collected = false
 	return id, nil
 }
 
@@ -241,6 +257,7 @@ func (h *Host) Retire(id vm.ID) error {
 	h.running[int(id)] = false
 	h.workloads[int(id)] = nil
 	h.retired[int(id)] = true
+	h.collected = false
 	return nil
 }
 
@@ -268,6 +285,7 @@ func (h *Host) SetCPULimit(id vm.ID, frac float64) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.cpuLimits[int(id)] = frac
+	h.collected = false
 	return nil
 }
 
@@ -297,6 +315,7 @@ func (h *Host) Advance(n int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.tick += n
+	h.collected = false
 }
 
 // Clock returns the current tick.
@@ -322,12 +341,36 @@ type Snapshot struct {
 // Collect returns the current tick's snapshot. Stopped VMs report a zero
 // state; running VMs report their workload's state at the current tick
 // (idle if no workload is attached), quantized to the host resolution.
+// The snapshot's slices belong to the caller.
 func (h *Host) Collect() Snapshot {
+	var snap Snapshot
+	h.CollectInto(&snap)
+	return snap
+}
+
+// CollectInto is Collect into snap, reusing the capacity of its slices,
+// so a loop that collects every tick allocates only while they grow.
+func (h *Host) CollectInto(snap *Snapshot) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	states := make([]vm.State, h.set.Len())
-	running := append([]bool(nil), h.running...)
-	for i := range states {
+	snap.Tick = h.tick
+	snap.Running = append(snap.Running[:0], h.running...)
+	snap.States = append(snap.States[:0], h.statesLocked()...)
+}
+
+// statesLocked returns the current tick's states, collecting them on the
+// first call after a mutation and from the memo after that. Generators
+// are pure in (seed, tick), so the memo is exactly what a fresh
+// collection would return. The caller holds h.mu and must not keep the
+// slice past it.
+func (h *Host) statesLocked() []vm.State {
+	if h.collected {
+		return h.states
+	}
+	n := h.set.Len()
+	h.states = slices.Grow(h.states[:0], n)[:n]
+	clear(h.states)
+	for i := range h.states {
 		if !h.running[i] {
 			continue
 		}
@@ -336,17 +379,11 @@ func (h *Host) Collect() Snapshot {
 			if limit := h.cpuLimits[i]; s[vm.CPU] > limit {
 				s[vm.CPU] = limit
 			}
-			states[i] = s.Quantize(h.resolution)
+			h.states[i] = s.Quantize(h.resolution)
 		}
 	}
-	return Snapshot{Tick: h.tick, Running: running, States: states}
-}
-
-// Loads returns the machine loads of the currently running VMs in VM ID
-// order, using the current tick's states.
-func (h *Host) Loads() ([]machine.Load, error) {
-	snap := h.Collect()
-	return h.LoadsFor(snap.Running, snap.States)
+	h.collected = true
+	return h.states
 }
 
 // LoadsFor builds machine loads, in VM ID order, for an arbitrary running
@@ -358,7 +395,11 @@ func (h *Host) LoadsFor(running []bool, states []vm.State) ([]machine.Load, erro
 	if len(running) != h.set.Len() {
 		return nil, fmt.Errorf("hypervisor: %d running flags for %d VMs", len(running), h.set.Len())
 	}
-	loads := make([]machine.Load, 0, len(running))
+	return h.appendLoads(make([]machine.Load, 0, len(running)), running, states)
+}
+
+// appendLoads appends the loads of the running VMs to dst in VM ID order.
+func (h *Host) appendLoads(dst []machine.Load, running []bool, states []vm.State) ([]machine.Load, error) {
 	for i, r := range running {
 		if !r {
 			continue
@@ -367,23 +408,26 @@ func (h *Host) LoadsFor(running []bool, states []vm.State) ([]machine.Load, erro
 		if err != nil {
 			return nil, err
 		}
-		loads = append(loads, machine.Load{
+		dst = append(dst, machine.Load{
 			VCPUs:    t.VCPUs,
 			MemoryGB: t.MemoryGB,
 			DiskGB:   t.DiskGB,
 			State:    states[i],
 		})
 	}
-	return loads, nil
+	return dst, nil
 }
 
 // TruePower returns the machine's current total wall power (including
 // idle) — what a perfect meter would read right now.
 func (h *Host) TruePower() (float64, error) {
-	loads, err := h.Loads()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	loads, err := h.appendLoads(h.loads[:0], h.running, h.statesLocked())
 	if err != nil {
 		return 0, err
 	}
+	h.loads = loads
 	return h.mach.Power(loads)
 }
 

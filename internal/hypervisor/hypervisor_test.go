@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"vmpower/internal/machine"
@@ -215,7 +216,8 @@ func TestLoadsAndPower(t *testing.T) {
 	if err := h.Start(0); err != nil {
 		t.Fatal(err)
 	}
-	loads, err := h.Loads()
+	snap := h.Collect()
+	loads, err := h.LoadsFor(snap.Running, snap.States)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,5 +347,227 @@ func TestDynamicPowerFor(t *testing.T) {
 	}
 	if empty != 0 {
 		t.Fatalf("empty coalition power = %g", empty)
+	}
+}
+
+// memoHost is a host in a fixed mixed state for the memo tests, with the
+// workloads it attached and their attach ticks, so a test can collect the
+// current tick without the host's memo.
+type memoHost struct {
+	*Host
+	gens   []workload.Generator
+	epochs []int
+}
+
+// newMemoHost builds four VMs on a Xeon: VM 0 running a synthetic load,
+// VM 1 stopped with one, VM 2 running a constant 80% CPU and VM 3
+// stopped with none.
+func newMemoHost(t *testing.T) *memoHost {
+	t.Helper()
+	mach, err := machine.New(machine.XeonProfile(), machine.Pack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := vm.NewSet(vm.PaperCatalog(), []vm.VM{{Type: 0}, {Type: 0}, {Type: 1}, {Type: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := NewHost(mach, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &memoHost{Host: host, gens: make([]workload.Generator, 4), epochs: make([]int, 4)}
+	h.Advance(5)
+	h.attach(t, 0, workload.Synthetic{Seed: 1})
+	h.attach(t, 1, workload.Synthetic{Seed: 2})
+	h.attach(t, 2, workload.Constant("c", vm.State{vm.CPU: 0.8, vm.Memory: 0.3}))
+	if err := h.SetRunning([]bool{true, false, true, false}); err != nil {
+		t.Fatal(err)
+	}
+	h.Advance(2)
+	return h
+}
+
+func (h *memoHost) attach(t *testing.T, id vm.ID, g workload.Generator) {
+	t.Helper()
+	if err := h.Attach(id, g); err != nil {
+		t.Fatal(err)
+	}
+	h.gens[id], h.epochs[id] = g, h.Clock()
+}
+
+// reference collects the current tick straight from the generators, the
+// host clock, the running flags and the CPU limits, and prices it on the
+// machine.
+func (h *memoHost) reference(t *testing.T) (Snapshot, float64) {
+	t.Helper()
+	snap := Snapshot{Tick: h.Clock(), Running: h.Running()}
+	snap.States = make([]vm.State, len(snap.Running))
+	for i, r := range snap.Running {
+		if !r || h.gens[i] == nil {
+			continue
+		}
+		s := h.gens[i].StateAt(snap.Tick - h.epochs[i])
+		limit, err := h.CPULimit(vm.ID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s[vm.CPU] = min(s[vm.CPU], limit)
+		snap.States[i] = s.Quantize(h.Resolution())
+	}
+	loads, err := h.LoadsFor(snap.Running, snap.States)
+	if err != nil {
+		t.Fatal(err)
+	}
+	power, err := h.Machine().Power(loads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap, power
+}
+
+// check compares Collect and TruePower with the reference.
+func (h *memoHost) check(t *testing.T, when string) {
+	t.Helper()
+	want, wantPower := h.reference(t)
+	got := h.Collect()
+	if got.Tick != want.Tick || !slices.Equal(got.Running, want.Running) || !slices.Equal(got.States, want.States) {
+		t.Fatalf("%s: Collect = %+v, want %+v", when, got, want)
+	}
+	power, err := h.TruePower()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if power != wantPower {
+		t.Fatalf("%s: TruePower = %v, want %v", when, power, wantPower)
+	}
+}
+
+// TestCollectMemoInvalidation calls every Host mutator after a collection
+// and checks that the next Collect and TruePower see the change: a
+// mutator that kept the tick's memo would serve the old states.
+func TestCollectMemoInvalidation(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(t *testing.T, h *memoHost) error
+	}{
+		{"Advance", func(t *testing.T, h *memoHost) error { h.Advance(1); return nil }},
+		{"Attach", func(t *testing.T, h *memoHost) error {
+			h.attach(t, 0, workload.Constant("low", vm.State{vm.CPU: 0.37}))
+			return nil
+		}},
+		{"Start", func(t *testing.T, h *memoHost) error { return h.Start(1) }},
+		{"Stop", func(t *testing.T, h *memoHost) error { return h.Stop(0) }},
+		{"SetCoalition", func(t *testing.T, h *memoHost) error { h.SetCoalition(vm.CoalitionOf(1, 2)); return nil }},
+		{"SetRunning", func(t *testing.T, h *memoHost) error { return h.SetRunning([]bool{true, true, false, false}) }},
+		{"SetAll", func(t *testing.T, h *memoHost) error { h.SetAll(true); return nil }},
+		{"SetCPULimit", func(t *testing.T, h *memoHost) error { return h.SetCPULimit(2, 0.3) }},
+		{"AddVM", func(t *testing.T, h *memoHost) error {
+			h.gens, h.epochs = append(h.gens, nil), append(h.epochs, 0)
+			_, err := h.AddVM(vm.VM{Type: 0})
+			return err
+		}},
+		{"Retire", func(t *testing.T, h *memoHost) error {
+			h.gens[2] = nil
+			return h.Retire(2)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newMemoHost(t)
+			h.check(t, "before")
+			before, beforePower := h.reference(t)
+			if err := tc.mutate(t, h); err != nil {
+				t.Fatal(err)
+			}
+			after, afterPower := h.reference(t)
+			if slices.Equal(before.States, after.States) && beforePower == afterPower {
+				t.Fatal("the mutation must change the collected states")
+			}
+			h.check(t, "after")
+		})
+	}
+}
+
+// TestCollectOwnership pins that a snapshot's slices belong to the caller:
+// writing to them changes nothing the host collects next, and
+// CollectInto reuses them without sharing the memo.
+func TestCollectOwnership(t *testing.T) {
+	h := newMemoHost(t)
+	snap := h.Collect()
+	snap.Running[1] = true
+	snap.States[0][vm.CPU] = 0.99
+	snap.States[3] = vm.State{vm.DiskIO: 1}
+	h.check(t, "after writing to a snapshot")
+	h.CollectInto(&snap)
+	want, _ := h.reference(t)
+	if !slices.Equal(snap.Running, want.Running) || !slices.Equal(snap.States, want.States) {
+		t.Fatalf("CollectInto = %+v, want %+v", snap, want)
+	}
+	snap.States[2] = vm.State{}
+	h.check(t, "after writing to a reused snapshot")
+}
+
+// TestTruePowerZeroAlloc pins the meter's ground truth at zero
+// allocations once the tick is collected.
+func TestTruePowerZeroAlloc(t *testing.T) {
+	h := newMemoHost(t)
+	if _, err := h.TruePower(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := h.TruePower(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("TruePower allocates %v times per call on a collected tick, want 0", allocs)
+	}
+}
+
+// TestCollectConcurrentWithMutators runs Collect and TruePower against
+// Advance and SetRunning on other goroutines (run it under -race): every
+// snapshot must be one tick's, its states those of its own running set
+// at its own clock.
+func TestCollectConcurrentWithMutators(t *testing.T) {
+	h := newMemoHost(t)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			h.Advance(1)
+			if err := h.SetRunning([]bool{i%2 == 0, true, i%3 == 0, false}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	errs := make(chan error, 2)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				snap := h.Collect()
+				for id, running := range snap.Running {
+					var want vm.State
+					if g := h.gens[id]; running && g != nil {
+						want = g.StateAt(snap.Tick - h.epochs[id]).Quantize(h.Resolution())
+					}
+					if snap.States[id] != want {
+						errs <- fmt.Errorf("tick %d VM %d: state %v, want %v", snap.Tick, id, snap.States[id], want)
+						return
+					}
+				}
+				if p, err := h.TruePower(); err != nil || p < h.Machine().Profile().IdlePower {
+					errs <- fmt.Errorf("TruePower = %v, %v", p, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

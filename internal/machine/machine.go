@@ -50,10 +50,8 @@ type Load struct {
 // policy. Machine is immutable after New and safe for concurrent use;
 // the time-stepped wrapper lives in the hypervisor package.
 type Machine struct {
-	prof Profile
-	// slots is the placement order of the logical cores under the
-	// policy, built once by New.
-	slots []threadSlot
+	prof   Profile
+	policy SchedulerPolicy
 }
 
 // New builds a Machine, validating the profile.
@@ -64,69 +62,37 @@ func New(prof Profile, policy SchedulerPolicy) (*Machine, error) {
 	if policy != Pack && policy != Spread {
 		return nil, fmt.Errorf("machine: unknown scheduler policy %d", int(policy))
 	}
-	return &Machine{prof: prof, slots: slotOrder(prof, policy)}, nil
+	return &Machine{prof: prof, policy: policy}, nil
 }
 
 // Profile returns the machine's profile.
 func (m *Machine) Profile() Profile { return m.prof }
 
-// threadSlot identifies a logical core as (physical core, thread).
-type threadSlot struct{ core, thread int }
-
-// slotOrder returns the placement order of the profile's logical cores
-// under policy.
-func slotOrder(prof Profile, policy SchedulerPolicy) []threadSlot {
-	slots := make([]threadSlot, 0, prof.LogicalCores())
-	switch policy {
-	case Spread:
-		for t := 0; t < prof.ThreadsPerCore; t++ {
-			for c := 0; c < prof.PhysicalCores; c++ {
-				slots = append(slots, threadSlot{core: c, thread: t})
-			}
-		}
-	default: // Pack
-		for c := 0; c < prof.PhysicalCores; c++ {
-			for t := 0; t < prof.ThreadsPerCore; t++ {
-				slots = append(slots, threadSlot{core: c, thread: t})
-			}
-		}
+// placement returns the position at which the scheduler fills thread t
+// of physical core c: the k-th vCPU placed, in load order, runs there.
+// For a fixed thread it grows with the core under both policies.
+func (m *Machine) placement(c, t int) int {
+	if m.policy == Spread {
+		return t*m.prof.PhysicalCores + c
 	}
-	return slots
+	return c*m.prof.ThreadsPerCore + t
 }
 
-// ThreadUtilizations places the loads' vCPUs onto logical cores in load
-// order under the scheduler policy and returns the per-physical-core,
-// per-thread utilization grid. Each vCPU of load i runs at the load's CPU
-// state (the mean utilization across the VM's vCPUs).
-// It returns ErrOvercommit when Σ vCPUs exceeds the logical core count.
-func (m *Machine) ThreadUtilizations(loads []Load) ([][]float64, error) {
-	// One backing array for the whole grid: a per-core allocation cost the
-	// 128-core dense profile 129 allocations per ground-truth evaluation.
-	tpc := m.prof.ThreadsPerCore
-	cells := make([]float64, m.prof.PhysicalCores*tpc)
-	grid := make([][]float64, m.prof.PhysicalCores)
-	for i := range grid {
-		grid[i] = cells[i*tpc : (i+1)*tpc : (i+1)*tpc]
+// vcpuCursor walks the loads' vCPUs in placement order: the first vCPU
+// of loads[li] is placed at position first.
+type vcpuCursor struct{ li, first int }
+
+// util returns the CPU state of the vCPU placed at position k, or 0 when
+// none is. k must not decrease from one call to the next.
+func (c *vcpuCursor) util(loads []Load, k int) float64 {
+	for c.li < len(loads) && c.first+loads[c.li].VCPUs <= k {
+		c.first += loads[c.li].VCPUs
+		c.li++
 	}
-	slots := m.slots
-	next := 0
-	for li, l := range loads {
-		if l.VCPUs <= 0 {
-			return nil, fmt.Errorf("machine: load %d has %d vCPUs", li, l.VCPUs)
-		}
-		if err := l.State.Validate(); err != nil {
-			return nil, fmt.Errorf("machine: load %d: %w", li, err)
-		}
-		for v := 0; v < l.VCPUs; v++ {
-			if next >= len(slots) {
-				return nil, fmt.Errorf("%w: need > %d", ErrOvercommit, len(slots))
-			}
-			s := slots[next]
-			grid[s.core][s.thread] = l.State[vm.CPU]
-			next++
-		}
+	if c.li == len(loads) {
+		return 0
 	}
-	return grid, nil
+	return loads[c.li].State[vm.CPU]
 }
 
 // corePower returns the dynamic power of one physical core given its
@@ -156,16 +122,36 @@ func (m *Machine) corePower(threads []float64) float64 {
 
 // DynamicPower returns the machine's power above idle for the given
 // coalition of loads (the ground-truth v(S, C) of the game, before meter
-// noise).
+// noise). It places the loads' vCPUs onto logical cores in load order
+// under the scheduler policy, each running at its load's CPU state (the
+// mean utilization across the VM's vCPUs), and sums the physical cores'
+// power in core order. It returns ErrOvercommit when Σ vCPUs exceeds the
+// logical core count, and allocates nothing when it succeeds.
 func (m *Machine) DynamicPower(loads []Load) (float64, error) {
-	grid, err := m.ThreadUtilizations(loads)
-	if err != nil {
-		return 0, err
+	placed := 0
+	for li, l := range loads {
+		if l.VCPUs <= 0 {
+			return 0, fmt.Errorf("machine: load %d has %d vCPUs", li, l.VCPUs)
+		}
+		if err := l.State.Validate(); err != nil {
+			return 0, fmt.Errorf("machine: load %d: %w", li, err)
+		}
+		if placed += l.VCPUs; placed > m.prof.LogicalCores() {
+			return 0, fmt.Errorf("%w: need > %d", ErrOvercommit, m.prof.LogicalCores())
+		}
 	}
+	// One cursor per thread number finds each logical core's vCPU, since
+	// a thread's placement position grows with its core.
+	var cursors [2]vcpuCursor // Profile.Validate allows 1 or 2 threads a core
+	var threads [2]float64
+	tpc := m.prof.ThreadsPerCore
 	var cpu float64
 	active := 0
-	for _, threads := range grid {
-		p := m.corePower(threads)
+	for c := 0; c < m.prof.PhysicalCores; c++ {
+		for t := 0; t < tpc; t++ {
+			threads[t] = cursors[t].util(loads, m.placement(c, t))
+		}
+		p := m.corePower(threads[:tpc])
 		if p > 0 {
 			active++
 		}

@@ -2,7 +2,9 @@ package machine
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -158,19 +160,188 @@ func TestIdlePower(t *testing.T) {
 	}
 }
 
+// threadSlot identifies a logical core as (physical core, thread).
+type threadSlot struct{ core, thread int }
+
+// slotOrder returns the placement order of the profile's logical cores
+// under policy, listed explicitly.
+func slotOrder(prof Profile, policy SchedulerPolicy) []threadSlot {
+	slots := make([]threadSlot, 0, prof.LogicalCores())
+	switch policy {
+	case Spread:
+		for t := 0; t < prof.ThreadsPerCore; t++ {
+			for c := 0; c < prof.PhysicalCores; c++ {
+				slots = append(slots, threadSlot{core: c, thread: t})
+			}
+		}
+	default: // Pack
+		for c := 0; c < prof.PhysicalCores; c++ {
+			for t := 0; t < prof.ThreadsPerCore; t++ {
+				slots = append(slots, threadSlot{core: c, thread: t})
+			}
+		}
+	}
+	return slots
+}
+
+// threadUtilizations is the placement oracle: it places the loads' vCPUs
+// onto the slotOrder list in load order and returns the per-physical-core,
+// per-thread utilization grid.
+func threadUtilizations(m *Machine, loads []Load) ([][]float64, error) {
+	grid := make([][]float64, m.prof.PhysicalCores)
+	for i := range grid {
+		grid[i] = make([]float64, m.prof.ThreadsPerCore)
+	}
+	slots := slotOrder(m.prof, m.policy)
+	next := 0
+	for li, l := range loads {
+		if l.VCPUs <= 0 {
+			return nil, fmt.Errorf("machine: load %d has %d vCPUs", li, l.VCPUs)
+		}
+		if err := l.State.Validate(); err != nil {
+			return nil, fmt.Errorf("machine: load %d: %w", li, err)
+		}
+		for v := 0; v < l.VCPUs; v++ {
+			if next >= len(slots) {
+				return nil, fmt.Errorf("%w: need > %d", ErrOvercommit, len(slots))
+			}
+			s := slots[next]
+			grid[s.core][s.thread] = l.State[vm.CPU]
+			next++
+		}
+	}
+	return grid, nil
+}
+
+// gridDynamicPower is DynamicPower computed over the oracle's grid, core
+// by core.
+func gridDynamicPower(m *Machine, loads []Load) (float64, error) {
+	grid, err := threadUtilizations(m, loads)
+	if err != nil {
+		return 0, err
+	}
+	var cpu float64
+	active := 0
+	for _, threads := range grid {
+		p := m.corePower(threads)
+		if p > 0 {
+			active++
+		}
+		cpu += p
+	}
+	cpu *= m.prof.DeliveryFactor(active)
+	var memFrac, diskFrac float64
+	for _, l := range loads {
+		memFrac += l.State[vm.Memory] * float64(l.MemoryGB) / float64(m.prof.MemoryGB)
+		diskFrac += l.State[vm.DiskIO]
+	}
+	if memFrac > 1 {
+		memFrac = 1
+	}
+	if diskFrac > 1 {
+		diskFrac = 1
+	}
+	return cpu + m.prof.MemoryPowerMax*memFrac + m.prof.DiskPowerMax*diskFrac, nil
+}
+
+// randomLoads draws loads of 1, 2, 4 or 8 vCPUs at random states until
+// the next one would not fit in the machine's logical cores. A state
+// component is 0 a quarter of the time, so idle threads sit next to
+// busy ones.
+func randomLoads(rng *rand.Rand, logical int) []Load {
+	var loads []Load
+	used := 0
+	for {
+		n := 1 << rng.Intn(4)
+		if used+n > logical || rng.Intn(8) == 0 {
+			return loads
+		}
+		used += n
+		var s vm.State
+		for c := range s {
+			if rng.Intn(4) != 0 {
+				s[c] = math.Round(rng.Float64()*100) / 100
+			}
+		}
+		loads = append(loads, Load{VCPUs: n, MemoryGB: 1 + rng.Intn(8), DiskGB: 8, State: s})
+	}
+}
+
+// TestDynamicPowerMatchesGridOracle pins the grid-free DynamicPower to the
+// placement oracle bit for bit, and its errors to the oracle's.
+func TestDynamicPowerMatchesGridOracle(t *testing.T) {
+	for _, prof := range []Profile{XeonProfile(), DenseProfile(), PentiumProfile()} {
+		for _, policy := range []SchedulerPolicy{Pack, Spread} {
+			m, err := New(prof, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(prof.LogicalCores())*10 + int64(policy)))
+			for trial := 0; trial < 300; trial++ {
+				loads := randomLoads(rng, prof.LogicalCores())
+				got, err := m.DynamicPower(loads)
+				if err != nil {
+					t.Fatalf("%s/%s trial %d: %v", prof.Name, policy, trial, err)
+				}
+				want, err := gridDynamicPower(m, loads)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s/%s trial %d: DynamicPower = %v, oracle %v (loads %+v)", prof.Name, policy, trial, got, want, loads)
+				}
+			}
+			full := Load{VCPUs: prof.LogicalCores(), MemoryGB: 1, DiskGB: 8, State: vm.State{vm.CPU: 1}}
+			for _, bad := range [][]Load{
+				{full, load1(1)},
+				{load1(0.5), {VCPUs: prof.LogicalCores(), State: vm.State{vm.CPU: 1}}},
+				{load1(0.5), {VCPUs: 0, State: vm.State{}}},
+				{load1(0.5), {VCPUs: 1, State: vm.State{vm.CPU: 2}}},
+				{{VCPUs: -1}, full, load1(1)},
+				{full, {VCPUs: 1, State: vm.State{vm.DiskIO: math.NaN()}}},
+			} {
+				_, gotErr := m.DynamicPower(bad)
+				_, wantErr := gridDynamicPower(m, bad)
+				if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() ||
+					errors.Is(gotErr, ErrOvercommit) != errors.Is(wantErr, ErrOvercommit) ||
+					errors.Is(gotErr, vm.ErrStateRange) != errors.Is(wantErr, vm.ErrStateRange) {
+					t.Fatalf("%s/%s %+v: error %v, oracle %v", prof.Name, policy, bad, gotErr, wantErr)
+				}
+			}
+		}
+	}
+}
+
+// TestDynamicPowerZeroAlloc pins the ground-truth power at zero
+// allocations, on the widest profile.
+func TestDynamicPowerZeroAlloc(t *testing.T) {
+	m, err := New(DenseProfile(), Spread)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads := randomLoads(rand.New(rand.NewSource(1)), m.prof.LogicalCores())
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := m.DynamicPower(loads); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("DynamicPower allocates %v times per call, want 0", allocs)
+	}
+}
+
 func TestThreadPlacementPackVsSpread(t *testing.T) {
 	prof := XeonProfile()
 	pack, _ := New(prof, Pack)
 	spread, _ := New(prof, Spread)
 
-	packGrid, err := pack.ThreadUtilizations([]Load{load1(1), load1(1)})
+	packGrid, err := threadUtilizations(pack, []Load{load1(1), load1(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if packGrid[0][0] != 1 || packGrid[0][1] != 1 {
 		t.Fatalf("pack must place siblings on core 0: %v", packGrid[0])
 	}
-	spreadGrid, err := spread.ThreadUtilizations([]Load{load1(1), load1(1)})
+	spreadGrid, err := threadUtilizations(spread, []Load{load1(1), load1(1)})
 	if err != nil {
 		t.Fatal(err)
 	}

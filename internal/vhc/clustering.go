@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"vmpower/internal/vm"
@@ -214,9 +215,22 @@ func ClassComboFor(set *vm.Set, mask vm.Coalition, classes *ClassMap) (ComboMask
 // ClassedFeaturesFor aggregates the states of a running set (one flag
 // per VM) per *class* instead of per type (the arbitrary-configuration
 // generalization of Eq. 8) and returns the class combo plus the flattened
-// feature vector. Members are added in ascending VM-ID order, the order
-// Plan.Eval adds them in, so the two agree bit for bit.
+// feature vector. It is ClassedFeaturesInto with a feature slice of its
+// own.
 func ClassedFeaturesFor(set *vm.Set, running []bool, states []vm.State, classes *ClassMap) (ComboMask, []float64, error) {
+	var feat [MaxFeatureLen]float64
+	combo, f, err := ClassedFeaturesInto(set, running, states, classes, &feat)
+	if err != nil {
+		return 0, nil, err
+	}
+	return combo, append(make([]float64, 0, len(f)), f...), nil
+}
+
+// ClassedFeaturesInto is ClassedFeaturesFor without allocating: it
+// writes the feature vector into feat and returns it as a slice of feat.
+// Members are added in ascending VM-ID order, the order Plan.Eval adds
+// them in, so the two agree bit for bit.
+func ClassedFeaturesInto(set *vm.Set, running []bool, states []vm.State, classes *ClassMap, feat *[MaxFeatureLen]float64) (ComboMask, []float64, error) {
 	if err := classes.Validate(); err != nil {
 		return 0, nil, err
 	}
@@ -226,7 +240,7 @@ func ClassedFeaturesFor(set *vm.Set, running []bool, states []vm.State, classes 
 	if len(running) != set.Len() {
 		return 0, nil, fmt.Errorf("vhc: %d running flags for %d VMs", len(running), set.Len())
 	}
-	agg := make(map[vm.TypeID]vm.State, classes.Classes)
+	var agg [MaxTypes]vm.State
 	var combo ComboMask
 	for i, r := range running {
 		if !r {
@@ -239,9 +253,13 @@ func ClassedFeaturesFor(set *vm.Set, running []bool, states []vm.State, classes 
 		if int(v.Type) >= len(classes.ByType) {
 			return 0, nil, fmt.Errorf("vhc: type %d not covered by class map", v.Type)
 		}
-		class := vm.TypeID(classes.ByType[v.Type])
+		class := classes.ByType[v.Type]
 		combo |= 1 << uint(class)
 		agg[class] = agg[class].Add(states[i])
 	}
-	return combo, Features(combo, agg), nil
+	n := 0
+	for m := uint16(combo); m != 0; m &= m - 1 {
+		n += copy(feat[n:], agg[bits.TrailingZeros16(m)][:])
+	}
+	return combo, feat[:n], nil
 }

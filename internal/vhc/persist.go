@@ -105,6 +105,6 @@ func (a *Approximator) Import(r io.Reader) error {
 	a.weights = weights
 	a.diags = diags
 	a.samples = make(map[ComboMask][]Sample)
-	a.table = make(map[ComboMask]map[tableKey]*tableEntry)
+	a.table = make(map[ComboMask]map[tableKey]tableEntry)
 	return nil
 }

@@ -156,7 +156,7 @@ type Approximator struct {
 	mu      sync.RWMutex
 	epoch   uint64
 	samples map[ComboMask][]Sample
-	table   map[ComboMask]map[tableKey]*tableEntry
+	table   map[ComboMask]map[tableKey]tableEntry
 	weights map[ComboMask]linalg.Vector
 	diags   map[ComboMask]Diagnostics
 }
@@ -186,7 +186,7 @@ type tableEntry struct {
 	count int
 }
 
-func (e *tableEntry) mean() float64 { return e.sum / float64(e.count) }
+func (e tableEntry) mean() float64 { return e.sum / float64(e.count) }
 
 // MaxFeatureLen is the widest possible feature vector: every one of the
 // MaxTypes classes present, k components each.
@@ -224,7 +224,7 @@ func New(numTypes int, opts Options) (*Approximator, error) {
 		numTypes:   numTypes,
 		resolution: opts.Resolution,
 		samples:    make(map[ComboMask][]Sample),
-		table:      make(map[ComboMask]map[tableKey]*tableEntry),
+		table:      make(map[ComboMask]map[tableKey]tableEntry),
 		weights:    make(map[ComboMask]linalg.Vector),
 		diags:      make(map[ComboMask]Diagnostics),
 	}, nil
@@ -276,16 +276,13 @@ func (a *Approximator) AddSample(combo ComboMask, features []float64, power floa
 		k := a.key(f)
 		entries, ok := a.table[combo]
 		if !ok {
-			entries = make(map[tableKey]*tableEntry)
+			entries = make(map[tableKey]tableEntry)
 			a.table[combo] = entries
 		}
-		e, ok := entries[k]
-		if !ok {
-			e = &tableEntry{}
-			entries[k] = e
-		}
+		e := entries[k]
 		e.sum += power
 		e.count++
+		entries[k] = e
 	}
 	return nil
 }
