@@ -745,6 +745,26 @@ func BenchmarkFleetCalibrate(b *testing.B) {
 	}
 }
 
+// BenchmarkFleetSetUp times a fleet's set-up on poolFleet: building it,
+// Fleet.Calibrate, and the first Step, which builds every host's worth
+// plan. It is the layer behind vmbench's setup_s on fleet32.
+func BenchmarkFleetSetUp(b *testing.B) {
+	for _, arm := range fleetPoolArms {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f := poolFleet(b, arm.par)
+				if err := f.Calibrate(); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := f.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFleetStep times back-to-back Fleet.Steps on a calibrated
 // poolFleet, without the deep audit.
 func BenchmarkFleetStep(b *testing.B) {

@@ -136,12 +136,12 @@ func (a *Auditor) audit(e *Estimator, snap hypervisor.Snapshot, alloc *Allocatio
 const deepMaxPlayers = 16
 
 // deepCheck re-solves an exactly-solved tick with a reference built from
-// the meter reading: the idle deduction, buildWorth's worths over the
-// uncompiled model, a full 2^n tabulation and the textbook Shapley sum.
-// Past the trained model it shares only the Shapley weights with the
-// exact tier, whose closed form is a different computation.
+// the meter reading: the idle deduction, buildWorth's worths through
+// Approximator.Estimate, a full 2^n tabulation and the textbook Shapley
+// sum. Past the trained model it shares only the Shapley weights with
+// the exact tier, whose closed form is a different computation.
 // Comparing per-VM shares checks how the tick derived its dynamic power,
-// the compiled plan and the closed form with its corrections.
+// the worth plan and the closed form with its corrections.
 // Monte-Carlo ticks have no exact reference and are skipped, as are
 // sets past deepMaxPlayers VMs.
 func (a *Auditor) deepCheck(e *Estimator, snap hypervisor.Snapshot, alloc *Allocation, scale float64) {

@@ -271,21 +271,12 @@ type Estimator struct {
 	stuckRun     int
 	lastRaw      float64
 
-	// The compiled worth plan, recompiled lazily whenever the
-	// approximator's epoch moves (retraining, model reload). planMu
-	// guards it and the fields below it, because Estimate reads the plan
-	// from any goroutine. A compile that failed is not retried until the
-	// model changes again: planErr is served for every tick of
-	// planErrEpoch.
-	planMu       sync.Mutex
-	plan         *vhc.Plan
-	planErr      error
-	planErrEpoch uint64
-	// planCompiles / planCompileErrors count ensurePlan outcomes for this
-	// estimator, so a daemon can diff them per tick and journal
-	// recompiles without touching the package-level metrics.
-	planCompiles      uint64
-	planCompileErrors uint64
+	// The worth plan over the approximator's published model, rebuilt
+	// when Train or Import publishes another model or the set grows.
+	// planMu guards it, because Estimate reads the plan from any
+	// goroutine.
+	planMu sync.Mutex
+	plan   *vhc.Plan
 
 	// scratch is the estimation goroutine's cross-tick solver state.
 	scratch scratch
@@ -700,15 +691,6 @@ func (e *Estimator) EstimateTickSpan(sp *obs.Span) (*Allocation, error) {
 // serve loop starts.
 func (e *Estimator) SetAuditor(a *Auditor) { e.auditor = a }
 
-// PlanCompileStats returns this estimator's cumulative worth-plan
-// compile counts (successes, failures), so a daemon can diff them across
-// ticks and journal recompiles.
-func (e *Estimator) PlanCompileStats() (compiles, compileErrors uint64) {
-	e.planMu.Lock()
-	defer e.planMu.Unlock()
-	return e.planCompiles, e.planCompileErrors
-}
-
 // Estimate disaggregates a measured total power across the snapshot's
 // running VMs with the non-deterministic Shapley value. The grand
 // coalition's worth is the measured (idle-deducted) power, so the
@@ -717,8 +699,8 @@ func (e *Estimator) PlanCompileStats() (compiles, compileErrors uint64) {
 //
 // Estimate runs EstimateTick's tier gate and solvers on a private scratch,
 // so replaying a recorded tick reproduces its served shares and tier bit
-// for bit. It shares only the trained model and the compiled plan with
-// other callers: it is safe from many goroutines and concurrently with
+// for bit. It shares only the published model and the plan with other
+// callers: it is safe from many goroutines and concurrently with
 // EstimateTick. Its ticks are not counted in the tick metrics.
 func (e *Estimator) Estimate(snap hypervisor.Snapshot, measuredTotal float64) (*Allocation, error) {
 	sc, _ := e.spare.Get().(*scratch)
@@ -731,11 +713,11 @@ func (e *Estimator) Estimate(snap hypervisor.Snapshot, measuredTotal float64) (*
 
 // buildWorth constructs the online worth function of the 2^n game over
 // the running set: the measured (idle-deducted) power dyn for the running
-// grand coalition, 0 for the empty set, and the uncompiled VHC
+// grand coalition, 0 for the empty set, and Approximator.Estimate's VHC
 // approximation for proper subsets; stopped VMs are dummies. The running
 // mask comes from vm.RunningCoalition over a snapshot that passed
 // checkSnapshot. Same thread-safety contract as maskWorth; the
-// approximator's read path is RWMutex-guarded.
+// approximator's read path takes no lock.
 func (e *Estimator) buildWorth(running vm.Coalition, states []vm.State, dyn float64) (shapley.WorthFunc, func() error) {
 	set := e.host.Set()
 	n := set.Len()
@@ -753,46 +735,24 @@ func (e *Estimator) buildWorth(running vm.Coalition, states []vm.State, dyn floa
 	})
 }
 
-// ensurePlan returns the compiled worth plan for the current model epoch,
-// compiling one lazily when the model has changed since the last compile
-// (CollectOffline, LoadModel, or any direct approximator mutation — all
-// advance vhc.Approximator.Epoch). A failed compile returns its error, so
-// every tick fails until the model changes again; it is not retried
-// before then. Safe from any goroutine.
+// ensurePlan returns the worth plan over the approximator's published
+// model and the whole VM set, building one when the approximator has
+// published a model since the last build or the set has grown (AddVM
+// only appends). A plan that cannot be built returns its error, on every
+// call. Safe from any goroutine.
 func (e *Estimator) ensurePlan() (*vhc.Plan, error) {
-	epoch := e.approx.Epoch()
+	set := e.host.Set()
 	e.planMu.Lock()
 	defer e.planMu.Unlock()
-	if e.plan != nil && e.plan.Epoch() == epoch {
-		return e.plan, nil
+	if p := e.plan; p != nil && p.Reads(e.approx) && p.NumVMs() == set.Len() {
+		return p, nil
 	}
-	if e.planErr != nil && e.planErrEpoch == epoch {
-		return nil, e.planErr
-	}
-	p, err := vhc.NewPlan(e.host.Set(), e.classes, e.approx)
+	p, err := vhc.NewPlan(set, e.classes, e.approx)
 	if err != nil {
-		e.planErr = fmt.Errorf("core: compile worth plan: %w", err)
-		e.planErrEpoch = epoch
-		e.planCompileErrors++
-		metrics().notePlanCompileError()
-		return nil, e.planErr
+		return nil, fmt.Errorf("core: build worth plan: %w", err)
 	}
 	e.plan = p
-	e.planCompiles++
-	metrics().notePlanCompile()
 	return p, nil
-}
-
-// InvalidatePlan discards the compiled worth plan, which is keyed on the
-// VM set's shape. Call it after mutating the host's roster
-// (hypervisor.Host.AddVM) — the approximator epoch only tracks the model,
-// not the set, so without this the next tick would evaluate a plan
-// compiled for the old n.
-func (e *Estimator) InvalidatePlan() {
-	e.planMu.Lock()
-	e.plan = nil
-	e.planErr = nil
-	e.planMu.Unlock()
 }
 
 // CalibratedForClass reports whether offline collection trained a model
@@ -810,7 +770,7 @@ func (e *Estimator) CalibratedForClass(t vm.TypeID) bool {
 	return e.approx.Trained(vhc.ComboMask(1) << uint(e.classes.ByType[t]))
 }
 
-// planWorth is buildWorth over the compiled plan: vhc.Plan.Eval replaces
+// planWorth is buildWorth over the plan: vhc.Plan.Eval replaces
 // the allocating ClassedFeaturesFor + Approximator.Estimate pair, bit for
 // bit. It feeds the Monte-Carlo sampler; Plan.Eval only reads, so
 // concurrent samplers never contend.
@@ -860,7 +820,7 @@ func maskWorth(running vm.Coalition, dyn float64, eval func(vm.Coalition) (float
 }
 
 // estimateTick is the engine behind EstimateTick and Estimate: the tier
-// gate and the solvers, run over the compiled plan into sc. The running
+// gate and the solvers, run over the worth plan into sc. The running
 // VMs are grouped (same VHC class, bit-equal state); when their group
 // space V = ∏(c_g+1) fits exactBudget the exact tier serves the tick in
 // closed form. Past the budget the exact tier's correction search runs

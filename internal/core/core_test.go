@@ -104,43 +104,52 @@ func TestCollectOffline(t *testing.T) {
 }
 
 // offlineAllocsPerSample bounds CollectOffline's allocations per offline
-// sample. AddSample makes two: its copy of the features and the v(S,C)
-// table's key, which Go stores out of line because it is over 128 bytes.
-// The rest is the amortized growth of the sample list and the table, and
-// the fit. Collecting the tick, reading the meter's ground truth and
-// aggregating the features allocate nothing.
+// sample. Two are per sample: AddSample's copy of the features, and
+// Train's v(S,C) table key for it, which Go stores out of line because it
+// is over 128 bytes (samples that share a key share it). The rest is the
+// amortized growth of the sample list and the table, and the fit.
+// Collecting the tick, reading the meter's ground truth and aggregating
+// the features allocate nothing.
 const offlineAllocsPerSample = 2.1
 
-// TestCollectOfflineAllocs pins CollectOffline's allocations per offline
-// sample on one host of fleet32's shape: a Xeon of 8 large VMs behind a
-// noisy meter.
-func TestCollectOfflineAllocs(t *testing.T) {
-	const runs = 5
-	ests := make([]*Estimator, runs+1) // AllocsPerRun makes one warm-up call
+// largeXeonRig builds an uncalibrated estimator for one host of
+// fleet32's shape: a Xeon of 8 large VMs behind a noisy meter.
+func largeXeonRig(t testing.TB) *Estimator {
+	t.Helper()
 	large := make([]vm.VM, 8)
 	for i := range large {
 		large[i].Type = 2
 	}
+	mach, err := machine.New(machine.XeonProfile(), machine.Pack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := vm.NewSet(vm.PaperCatalog(), large)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := hypervisor.NewHost(mach, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := meter.NewSim(host.PowerSource(), meter.SimOptions{NoiseStdDev: 0.25, Resolution: 0.1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := New(host, m, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est
+}
+
+// TestCollectOfflineAllocs pins CollectOffline's allocations per offline
+// sample on largeXeonRig.
+func TestCollectOfflineAllocs(t *testing.T) {
+	const runs = 5
+	ests := make([]*Estimator, runs+1) // AllocsPerRun makes one warm-up call
 	for i := range ests {
-		mach, err := machine.New(machine.XeonProfile(), machine.Pack)
-		if err != nil {
-			t.Fatal(err)
-		}
-		set, err := vm.NewSet(vm.PaperCatalog(), large)
-		if err != nil {
-			t.Fatal(err)
-		}
-		host, err := hypervisor.NewHost(mach, set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := meter.NewSim(host.PowerSource(), meter.SimOptions{NoiseStdDev: 0.25, Resolution: 0.1, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ests[i], err = New(host, m, Config{Seed: 1}); err != nil {
-			t.Fatal(err)
-		}
+		ests[i] = largeXeonRig(t)
 	}
 	next := 0
 	allocs := testing.AllocsPerRun(runs, func() {
@@ -763,9 +772,8 @@ func TestConcurrentEstimate(t *testing.T) {
 
 // TestEstimateConcurrentWithEstimateTick replays each tick on worker
 // goroutines while the tick goroutine serves it, from before the first
-// plan compile: the plan must compile once, and every replay must equal
-// its live tick — same tier, same shares bit for bit — before and after
-// the running set changes.
+// plan is built: every replay must equal its live tick — same tier, same
+// shares bit for bit — before and after the running set changes.
 func TestEstimateConcurrentWithEstimateTick(t *testing.T) {
 	host, est := symTestRig(t, machine.XeonProfile(), []int{3, 1}, Config{Seed: 9})
 	if err := est.CollectOffline(); err != nil {
@@ -834,9 +842,6 @@ func TestEstimateConcurrentWithEstimateTick(t *testing.T) {
 	}
 	if len(tiers) != 1 || !tiers[TierExact] {
 		t.Fatalf("tiers served: %v, want the exact tier", tiers)
-	}
-	if compiles, errs := est.PlanCompileStats(); compiles != 1 || errs != 0 {
-		t.Fatalf("plan compiles = %d (errors %d), want exactly 1", compiles, errs)
 	}
 }
 

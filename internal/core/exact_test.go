@@ -521,17 +521,20 @@ func TestExactUntrainedCombo(t *testing.T) {
 // random games of up to 10 VMs over 1–3 classes: grouped states that are
 // multiples of 1/64 (so every feature sum is exact in any order), random
 // weights with negative components, exact-match keys forced on random
-// coalitions, and a random running set. The shares must agree to 1e-12
-// of the worth scale. The search is also run under a fuzzed node cap
+// coalitions and published by Train, and a random running set. The
+// shares must agree to 1e-12 of the worth scale, and the seed corpus must
+// see a table hit. The search is also run under a fuzzed node cap
 // first, on the scratch the uncapped solve then reuses: a search that
 // finishes under it gives the uncapped bits, and one that runs past it
 // says so, stops at the first node past the cap and returns no φ. The
 // first seed's search takes 18 nodes; the last runs it past a cap of 5.
 func FuzzClosedForm(f *testing.F) {
+	const seeds = 4
 	f.Add(int64(1), uint8(6), uint8(2), uint8(3), uint8(2), uint8(40))
 	f.Add(int64(7), uint8(10), uint8(3), uint8(2), uint8(5), uint8(3))
 	f.Add(int64(42), uint8(9), uint8(1), uint8(1), uint8(0), uint8(255))
 	f.Add(int64(1), uint8(6), uint8(2), uint8(3), uint8(2), uint8(5))
+	ran, hits := 0, 0
 	f.Fuzz(func(t *testing.T, seed int64, nVMs, nTypes, nStates, nKeys, nodeCap uint8) {
 		n, r := 1+int(nVMs)%10, 1+int(nTypes)%3
 		rng := rand.New(rand.NewSource(seed))
@@ -608,12 +611,18 @@ func FuzzClosedForm(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
+		if err := approx.Train(); err != nil {
+			t.Fatal(err)
+		}
 		plan, err := vhc.NewPlan(set, classes, approx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		dyn := rng.Float64() * 200
 		snap := hypervisor.Snapshot{Running: flagsOf(running, n), States: states}
+		h, _ := gameShape(t, plan, snap)
+		ran++
+		hits += h
 		var sc scratch
 		g := &sc.groups
 		got := make([]float64, n)
@@ -646,6 +655,11 @@ func FuzzClosedForm(f *testing.F) {
 		want, scale := textbookShares(t, plan, running, states, dyn)
 		checkAgainst(t, fmt.Sprintf("n=%d r=%d running=%s", n, r, running), got, want, scale)
 	})
+	// Unless this process fuzzed (workers then run the inputs), it has
+	// just run the seed corpus, whose forced keys must reach the table.
+	if ran == seeds && hits == 0 {
+		f.Fatal("the seed corpus saw no table hit")
+	}
 }
 
 // TestExactSolveZeroAlloc pins the exact tier's buffer reuse: once a

@@ -6,17 +6,11 @@ import (
 	"vmpower/internal/obs"
 )
 
-// Metrics is the package's self-reporting surface: the compiled-plan
-// lifecycle, the model residual and the invariant auditor. All handles
-// are nil-safe obs metrics, so an uninstrumented estimator pays one
-// atomic pointer load per tick and nothing else.
+// Metrics is the package's self-reporting surface: the model residual
+// and the invariant auditor. All handles are nil-safe obs metrics, so an
+// uninstrumented estimator pays one atomic pointer load per tick and
+// nothing else.
 type Metrics struct {
-	// PlanCompiles counts worth-plan compilations
-	// (vmpower_plan_compiles_total); PlanCompileErrors counts failed
-	// compiles, after each of which ticks fail until the model changes
-	// (vmpower_plan_compile_errors_total).
-	PlanCompiles      *obs.Counter
-	PlanCompileErrors *obs.Counter
 	// ModelResidual is δ/dyn of each EstimateTick tick served by the
 	// exact or Monte-Carlo tier whose running set the model can price
 	// (vmpower_model_residual_ratio): how far the VHC model's worth of
@@ -55,10 +49,6 @@ func Instrument(reg *obs.Registry) {
 		return
 	}
 	pkgMetrics.Store(&Metrics{
-		PlanCompiles: reg.Counter("vmpower_plan_compiles_total",
-			"compiled worth-plan builds (one per model epoch)"),
-		PlanCompileErrors: reg.Counter("vmpower_plan_compile_errors_total",
-			"worth-plan compiles that failed (ticks fail until the model changes)"),
 		ModelResidual: reg.Histogram("vmpower_model_residual_ratio",
 			"(dynamic - model worth of the running set) / dynamic, per served tick", residualBuckets),
 		AuditChecks: reg.Counter("vmpower_audit_checks_total",
@@ -76,20 +66,6 @@ func Instrument(reg *obs.Registry) {
 
 // metrics returns the active instrumentation, nil when uninstrumented.
 func metrics() *Metrics { return pkgMetrics.Load() }
-
-func (m *Metrics) notePlanCompile() {
-	if m == nil {
-		return
-	}
-	m.PlanCompiles.Inc()
-}
-
-func (m *Metrics) notePlanCompileError() {
-	if m == nil {
-		return
-	}
-	m.PlanCompileErrors.Inc()
-}
 
 // noteTick publishes a served tick's model residual. Only
 // EstimateTickSpan calls it, so replays and Audit calls are not counted.

@@ -316,13 +316,13 @@ func skewModel(t testing.TB, est *Estimator, rng *rand.Rand) {
 	}
 }
 
-// forceKeys stores the features of coalitions of the snapshot's running
-// VMs in the exact-match table, each with a mean 7 W off the plan's
-// worth, so those coalitions — and every one with the same count
-// vector — hit the table. On hosts a mask can describe the coalitions
-// are random subsets whose features add in VM-ID order; on wider hosts
-// they are random count vectors over the tick's groups, added in group
-// order as the exact tier adds them.
+// forceKeys adds samples at the features of coalitions of the snapshot's
+// running VMs, each 7 W off the plan's worth, and retrains, so those
+// coalitions — and every one with the same count vector — hit the
+// published exact-match table. On hosts a mask can describe the
+// coalitions are random subsets whose features add in VM-ID order; on
+// wider hosts they are random count vectors over the tick's groups,
+// added in group order as the exact tier adds them.
 func forceKeys(t testing.TB, est *Estimator, rng *rand.Rand, snap hypervisor.Snapshot, keys int) {
 	t.Helper()
 	plan, err := est.ensurePlan()
@@ -387,6 +387,9 @@ func forceKeys(t testing.TB, est *Estimator, rng *rand.Rand, snap hypervisor.Sna
 			t.Fatal(err)
 		}
 		added++
+	}
+	if err := est.approx.Train(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"vmpower/internal/hypervisor"
@@ -222,9 +223,9 @@ func TestPlanMonteCarloMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestPlanCompileErrorFallsToPolicy pins what a failed plan compile
-// does now that no route bypasses the plan: every tick returns the
-// compile error, and each model epoch gets one compile attempt.
+// TestPlanCompileErrorFallsToPolicy pins what a plan that cannot be
+// built does now that no route bypasses the plan: every tick and every
+// Estimate returns the error, before and after retraining.
 func TestPlanCompileErrorFallsToPolicy(t *testing.T) {
 	host, est := testRig(t, Config{Seed: 3})
 	if err := est.CollectOffline(); err != nil {
@@ -247,22 +248,16 @@ func TestPlanCompileErrorFallsToPolicy(t *testing.T) {
 	if _, err := est.Estimate(host.Collect(), 150); !errors.Is(err, vhc.ErrPlan) {
 		t.Fatalf("Estimate error %v, want vhc.ErrPlan", err)
 	}
-	if compiles, errs := est.PlanCompileStats(); compiles != 0 || errs != 1 {
-		t.Fatalf("compiles %d, errors %d: want one failed attempt for the epoch", compiles, errs)
-	}
 	if err := est.approx.Train(); err != nil {
 		t.Fatal(err)
 	}
 	tick()
-	if compiles, errs := est.PlanCompileStats(); compiles != 0 || errs != 2 {
-		t.Fatalf("after retraining: compiles %d, errors %d, want a second attempt", compiles, errs)
-	}
 }
 
 // TestPlanMetricsCounters wires the package metrics and checks the
-// scenario is observable: one plan compile for the one model epoch, and
-// one model-residual observation per EstimateTick tick. Estimate calls
-// (replays, Audit) are not ticks and leave the metrics alone.
+// scenario is observable: one model-residual observation per
+// EstimateTick tick. Estimate calls (replays, Audit) are not ticks and
+// leave the metrics alone.
 func TestPlanMetricsCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	Instrument(reg)
@@ -289,13 +284,237 @@ func TestPlanMetricsCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if m.PlanCompiles.Value() != 1 {
-		t.Fatalf("PlanCompiles = %d, want 1 (one model epoch)", m.PlanCompiles.Value())
-	}
 	if got := m.ModelResidual.Count(); got != uint64(ticks) {
 		t.Fatalf("ModelResidual counted %d ticks, want %d", got, ticks)
 	}
 	if got := m.ModelResidual.Sum(); math.Abs(got-sum) > 1e-9 {
 		t.Fatalf("ModelResidual sum %g, want %g", got, sum)
 	}
+}
+
+// TestPlanBuildAllocs pins that building a plan copies nothing of the
+// model: on largeXeonRig, whose 1,600 offline samples fall on about as
+// many table keys, NewPlan allocates a constant few times.
+func TestPlanBuildAllocs(t *testing.T) {
+	est := largeXeonRig(t)
+	if err := est.CollectOffline(); err != nil {
+		t.Fatal(err)
+	}
+	if samples := est.approx.SampleCount(1 << 2); samples < 1000 {
+		t.Fatalf("%d offline samples, want a table of the calibration's size", samples)
+	}
+	set := est.host.Set()
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := vhc.NewPlan(set, est.classes, est.approx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("NewPlan allocates %v times, want at most 4", allocs)
+	}
+}
+
+// forceSubKey adds a sample at the features of running's proper
+// sub-coalition sub, 50 W off its current worth, without training.
+func forceSubKey(t *testing.T, est *Estimator, snap hypervisor.Snapshot, sub vm.Coalition) {
+	t.Helper()
+	combo, feats, err := vhc.ClassedFeaturesFor(est.host.Set(), flagsOf(sub, len(snap.States)), snap.States, est.classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := est.approx.Estimate(combo, feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := est.approx.AddSample(combo, feats, v+50); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameBits reports whether two share vectors are equal bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSamplesReachSharesOnlyThroughTrain pins that a sample reaches the
+// served shares through Train alone: after calibration, a sample keyed at
+// a proper sub-coalition of the running set leaves EstimateTick's
+// allocation bit-identical until Train publishes it, and moves the
+// shares after.
+func TestSamplesReachSharesOnlyThroughTrain(t *testing.T) {
+	host, est := testRig(t, Config{Seed: 6})
+	if err := est.CollectOffline(); err != nil {
+		t.Fatal(err)
+	}
+	host.SetCoalition(vm.CoalitionOf(0, 1, 2))
+	host.Advance(1)
+	before, err := est.EstimateTick()
+	if err != nil {
+		t.Fatal(err)
+	}
+	forceSubKey(t, est, host.Collect(), vm.CoalitionOf(0, 2))
+	untrained, err := est.EstimateTick()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(untrained, before) || !sameBits(untrained.PerVM, before.PerVM) {
+		t.Fatalf("an untrained sample moved the tick: %v, want %v", untrained.PerVM, before.PerVM)
+	}
+	if err := est.approx.Train(); err != nil {
+		t.Fatal(err)
+	}
+	trained, err := est.EstimateTick()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sameBits(trained.PerVM, before.PerVM) {
+		t.Fatalf("Train published the sample but the shares %v did not move", trained.PerVM)
+	}
+}
+
+// TestPlanFollowsGrowingSet pins that the set can grow without telling
+// the estimator: after Host.AddVM, Attach and Start on a calibrated
+// host, the next EstimateTick and Estimate serve every VM and match the
+// textbook sum over the new plan's game to 1e-12 of the worth scale.
+func TestPlanFollowsGrowingSet(t *testing.T) {
+	host, est := testRig(t, Config{Seed: 8})
+	if err := est.CollectOffline(); err != nil {
+		t.Fatal(err)
+	}
+	host.SetCoalition(vm.CoalitionOf(0, 1, 2))
+	host.Advance(1)
+	if _, err := est.EstimateTick(); err != nil {
+		t.Fatal(err)
+	}
+	id, err := host.AddVM(vm.VM{Name: "VM1c", Type: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := host.Attach(id, workload.Synthetic{Seed: 77}); err != nil {
+		t.Fatal(err)
+	}
+	if err := host.Start(id); err != nil {
+		t.Fatal(err)
+	}
+	host.Advance(1)
+	const n = 4
+	live, err := est.EstimateTick()
+	if err != nil {
+		t.Fatalf("tick after AddVM: %v", err)
+	}
+	snap := host.Collect()
+	replay, err := est.Estimate(snap, live.MeasuredPower)
+	if err != nil {
+		t.Fatalf("Estimate after AddVM: %v", err)
+	}
+	plan, err := est.ensurePlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.NumVMs() != n || len(live.PerVM) != n || len(replay.PerVM) != n {
+		t.Fatalf("plan of %d VMs, tick of %d, replay of %d: want %d", plan.NumVMs(), len(live.PerVM), len(replay.PerVM), n)
+	}
+	want, scale := textbookShares(t, plan, runningMask(t, snap), snap.States, live.DynamicPower)
+	checkAgainst(t, "tick", live.PerVM, want, scale)
+	checkAgainst(t, "replay", replay.PerVM, want, scale)
+	if live.PerVM[id] == 0 {
+		t.Fatal("the added VM was served 0 W")
+	}
+}
+
+// TestModelPublicationAtomic replays one tick on three goroutines while
+// the test goroutine adds a sample and trains: every replay must equal
+// the old model's allocation or the new model's, bit for bit, and each
+// goroutine's replay after Train the new one's.
+func TestModelPublicationAtomic(t *testing.T) {
+	host, est := testRig(t, Config{Seed: 6})
+	if err := est.CollectOffline(); err != nil {
+		t.Fatal(err)
+	}
+	host.SetCoalition(vm.CoalitionOf(0, 1, 2))
+	host.Advance(1)
+	snap := host.Collect()
+	power, err := host.TruePower()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := est.Estimate(snap, power)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const workers = 3
+	stop := make(chan struct{})
+	var started, done sync.WaitGroup
+	replays := make([][]*Allocation, workers)
+	for w := 0; w < workers; w++ {
+		started.Add(1)
+		done.Add(1)
+		go func(w int) {
+			defer done.Done()
+			for {
+				stopped := false
+				select {
+				case <-stop:
+					stopped = true
+				default:
+				}
+				alloc, err := est.Estimate(snap, power)
+				if err != nil {
+					t.Errorf("worker %d: %v", w, err)
+					if len(replays[w]) == 0 {
+						started.Done()
+					}
+					return
+				}
+				replays[w] = append(replays[w], alloc)
+				if len(replays[w]) == 1 {
+					started.Done()
+				}
+				if stopped {
+					return
+				}
+			}
+		}(w)
+	}
+	started.Wait()
+	forceSubKey(t, est, snap, vm.CoalitionOf(0, 2))
+	trainErr := est.approx.Train()
+	close(stop)
+	done.Wait()
+	if trainErr != nil {
+		t.Fatal(trainErr)
+	}
+	fresh, err := est.Estimate(snap, power)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sameBits(fresh.PerVM, old.PerVM) {
+		t.Fatal("the new model serves the old shares; the test cannot tell them apart")
+	}
+	olds, news := 0, 0
+	for w, rs := range replays {
+		for i, r := range rs {
+			isOld := reflect.DeepEqual(r, old) && sameBits(r.PerVM, old.PerVM)
+			isNew := reflect.DeepEqual(r, fresh) && sameBits(r.PerVM, fresh.PerVM)
+			if !isOld && !isNew || i == len(rs)-1 && !isNew {
+				t.Fatalf("worker %d replay %d of %d: %v, want old %v or new %v (the last one new)",
+					w, i, len(rs), r.PerVM, old.PerVM, fresh.PerVM)
+			}
+			if isOld {
+				olds++
+			} else {
+				news++
+			}
+		}
+	}
+	t.Logf("%d replays of the old model, %d of the new", olds, news)
 }

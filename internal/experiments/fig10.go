@@ -22,6 +22,7 @@ func init() {
 // summaries and the pooled error sample.
 type vhcValidation struct {
 	estimator  *core.Estimator
+	classes    *vhc.ClassMap // the estimator's identity class map
 	perBench   map[string]stats.Summary
 	benchOrder []string
 	pooled     []float64
@@ -45,8 +46,13 @@ func validateVHC(host *hypervisor.Host, cfg Config, offlineTicks, validTicks int
 
 	set := host.Set()
 	grand := vm.GrandCoalition(set.Len())
+	classes, err := vhc.IdentityClassMap(len(set.Catalog()))
+	if err != nil {
+		return nil, err
+	}
 	v := &vhcValidation{
 		estimator: est,
+		classes:   classes,
 		perBench:  make(map[string]stats.Summary),
 	}
 	suite := []string{"gcc", "gobmk", "sjeng", "omnetpp", "namd", "wrf", "tonto"}
@@ -70,11 +76,7 @@ func validateVHC(host *hypervisor.Host, cfg Config, offlineTicks, validTicks int
 				return nil, err
 			}
 			measuredDyn := sample.Power - est.IdlePower()
-			running, err := vm.RunningCoalition(snap.Running)
-			if err != nil {
-				return nil, err
-			}
-			combo, features, err := vhc.FeaturesFor(set, running, snap.States)
+			combo, features, err := vhc.ClassedFeaturesFor(set, snap.Running, snap.States, classes)
 			if err != nil {
 				return nil, err
 			}
@@ -125,7 +127,10 @@ func runFig10(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", c.name, err)
 		}
-		combo := vhc.ComboFor(host.Set(), vm.GrandCoalition(host.Set().Len()))
+		combo, err := vhc.ClassComboFor(host.Set(), vm.GrandCoalition(host.Set().Len()), v.classes)
+		if err != nil {
+			return nil, err
+		}
 		weights, err := v.estimator.Approximator().CPUWeights(combo)
 		if err != nil {
 			return nil, err

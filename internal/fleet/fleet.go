@@ -778,9 +778,6 @@ func (f *Fleet) AddVM(host int, req VMRequest) error {
 	if err := f.hosts[host].Start(local); err != nil {
 		return err
 	}
-	// The set grew: the compiled worth plan and every scratch keyed on
-	// the old n are stale.
-	f.estimators[host].InvalidatePlan()
 	f.byName[req.Name] = &placement{host: host, local: local, req: req}
 	f.perHost[host] = append(f.perHost[host], req.Name)
 	f.order = append(f.order, req.Name)
@@ -861,7 +858,6 @@ func (f *Fleet) MigrateVM(name string, to int, copyTicks int) error {
 			return err
 		}
 	}
-	f.estimators[to].InvalidatePlan()
 	if running {
 		if err := f.hosts[to].Start(toLocal); err != nil {
 			return err

@@ -10,20 +10,20 @@ import (
 
 // Event is one entry in a tick event journal: a state transition worth
 // reconstructing later (tier switch, degradation edge, quarantine,
-// readmission, plan recompile, audit violation). Seq is assigned by the
-// journal and is strictly monotonic from 1, so a scraper that remembers
-// the last Seq it saw gets a causally ordered delta from
-// /api/v1/events?since=<seq> instead of re-reading full status.
+// readmission, audit violation). Seq is assigned by the journal and is
+// strictly monotonic from 1, so a scraper that remembers the last Seq it
+// saw gets a causally ordered delta from /api/v1/events?since=<seq>
+// instead of re-reading full status.
 type Event struct {
 	Seq  uint64 `json:"seq"`
 	Tick int    `json:"tick"`
 	// Type is a small fixed vocabulary: health edges ("tier_switch",
 	// "degraded", "recovered", "quarantine", "readmit"), daemon events
-	// ("plan_recompile", "plan_compile_error", "audit_violation",
-	// "flight_dump"), and the VM lifecycle ("vm_poweron", "vm_poweroff",
-	// "vm_hotplug", "vm_remove", "migrate_start", "migrate_finish",
-	// "drain_start", "drain_finish", "undrain"). Lifecycle events are
-	// journaled exactly once: the fleet drains each into a single tick.
+	// ("audit_violation", "flight_dump"), and the VM lifecycle
+	// ("vm_poweron", "vm_poweroff", "vm_hotplug", "vm_remove",
+	// "migrate_start", "migrate_finish", "drain_start", "drain_finish",
+	// "undrain"). Lifecycle events are journaled exactly once: the fleet
+	// drains each into a single tick.
 	Type string `json:"type"`
 	// Subject scopes the event when the producer manages several
 	// entities (fleetd uses "host:<i>"); empty for daemon-wide events.

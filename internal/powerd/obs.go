@@ -42,18 +42,16 @@ type serverObs struct {
 	// Step-goroutine state (same single-driver contract as Server.Step;
 	// never touched by HTTP handlers): edge detection for journal events
 	// and the reusable flight-record scratch.
-	prevTier        string
-	prevDegraded    bool
-	prevCompiles    uint64
-	prevCompileErrs uint64
-	scratch         obs.FlightRecord
-	scratchRows     [][]float64
+	prevTier     string
+	prevDegraded bool
+	scratch      obs.FlightRecord
+	scratchRows  [][]float64
 }
 
 // Instrument activates metrics, tracing and structured logging for the
 // daemon, and instruments the shapley, serial and core packages on the
 // same registry so one scrape covers the whole pipeline (including the
-// compiled worth plan's cache behaviour). Call it before Handler: only
+// model residual and the auditor). Call it before Handler: only
 // an instrumented handler mounts /metrics and counts requests per route.
 // interval is the expected Step cadence (the /healthz stall threshold is
 // 3x it); <= 0 defaults to 1 s. Instrument(nil, ...) deactivates
@@ -92,7 +90,6 @@ func (s *Server) Instrument(reg *obs.Registry, log *obs.Logger, interval time.Du
 	for i := range o.scratchRows {
 		o.scratchRows[i] = make([]float64, 0, int(vm.NumComponents))
 	}
-	o.prevCompiles, o.prevCompileErrs = s.est.PlanCompileStats()
 	cliutil.BuildInfoMetric(reg)
 	for _, name := range s.names {
 		o.vmWatts[name] = reg.Gauge("vmpower_vm_watts",
@@ -160,7 +157,7 @@ func (o *serverObs) noteTick(now time.Time, trained bool, idle float64, alloc *c
 
 // noteProvenance runs the tick's provenance bookkeeping from the Step
 // goroutine: edge-triggered journal events (tier switch, degraded/
-// recovered, plan recompiles), the flight record, and — last, so the
+// recovered), the flight record, and — last, so the
 // dump includes the tick that tripped it — any flight dump the audit
 // callback armed mid-tick. The steady-state path (no transitions)
 // is allocation-free: the scratch record refills preallocated slices and
@@ -183,17 +180,6 @@ func (o *serverObs) noteProvenance(s *Server, now time.Time, alloc *core.Allocat
 			o.Journal.Append(alloc.Tick, "recovered", "", "")
 		}
 		o.prevDegraded = alloc.Degraded
-	}
-	compiles, compileErrs := s.est.PlanCompileStats()
-	if compiles != o.prevCompiles {
-		o.Journal.Append(alloc.Tick, "plan_recompile", "",
-			fmt.Sprintf("worth-plan compile #%d", compiles))
-		o.prevCompiles = compiles
-	}
-	if compileErrs != o.prevCompileErrs {
-		o.Journal.Append(alloc.Tick, "plan_compile_error", "",
-			fmt.Sprintf("worth-plan compile failure #%d (ticks fail until the model changes)", compileErrs))
-		o.prevCompileErrs = compileErrs
 	}
 
 	rec := &o.scratch

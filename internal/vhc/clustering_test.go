@@ -221,8 +221,8 @@ func flagsOf(mask vm.Coalition, n int) []bool {
 }
 
 // TestClassedFeaturesRunningMatchesMask pins the running-flag feature
-// builder under the identity class map to FeaturesFor, the per-type
-// aggregation over a coalition mask, bit for bit: both add members in
+// builder under the identity class map to the per-type aggregation of
+// Eq. 8 over a coalition mask, bit for bit: both add members in
 // ascending VM-ID order.
 func TestClassedFeaturesRunningMatchesMask(t *testing.T) {
 	set := testSet(t)
@@ -240,9 +240,22 @@ func TestClassedFeaturesRunningMatchesMask(t *testing.T) {
 				states[i][c] = rng.Float64()
 			}
 		}
-		combo, feats, err := FeaturesFor(set, mask, states)
-		if err != nil {
-			t.Fatal(err)
+		// The oracle: v_j = Σ c_i per present type (Eq. 8), flattened in
+		// ascending type order.
+		var combo ComboMask
+		agg := make(map[vm.TypeID]vm.State)
+		for _, id := range mask.Members() {
+			v, err := set.VM(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			combo |= 1 << uint(v.Type)
+			agg[v.Type] = agg[v.Type].Add(states[id])
+		}
+		var feats []float64
+		for _, typ := range combo.Types() {
+			s := agg[typ]
+			feats = append(feats, s[:]...)
 		}
 		comboR, featsR, err := ClassedFeaturesFor(set, flagsOf(mask, set.Len()), states, classes)
 		if err != nil {

@@ -39,25 +39,24 @@ var ErrModelFormat = errors.New("vhc: bad model file")
 // Export writes the trained mapping vectors as JSON so a calibration can
 // be reused across processes (calibrate once, estimate forever).
 func (a *Approximator) Export(w io.Writer) error {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if len(a.weights) == 0 {
-		return fmt.Errorf("%w: nothing trained to export", ErrUntrained)
-	}
+	m := a.model.Load()
 	file := modelFile{
 		Version:  modelVersion,
 		NumTypes: a.numTypes,
-		Diags:    make(map[string]diagsFile, len(a.diags)),
+		Diags:    make(map[string]diagsFile, len(m.diags)),
 	}
-	for combo := ComboMask(1); int(combo) < 1<<uint(a.numTypes); combo++ {
-		wts, ok := a.weights[combo]
-		if !ok {
+	for combo := ComboMask(1); int(combo) < len(m.weights); combo++ {
+		wts := m.weights[combo]
+		if wts == nil {
 			continue
 		}
 		file.Combos = append(file.Combos, comboFile{Combo: uint16(combo), Weights: wts.Clone()})
-		if d, ok := a.diags[combo]; ok {
+		if d, ok := m.diags[combo]; ok {
 			file.Diags[combo.String()] = diagsFile{Samples: d.Samples, RMSE: d.RMSE, MeanPower: d.MeanPower}
 		}
+	}
+	if len(file.Combos) == 0 {
+		return fmt.Errorf("%w: nothing trained to export", ErrUntrained)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -68,7 +67,8 @@ func (a *Approximator) Export(w io.Writer) error {
 }
 
 // Import loads mapping vectors previously written by Export into this
-// approximator, replacing any trained state. The type count must match.
+// approximator and publishes them as its model, replacing any trained
+// state and dropping every sample. The type count must match.
 func (a *Approximator) Import(r io.Reader) error {
 	var file modelFile
 	if err := json.NewDecoder(r).Decode(&file); err != nil {
@@ -80,8 +80,7 @@ func (a *Approximator) Import(r io.Reader) error {
 	if file.NumTypes != a.numTypes {
 		return fmt.Errorf("%w: model has %d types, approximator %d", ErrModelFormat, file.NumTypes, a.numTypes)
 	}
-	weights := make(map[ComboMask]linalg.Vector, len(file.Combos))
-	diags := make(map[ComboMask]Diagnostics, len(file.Combos))
+	m := a.newModel()
 	for _, c := range file.Combos {
 		combo := ComboMask(c.Combo)
 		if combo == 0 || int(c.Combo) >= 1<<uint(a.numTypes) {
@@ -91,20 +90,17 @@ func (a *Approximator) Import(r io.Reader) error {
 		if len(c.Weights) != want {
 			return fmt.Errorf("%w: combo %s has %d weights, want %d", ErrModelFormat, combo, len(c.Weights), want)
 		}
-		weights[combo] = append(linalg.Vector(nil), c.Weights...)
+		m.weights[combo] = append(linalg.Vector(nil), c.Weights...)
 		if d, ok := file.Diags[combo.String()]; ok {
-			diags[combo] = Diagnostics{Samples: d.Samples, RMSE: d.RMSE, MeanPower: d.MeanPower}
+			m.diags[combo] = Diagnostics{Samples: d.Samples, RMSE: d.RMSE, MeanPower: d.MeanPower}
 		}
 	}
-	if len(weights) == 0 {
+	if len(file.Combos) == 0 {
 		return fmt.Errorf("%w: no combos", ErrModelFormat)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.epoch++
-	a.weights = weights
-	a.diags = diags
 	a.samples = make(map[ComboMask][]Sample)
-	a.table = make(map[ComboMask]map[tableKey]tableEntry)
+	a.model.Store(m)
 	return nil
 }

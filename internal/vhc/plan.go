@@ -3,80 +3,45 @@ package vhc
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 
 	"vmpower/internal/vm"
 )
 
-// This file implements the compiled worth plan: an immutable, lock-free
-// snapshot of everything the online estimation hot path needs to evaluate
-// v(S, C) — per-VM class bits, the fitted mapping vectors and the
-// exact-match v(S,C) table with its means precomputed — so a tick's 2^n
-// worth evaluations become allocation-free array gathers and dot products
-// on stack scratch, instead of the legacy path's per-coalition combo map,
-// feature slice and RWMutex-guarded table lookup.
+// This file implements the worth plan: everything the online estimation
+// hot path needs to evaluate v(S, C) for one VM set — the per-VM class
+// bits — plus the approximator's published model, which it reads in
+// place. A tick's worth evaluations are then allocation-free array
+// gathers, table probes and dot products on stack scratch.
 //
-// The online contract already guarantees the model is fixed between
-// retrainings; a Plan makes that explicit. Compile one per epoch
-// (Approximator.Epoch changes on every mutation) and share it freely: a
-// Plan is never mutated after NewPlan returns, so Eval is safe for
-// concurrent use from any number of goroutines with zero synchronisation.
+// Train and Import publish a new model instead of changing the old one,
+// so a plan is never stale: it serves the model it was built on whole.
+// Building one copies nothing of the model, so a holder simply builds
+// another when the approximator publishes a new model or the set grows.
+// A Plan is never mutated after NewPlan returns, so Eval is safe for
+// concurrent use from any number of goroutines with zero
+// synchronisation.
 
-// ErrPlan marks plan compilation failures.
-var ErrPlan = errors.New("vhc: cannot compile worth plan")
+// ErrPlan marks plan construction failures.
+var ErrPlan = errors.New("vhc: cannot build worth plan")
 
-// Plan is a compiled, immutable evaluation plan for v(S, C) over a fixed
-// VM set, class map and trained model snapshot.
+// Plan is an immutable evaluation plan for v(S, C) over a fixed VM set
+// and class map, reading one published model.
 type Plan struct {
-	n          int     // VMs in the set
 	resolution float64 // table lattice resolution (<= 0: no table)
-	epoch      uint64  // Approximator.Epoch at compile time
+	model      *model  // the model published when the plan was built
 
 	// classBit[i] is 1 << class(type(vm i)): ORing the members' bits
 	// yields the coalition's ComboMask, and popcounting the bits below a
 	// member's own bit yields its class's rank — i.e. its feature-slot
 	// base — inside the combo's feature vector.
 	classBit []ComboMask
-
-	// weights[combo] is the fitted mapping vector (nil if untrained);
-	// table[combo] is the combo's exact-match table (nil if it has no
-	// entries). Both indexed by ComboMask.
-	weights [][]float64
-	table   []*comboTable
 }
 
-// comboTable is one combo's exact-match v(S,C) table: lattice keys to
-// precomputed entry means, plus the bounding box of those keys. lo[i]
-// and hi[i] are the least and greatest lattice coordinate i of any
-// stored key, so a feature vector with a coordinate outside [lo[i],
-// hi[i]] has no entry and needs no hashing to find that out.
-type comboTable struct {
-	means  map[tableKey]float64
-	lo, hi tableKey
-}
-
-// newComboTable returns the table of means over flen-feature keys with
-// the keys' box.
-func newComboTable(means map[tableKey]float64, flen int) *comboTable {
-	t := &comboTable{means: means}
-	for i := 0; i < flen; i++ {
-		t.lo[i], t.hi[i] = math.MaxInt64, math.MinInt64
-	}
-	for k := range means {
-		for i := 0; i < flen; i++ {
-			t.lo[i] = min(t.lo[i], k[i])
-			t.hi[i] = max(t.hi[i], k[i])
-		}
-	}
-	return t
-}
-
-// NewPlan compiles a plan from the set's catalog layout, the class map
-// and the approximator's current trained state. The snapshot is taken
-// under the approximator's read lock; later mutations (AddSample, Train,
-// Import) do not affect the plan but advance the epoch, which holders
-// should watch to recompile (see Epoch).
+// NewPlan builds a plan from the set's catalog layout, the class map and
+// the approximator's published model. The plan keeps reading that model
+// after Train or Import publishes another; Reads tells a holder when to
+// rebuild.
 func NewPlan(set *vm.Set, classes *ClassMap, a *Approximator) (*Plan, error) {
 	if set == nil || classes == nil || a == nil {
 		return nil, fmt.Errorf("%w: nil set, classes or approximator", ErrPlan)
@@ -90,8 +55,9 @@ func NewPlan(set *vm.Set, classes *ClassMap, a *Approximator) (*Plan, error) {
 	}
 	n := set.Len()
 	p := &Plan{
-		n:        n,
-		classBit: make([]ComboMask, n),
+		resolution: a.resolution,
+		model:      a.model.Load(),
+		classBit:   make([]ComboMask, n),
 	}
 	for i := 0; i < n; i++ {
 		v, err := set.VM(vm.ID(i))
@@ -103,35 +69,15 @@ func NewPlan(set *vm.Set, classes *ClassMap, a *Approximator) (*Plan, error) {
 		}
 		p.classBit[i] = 1 << uint(classes.ByType[v.Type])
 	}
-
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	p.resolution = a.resolution
-	p.epoch = a.epoch
-	combos := 1 << uint(a.numTypes)
-	p.weights = make([][]float64, combos)
-	p.table = make([]*comboTable, combos)
-	for combo, w := range a.weights {
-		p.weights[combo] = append([]float64(nil), w...)
-	}
-	for combo, entries := range a.table {
-		if len(entries) == 0 {
-			continue
-		}
-		means := make(map[tableKey]float64, len(entries))
-		for k, e := range entries {
-			means[k] = e.mean()
-		}
-		p.table[combo] = newComboTable(means, a.featureLen(combo))
-	}
 	return p, nil
 }
 
-// NumVMs returns the VM-set size the plan was compiled for.
-func (p *Plan) NumVMs() int { return p.n }
+// Reads reports whether the plan reads a's published model, that is
+// whether a has published no model since the plan was built.
+func (p *Plan) Reads(a *Approximator) bool { return p.model == a.model.Load() }
 
-// Epoch returns the Approximator.Epoch the plan snapshot was taken at.
-func (p *Plan) Epoch() uint64 { return p.epoch }
+// NumVMs returns the VM-set size the plan was built for.
+func (p *Plan) NumVMs() int { return len(p.classBit) }
 
 // Eval returns v(S, C): the exact-match table mean if the coalition's
 // quantized aggregated state was measured offline, otherwise the linear
@@ -160,15 +106,15 @@ func (p *Plan) Eval(s vm.Coalition, states []vm.State) (float64, error) {
 // empty coalition).
 func (p *Plan) features(s vm.Coalition, states []vm.State, feat *[MaxFeatureLen]float64) (ComboMask, error) {
 	const k = int(vm.NumComponents)
-	if len(states) < p.n {
-		return 0, fmt.Errorf("vhc: %d states for %d planned VMs", len(states), p.n)
+	if len(states) < len(p.classBit) {
+		return 0, fmt.Errorf("vhc: %d states for %d planned VMs", len(states), len(p.classBit))
 	}
 	var combo ComboMask
 	for m := uint32(s); m != 0; {
 		b := bits.TrailingZeros32(m)
 		m &^= 1 << uint(b)
 		if b >= len(p.classBit) {
-			return 0, fmt.Errorf("vhc: plan compiled for %d VMs, coalition has member %d", p.n, b)
+			return 0, fmt.Errorf("vhc: plan built for %d VMs, coalition has member %d", len(p.classBit), b)
 		}
 		combo |= p.classBit[b]
 	}
@@ -185,22 +131,19 @@ func (p *Plan) features(s vm.Coalition, states []vm.State, feat *[MaxFeatureLen]
 	return combo, nil
 }
 
-// ClassBit returns VM i's compiled class bit (1 << class(type(vm i))).
+// ClassBit returns VM i's class bit (1 << class(type(vm i))).
 func (p *Plan) ClassBit(i int) (ComboMask, error) {
-	if i < 0 || i >= p.n {
-		return 0, fmt.Errorf("vhc: plan compiled for %d VMs, no VM %d", p.n, i)
+	if i < 0 || i >= len(p.classBit) {
+		return 0, fmt.Errorf("vhc: plan built for %d VMs, no VM %d", len(p.classBit), i)
 	}
 	return p.classBit[i], nil
 }
 
-// Weights returns combo's fitted mapping vector, laid out as Features,
-// or nil when the combo is untrained. The slice is the plan's own:
-// callers must not modify it.
+// Weights returns combo's fitted mapping vector, laid out as
+// ClassedFeaturesFor's features, or nil when the combo is untrained. The
+// slice is the published model's own: callers must not modify it.
 func (p *Plan) Weights(combo ComboMask) []float64 {
-	if int(combo) >= len(p.weights) {
-		return nil
-	}
-	return p.weights[combo]
+	return p.model.comboWeights(combo)
 }
 
 // TableBox reports whether combo has exact-match table entries and, when
@@ -210,10 +153,10 @@ func (p *Plan) Weights(combo ComboMask) []float64 {
 // so that rounding in f/resolution never excludes a feature that
 // quantizes into the box.
 func (p *Plan) TableBox(combo ComboMask, lo, hi *[MaxFeatureLen]float64) bool {
-	if int(combo) >= len(p.table) || p.table[combo] == nil || p.resolution <= 0 {
+	t := p.model.table(combo)
+	if t == nil {
 		return false
 	}
-	t := p.table[combo]
 	for i := 0; i < combo.Size()*int(vm.NumComponents); i++ {
 		lo[i] = (float64(t.lo[i]) - 1) * p.resolution
 		hi[i] = (float64(t.hi[i]) + 1) * p.resolution
@@ -224,10 +167,11 @@ func (p *Plan) TableBox(combo ComboMask, lo, hi *[MaxFeatureLen]float64) bool {
 // TableMean returns the exact-match table mean stored for combo under
 // feat's lattice key, if any.
 func (p *Plan) TableMean(combo ComboMask, feat *[MaxFeatureLen]float64) (float64, bool) {
-	if int(combo) >= len(p.table) || p.table[combo] == nil || p.resolution <= 0 {
+	t := p.model.table(combo)
+	if t == nil {
 		return 0, false
 	}
-	return p.table[combo].lookup(feat, combo.Size()*int(vm.NumComponents), p.resolution)
+	return t.lookup(feat, combo.Size()*int(vm.NumComponents), p.resolution)
 }
 
 // Worth maps a non-empty combo's aggregated feature vector to v(S, C):
@@ -273,6 +217,9 @@ func (t *comboTable) lookup(feat *[MaxFeatureLen]float64, flen int, res float64)
 		}
 		key[i] = c
 	}
-	v, ok := t.means[key]
-	return v, ok
+	e, ok := t.entries[key]
+	if !ok {
+		return 0, false
+	}
+	return e.mean(), true
 }

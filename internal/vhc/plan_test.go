@@ -102,7 +102,8 @@ func TestPlanMatchesEstimateBitForBit(t *testing.T) {
 }
 
 // TestPlanTableHit pins that a state measured offline is served from the
-// plan's precomputed table mean, identically to the approximator.
+// trained model's table mean, identically through the plan and the
+// approximator.
 func TestPlanTableHit(t *testing.T) {
 	set, classes, a := trainedRig(t, 0.01, 3)
 	mask := vm.CoalitionOf(0, 1)
@@ -119,6 +120,9 @@ func TestPlanTableHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := a.AddSample(combo, feats, 124.456); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Train(); err != nil {
 		t.Fatal(err)
 	}
 	plan, err := NewPlan(set, classes, a)
@@ -142,7 +146,7 @@ func TestPlanTableHit(t *testing.T) {
 	}
 
 	// Over random models: the feature vector at the lattice centre of
-	// every stored key must still hit the plan's table — the bounds check
+	// every stored key must still hit the model's table — the bounds check
 	// may never reject a stored key — and match Approximator.Estimate bit
 	// for bit. Online ticks never hit the table, so this is the hit
 	// path's coverage.
@@ -154,9 +158,12 @@ func TestPlanTableHit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for combo, entries := range a.table {
-				flen := a.featureLen(combo)
-				for key, e := range entries {
+			for c, table := range a.model.Load().tables {
+				if table == nil {
+					continue
+				}
+				combo, flen := ComboMask(c), a.featureLen(ComboMask(c))
+				for key, e := range table.entries {
 					var feat [MaxFeatureLen]float64
 					for i := 0; i < flen; i++ {
 						feat[i] = float64(key[i]) * res
@@ -250,26 +257,58 @@ func TestPlanEvalZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPlanStaleEpoch pins the invalidation signal: any approximator
-// mutation advances the epoch past the plan's snapshot.
-func TestPlanStaleEpoch(t *testing.T) {
+// TestPlanReadsPublishedModel pins the model lifecycle: a sample reaches
+// no estimate until Train publishes it, a plan keeps reading the model it
+// was built on, and a plan built after Train serves the new model.
+func TestPlanReadsPublishedModel(t *testing.T) {
 	set, classes, a := trainedRig(t, 0.01, 5)
 	plan, err := NewPlan(set, classes, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Epoch() != a.Epoch() {
-		t.Fatalf("fresh plan epoch %d != approximator %d", plan.Epoch(), a.Epoch())
+	if !plan.Reads(a) {
+		t.Fatal("a fresh plan must read the published model")
 	}
-	_, feats, err := ClassedFeaturesFor(set, flagsOf(vm.CoalitionOf(0), set.Len()), []vm.State{{vm.CPU: 0.5}, {}, {}, {}}, classes)
+	mask := vm.CoalitionOf(0, 2)
+	states := []vm.State{{vm.CPU: 0.5, vm.Memory: 0.25}, {}, {vm.CPU: 0.75, vm.DiskIO: 0.5}, {}}
+	combo, feats, err := ClassedFeaturesFor(set, flagsOf(mask, set.Len()), states, classes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.AddSample(0b001, feats, 1); err != nil {
+	before, err := plan.Eval(mask, states)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Epoch() == a.Epoch() {
-		t.Fatal("AddSample did not advance the epoch")
+	const measured = 1234.5
+	if err := a.AddSample(combo, feats, measured); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := a.Estimate(combo, feats); err != nil || got != before || !plan.Reads(a) {
+		t.Fatalf("after AddSample: estimate %v (%v), plan reads the model %v; want %v and true", got, err, plan.Reads(a), before)
+	}
+	if err := a.Train(); err != nil {
+		t.Fatal(err)
+	}
+	if plan.Reads(a) {
+		t.Fatal("Train published a model the old plan still reads")
+	}
+	if got, err := plan.Eval(mask, states); err != nil || math.Float64bits(got) != math.Float64bits(before) {
+		t.Fatalf("the old plan moved to %v (%v), want its model's %v", got, err, before)
+	}
+	fresh, err := NewPlan(set, classes, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fresh.Eval(mask, states)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := a.Estimate(combo, feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != measured || want != measured {
+		t.Fatalf("after Train: plan %v, estimate %v, want the measured %v", got, want, measured)
 	}
 }
 

@@ -11,11 +11,13 @@ package vhc
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/bits"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"vmpower/internal/linalg"
 	"vmpower/internal/vm"
@@ -56,55 +58,6 @@ func (c ComboMask) String() string {
 	return "types{" + strings.Join(parts, ",") + "}"
 }
 
-// ComboFor returns the VHC combination of coalition mask within set.
-func ComboFor(set *vm.Set, mask vm.Coalition) ComboMask {
-	var c ComboMask
-	for _, t := range set.TypesPresent(mask) {
-		c |= 1 << uint(t)
-	}
-	return c
-}
-
-// Aggregate computes the per-VHC aggregated state vectors v_j = Σ c_i
-// (Eq. 8) for the members of mask, plus the coalition's combo.
-func Aggregate(set *vm.Set, mask vm.Coalition, states []vm.State) (ComboMask, map[vm.TypeID]vm.State, error) {
-	if len(states) != set.Len() {
-		return 0, nil, fmt.Errorf("vhc: %d states for %d VMs", len(states), set.Len())
-	}
-	agg := make(map[vm.TypeID]vm.State)
-	var combo ComboMask
-	for _, id := range mask.Members() {
-		v, err := set.VM(id)
-		if err != nil {
-			return 0, nil, err
-		}
-		combo |= 1 << uint(v.Type)
-		agg[v.Type] = agg[v.Type].Add(states[int(id)])
-	}
-	return combo, agg, nil
-}
-
-// Features flattens the aggregated VHC vectors into the regression feature
-// vector for a combo: present types in ascending order, k components each.
-func Features(combo ComboMask, agg map[vm.TypeID]vm.State) []float64 {
-	types := combo.Types()
-	out := make([]float64, 0, len(types)*int(vm.NumComponents))
-	for _, t := range types {
-		s := agg[t]
-		out = append(out, s[:]...)
-	}
-	return out
-}
-
-// FeaturesFor is Aggregate followed by Features.
-func FeaturesFor(set *vm.Set, mask vm.Coalition, states []vm.State) (ComboMask, []float64, error) {
-	combo, agg, err := Aggregate(set, mask, states)
-	if err != nil {
-		return 0, nil, err
-	}
-	return combo, Features(combo, agg), nil
-}
-
 // Sample is one offline measurement: the features of a coalition state and
 // the measured aggregated power (idle deducted).
 type Sample struct {
@@ -135,30 +88,51 @@ const ridgeLambda = 1e-6
 
 // Approximator learns and serves v(S, C) per VHC combination.
 //
-// Thread-safety: every method takes mu — readers (Estimate, Weights,
-// CPUWeights, Diags, Trained, SampleCount) under RLock, mutators
-// (AddSample, Train, Import) under the write lock — so any combination
-// of concurrent calls is data-race free. In particular the read path
-// used by the parallel Shapley engine (Estimate) touches only the
-// quantized v(S,C) table and the fitted weight vectors, both of which
-// are immutable between mutator calls; a trained Approximator that is
-// no longer fed samples therefore behaves as a pure function of
-// (combo, features), which is the purity contract the engine's worth
-// cache and sharded evaluation rely on (see
-// internal/shapley/parallel.go). Interleaving AddSample/Train with
-// concurrent Estimate calls is still safe, but the estimates then
-// depend on arrival order — don't retrain mid-estimation if
-// reproducibility matters.
+// Thread-safety: AddSample only appends a sample, under mu. Train and
+// Import each build a whole model — the fitted mapping vectors and the
+// exact-match v(S,C) tables — and publish it with one atomic pointer
+// store; a published model is never changed. Every reader (Estimate,
+// Weights, CPUWeights, Diags, Trained, NewPlan) loads the published model
+// once and reads only that, so it sees one model whole and takes no lock.
+// Samples added since the last Train reach no reader until the next one.
+// Between publications a trained Approximator is therefore a pure
+// function of (combo, features), the purity contract the parallel Shapley
+// engine's worth cache and sharded evaluation rely on (see
+// internal/shapley/parallel.go); a Train concurrent with estimation
+// switches the estimates from one whole model to the next.
 type Approximator struct {
 	numTypes   int
 	resolution float64
 
-	mu      sync.RWMutex
-	epoch   uint64
+	mu      sync.Mutex // guards samples; orders Train and Import
 	samples map[ComboMask][]Sample
-	table   map[ComboMask]map[tableKey]tableEntry
-	weights map[ComboMask]linalg.Vector
+	model   atomic.Pointer[model]
+}
+
+// model is one published trained model, indexed by ComboMask: the fitted
+// mapping vectors (nil when untrained), the exact-match tables (nil when
+// the combo has no samples or the table is disabled) and the fits'
+// diagnostics.
+type model struct {
+	weights []linalg.Vector
+	tables  []*comboTable
 	diags   map[ComboMask]Diagnostics
+}
+
+// comboWeights returns combo's fitted mapping vector, nil when untrained.
+func (m *model) comboWeights(combo ComboMask) linalg.Vector {
+	if int(combo) >= len(m.weights) {
+		return nil
+	}
+	return m.weights[combo]
+}
+
+// table returns combo's exact-match table, nil when it has none.
+func (m *model) table(combo ComboMask) *comboTable {
+	if int(combo) >= len(m.tables) {
+		return nil
+	}
+	return m.tables[combo]
 }
 
 // Diagnostics summarises one combo's fit quality, recorded at Train time.
@@ -187,6 +161,38 @@ type tableEntry struct {
 }
 
 func (e tableEntry) mean() float64 { return e.sum / float64(e.count) }
+
+// comboTable is one combo's exact-match v(S,C) table: the summed power
+// and count of the samples measured at each lattice key, plus the
+// bounding box of those keys. lo[i] and hi[i] are the least and greatest
+// lattice coordinate i of any stored key, so a feature vector with a
+// coordinate outside [lo[i], hi[i]] has no entry and needs no hashing to
+// find that out.
+type comboTable struct {
+	entries map[tableKey]tableEntry
+	lo, hi  tableKey
+}
+
+// newComboTable keys a combo's samples onto the resolution lattice with
+// the key Estimate looks up, adding each key's powers in arrival order.
+func (a *Approximator) newComboTable(samples []Sample, flen int) *comboTable {
+	t := &comboTable{entries: make(map[tableKey]tableEntry)}
+	for i := 0; i < flen; i++ {
+		t.lo[i], t.hi[i] = math.MaxInt64, math.MinInt64
+	}
+	for _, s := range samples {
+		k := a.key(s.Features)
+		for i := 0; i < flen; i++ {
+			t.lo[i] = min(t.lo[i], k[i])
+			t.hi[i] = max(t.hi[i], k[i])
+		}
+		e := t.entries[k]
+		e.sum += s.Power
+		e.count++
+		t.entries[k] = e
+	}
+	return t
+}
 
 // MaxFeatureLen is the widest possible feature vector: every one of the
 // MaxTypes classes present, k components each.
@@ -220,23 +226,23 @@ func New(numTypes int, opts Options) (*Approximator, error) {
 	if numTypes < 1 || numTypes > MaxTypes {
 		return nil, fmt.Errorf("vhc: numTypes %d outside [1,%d]", numTypes, MaxTypes)
 	}
-	return &Approximator{
+	a := &Approximator{
 		numTypes:   numTypes,
 		resolution: opts.Resolution,
 		samples:    make(map[ComboMask][]Sample),
-		table:      make(map[ComboMask]map[tableKey]tableEntry),
-		weights:    make(map[ComboMask]linalg.Vector),
-		diags:      make(map[ComboMask]Diagnostics),
-	}, nil
+	}
+	a.model.Store(a.newModel())
+	return a, nil
 }
 
-// Epoch returns a counter that advances on every mutation (AddSample,
-// Train, Import). A compiled Plan snapshots the epoch it was built from;
-// a mismatch tells the holder the plan is stale and must be recompiled.
-func (a *Approximator) Epoch() uint64 {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.epoch
+// newModel returns an empty model with one slot per combination.
+func (a *Approximator) newModel() *model {
+	combos := 1 << uint(a.numTypes)
+	return &model{
+		weights: make([]linalg.Vector, combos),
+		tables:  make([]*comboTable, combos),
+		diags:   make(map[ComboMask]Diagnostics),
+	}
 }
 
 // NumTypes returns r, the VM type count.
@@ -259,7 +265,8 @@ func (a *Approximator) key(features []float64) tableKey {
 	return k
 }
 
-// AddSample records one offline measurement for a combo.
+// AddSample records one offline measurement for a combo. Estimates see it
+// only after the next Train.
 func (a *Approximator) AddSample(combo ComboMask, features []float64, power float64) error {
 	if combo == 0 {
 		return errors.New("vhc: cannot sample the empty combination")
@@ -270,50 +277,48 @@ func (a *Approximator) AddSample(combo ComboMask, features []float64, power floa
 	f := append([]float64(nil), features...)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.epoch++
 	a.samples[combo] = append(a.samples[combo], Sample{Features: f, Power: power})
-	if a.resolution > 0 {
-		k := a.key(f)
-		entries, ok := a.table[combo]
-		if !ok {
-			entries = make(map[tableKey]tableEntry)
-			a.table[combo] = entries
-		}
-		e := entries[k]
-		e.sum += power
-		e.count++
-		entries[k] = e
-	}
 	return nil
 }
 
 // SampleCount returns the number of samples recorded for a combo.
 func (a *Approximator) SampleCount(combo ComboMask) int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	return len(a.samples[combo])
 }
 
-// Train fits the mapping vector of every combo that has samples. Combos
-// whose regression fails (e.g. a single degenerate sample) are reported in
-// the returned error but do not prevent the others from training.
+// Train fits the mapping vector of every combo that has samples, keys
+// every sample into its combo's exact-match table, and publishes the
+// result as the new model. Combos without samples keep their previous
+// fit. Combos whose regression fails (e.g. a single degenerate sample)
+// are reported in the returned error but do not prevent the others from
+// training.
 func (a *Approximator) Train() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.epoch++
+	old, m := a.model.Load(), a.newModel()
+	copy(m.weights, old.weights)
+	maps.Copy(m.diags, old.diags)
 	var failures []string
 	for combo, samples := range a.samples {
-		if err := a.trainComboLocked(combo, samples); err != nil {
+		if a.resolution > 0 {
+			m.tables[combo] = a.newComboTable(samples, a.featureLen(combo))
+		}
+		if err := a.fitCombo(m, combo, samples); err != nil {
 			failures = append(failures, fmt.Sprintf("%s: %v", combo, err))
 		}
 	}
+	a.model.Store(m)
 	if len(failures) > 0 {
 		return fmt.Errorf("vhc: training failed for %d combos: %s", len(failures), strings.Join(failures, "; "))
 	}
 	return nil
 }
 
-func (a *Approximator) trainComboLocked(combo ComboMask, samples []Sample) error {
+// fitCombo fits combo's mapping vector to its samples and records it and
+// the fit's diagnostics in m.
+func (a *Approximator) fitCombo(m *model, combo ComboMask, samples []Sample) error {
 	if len(samples) == 0 {
 		return ErrNoSamples
 	}
@@ -335,12 +340,12 @@ func (a *Approximator) trainComboLocked(combo ComboMask, samples []Sample) error
 	if err != nil {
 		return fmt.Errorf("least squares: %w", err)
 	}
-	a.weights[combo] = w
+	m.weights[combo] = w
 	rmse, err := linalg.RMSE(mat, w, b)
 	if err != nil {
 		return fmt.Errorf("fit diagnostics: %w", err)
 	}
-	a.diags[combo] = Diagnostics{
+	m.diags[combo] = Diagnostics{
 		Samples:   len(samples),
 		RMSE:      rmse,
 		MeanPower: b.Sum() / float64(len(b)),
@@ -350,9 +355,7 @@ func (a *Approximator) trainComboLocked(combo ComboMask, samples []Sample) error
 
 // Diags returns a combo's fit diagnostics (recorded by Train).
 func (a *Approximator) Diags(combo ComboMask) (Diagnostics, error) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	d, ok := a.diags[combo]
+	d, ok := a.model.Load().diags[combo]
 	if !ok {
 		return Diagnostics{}, fmt.Errorf("%w: %s", ErrUntrained, combo)
 	}
@@ -361,19 +364,15 @@ func (a *Approximator) Diags(combo ComboMask) (Diagnostics, error) {
 
 // Trained reports whether the combo has a fitted model.
 func (a *Approximator) Trained(combo ComboMask) bool {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	_, ok := a.weights[combo]
-	return ok
+	return a.model.Load().comboWeights(combo) != nil
 }
 
 // Weights returns a copy of the fitted mapping vector for a combo, laid
-// out as Features (present types ascending × components).
+// out as ClassedFeaturesFor's features (present classes ascending ×
+// components).
 func (a *Approximator) Weights(combo ComboMask) (linalg.Vector, error) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	w, ok := a.weights[combo]
-	if !ok {
+	w := a.model.Load().comboWeights(combo)
+	if w == nil {
 		return nil, fmt.Errorf("%w: %s", ErrUntrained, combo)
 	}
 	return w.Clone(), nil
@@ -405,17 +404,14 @@ func (a *Approximator) Estimate(combo ComboMask, features []float64) (float64, e
 	if got, want := len(features), a.featureLen(combo); got != want {
 		return 0, fmt.Errorf("%w: got %d, want %d for %s", ErrFeatureLen, got, want, combo)
 	}
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.resolution > 0 {
-		if entries, ok := a.table[combo]; ok {
-			if e, ok := entries[a.key(features)]; ok {
-				return e.mean(), nil
-			}
+	m := a.model.Load()
+	if t := m.table(combo); t != nil {
+		if e, ok := t.entries[a.key(features)]; ok {
+			return e.mean(), nil
 		}
 	}
-	w, ok := a.weights[combo]
-	if !ok {
+	w := m.comboWeights(combo)
+	if w == nil {
 		return 0, fmt.Errorf("%w: %s", ErrUntrained, combo)
 	}
 	p, err := w.Dot(features)

@@ -41,70 +41,6 @@ func TestComboMask(t *testing.T) {
 	}
 }
 
-func TestComboFor(t *testing.T) {
-	set := testSet(t)
-	if got := ComboFor(set, vm.CoalitionOf(0, 1)); got != 0b001 {
-		t.Fatalf("ComboFor two VM1s = %v", got)
-	}
-	if got := ComboFor(set, vm.CoalitionOf(0, 2, 3)); got != 0b111 {
-		t.Fatalf("ComboFor mixed = %v", got)
-	}
-	if got := ComboFor(set, vm.EmptyCoalition); got != 0 {
-		t.Fatalf("ComboFor empty = %v", got)
-	}
-}
-
-func TestAggregate(t *testing.T) {
-	set := testSet(t)
-	states := []vm.State{
-		{vm.CPU: 0.5, vm.Memory: 0.1},
-		{vm.CPU: 0.3, vm.Memory: 0.2},
-		{vm.CPU: 0.8},
-		{vm.CPU: 0.9},
-	}
-	combo, agg, err := Aggregate(set, vm.CoalitionOf(0, 1, 2), states)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if combo != 0b011 {
-		t.Fatalf("combo = %v", combo)
-	}
-	// v_0 = c_0 + c_1 (Eq. 8).
-	if math.Abs(agg[0][vm.CPU]-0.8) > 1e-12 || math.Abs(agg[0][vm.Memory]-0.3) > 1e-12 {
-		t.Fatalf("aggregate type 0 = %v", agg[0])
-	}
-	if math.Abs(agg[1][vm.CPU]-0.8) > 1e-12 {
-		t.Fatalf("aggregate type 1 = %v", agg[1])
-	}
-	if _, _, err := Aggregate(set, vm.CoalitionOf(0), states[:2]); err == nil {
-		t.Fatal("want state-count error")
-	}
-}
-
-func TestFeatures(t *testing.T) {
-	set := testSet(t)
-	states := []vm.State{
-		{vm.CPU: 0.5}, {vm.CPU: 0.25}, {vm.CPU: 0.8}, {vm.CPU: 0.9},
-	}
-	combo, features, err := FeaturesFor(set, vm.CoalitionOf(0, 1, 3), states)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if combo != 0b101 {
-		t.Fatalf("combo = %v", combo)
-	}
-	k := int(vm.NumComponents)
-	if len(features) != 2*k {
-		t.Fatalf("feature length = %d", len(features))
-	}
-	if math.Abs(features[0]-0.75) > 1e-12 { // type 0 CPU sum
-		t.Fatalf("features[0] = %g", features[0])
-	}
-	if math.Abs(features[k]-0.9) > 1e-12 { // type 2 CPU
-		t.Fatalf("features[k] = %g", features[k])
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	if _, err := New(0, Options{}); err == nil {
 		t.Fatal("want numTypes error")

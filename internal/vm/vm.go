@@ -238,21 +238,3 @@ func (s *Set) TypeOf(id ID) (Type, error) {
 	}
 	return s.catalog.ByID(v.Type)
 }
-
-// TypesPresent returns the set of distinct type IDs used by members of
-// coalition mask, in ascending order.
-func (s *Set) TypesPresent(mask Coalition) []TypeID {
-	seen := make(map[TypeID]bool, len(s.catalog))
-	for i := 0; i < len(s.vms); i++ {
-		if mask.Contains(ID(i)) {
-			seen[s.vms[i].Type] = true
-		}
-	}
-	out := make([]TypeID, 0, len(seen))
-	for t := TypeID(0); int(t) < len(s.catalog); t++ {
-		if seen[t] {
-			out = append(out, t)
-		}
-	}
-	return out
-}

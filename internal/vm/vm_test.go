@@ -180,22 +180,6 @@ func TestNewSetErrors(t *testing.T) {
 	}
 }
 
-func TestTypesPresent(t *testing.T) {
-	set, err := NewSet(PaperCatalog(), []VM{
-		{Type: 0}, {Type: 0}, {Type: 2}, {Type: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := set.TypesPresent(CoalitionOf(0, 1, 2))
-	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("TypesPresent = %v", got)
-	}
-	if len(set.TypesPresent(EmptyCoalition)) != 0 {
-		t.Fatal("empty coalition has no types")
-	}
-}
-
 // Property: quantized entries are multiples of the resolution and stay
 // within one half-step of the input.
 func TestStateQuantizeProperty(t *testing.T) {
