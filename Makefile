@@ -58,12 +58,13 @@ bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./... \
 	  | $(GO) run ./cmd/benchjson -out $(BENCH_BASELINE)
 
-# Enforce the trajectory: re-measure the headline benches and fail on a
-# >$(GATE_TOLERANCE) regression vs $(BENCH_BASELINE). The fresh snapshot
-# is written to bench_fresh_gate.json (gitignored by clean) so a failing
-# run can be inspected.
+# Enforce the trajectory: re-measure the headline benches three times
+# each and fail when an arm's median regressed by >$(GATE_TOLERANCE) vs
+# $(BENCH_BASELINE), so one stalled run cannot fail the gate. The fresh
+# snapshot is written to bench_fresh_gate.json (gitignored by clean) so
+# a failing run can be inspected.
 bench-gate:
-	$(GO) test -run '^$$' -bench '$(GATE_BENCH_RE)' -benchmem -benchtime $(GATE_BENCHTIME) ./... \
+	$(GO) test -run '^$$' -bench '$(GATE_BENCH_RE)' -benchmem -benchtime $(GATE_BENCHTIME) -count 3 ./... \
 	  | $(GO) run ./cmd/benchjson -out bench_fresh_gate.json
 	$(GO) run ./cmd/benchgate -baseline $(BENCH_BASELINE) -fresh bench_fresh_gate.json -tolerance $(GATE_TOLERANCE)
 

@@ -249,7 +249,8 @@ func BenchmarkMachinePower(b *testing.B) {
 	}
 }
 
-// BenchmarkVHCEstimate measures one v(S,C) approximation lookup+dot.
+// BenchmarkVHCEstimate measures one v(S,C) approximation through the
+// plan: the table probe and the dot product.
 func BenchmarkVHCEstimate(b *testing.B) {
 	approx, err := vhc.New(4, vhc.Options{Resolution: 0.01})
 	if err != nil {
@@ -273,13 +274,27 @@ func BenchmarkVHCEstimate(b *testing.B) {
 	if err := approx.Train(); err != nil {
 		b.Fatal(err)
 	}
-	query := make([]float64, 4*k)
-	for j := range query {
+	set, err := vm.NewSet(vm.PaperCatalog(), []vm.VM{
+		{Name: "vm0", Type: 0}, {Name: "vm1", Type: 1}, {Name: "vm2", Type: 2}, {Name: "vm3", Type: 3},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	classes, err := vhc.IdentityClassMap(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := vhc.NewPlan(set, classes, approx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var query [vhc.MaxFeatureLen]float64
+	for j := 0; j < 4*k; j++ {
 		query[j] = 0.42
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := approx.Estimate(combo, query); err != nil {
+		if _, err := plan.Worth(combo, &query); err != nil {
 			b.Fatal(err)
 		}
 	}

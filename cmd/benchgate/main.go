@@ -21,6 +21,9 @@
 // Gate semantics, tuned so the gate is strict where measurements are
 // deterministic and tolerant where they are not:
 //
+//   - a snapshot may list a benchmark several times (`go test -count`);
+//     the gate compares the median of its rows, ns/op and allocs/op each,
+//     so one stalled iteration cannot fail a change that moved nothing.
 //   - allocs/op is machine-independent: any increase beyond the small
 //     absolute slack fails at any magnitude.
 //   - ns/op must exceed BOTH the relative tolerance and -min-ns-delta to
@@ -40,6 +43,7 @@ import (
 	"strings"
 
 	"vmpower/internal/cliutil"
+	"vmpower/internal/stats"
 )
 
 // Result mirrors cmd/benchjson's output object (the subset the gate
@@ -73,14 +77,27 @@ func normalize(name string) string {
 	return cpuSuffix.ReplaceAllString(name, "")
 }
 
-// index maps normalized names to results; the first occurrence wins.
+// index maps normalized names to one result each: the median ns/op and
+// the median allocs/op of the name's rows.
 func index(results []Result) map[string]Result {
-	out := make(map[string]Result, len(results))
+	ns := make(map[string][]float64, len(results))
+	allocs := make(map[string][]float64, len(results))
 	for _, r := range results {
 		name := normalize(r.Name)
-		if _, ok := out[name]; !ok {
-			out[name] = r
+		ns[name] = append(ns[name], r.NsPerOp)
+		if r.AllocsPerOp != nil {
+			allocs[name] = append(allocs[name], *r.AllocsPerOp)
 		}
+	}
+	out := make(map[string]Result, len(ns))
+	for name, xs := range ns {
+		// Percentile fails only on an empty slice; xs holds every row.
+		m := Result{Name: name}
+		m.NsPerOp, _ = stats.Percentile(xs, 50)
+		if a, err := stats.Percentile(allocs[name], 50); err == nil {
+			m.AllocsPerOp = &a
+		}
+		out[name] = m
 	}
 	return out
 }

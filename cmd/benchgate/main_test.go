@@ -93,6 +93,54 @@ func TestGateAllowsSmallAllocJitter(t *testing.T) {
 	}
 }
 
+// TestGateComparesMedianOfRows: with -count 3 each arm is listed three
+// times and the gate compares the rows' median. One stalled iteration
+// (294.8 µs against a 34.6 µs baseline, next to 8.9 and 7.7 µs) passes
+// in any order; three slow rows fail, and so does a missing arm.
+func TestGateComparesMedianOfRows(t *testing.T) {
+	const arm = "BenchmarkEstimateTick/sym/n=64/r=3/steady"
+	base := []Result{{Name: arm, NsPerOp: 34_600, AllocsPerOp: fptr(2)}}
+	cfg := defaultCfg(t)
+	cfg.headlines = []*regexp.Regexp{regexp.MustCompile(`^BenchmarkEstimateTick/sym/`)}
+	rows := func(ns ...float64) []Result {
+		var out []Result
+		for _, v := range ns {
+			out = append(out, Result{Name: arm + "-2", NsPerOp: v, AllocsPerOp: fptr(2)})
+		}
+		return out
+	}
+	for _, order := range [][]float64{
+		{294_800, 8_900, 7_700}, {294_800, 7_700, 8_900}, {8_900, 294_800, 7_700},
+		{8_900, 7_700, 294_800}, {7_700, 294_800, 8_900}, {7_700, 8_900, 294_800},
+	} {
+		var out bytes.Buffer
+		if !runGate(base, rows(order...), cfg, &out) {
+			t.Fatalf("rows %v failed the gate:\n%s", order, out.String())
+		}
+	}
+	var out bytes.Buffer
+	if runGate(base, rows(69_200, 69_200, 69_200), cfg, &out) {
+		t.Fatalf("three rows at 2x the baseline passed the gate:\n%s", out.String())
+	}
+	out.Reset()
+	if runGate(base, nil, cfg, &out) || !strings.Contains(out.String(), "missing from fresh") {
+		t.Fatalf("a missing arm passed the gate:\n%s", out.String())
+	}
+	// allocs/op is a median too: one row's extra allocations pass, a
+	// majority's fail.
+	slow := rows(8_000, 8_000, 8_000)
+	slow[0].AllocsPerOp = fptr(40)
+	out.Reset()
+	if !runGate(base, slow, cfg, &out) {
+		t.Fatalf("one row's allocations failed the gate:\n%s", out.String())
+	}
+	slow[1].AllocsPerOp = fptr(40)
+	out.Reset()
+	if runGate(base, slow, cfg, &out) {
+		t.Fatalf("two of three rows' allocations passed the gate:\n%s", out.String())
+	}
+}
+
 // TestGateFailsOnMissingHeadline: deleting a gated bench must fail —
 // otherwise removing the benchmark silently un-gates its regression.
 func TestGateFailsOnMissingHeadline(t *testing.T) {

@@ -13,9 +13,9 @@ import (
 type AuditConfig struct {
 	// DeepEvery is the sampled deep-check cadence: every DeepEvery-th
 	// audited tick that was solved exactly is re-solved by an independent
-	// reference (uncompiled model worths, full 2^n tabulation, textbook
-	// Shapley sum) and compared per-VM. 0 disables deep checks. Each deep
-	// check costs one full 2^n solve.
+	// reference (per-coalition Plan.Eval worths, full 2^n tabulation,
+	// textbook Shapley sum) and compared per-VM. 0 disables deep checks.
+	// Each deep check costs one full 2^n solve.
 	DeepEvery int
 }
 
@@ -136,10 +136,12 @@ func (a *Auditor) audit(e *Estimator, snap hypervisor.Snapshot, alloc *Allocatio
 const deepMaxPlayers = 16
 
 // deepCheck re-solves an exactly-solved tick with a reference built from
-// the meter reading: the idle deduction, buildWorth's worths through
-// Approximator.Estimate, a full 2^n tabulation and the textbook Shapley
-// sum. Past the trained model it shares only the Shapley weights with
-// the exact tier, whose closed form is a different computation.
+// the meter reading: the idle deduction, planWorth's worths (each
+// coalition's member states summed and priced by Plan.Eval, where the
+// exact tier prices group sums), a full 2^n tabulation and the textbook
+// Shapley sum. Past the trained model and its probe it shares only the
+// Shapley weights with the exact tier, whose closed form is a different
+// computation.
 // Comparing per-VM shares checks how the tick derived its dynamic power,
 // the worth plan and the closed form with its corrections.
 // Monte-Carlo ticks have no exact reference and are skipped, as are
@@ -186,8 +188,12 @@ func (e *Estimator) referenceShares(snap hypervisor.Snapshot, measuredTotal floa
 	if running.IsEmpty() {
 		return make([]float64, n), nil
 	}
+	plan, err := e.ensurePlan()
+	if err != nil {
+		return nil, err
+	}
 	dyn := math.Max(0, measuredTotal-e.idlePower)
-	worth, worthErr := e.buildWorth(running, snap.States, dyn)
+	worth, worthErr := planWorth(plan, running, snap.States, dyn)
 	table := make([]float64, 1<<uint(n))
 	if err := shapley.TabulateParallelInto(table, n, worth, e.cfg.Parallelism); err != nil {
 		return nil, err

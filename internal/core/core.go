@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"sync"
 
 	"vmpower/internal/hypervisor"
@@ -78,8 +77,9 @@ type Config struct {
 	IdleAttribution IdleAttribution
 	// CollectIdleProb is the probability each VM idles on a collection
 	// tick. The paper's collection keeps members busy (0); a small value
-	// trades full-coalition accuracy for sub-coalition coverage (see the
-	// trainsize/resolution ablations for the corresponding sweeps).
+	// trades full-coalition accuracy for sub-coalition coverage (only
+	// BenchmarkEstimateTick's search arm sets it, to make its tables
+	// cover partially active coalitions).
 	CollectIdleProb float64
 	// Classes optionally compresses an arbitrary type catalog into a
 	// small number of VHC classes (Sec. VIII's "applicable scenario"
@@ -367,21 +367,25 @@ func (e *Estimator) SetMeter(m meter.Meter) error {
 
 // sampleMeter reads the meter, retrying past dropouts (a real 1 Hz meter
 // occasionally misses a reading; the paper's pipeline just waits for the
-// next one). It fails after MeterRetries consecutive losses. This is the
-// strict path used by offline collection, where a broken meter must abort
-// rather than silently poison the v(S,C) table; the online path layers
-// holdover and plausibility gating on top (sampleMeterResilient).
+// next one). A non-finite reading is lost like a dropout. It fails after
+// MeterRetries consecutive losses. This is the strict path used by
+// offline collection, where a broken meter must abort rather than
+// silently poison the v(S,C) table; the online path layers holdover and
+// plausibility gating on top (sampleMeterResilient).
 func (e *Estimator) sampleMeter() (meter.Sample, error) {
+	lost := "dropouts"
 	for i := 0; i < e.cfg.MeterRetries; i++ {
 		s, err := e.m.Sample()
-		if err == nil {
+		switch {
+		case err == nil && !math.IsNaN(s.Power) && !math.IsInf(s.Power, 0):
 			return s, nil
-		}
-		if !errors.Is(err, meter.ErrDropout) {
+		case err == nil:
+			lost = "losses, non-finite readings among them"
+		case !errors.Is(err, meter.ErrDropout):
 			return meter.Sample{}, err
 		}
 	}
-	return meter.Sample{}, fmt.Errorf("core: %d consecutive meter dropouts", e.cfg.MeterRetries)
+	return meter.Sample{}, fmt.Errorf("core: %d consecutive meter %s", e.cfg.MeterRetries, lost)
 }
 
 // ErrMeterLost is returned by online estimation when the meter has
@@ -711,30 +715,6 @@ func (e *Estimator) Estimate(snap hypervisor.Snapshot, measuredTotal float64) (*
 	return e.estimateTick(sc, snap, measuredTotal, nil)
 }
 
-// buildWorth constructs the online worth function of the 2^n game over
-// the running set: the measured (idle-deducted) power dyn for the running
-// grand coalition, 0 for the empty set, and Approximator.Estimate's VHC
-// approximation for proper subsets; stopped VMs are dummies. The running
-// mask comes from vm.RunningCoalition over a snapshot that passed
-// checkSnapshot. Same thread-safety contract as maskWorth; the
-// approximator's read path takes no lock.
-func (e *Estimator) buildWorth(running vm.Coalition, states []vm.State, dyn float64) (shapley.WorthFunc, func() error) {
-	set := e.host.Set()
-	n := set.Len()
-	return maskWorth(running, dyn, func(s vm.Coalition) (float64, error) {
-		var flags [vm.MaxPlayers]bool
-		for m := uint32(s); m != 0; m &= m - 1 {
-			flags[bits.TrailingZeros32(m)] = true
-		}
-		var feat [vhc.MaxFeatureLen]float64
-		combo, features, err := vhc.ClassedFeaturesInto(set, flags[:n], states, e.classes, &feat)
-		if err != nil {
-			return 0, err
-		}
-		return e.approx.Estimate(combo, features)
-	})
-}
-
 // ensurePlan returns the worth plan over the approximator's published
 // model and the whole VM set, building one when the approximator has
 // published a model since the last build or the set has grown (AddVM
@@ -770,27 +750,17 @@ func (e *Estimator) CalibratedForClass(t vm.TypeID) bool {
 	return e.approx.Trained(vhc.ComboMask(1) << uint(e.classes.ByType[t]))
 }
 
-// planWorth is buildWorth over the plan: vhc.Plan.Eval replaces
-// the allocating ClassedFeaturesFor + Approximator.Estimate pair, bit for
-// bit. It feeds the Monte-Carlo sampler; Plan.Eval only reads, so
-// concurrent samplers never contend.
-func planWorth(plan *vhc.Plan, running vm.Coalition, states []vm.State, dyn float64) (shapley.WorthFunc, func() error) {
-	return maskWorth(running, dyn, func(s vm.Coalition) (float64, error) {
-		return plan.Eval(s, states)
-	})
-}
-
-// maskWorth wraps eval, the worth of a proper non-empty sub-coalition
-// of running, into the tick's game: stopped VMs are masked out as
-// dummies, the running grand coalition is worth dyn and the empty set 0.
-// The returned func reports the first evaluation failure (Shapley
-// evaluates worths inside tight loops that cannot return errors).
+// planWorth is the tick's game over the plan: stopped VMs are masked out
+// as dummies, the running grand coalition is worth dyn, the empty set 0,
+// and every other coalition is priced by plan.Eval. The returned func
+// reports the first evaluation failure (Shapley evaluates worths inside
+// tight loops that cannot return errors).
 //
 // Thread-safety: the WorthFunc satisfies the parallel Shapley engine's
-// contract (see internal/shapley/parallel.go) as long as eval only reads
-// state that stays fixed while the game is solved — the online phase
-// never retrains; the error capture is mutex-guarded.
-func maskWorth(running vm.Coalition, dyn float64, eval func(vm.Coalition) (float64, error)) (shapley.WorthFunc, func() error) {
+// contract (see internal/shapley/parallel.go): Plan.Eval only reads the
+// immutable plan and its model, so concurrent evaluations never contend;
+// the error capture is mutex-guarded.
+func planWorth(plan *vhc.Plan, running vm.Coalition, states []vm.State, dyn float64) (shapley.WorthFunc, func() error) {
 	var mu sync.Mutex
 	var worthErr error
 	worth := func(s vm.Coalition) float64 {
@@ -801,7 +771,7 @@ func maskWorth(running vm.Coalition, dyn float64, eval func(vm.Coalition) (float
 		if s.IsEmpty() {
 			return 0
 		}
-		p, err := eval(s)
+		p, err := plan.Eval(s, states)
 		if err != nil {
 			mu.Lock()
 			if worthErr == nil {
@@ -962,7 +932,11 @@ func (e *Estimator) Interactions(snap hypervisor.Snapshot, measuredTotal float64
 	if err != nil {
 		return nil, fmt.Errorf("core: interactions: %w", err)
 	}
-	worth, worthErr := e.buildWorth(running, snap.States, dyn)
+	plan, err := e.ensurePlan()
+	if err != nil {
+		return nil, err
+	}
+	worth, worthErr := planWorth(plan, running, snap.States, dyn)
 	idx, err := shapley.Interactions(n, worth)
 	if err != nil {
 		return nil, err
@@ -988,7 +962,11 @@ func (e *Estimator) Audit(snap hypervisor.Snapshot, measuredTotal, tol float64) 
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: audit: %w", err)
 	}
-	worth, worthErr := e.buildWorth(running, snap.States, alloc.DynamicPower)
+	plan, err := e.ensurePlan()
+	if err != nil {
+		return nil, nil, err
+	}
+	worth, worthErr := planWorth(plan, running, snap.States, alloc.DynamicPower)
 	report, err := shapley.CheckAxioms(e.host.Set().Len(), worth, alloc.PerVM, tol)
 	if err != nil {
 		return nil, nil, err

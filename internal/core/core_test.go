@@ -645,6 +645,72 @@ func TestPermanentDropoutFails(t *testing.T) {
 	}
 }
 
+// TestCalibrationRetriesNonFiniteReading: a NaN reading during offline
+// collection is lost like a dropout and read again, so it can neither
+// reach the v(S,C) table nor the calibrated peak that anchors the online
+// plausibility band; a meter that only reads NaN fails calibration.
+func TestCalibrationRetriesNonFiniteReading(t *testing.T) {
+	host, _ := testRig(t, Config{})
+	perfect, err := meter.Perfect(host.PowerSource())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := 0
+	nanAt40 := meterFunc(func() (meter.Sample, error) {
+		reads++
+		s, err := perfect.Sample()
+		if reads == 40 {
+			s.Power = math.NaN()
+		}
+		return s, err
+	})
+	est, err := New(host, nanAt40, Config{OfflineTicksPerCombo: 120, IdleMeasureTicks: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := est.CollectOffline(); err != nil {
+		t.Fatal(err)
+	}
+	if reads < 40 {
+		t.Fatalf("calibration read the meter %d times, want the 40th to be NaN", reads)
+	}
+	if p := est.PeakPower(); math.IsNaN(p) || math.IsInf(p, 0) || p <= 0 {
+		t.Fatalf("PeakPower = %v, want a finite calibrated peak", p)
+	}
+	for i := 0; i < host.Set().Len(); i++ {
+		if err := host.Attach(vm.ID(i), workload.Synthetic{Seed: int64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	host.SetCoalition(vm.GrandCoalition(host.Set().Len()))
+	host.Advance(1)
+	alloc, err := est.EstimateTick()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	for i, p := range alloc.PerVM {
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			t.Fatalf("share %d = %v, want finite shares %v", i, p, alloc.PerVM)
+		}
+		sum += p
+	}
+	if math.Abs(sum-alloc.DynamicPower) > 1e-9*math.Max(1, alloc.DynamicPower) {
+		t.Fatalf("Σφ = %v, dyn = %v: Efficiency violated", sum, alloc.DynamicPower)
+	}
+
+	alwaysNaN := meterFunc(func() (meter.Sample, error) {
+		return meter.Sample{Power: math.NaN()}, nil
+	})
+	est, err = New(host, alwaysNaN, Config{OfflineTicksPerCombo: 10, IdleMeasureTicks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := est.CollectOffline(); err == nil || !strings.Contains(err.Error(), "non-finite") {
+		t.Fatalf("an always-NaN meter calibrated with err %v, want a failure naming non-finite readings", err)
+	}
+}
+
 // meterFunc adapts a function to meter.Meter.
 type meterFunc func() (meter.Sample, error)
 

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"vmpower/internal/hypervisor"
@@ -17,13 +19,56 @@ import (
 	"vmpower/internal/workload"
 )
 
+// legacyWorth is the oracle's game: each coalition's member states summed
+// per class by ClassedFeaturesInto (not the plan's gather) and priced by
+// Plan.Worth, with the running grand coalition worth dyn, the empty set
+// 0 and stopped VMs as dummies. The returned func reports the first
+// evaluation failure; the worth is safe for concurrent use.
+func legacyWorth(e *Estimator, plan *vhc.Plan, running vm.Coalition, states []vm.State, dyn float64) (shapley.WorthFunc, func() error) {
+	set := e.host.Set()
+	n := set.Len()
+	var mu sync.Mutex
+	var worthErr error
+	worth := func(s vm.Coalition) float64 {
+		s &= running
+		switch {
+		case s == running:
+			return dyn
+		case s.IsEmpty():
+			return 0
+		}
+		var flags [vm.MaxPlayers]bool
+		for m := uint32(s); m != 0; m &= m - 1 {
+			flags[bits.TrailingZeros32(m)] = true
+		}
+		var feat [vhc.MaxFeatureLen]float64
+		combo, _, err := vhc.ClassedFeaturesInto(set, flags[:n], states, e.classes, &feat)
+		var v float64
+		if err == nil {
+			v, err = plan.Worth(combo, &feat)
+		}
+		if err != nil {
+			mu.Lock()
+			if worthErr == nil {
+				worthErr = err
+			}
+			mu.Unlock()
+		}
+		return v
+	}
+	return worth, func() error {
+		mu.Lock()
+		defer mu.Unlock()
+		return worthErr
+	}
+}
+
 // legacyEstimate is the pre-plan estimation route, kept as the oracle the
-// production tiers are pinned against: buildWorth's worths over the
-// uncompiled model (ClassedFeaturesFor + Approximator.Estimate per
-// coalition) with the textbook 2^n Shapley sum for sets of up to 20 VMs,
-// and Monte Carlo with the production seed past that. The exact tier
-// matches it to ≤1e-12 of the worth scale; the Monte-Carlo tier, which
-// feeds the same sampler the plan's worths, matches it bit for bit.
+// production tiers are pinned against: legacyWorth's per-coalition worths
+// with the textbook 2^n Shapley sum for sets of up to 20 VMs, and Monte
+// Carlo with the production seed past that. The exact tier matches it to
+// ≤1e-12 of the worth scale; the Monte-Carlo tier, which feeds the same
+// sampler the plan's worths, matches it bit for bit.
 func legacyEstimate(t *testing.T, e *Estimator, snap hypervisor.Snapshot, measuredTotal float64) *Allocation {
 	t.Helper()
 	n := e.host.Set().Len()
@@ -47,7 +92,11 @@ func legacyEstimate(t *testing.T, e *Estimator, snap hypervisor.Snapshot, measur
 		alloc.DynamicPower = 0
 		return e.attributeIdle(alloc, members)
 	}
-	worth, worthErr := e.buildWorth(running, snap.States, dyn)
+	plan, err := e.ensurePlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	worth, worthErr := legacyWorth(e, plan, running, snap.States, dyn)
 	if n <= 20 {
 		phi, err := shapley.Exact(n, worth)
 		if err != nil {

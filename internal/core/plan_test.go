@@ -19,12 +19,13 @@ import (
 	"vmpower/internal/workload"
 )
 
-// TestPlanWorthMatchesBuildWorth is the compiled-plan worth property: over
-// randomized coalitions, states and class maps, the plan-backed worth must
-// reproduce the legacy buildWorth bit for bit on every one of the 2^n
-// masks — including stopped-VM dummies (masks reaching outside the running
-// set) and the measured-power override for the running grand coalition.
-func TestPlanWorthMatchesBuildWorth(t *testing.T) {
+// TestPlanWorthMatchesLegacy is the plan worth property: over randomized
+// coalitions, states and class maps, planWorth must reproduce legacyWorth
+// (ClassedFeaturesInto's member sums priced by Plan.Worth) bit for bit on
+// every one of the 2^n masks — including stopped-VM dummies (masks
+// reaching outside the running set) and the measured-power override for
+// the running grand coalition.
+func TestPlanWorthMatchesLegacy(t *testing.T) {
 	merged := &vhc.ClassMap{ByType: []int{0, 0, 1, 1}, Classes: 2}
 	for _, tc := range []struct {
 		name    string
@@ -54,7 +55,7 @@ func TestPlanWorthMatchesBuildWorth(t *testing.T) {
 					states[i] = vm.State{quant(), quant(), quant()}
 				}
 				dyn := rng.Float64() * 200
-				legacy, legacyErr := est.buildWorth(running, states, dyn)
+				legacy, legacyErr := legacyWorth(est, plan, running, states, dyn)
 				planned, planErr := planWorth(plan, running, states, dyn)
 				for s := vm.Coalition(0); s < 1<<uint(n); s++ {
 					if lw, pw := legacy(s), planned(s); pw != lw {
@@ -318,11 +319,16 @@ func TestPlanBuildAllocs(t *testing.T) {
 // sub-coalition sub, 50 W off its current worth, without training.
 func forceSubKey(t *testing.T, est *Estimator, snap hypervisor.Snapshot, sub vm.Coalition) {
 	t.Helper()
-	combo, feats, err := vhc.ClassedFeaturesFor(est.host.Set(), flagsOf(sub, len(snap.States)), snap.States, est.classes)
+	plan, err := est.ensurePlan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := est.approx.Estimate(combo, feats)
+	var feat [vhc.MaxFeatureLen]float64
+	combo, feats, err := vhc.ClassedFeaturesInto(est.host.Set(), flagsOf(sub, len(snap.States)), snap.States, est.classes, &feat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := plan.Worth(combo, &feat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -293,6 +293,10 @@ func arbitraryValidation(cfg Config, catalog vm.Catalog, classes *vhc.ClassMap) 
 	if err := est.CollectOffline(); err != nil {
 		return 0, 0, err
 	}
+	plan, err := vhc.NewPlan(set, classes, est.Approximator())
+	if err != nil {
+		return 0, 0, err
+	}
 
 	suite := workload.SPECSuite(cfg.Seed)
 	for i := 0; i < set.Len(); i++ {
@@ -311,11 +315,7 @@ func arbitraryValidation(cfg Config, catalog vm.Catalog, classes *vhc.ClassMap) 
 			return 0, 0, err
 		}
 		measured := sample.Power - est.IdlePower()
-		combo, features, err := vhc.ClassedFeaturesFor(set, snap.Running, snap.States, classes)
-		if err != nil {
-			return 0, 0, err
-		}
-		approx, err := est.Approximator().Estimate(combo, features)
+		approx, err := plan.Eval(grand, snap.States)
 		if err != nil {
 			return 0, 0, err
 		}

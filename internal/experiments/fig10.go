@@ -50,6 +50,10 @@ func validateVHC(host *hypervisor.Host, cfg Config, offlineTicks, validTicks int
 	if err != nil {
 		return nil, err
 	}
+	plan, err := vhc.NewPlan(set, classes, est.Approximator())
+	if err != nil {
+		return nil, err
+	}
 	v := &vhcValidation{
 		estimator: est,
 		classes:   classes,
@@ -76,11 +80,7 @@ func validateVHC(host *hypervisor.Host, cfg Config, offlineTicks, validTicks int
 				return nil, err
 			}
 			measuredDyn := sample.Power - est.IdlePower()
-			combo, features, err := vhc.ClassedFeaturesFor(set, snap.Running, snap.States, classes)
-			if err != nil {
-				return nil, err
-			}
-			approx, err := est.Approximator().Estimate(combo, features)
+			approx, err := plan.Eval(grand, snap.States)
 			if err != nil {
 				return nil, err
 			}

@@ -353,9 +353,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // computed and encoded at most once per tick (single-flight under
 // intMu) and a scrape storm serves the cached bytes. Estimator
 // thread-safety: Interactions only reads immutable calibration state and
-// the approximator's RWMutex-guarded tables, never the per-tick scratch
-// EstimateTick owns, so it is safe to run concurrently with Step —
-// pinned by TestInteractionsConcurrentWithStep under -race.
+// the worth plan (shared under the estimator's plan mutex) with the
+// published model it reads, never the per-tick scratch EstimateTick
+// owns, so it is safe to run concurrently with Step — pinned by
+// TestInteractionsConcurrentWithStep under -race.
 func (s *Server) handleInteractions(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
 	snap := s.lastSnap

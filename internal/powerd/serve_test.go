@@ -537,7 +537,7 @@ func TestCachedGetZeroAllocs(t *testing.T) {
 // interactions endpoint (est.Interactions on handler goroutines) is safe
 // concurrent with Step's EstimateTick over the same estimator. Run under
 // -race this hammers both sides; the estimator's only shared mutable
-// state on this path is the approximator's RWMutex-guarded table.
+// state on this path is its mutex-guarded worth plan.
 func TestInteractionsConcurrentWithStep(t *testing.T) {
 	srv, host := testServer(t)
 	host.SetCoalition(vm.GrandCoalition(2))

@@ -60,18 +60,18 @@ func TestExportImportRoundTrip(t *testing.T) {
 			t.Fatalf("diags differ: %+v vs %+v", dSrc, dDst)
 		}
 	}
-	// Estimates agree on fresh inputs.
+	// Plans over both agree on fresh inputs.
 	features := []float64{0.7, 0.2, 0.05}
-	es, err := src.Estimate(0b01, features)
+	es, err := worthOf(planFor(t, src), 0b01, features)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ed, err := dst.Estimate(0b01, features)
+	ed, err := worthOf(planFor(t, dst), 0b01, features)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(es-ed) > 1e-12 {
-		t.Fatalf("estimates differ: %g vs %g", es, ed)
+		t.Fatalf("worths differ: %g vs %g", es, ed)
 	}
 }
 

@@ -84,10 +84,9 @@ func (p *Plan) NumVMs() int { return len(p.classBit) }
 // approximation Σ_j w_j·v_j clamped at zero. The empty coalition is 0.
 //
 // It is the allocation-free equivalent of ClassedFeaturesFor followed by
-// Approximator.Estimate, and matches them bit for bit: member states are
-// accumulated into each class slot in ascending VM-ID order (the same
-// addition order as ClassedFeaturesFor) and the dot product runs the
-// same ascending loop as linalg.Vector.Dot.
+// Worth, and matches them bit for bit: member states are accumulated into
+// each class slot in ascending VM-ID order (the same addition order as
+// ClassedFeaturesFor).
 //
 // states is indexed by vm.ID and must cover the plan's VM set; entries of
 // non-members are ignored. The caller is responsible for masking out
@@ -176,7 +175,9 @@ func (p *Plan) TableMean(combo ComboMask, feat *[MaxFeatureLen]float64) (float64
 
 // Worth maps a non-empty combo's aggregated feature vector to v(S, C):
 // the exact-match table mean when the quantized features were measured
-// offline, otherwise the clamped linear approximation.
+// offline, otherwise the clamped linear approximation. It is the one
+// reader of the published model every worth goes through, and allocates
+// nothing.
 func (p *Plan) Worth(combo ComboMask, feat *[MaxFeatureLen]float64) (float64, error) {
 	if v, ok := p.TableMean(combo, feat); ok {
 		return v, nil
@@ -195,31 +196,4 @@ func (p *Plan) Worth(combo ComboMask, feat *[MaxFeatureLen]float64) (float64, er
 		dot = 0
 	}
 	return dot, nil
-}
-
-// lookup returns the table mean stored under feat's lattice key, if any.
-// It quantizes one coordinate at a time and gives up at the first one
-// outside the box, before hashing: every stored key lies inside the box,
-// so such a vector has no entry. Online states almost never hit the
-// table, and most lookups leave the box at the first coordinate, which is
-// therefore tested before the key is zeroed.
-func (t *comboTable) lookup(feat *[MaxFeatureLen]float64, flen int, res float64) (float64, bool) {
-	c := latticeCoord(feat[0], res)
-	if c < t.lo[0] || c > t.hi[0] {
-		return 0, false
-	}
-	var key tableKey
-	key[0] = c
-	for i := 1; i < flen; i++ {
-		c = latticeCoord(feat[i], res)
-		if c < t.lo[i] || c > t.hi[i] {
-			return 0, false
-		}
-		key[i] = c
-	}
-	e, ok := t.entries[key]
-	if !ok {
-		return 0, false
-	}
-	return e.mean(), true
 }

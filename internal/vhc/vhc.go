@@ -9,11 +9,13 @@
 package vhc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
 	"math"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -67,7 +69,7 @@ type Sample struct {
 
 // Errors returned by the approximator.
 var (
-	// ErrUntrained is returned when estimating a combo with no model.
+	// ErrUntrained is returned when pricing a combo with no model.
 	ErrUntrained = errors.New("vhc: combination has no trained model")
 	// ErrNoSamples is returned when training a combo with no samples.
 	ErrNoSamples = errors.New("vhc: no samples")
@@ -91,15 +93,15 @@ const ridgeLambda = 1e-6
 // Thread-safety: AddSample only appends a sample, under mu. Train and
 // Import each build a whole model — the fitted mapping vectors and the
 // exact-match v(S,C) tables — and publish it with one atomic pointer
-// store; a published model is never changed. Every reader (Estimate,
-// Weights, CPUWeights, Diags, Trained, NewPlan) loads the published model
-// once and reads only that, so it sees one model whole and takes no lock.
+// store; a published model is never changed. Every reader (Weights,
+// CPUWeights, Diags, Trained, NewPlan) loads the published model once
+// and reads only that, so it sees one model whole and takes no lock.
 // Samples added since the last Train reach no reader until the next one.
-// Between publications a trained Approximator is therefore a pure
-// function of (combo, features), the purity contract the parallel Shapley
-// engine's worth cache and sharded evaluation rely on (see
+// Between publications a trained Approximator's plans are therefore pure
+// functions of (combo, features), the purity contract the parallel
+// Shapley engine's worth cache and sharded evaluation rely on (see
 // internal/shapley/parallel.go); a Train concurrent with estimation
-// switches the estimates from one whole model to the next.
+// switches the plans built after it from one whole model to the next.
 type Approximator struct {
 	numTypes   int
 	resolution float64
@@ -164,48 +166,80 @@ func (e tableEntry) mean() float64 { return e.sum / float64(e.count) }
 
 // comboTable is one combo's exact-match v(S,C) table: the summed power
 // and count of the samples measured at each lattice key, plus the
-// bounding box of those keys. lo[i] and hi[i] are the least and greatest
+// bounding box of those keys. A key is the combo's own flen lattice
+// coordinates, 8 little-endian bytes each; index maps it to its entry,
+// so only a new key allocates. lo[i] and hi[i] are the least and greatest
 // lattice coordinate i of any stored key, so a feature vector with a
 // coordinate outside [lo[i], hi[i]] has no entry and needs no hashing to
 // find that out.
 type comboTable struct {
-	entries map[tableKey]tableEntry
-	lo, hi  tableKey
+	index   map[string]int
+	entries []tableEntry
+	lo, hi  [MaxFeatureLen]int64
 }
 
 // newComboTable keys a combo's samples onto the resolution lattice with
-// the key Estimate looks up, adding each key's powers in arrival order.
-func (a *Approximator) newComboTable(samples []Sample, flen int) *comboTable {
-	t := &comboTable{entries: make(map[tableKey]tableEntry)}
+// the key lookup probes, adding each key's powers in arrival order.
+func newComboTable(samples []Sample, flen int, res float64) *comboTable {
+	t := &comboTable{
+		index:   make(map[string]int, len(samples)),
+		entries: make([]tableEntry, 0, len(samples)),
+	}
 	for i := 0; i < flen; i++ {
 		t.lo[i], t.hi[i] = math.MaxInt64, math.MinInt64
 	}
+	var key [8 * MaxFeatureLen]byte
 	for _, s := range samples {
-		k := a.key(s.Features)
-		for i := 0; i < flen; i++ {
-			t.lo[i] = min(t.lo[i], k[i])
-			t.hi[i] = max(t.hi[i], k[i])
+		for i, f := range s.Features {
+			c := latticeCoord(f, res)
+			t.lo[i] = min(t.lo[i], c)
+			t.hi[i] = max(t.hi[i], c)
+			binary.LittleEndian.PutUint64(key[8*i:], uint64(c))
 		}
-		e := t.entries[k]
-		e.sum += s.Power
-		e.count++
-		t.entries[k] = e
+		// Indexing with string(bytes) does not allocate; storing a key
+		// does, so an existing entry is updated through its index.
+		j, ok := t.index[string(key[:8*flen])]
+		if !ok {
+			j = len(t.entries)
+			t.index[string(key[:8*flen])] = j
+			t.entries = append(t.entries, tableEntry{})
+		}
+		t.entries[j].sum += s.Power
+		t.entries[j].count++
 	}
 	return t
+}
+
+// lookup returns the table mean stored under feat's lattice key, if any.
+// It quantizes one coordinate at a time and gives up at the first one
+// outside the box, before hashing: every stored key lies inside the box,
+// so such a vector has no entry. Online states almost never hit the
+// table, and most lookups leave the box at the first coordinate, which is
+// therefore tested before any key byte is written.
+func (t *comboTable) lookup(feat *[MaxFeatureLen]float64, flen int, res float64) (float64, bool) {
+	c := latticeCoord(feat[0], res)
+	if c < t.lo[0] || c > t.hi[0] {
+		return 0, false
+	}
+	var key [8 * MaxFeatureLen]byte
+	binary.LittleEndian.PutUint64(key[:], uint64(c))
+	for i := 1; i < flen; i++ {
+		c = latticeCoord(feat[i], res)
+		if c < t.lo[i] || c > t.hi[i] {
+			return 0, false
+		}
+		binary.LittleEndian.PutUint64(key[8*i:], uint64(c))
+	}
+	j, ok := t.index[string(key[:8*flen])]
+	if !ok {
+		return 0, false
+	}
+	return t.entries[j].mean(), true
 }
 
 // MaxFeatureLen is the widest possible feature vector: every one of the
 // MaxTypes classes present, k components each.
 const MaxFeatureLen = MaxTypes * int(vm.NumComponents)
-
-// tableKey is the quantized numeric form of a feature vector: one lattice
-// coordinate round(f/resolution) per feature slot, zero beyond the combo's
-// feature length (per-combo tables have a fixed feature length, so the
-// padding is unambiguous). It replaces the old strconv-formatted string
-// keys: a comparable fixed-size array is buildable with zero allocations
-// on the estimation hot path and hashes without string interning. Only
-// meaningful when resolution > 0 — the table is disabled otherwise.
-type tableKey [MaxFeatureLen]int64
 
 // latticeCoord quantizes one feature onto the resolution lattice. The
 // saturation guards keep pathological resolutions (f/res beyond the int64
@@ -255,24 +289,20 @@ func (a *Approximator) featureLen(combo ComboMask) int {
 	return combo.Size() * int(vm.NumComponents)
 }
 
-// key quantizes a feature vector onto the resolution lattice. Callers
-// guard on resolution > 0 (the table is disabled otherwise).
-func (a *Approximator) key(features []float64) tableKey {
-	var k tableKey
-	for i, f := range features {
-		k[i] = latticeCoord(f, a.resolution)
-	}
-	return k
-}
-
-// AddSample records one offline measurement for a combo. Estimates see it
-// only after the next Train.
+// AddSample records one offline measurement for a combo. Plans see it
+// only after the next Train. A sample with a non-finite feature or power
+// is refused and nothing is recorded: one NaN would poison its table
+// entry's mean and the combo's whole fit.
 func (a *Approximator) AddSample(combo ComboMask, features []float64, power float64) error {
 	if combo == 0 {
 		return errors.New("vhc: cannot sample the empty combination")
 	}
 	if got, want := len(features), a.featureLen(combo); got != want {
 		return fmt.Errorf("%w: got %d, want %d for %s", ErrFeatureLen, got, want, combo)
+	}
+	notFinite := func(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) }
+	if notFinite(power) || slices.ContainsFunc(features, notFinite) {
+		return fmt.Errorf("vhc: non-finite sample for %s: features %v, power %g", combo, features, power)
 	}
 	f := append([]float64(nil), features...)
 	a.mu.Lock()
@@ -303,7 +333,7 @@ func (a *Approximator) Train() error {
 	var failures []string
 	for combo, samples := range a.samples {
 		if a.resolution > 0 {
-			m.tables[combo] = a.newComboTable(samples, a.featureLen(combo))
+			m.tables[combo] = newComboTable(samples, a.featureLen(combo), a.resolution)
 		}
 		if err := a.fitCombo(m, combo, samples); err != nil {
 			failures = append(failures, fmt.Sprintf("%s: %v", combo, err))
@@ -392,34 +422,4 @@ func (a *Approximator) CPUWeights(combo ComboMask) ([]float64, error) {
 		out[i] = w[i*k+int(vm.CPU)]
 	}
 	return out, nil
-}
-
-// Estimate returns v(S, C) for the combo and feature vector: the table
-// mean if the (quantized) state was measured offline, otherwise the linear
-// approximation Σ_j w_j·v_j, clamped at zero. The empty combo is 0.
-func (a *Approximator) Estimate(combo ComboMask, features []float64) (float64, error) {
-	if combo == 0 {
-		return 0, nil
-	}
-	if got, want := len(features), a.featureLen(combo); got != want {
-		return 0, fmt.Errorf("%w: got %d, want %d for %s", ErrFeatureLen, got, want, combo)
-	}
-	m := a.model.Load()
-	if t := m.table(combo); t != nil {
-		if e, ok := t.entries[a.key(features)]; ok {
-			return e.mean(), nil
-		}
-	}
-	w := m.comboWeights(combo)
-	if w == nil {
-		return 0, fmt.Errorf("%w: %s", ErrUntrained, combo)
-	}
-	p, err := w.Dot(features)
-	if err != nil {
-		return 0, err
-	}
-	if p < 0 {
-		p = 0
-	}
-	return p, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -68,6 +69,22 @@ func TestAddSampleValidation(t *testing.T) {
 	if err := a.AddSample(0b01, []float64{1}, 1); !errors.Is(err, ErrFeatureLen) {
 		t.Fatalf("want ErrFeatureLen, got %v", err)
 	}
+	// A non-finite feature or power is refused and records nothing.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := a.AddSample(0b01, []float64{1, 2, 3}, bad); err == nil {
+			t.Fatalf("power %v: want an error", bad)
+		}
+		for i := 0; i < 3; i++ {
+			f := []float64{1, 2, 3}
+			f[i] = bad
+			if err := a.AddSample(0b01, f, 1); err == nil {
+				t.Fatalf("feature %d = %v: want an error", i, bad)
+			}
+		}
+	}
+	if n := a.SampleCount(0b01); n != 0 {
+		t.Fatalf("%d samples recorded from refused inputs, want 0", n)
+	}
 }
 
 // synthSamples generates noise-free linear samples for a combo with the
@@ -93,7 +110,6 @@ func TestTrainAndEstimateRecoversLinearModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := int(vm.NumComponents)
 	w1 := []float64{9.4, 0.3, 2.1}                 // combo {0}
 	w2 := []float64{9.4, 0.3, 2.1, 17.9, 0.5, 1.2} // combo {0,1}
 	synthSamples(t, a, 0b01, w1, 50, 1)
@@ -123,14 +139,13 @@ func TestTrainAndEstimateRecoversLinearModel(t *testing.T) {
 	// Estimation at a fresh state matches the generating model.
 	features := []float64{0.7, 0.2, 0.05}
 	want := 0.7*9.4 + 0.2*0.3 + 0.05*2.1
-	est, err := a.Estimate(0b01, features)
+	est, err := worthOf(planFor(t, a), 0b01, features)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(est-want) > 1e-6 {
-		t.Fatalf("Estimate = %g, want %g", est, want)
+		t.Fatalf("Worth = %g, want %g", est, want)
 	}
-	_ = k
 }
 
 func TestEstimateTableHit(t *testing.T) {
@@ -149,7 +164,8 @@ func TestEstimateTableHit(t *testing.T) {
 	if err := a.Train(); err != nil {
 		t.Fatal(err)
 	}
-	est, err := a.Estimate(0b1, []float64{0.5, 0.1, 0})
+	plan := planFor(t, a)
+	est, err := worthOf(plan, 0b1, []float64{0.5, 0.1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,12 +173,12 @@ func TestEstimateTableHit(t *testing.T) {
 	// exact value depends on whether a synthetic sample collided, but it
 	// must be dominated by the 42 W measurement.
 	if est < 20 {
-		t.Fatalf("Estimate = %g, want table-dominated value near 42", est)
+		t.Fatalf("Worth = %g, want table-dominated value near 42", est)
 	}
 	// A nearby-but-different quantized state misses the table and uses
 	// the linear model, whose prediction is far below the 42 W outlier
 	// (the outlier skews the fit but cannot dominate 30 clean samples).
-	est2, err := a.Estimate(0b1, []float64{0.77, 0.13, 0.2})
+	est2, err := worthOf(plan, 0b1, []float64{0.77, 0.13, 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,15 +192,13 @@ func TestEstimateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Estimate(0b01, make([]float64, 3)); !errors.Is(err, ErrUntrained) {
+	plan := planFor(t, a)
+	if _, err := worthOf(plan, 0b01, make([]float64, 3)); !errors.Is(err, ErrUntrained) {
 		t.Fatalf("untrained: %v", err)
 	}
-	if _, err := a.Estimate(0b01, make([]float64, 2)); !errors.Is(err, ErrFeatureLen) {
-		t.Fatalf("feature length: %v", err)
-	}
-	got, err := a.Estimate(0, nil)
+	got, err := plan.Eval(vm.EmptyCoalition, make([]vm.State, 2))
 	if err != nil || got != 0 {
-		t.Fatalf("empty combo = (%g, %v), want (0, nil)", got, err)
+		t.Fatalf("empty coalition = (%g, %v), want (0, nil)", got, err)
 	}
 	if _, err := a.Weights(0b01); !errors.Is(err, ErrUntrained) {
 		t.Fatalf("Weights untrained: %v", err)
@@ -206,7 +220,7 @@ func TestTrainDegenerateSamplesUsesRidge(t *testing.T) {
 	if err := a.Train(); err != nil {
 		t.Fatal(err)
 	}
-	est, err := a.Estimate(0b1, []float64{1, 0, 0})
+	est, err := worthOf(planFor(t, a), 0b1, []float64{1, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,6 +259,7 @@ func TestEstimateNonNegativeProperty(t *testing.T) {
 	if err := a.Train(); err != nil {
 		t.Fatal(err)
 	}
+	plan := planFor(t, a)
 	f := func(a1, a2, a3 float64) bool {
 		clip := func(x float64) float64 {
 			x = math.Abs(math.Mod(x, 4))
@@ -253,10 +268,51 @@ func TestEstimateNonNegativeProperty(t *testing.T) {
 			}
 			return x
 		}
-		est, err := a.Estimate(0b1, []float64{clip(a1), clip(a2), clip(a3)})
+		est, err := worthOf(plan, 0b1, []float64{clip(a1), clip(a2), clip(a3)})
 		return err == nil && est >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// trainBytesPerKey bounds the bytes Train allocates per stored key in
+// TestTrainFootprint, the fit's matrices included. Train measured 187–190
+// (Go 1.24, linux/amd64, with and without -race), and 471 with a padded
+// 288-byte key per entry, which alone exceeds the bound.
+const trainBytesPerKey = 240
+
+// TestTrainFootprint pins the v(S,C) table's footprint: on ~1,600
+// distinct one-class keys, the shape of a large-VM Xeon host's
+// calibration, Train allocates at most trainBytesPerKey bytes per stored
+// key, fit included. It reads the heap counters around Train, so it must
+// not run in parallel with other tests.
+func TestTrainFootprint(t *testing.T) {
+	a, err := New(1, Options{Resolution: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1600; i++ {
+		f := []float64{float64(rng.Intn(800)) / 100, float64(rng.Intn(800)) / 100, float64(rng.Intn(800)) / 100}
+		if err := a.AddSample(1, f, 40+9*f[0]+2*f[1]+f[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := a.Train(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	keys := len(a.model.Load().table(1).index)
+	if keys < 1500 {
+		t.Fatalf("%d stored keys, want ~1,600 distinct ones", keys)
+	}
+	perKey := float64(after.TotalAlloc-before.TotalAlloc) / float64(keys)
+	t.Logf("Train allocated %.0f bytes per stored key over %d keys", perKey, keys)
+	if perKey > trainBytesPerKey {
+		t.Fatalf("Train allocates %.0f bytes per stored key, want at most %d", perKey, trainBytesPerKey)
 	}
 }
